@@ -35,10 +35,8 @@ from .terrain import (
 
 Cell = tuple[int, int]
 
-#: Deterministic tie-break cost per perimeter binary. Keeps optimal incumbents
-#: from carrying zero-cost detached clumps on high ground; negligible against
-#: any real cost component.
-PERIMETER_TIE_BREAK = 1e-6
+#: Relative slack on the volume target when storage is recomputed from masks.
+VOLUME_RTOL = 1e-6
 
 _DIRECTIONS = ("up", "down", "left", "right")
 
@@ -297,19 +295,18 @@ def set_siting_objective(
     spec: SitingSpec,
     params: CostParams,
     dist: DistanceField,
-    tie_break: float = PERIMETER_TIE_BREAK,
 ) -> None:
     """Minimize embankment on active perimeter cells plus conveyance at the link.
 
-    The E&M equipment cost is a constant for a given (head, capacity) pair and
-    enters as the objective offset.
+    Dry perimeter cells cost nothing. The E&M equipment cost is a constant for
+    a given (head, capacity) pair and enters as the objective offset.
     """
     coeffs: dict[int, float] = {}
     for (i, j), xid in sv.x.items():
         cost, _ = embankment_cell_cost(
             grid.cell_length, spec.water_elevation, float(grid.elevations[i, j]), params
         )
-        coeffs[xid] = cost + tie_break
+        coeffs[xid] = cost
     for (i, j), lid in sv.link.items():
         excavation, lining = conveyance_cost(spec.flow, float(dist.values[i, j]), params)
         coeffs[lid] = excavation + lining
@@ -340,7 +337,6 @@ def build_siting_problem(
     level: int = 0,
     excluded=None,
     perimeter_min_neighbors: int = 1,
-    tie_break: float = PERIMETER_TIE_BREAK,
     literal_u_bound: bool = False,
 ) -> SitingProblem:
     """Assemble the siting MIP at a given connectivity-defense level.
@@ -364,7 +360,7 @@ def build_siting_problem(
     add_shape_constraints(prob, sv, cands, perimeter_min_neighbors)
     add_volume_constraint(prob, sv, cands, grid, spec)
     add_link_constraints(prob, sv, cands)
-    set_siting_objective(prob, sv, grid, spec, params, dist, tie_break)
+    set_siting_objective(prob, sv, grid, spec, params, dist)
 
     if level >= 1:
         _connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
@@ -461,6 +457,42 @@ def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
     return base + (math.sqrt(2) - 1) * cell_length * extra_steps
 
 
+def _drop_spare_components(
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray],
+    link: Cell,
+    cell_storage: np.ndarray,
+    vol_min: float,
+) -> list[np.ndarray]:
+    """Clear the reservoir components that neither the link nor the volume needs.
+
+    Keeps the 4-connected component of the reservoir mask that holds the link,
+    then adds the others in descending order of stored volume until storage
+    reaches ``vol_min`` (within ``VOLUME_RTOL``). Every remaining component is
+    cleared from the (perimeter, interior, reservoir) masks in place. Dropped
+    components touch no kept cell, so the shape rules still hold, and
+    embankment cost is never negative, so the cost cannot rise. Returns the
+    kept components in ``connected_components`` order.
+    """
+    components = connected_components(masks[2], "four")
+    if len(components) < 2:
+        return components
+    holds_link = [bool(np.any((c[:, 0] == link[0]) & (c[:, 1] == link[1]))) for c in components]
+    stored = [float(cell_storage[c[:, 0], c[:, 1]].sum()) for c in components]
+    order = sorted(range(len(components)), key=lambda k: (not holds_link[k], -stored[k]))
+    kept: list[int] = []
+    total = 0.0
+    for k in order:
+        if not holds_link[k] and total >= vol_min * (1 - VOLUME_RTOL):
+            break
+        kept.append(k)
+        total += stored[k]
+    for k, comp in enumerate(components):
+        if k not in kept:
+            for mask in masks:
+                mask[comp[:, 0], comp[:, 1]] = False
+    return [components[k] for k in sorted(kept)]
+
+
 def extract_solution(
     sp: SitingProblem,
     values: Mapping[str, float],
@@ -473,7 +505,9 @@ def extract_solution(
 ) -> ReservoirSolution:
     """Turn solver values into masks and physically recomputed metrics.
 
-    Storage, area, embankment and costs are all rebuilt from the masks and the
+    Reservoir components the solution does not need are dropped first (see
+    ``_drop_spare_components``); the connectivity verdict, storage, area,
+    embankment and costs are then all rebuilt from the kept masks and the
     terrain, never read back from the solver objective.
     """
     grid, spec, params = sp.grid, sp.spec, sp.cost_params
@@ -503,7 +537,10 @@ def extract_solution(
 
     water = spec.water_elevation
     depth = np.where(y_mask, water - grid.elevations, 0.0)
-    storage = float(depth.sum()) * grid.cell_area
+    components = _drop_spare_components(
+        (x_mask, y_mask, z_mask), link, depth * grid.cell_area, spec.vol_min
+    )
+    storage = float(np.where(y_mask, depth, 0.0).sum()) * grid.cell_area
     area_ha = float(np.count_nonzero(y_mask)) * grid.cell_area / 1e4
 
     with np.errstate(invalid="ignore"):
@@ -523,7 +560,6 @@ def extract_solution(
         equipment=equipment_cost(spec.head_m, spec.power_mw, params),
     )
 
-    components = connected_components(z_mask, "four")
     return ReservoirSolution(
         perimeter_mask=x_mask,
         interior_mask=y_mask,
@@ -554,7 +590,7 @@ def verify_masks(
     cands: CandidateSets,
     spec: SitingSpec,
     solution: ReservoirSolution,
-    vol_tol: float = 1e-6,
+    vol_tol: float = VOLUME_RTOL,
 ) -> list[str]:
     """Check the mask-level feasibility semantics of the base model.
 

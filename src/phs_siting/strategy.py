@@ -35,6 +35,7 @@ from .terrain import (
     candidate_sets,
     cells_to_mask,
     clip,
+    connected_components,
     distance_field,
 )
 
@@ -312,8 +313,6 @@ def run_zoom_in(
         # the ladder came back fragmented; finer levels restore connectivity).
         target_mask = solution.reservoir_mask
         if not solution.connected:
-            from .terrain import connected_components
-
             comps = connected_components(target_mask, "four")
             target_mask = np.zeros_like(target_mask)
             for i, j in comps[0]:

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting.model import PERIMETER_TIE_BREAK, Sense, diag_corrected_length
+from phs_siting import Level, StrategyConfig
+from phs_siting.model import Sense, diag_corrected_length
 
 from conftest import (
     RIVER_ELEVATION,
     WATER,
+    midsize_grid,
+    midsize_spec,
     pit_grid,
     pit_spec,
     river_grid,
@@ -148,20 +151,20 @@ def test_optimal_link_minimizes_conveyance():
     assert sol.distance_m == pytest.approx(dist.values[best])
 
 
-def test_dry_perimeter_cells_cost_only_tie_break():
+def test_dry_perimeter_cells_cost_exactly_zero():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=0)
-    for cell, vid in sp.variables.x.items():
-        if grid.elevations[cell] >= spec.water_elevation:
-            assert sp.mip.objective[vid] == pytest.approx(PERIMETER_TIE_BREAK)
+    dry = [vid for cell, vid in sp.variables.x.items()
+           if grid.elevations[cell] >= spec.water_elevation]
+    assert dry
+    for vid in dry:
+        assert sp.mip.objective[vid] == 0.0
 
 
 def test_objective_reconstruction_from_masks():
     grid, spec = pit_grid(), pit_spec()
     sp, res, sol = solve_at_level(grid, spec, 0)
-    n_x = int(sol.perimeter_mask.sum())
-    rebuilt = sol.costs.total + n_x * PERIMETER_TIE_BREAK
-    assert abs(rebuilt - res.objective) <= 1e-4 * abs(res.objective)
+    assert abs(sol.costs.total - res.objective) <= 1e-9 * abs(res.objective)
 
 
 def test_extract_rejects_fractional_values():
@@ -209,6 +212,88 @@ def test_extract_embankment_metrics_with_wet_perimeter():
     assert sol.embankment_length_m == pytest.approx(34.0)
     assert sol.embankment_volume_m3 == pytest.approx(10_200.0)
     assert sol.costs.embankment == pytest.approx(51_000.0)
+
+
+# Pit A is the pit-grid site; basins B and C are room for extra components.
+PIT_A, PIT_A_RING = [(2, 3)], [(1, 3), (3, 3), (2, 2), (2, 4)]
+BASIN_B, BASIN_B_RING = [(4, 7), (4, 8)], [(3, 7), (3, 8), (5, 7), (5, 8), (4, 6), (4, 9)]
+BASIN_C, BASIN_C_RING = [(7, 3), (7, 4)], [(6, 3), (6, 4), (8, 3), (8, 4), (7, 2), (7, 5)]
+DRY_CLUMP = [(8, 3), (8, 4)]  # two dry perimeter cells backing each other
+CELL_M3 = 34.0**2
+
+
+def _three_basin_grid():
+    elev = np.full((9, 11), 600.0)
+    elev[:, 0] = RIVER_ELEVATION
+    elev[2, 3] = 500.0  # A stores 50 m per cell
+    for cell in BASIN_B:
+        elev[cell] = 520.0  # B stores 30 m per cell
+    for cell in BASIN_C:
+        elev[cell] = 540.0  # C stores 10 m per cell
+    return river_grid(elev)
+
+
+def _hand_values(sp, perimeter, interior, link):
+    values = {v.name: 0.0 for v in sp.mip.variables}
+    for i, j in perimeter:
+        values[f"x_{i}_{j}"] = values[f"z_{i}_{j}"] = 1.0
+    for i, j in interior:
+        values[f"y_{i}_{j}"] = values[f"z_{i}_{j}"] = 1.0
+    values["l_{}_{}".format(*link)] = 1.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "spare_perimeter, spare_interior",
+    [(BASIN_B_RING, BASIN_B), (DRY_CLUMP, [])],
+    ids=["pond", "clump"],
+)
+def test_extract_drops_spare_component(spare_perimeter, spare_interior):
+    grid, spec = _three_basin_grid(), pit_spec()
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    site = ps.extract_solution(sp, _hand_values(sp, PIT_A_RING, PIT_A, (2, 2)))
+    padded = ps.extract_solution(
+        sp, _hand_values(sp, PIT_A_RING + spare_perimeter, PIT_A + spare_interior, (2, 2))
+    )
+    assert padded.costs.total == site.costs.total
+    assert padded.connected and padded.n_components == 1
+    for mask in ("perimeter_mask", "interior_mask", "reservoir_mask"):
+        assert np.array_equal(getattr(padded, mask), getattr(site, mask))
+    assert padded.storage_m3 == pytest.approx(50.0 * CELL_M3)
+    assert ps.verify_masks(grid, sp.cands, spec, padded) == []
+
+
+def test_extract_keeps_component_the_volume_needs():
+    # A alone stores 57,800 m^3: the target also needs B (69,360 m^3), the
+    # larger of the two other basins, and then C (23,120 m^3) is spare
+    grid, spec = _three_basin_grid(), spec_for_volume(100_000.0)
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    sol = ps.extract_solution(sp, _hand_values(
+        sp, PIT_A_RING + BASIN_B_RING + BASIN_C_RING, PIT_A + BASIN_B + BASIN_C, (2, 2)
+    ))
+    assert not sol.connected and sol.n_components == 2
+    assert sol.storage_m3 == pytest.approx((50.0 + 2 * 30.0) * CELL_M3)
+    assert sol.reservoir_mask[BASIN_B[0]] and not sol.reservoir_mask[BASIN_C[0]]
+    assert ps.verify_masks(grid, sp.cands, spec, sol) == []
+
+
+def test_extract_keeps_dry_link_component():
+    # a link outpost: the link sits on a dry clump that floods nothing, apart
+    # from the pond that holds the volume; both stay, so the ladder escalates
+    grid, spec = _three_basin_grid(), pit_spec()
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    sol = ps.extract_solution(sp, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
+    assert not sol.connected and sol.n_components == 2
+    assert sol.link_cell == (8, 3)
+    assert sol.perimeter_mask[8, 3] and sol.perimeter_mask[8, 4]
+    assert sol.storage_m3 == pytest.approx(50.0 * CELL_M3)
+
+
+def test_direct_level_zero_midsize_solve_is_connected():
+    grid, spec = midsize_grid(), midsize_spec()
+    sol = ps.run_ladder(grid, spec, config=StrategyConfig(ladder=(Level.NONE,)))
+    assert sol.valid and sol.connected and len(sol.trace) == 1
+    assert ps.verify_masks(grid, ps.candidate_sets(grid, spec.water_elevation), spec, sol) == []
 
 
 def test_variable_naming_scheme():
