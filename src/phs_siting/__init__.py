@@ -45,9 +45,6 @@ from .solve import (
     SolveLimits,
     SolveResult,
     SolveStatus,
-    SolverBackend,
-    available_backends,
-    get_backend,
     oracle_enumerate,
     solve,
     verify_solution,
@@ -92,13 +89,11 @@ __all__ = [
     "SolveLimits",
     "SolveResult",
     "SolveStatus",
-    "SolverBackend",
     "StrategyConfig",
     "TerrainGrid",
     "TraceEntry",
     "Verdict",
     "aggregate",
-    "available_backends",
     "build_siting_problem",
     "candidate_sets",
     "clip",
@@ -111,7 +106,6 @@ __all__ = [
     "equipment_cost",
     "export_problem",
     "extract_solution",
-    "get_backend",
     "load_grid",
     "oracle_enumerate",
     "problems_structurally_equal",

@@ -14,7 +14,6 @@ import argparse
 import configparser
 import csv
 import logging
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .errors import NoIncumbentError, SitingError
 from .formats import export_problem
 from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec
-from .solve import available_backends, oracle_enumerate
+from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
 from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, write_esri_ascii
 
@@ -44,7 +43,7 @@ _STRATEGY_KEYS = {
     "ladder", "zoom_factors", "clip_margin", "budget", "distance_metric",
     "perimeter_min_neighbors",
 }
-_SOLVER_KEYS = {"backend", "time_limit_s", "gap_target", "workers", "seed"}
+_SOLVER_KEYS = {"time_limit_s", "gap_target", "workers"}
 _OUTPUT_KEYS = {"directory"}
 _CASE_KEYS = {"head_m", "operation_h", "zoom", "power_mw"}
 
@@ -71,7 +70,6 @@ class CaseConfig:
     cost_params: CostParams
     strategy: StrategyConfig
     workers: int
-    seed: int | None  # reserved; no randomized tie-breaking in this build
     output_dir: Path
     cases: list[CaseSpec] = field(default_factory=list)
 
@@ -179,12 +177,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         diags.append(f"costs: {exc}")
         cost_params = CostParams()
 
-    backend = get("solver", "backend", os.environ.get("PHS_SITING_BACKEND", "highs"))
-    if backend not in available_backends():
-        diags.append(
-            f"solver.backend: unknown backend {backend!r}; available: "
-            f"{', '.join(available_backends())}"
-        )
     time_limit = get_float("solver", "time_limit_s", None)
     if time_limit is not None and time_limit <= 0:
         diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
@@ -192,13 +184,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     workers = int(get_float("solver", "workers", 1) or 1)
     if workers < 1:
         diags.append(f"solver.workers: must be >= 1, got {workers}")
-    seed_raw = get("solver", "seed")
-    seed = None
-    if seed_raw and seed_raw.strip():
-        try:
-            seed = int(seed_raw)
-        except ValueError:
-            diags.append(f"solver.seed: not an integer ({seed_raw!r})")
 
     ladder_raw = get("strategy", "ladder", "none, hv_planes, hv_diag_planes, tsp")
     try:
@@ -226,7 +211,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             clip_margin=None if clip_margin is None else int(clip_margin),
             time_limit_s=time_limit,
             budget=budget,
-            backend=backend if backend in available_backends() else "highs",
             gap_target=gap_target or 0.0,
             perimeter_min_neighbors=min_nbrs,
             distance_metric=metric if metric in ("horizontal", "slant") else "horizontal",
@@ -280,7 +264,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             cost_params=cost_params,
             strategy=strategy,
             workers=workers,
-            seed=seed,
             output_dir=output_dir,
             cases=cases,
         ),
@@ -387,13 +370,8 @@ def run_batch(config: CaseConfig) -> int:
     grid, excluded = _load_terrain(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(
-                pool.map(lambda c: _run_case(config, grid, excluded, c), config.cases)
-            )
-    else:
-        outcomes = [_run_case(config, grid, excluded, c) for c in config.cases]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        outcomes = list(pool.map(lambda c: _run_case(config, grid, excluded, c), config.cases))
 
     physical_rows, cost_rows, solver_rows = [], [], []
     for outcome in outcomes:
@@ -455,7 +433,7 @@ def run_batch(config: CaseConfig) -> int:
                 "time_s": f"{sol.wall_time_s:.1f}",
                 "gap_pct": "-" if sol.gap is None else f"{100 * sol.gap:.1f}",
                 "level": sol.level,
-                "backend": config.strategy.backend,
+                "backend": "highs",
             }
         )
 

@@ -33,9 +33,6 @@ class Level(IntEnum):
     TSP = 3
 
 
-LEVEL_NAMES = {lv: lv.name.lower() for lv in Level}
-
-
 def parse_level(value) -> Level:
     if isinstance(value, Level):
         return value

@@ -133,9 +133,6 @@ class MipProblem:
         self.objective = dict(sorted(coeffs.items()))
         self.objective_constant = float(constant)
 
-    def add_objective_term(self, vid: int, coef: float) -> None:
-        self.objective[vid] = self.objective.get(vid, 0.0) + coef
-
     # -- queries ------------------------------------------------------------
 
     @property
@@ -149,9 +146,6 @@ class MipProblem:
     def variable_id(self, name: str) -> int:
         return self._var_index[name]
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._var_index
-
     def values_vector(self, values: Mapping[str, float]) -> np.ndarray:
         """Order a name->value mapping into the internal variable order."""
         vec = np.zeros(len(self.variables))
@@ -159,10 +153,6 @@ class MipProblem:
             if name in self._var_index:
                 vec[self._var_index[name]] = value
         return vec
-
-    def objective_value(self, values: Mapping[str, float]) -> float:
-        vec = self.values_vector(values)
-        return sum(coef * vec[vid] for vid, coef in self.objective.items()) + self.objective_constant
 
 
 @dataclass

@@ -1,10 +1,8 @@
-"""Solver backends, solution verification, and the exhaustive micro oracle.
+"""The HiGHS solve, solution verification, and the exhaustive micro oracle.
 
-Two open-source branch-and-bound engines are wrapped behind one narrow
-interface: HiGHS (through scipy.optimize.milp, the default) and GLPK (through
-cvxopt, mainly as an independent cross-check and as the reader for exported
-files). Neither exposes incumbent callbacks, so anti-fragmentation constraints
-are delivered eagerly and escalated by re-solving (see strategy module) rather
+Every model is solved by HiGHS branch-and-bound through scipy.optimize.milp.
+It exposes no incumbent callbacks, so anti-fragmentation constraints are
+delivered eagerly and escalated by re-solving (see strategy module) rather
 than lazily inside one solve.
 """
 
@@ -12,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -38,7 +35,6 @@ from .terrain import (
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
-    FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
     ERROR = "error"
@@ -48,7 +44,6 @@ class SolveStatus(Enum):
 class SolveLimits:
     time_limit_s: float | None = None
     gap_target: float = 0.0  # relative MIP gap at which the solver may stop
-    threads: int | None = None  # advisory; not all backends honor it
 
 
 @dataclass
@@ -59,7 +54,6 @@ class SolveResult:
     bound: float | None
     gap: float | None
     wall_time_s: float
-    backend: str
     message: str = ""
 
     @property
@@ -74,19 +68,12 @@ def _relative_gap(objective: float | None, bound: float | None) -> float | None:
     return max(0.0, (objective - bound) / max(abs(objective), 1e-12))
 
 
-class SolverBackend(ABC):
-    name: str = "abstract"
-    supports_callbacks: bool = False
+class HighsBackend:
+    """HiGHS branch-and-bound via scipy.optimize.milp.
 
-    @abstractmethod
-    def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
-        """Run the engine; must always report the best bound it proved."""
-
-
-class HighsBackend(SolverBackend):
-    """HiGHS branch-and-bound via scipy.optimize.milp."""
-
-    name = "highs"
+    ``perfbench/tracing.py`` wraps ``HighsBackend.solve`` and the module's
+    ``milp`` by name, so both stay where they are.
+    """
 
     def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
         limits = limits or SolveLimits()
@@ -162,161 +149,28 @@ class HighsBackend(SolverBackend):
             bound=bound,
             gap=_relative_gap(objective, bound),
             wall_time_s=elapsed,
-            backend=self.name,
             message=str(res.message),
         )
 
 
-class GlpkBackend(SolverBackend):
-    """GLPK via cvxopt; independent engine used for cross-checks.
-
-    GLPK reports no dual bound through this interface, so the gap is known
-    only when it proves optimality.
-    """
-
-    name = "glpk"
-
-    def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
-        try:
-            from cvxopt import glpk, matrix, spmatrix
-        except ImportError as exc:  # pragma: no cover - depends on environment
-            raise RuntimeError("GLPK backend needs the cvxopt package") from exc
-
-        limits = limits or SolveLimits()
-        n = problem.num_variables
-        c = matrix([problem.objective.get(vid, 0.0) for vid in range(n)], tc="d")
-
-        g_data, g_i, g_j, h_vals = [], [], [], []
-        a_data, a_i, a_j, b_vals = [], [], [], []
-        for row in problem.rows:
-            if row.sense is Sense.EQ:
-                rid = len(b_vals)
-                for vid, coef in row.coeffs:
-                    a_data.append(coef)
-                    a_i.append(rid)
-                    a_j.append(vid)
-                b_vals.append(row.rhs)
-            else:
-                sign = 1.0 if row.sense is Sense.LE else -1.0
-                rid = len(h_vals)
-                for vid, coef in row.coeffs:
-                    g_data.append(sign * coef)
-                    g_i.append(rid)
-                    g_j.append(vid)
-                h_vals.append(sign * row.rhs)
-        # Variable bounds become inequality rows; binaries are handled natively.
-        for vid, variable in enumerate(problem.variables):
-            if variable.kind is VarKind.BINARY:
-                continue
-            if math.isfinite(variable.ub):
-                g_data.append(1.0)
-                g_i.append(len(h_vals))
-                g_j.append(vid)
-                h_vals.append(variable.ub)
-            if math.isfinite(variable.lb):
-                g_data.append(-1.0)
-                g_i.append(len(h_vals))
-                g_j.append(vid)
-                h_vals.append(-variable.lb)
-        if not h_vals:  # GLPK requires at least one inequality row
-            g_data, g_i, g_j, h_vals = [0.0], [0], [0], [1.0]
-
-        G = spmatrix(g_data, g_i, g_j, (len(h_vals), n), tc="d")
-        h = matrix(h_vals, tc="d")
-        A = b = None
-        if b_vals:
-            A = spmatrix(a_data, a_i, a_j, (len(b_vals), n), tc="d")
-            b = matrix(b_vals, tc="d")
-
-        int_set = {vid for vid, v in enumerate(problem.variables) if v.kind is VarKind.INTEGER}
-        bin_set = {vid for vid, v in enumerate(problem.variables) if v.kind is VarKind.BINARY}
-
-        saved = dict(glpk.options)
-        glpk.options["msg_lev"] = "GLP_MSG_OFF"
-        if limits.time_limit_s is not None:
-            glpk.options["tm_lim"] = max(1, int(limits.time_limit_s * 1000))
-        start = time.perf_counter()
-        try:
-            status_text, x = glpk.ilp(c, G, h, A, b, I=int_set, B=bin_set)
-        finally:
-            glpk.options.clear()
-            glpk.options.update(saved)
-        elapsed = time.perf_counter() - start
-
-        values = None
-        objective = None
-        if x is not None:
-            values = {v.name: float(x[vid]) for vid, v in enumerate(problem.variables)}
-            objective = float(
-                sum(problem.objective.get(vid, 0.0) * x[vid] for vid in range(n))
-            ) + problem.objective_constant
-
-        lowered = status_text.lower()
-        if "optimal" in lowered:
-            status = SolveStatus.OPTIMAL
-            bound = objective
-        elif "infeasible" in lowered or "invalid" in lowered:
-            status = SolveStatus.INFEASIBLE
-            bound = None
-        elif "time" in lowered:
-            status = SolveStatus.TIME_LIMIT
-            bound = None
-        else:
-            status = SolveStatus.ERROR if values is None else SolveStatus.FEASIBLE
-            bound = None
-        return SolveResult(
-            status=status,
-            values=values,
-            objective=objective,
-            bound=bound,
-            gap=_relative_gap(objective, bound),
-            wall_time_s=elapsed,
-            backend=self.name,
-            message=status_text,
-        )
-
-
-_BACKENDS: dict[str, type[SolverBackend]] = {
-    HighsBackend.name: HighsBackend,
-    GlpkBackend.name: GlpkBackend,
-}
-
-
-def available_backends() -> list[str]:
-    names = ["highs"]
-    try:
-        import cvxopt.glpk  # noqa: F401
-
-        names.append("glpk")
-    except ImportError:  # pragma: no cover - depends on environment
-        pass
-    return names
-
-
-def get_backend(name: str | SolverBackend) -> SolverBackend:
-    if isinstance(name, SolverBackend):
-        return name
-    try:
-        return _BACKENDS[name.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; available: {', '.join(sorted(_BACKENDS))}"
-        ) from None
-
-
 def solve(
     problem: MipProblem,
-    backend: str | SolverBackend = "highs",
+    backend: str = "highs",
     limits: SolveLimits | None = None,
     log_path: str | Path | None = None,
 ) -> SolveResult:
-    """Solve a problem and optionally persist a one-page run log."""
-    engine = get_backend(backend)
-    result = engine.solve(problem, limits)
+    """Solve a problem with HiGHS and optionally persist a one-page run log.
+
+    ``backend`` names the solver for callers that pass it; only ``"highs"``
+    is accepted.
+    """
+    if backend.lower() != "highs":
+        raise ValueError(f"unknown backend {backend!r}; the only solver is 'highs'")
+    result = HighsBackend().solve(problem, limits)
     if log_path is not None:
         lines = [
             f"problem: {problem.name}",
-            f"backend: {result.backend}",
+            "backend: highs",
             f"variables: {problem.num_variables}",
             f"constraints: {problem.num_constraints}",
             f"status: {result.status.value}",
@@ -335,7 +189,7 @@ def verify_solution(
 ) -> list[str]:
     """Re-check an incumbent against the stored rows, bounds and integrality.
 
-    Independent of any backend; returns violation descriptions (empty = clean).
+    Independent of the solver; returns violation descriptions (empty = clean).
     """
     vec = problem.values_vector(values)
     issues: list[str] = []

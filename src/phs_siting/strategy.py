@@ -26,7 +26,7 @@ from .model import (
     verify_masks,
 )
 from .sizing import SitingSpec
-from .solve import SolveLimits, SolveStatus, get_backend
+from .solve import SolveLimits, SolveStatus, solve
 from .terrain import (
     CandidateSets,
     DistanceField,
@@ -54,7 +54,6 @@ class StrategyConfig:
     clip_margin: int | None = None  # None -> default_clip_margin(factor)
     time_limit_s: float | None = None
     budget: str = "per_level"  # "per_level" splits the cap; "total" is a countdown
-    backend: str = "highs"
     gap_target: float = 0.0
     perimeter_min_neighbors: int = 1
     distance_metric: str = "horizontal"
@@ -131,7 +130,6 @@ def run_ladder(
         cands = candidate_sets(grid, spec.water_elevation, excluded)
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
-    backend = get_backend(config.backend)
 
     total = time_budget_s if time_budget_s is not None else config.time_limit_s
     per_level = None
@@ -159,8 +157,8 @@ def run_ladder(
             level=int(level),
             perimeter_min_neighbors=config.perimeter_min_neighbors,
         )
-        result = backend.solve(
-            sp.mip, SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
+        result = solve(
+            sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
         )
         if not result.has_incumbent:
             trace.append(

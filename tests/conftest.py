@@ -188,6 +188,22 @@ def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
     return sp, res, sol
 
 
+def highs_file_optimum(path) -> float:
+    """Objective of an exported model file, parsed and solved by HiGHS itself.
+
+    HiGHS's own MPS/LP reader is independent of ``phs_siting.formats``, so this
+    checks the writers against an outside parser. The reader is reachable only
+    through SciPy's private HiGHS binding; the calling test skips without it.
+    """
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    highs = core._Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == core.HighsStatus.kOk
+    assert highs.run() == core.HighsStatus.kOk
+    assert highs.getModelStatus() == core.HighsModelStatus.kOptimal
+    return highs.getInfo().objective_function_value
+
+
 @pytest.fixture(scope="session")
 def two_basin_levels():
     """Level 0 and level 1 solutions of the two-basin terrain (solved once)."""

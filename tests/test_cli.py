@@ -37,7 +37,6 @@ ladder = none, hv_planes, hv_diag_planes, tsp
 zoom_factors = 2, 1
 
 [solver]
-backend = highs
 time_limit_s = 60
 
 [output]
@@ -53,6 +52,11 @@ head_m = 165
 operation_h = 3
 zoom = yes
 """
+
+
+# Solver choice and seed are no longer settable; an old case file that still
+# sets them must fail validation instead of being silently accepted.
+STALE_SOLVER_KEYS = ("time_limit_s = 60", "backend = highs\nseed = 3\ntime_limit_s = 60")
 
 
 @pytest.fixture()
@@ -73,7 +77,7 @@ def test_validate_clean_config(micro_config):
     [
         (("head_m = 165", "head_m = -20"), "case.1.head_m"),
         (("operation_h = 3\nzoom = no", "operation_h = 0\nzoom = no"), "case.1.operation_h"),
-        (("backend = highs", "backend = xpress"), "solver.backend"),
+        (STALE_SOLVER_KEYS, "solver.backend"),
         (("path = dem.asc", "path = missing.asc"), "dem.path"),
         (("lower_by_elevation = 385", "oops_key = 1"), "dem.oops_key"),
     ],
@@ -86,10 +90,11 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
     assert main(["validate", str(micro_config)]) == 1
 
 
-def test_validate_lists_available_backends(micro_config):
-    micro_config.write_text(micro_config.read_text().replace("backend = highs", "backend = nope"))
+def test_validate_rejects_stale_solver_keys(micro_config):
+    micro_config.write_text(micro_config.read_text().replace(*STALE_SOLVER_KEYS))
     diags = validate_config(micro_config)
-    assert any("available" in d and "highs" in d for d in diags)
+    assert "solver.backend: unknown key" in diags
+    assert "solver.seed: unknown key" in diags
 
 
 def test_run_batch_produces_artifacts(micro_config, tmp_path):

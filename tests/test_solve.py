@@ -1,4 +1,4 @@
-"""Solver backends, incumbent verification, and the exhaustive oracle."""
+"""The HiGHS solve, incumbent verification, and the exhaustive oracle."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import phs_siting as ps
 from phs_siting.model import MipProblem, Sense, VarKind
 
 from conftest import (
+    highs_file_optimum,
     micro_case,
     midsize_grid,
     midsize_spec,
@@ -16,30 +17,30 @@ from conftest import (
     spec_for_volume,
 )
 
-BACKENDS = ps.available_backends()
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backends_agree_on_pit_optimum(backend):
+def test_highs_solves_pit_optimum():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
-    res = ps.solve(sp.mip, backend)
+    res = ps.solve(sp.mip, "highs")
     assert res.status is ps.SolveStatus.OPTIMAL
     assert ps.verify_solution(sp.mip, res.values) == []
-    reference = ps.solve(sp.mip, "highs")
-    assert res.objective == pytest.approx(reference.objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backends_report_infeasible(backend):
+def test_highs_reports_infeasible():
     prob = MipProblem("impossible")
     a = prob.add_variable("a")
     b = prob.add_variable("b")
     prob.add_row("lo", [(a, 1.0), (b, 1.0)], Sense.GE, 3.0)  # two binaries sum to 2 max
     prob.set_objective({a: 1.0, b: 1.0})
-    res = ps.solve(prob, backend)
+    res = ps.solve(prob, "highs")
     assert res.status is ps.SolveStatus.INFEASIBLE
     assert not res.has_incumbent
+
+
+def test_solve_rejects_other_solvers():
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+    with pytest.raises(ValueError, match="highs"):
+        ps.solve(sp.mip, "xpress")
 
 
 def test_time_limit_status_on_nontrivial_instance():
@@ -118,17 +119,14 @@ def test_export_empty_objective(fmt, tmp_path):
     assert not any(v != 0.0 for v in back.objective.values())
 
 
-@pytest.mark.skipif("glpk" not in BACKENDS, reason="needs the GLPK cross-check backend")
-def test_external_reader_reproduces_internal_optimum(tmp_path):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_external_reader_reproduces_internal_optimum(fmt, tmp_path):
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
     internal = ps.solve(sp.mip, "highs")
-    path = tmp_path / "model.mps"
-    ps.export_problem(sp.mip, "mps_free", path)
-    parsed = ps.read_problem_file(path)
-    external = ps.solve(parsed, "glpk")
-    assert external.status is ps.SolveStatus.OPTIMAL
-    assert external.objective == pytest.approx(internal.objective, rel=1e-9)
+    path = tmp_path / ("model.lp" if fmt == "lp" else "model.mps")
+    ps.export_problem(sp.mip, fmt, path)
+    assert highs_file_optimum(path) == pytest.approx(internal.objective, rel=1e-9)
 
 
 def test_unwritable_export_path():
