@@ -62,6 +62,7 @@ from .terrain import (
     connected_components,
     distance_field,
     load_grid,
+    load_mask,
     write_esri_ascii,
 )
 
@@ -107,6 +108,7 @@ __all__ = [
     "export_problem",
     "extract_solution",
     "load_grid",
+    "load_mask",
     "oracle_enumerate",
     "problems_structurally_equal",
     "read_lp",

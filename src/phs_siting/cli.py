@@ -23,13 +23,13 @@ import numpy as np
 
 from .connectivity import Level, parse_level
 from .costing import CostParams
-from .errors import NoIncumbentError, SitingError
+from .errors import GridFormatError, NoIncumbentError, SitingError
 from .formats import export_problem
 from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, write_esri_ascii
+from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, load_mask, write_esri_ascii
 
 logger = logging.getLogger(__name__)
 
@@ -181,7 +181,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     if time_limit is not None and time_limit <= 0:
         diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
     gap_target = get_float("solver", "gap_target", 0.0)
-    workers = int(get_float("solver", "workers", 1) or 1)
+    workers = int(get_float("solver", "workers", 1))
     if workers < 1:
         diags.append(f"solver.workers: must be >= 1, got {workers}")
 
@@ -201,7 +201,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     metric = get("strategy", "distance_metric", "horizontal")
     if metric not in ("horizontal", "slant"):
         diags.append(f"strategy.distance_metric: must be horizontal or slant, got {metric!r}")
-    min_nbrs = int(get_float("strategy", "perimeter_min_neighbors", 1) or 1)
+    min_nbrs = int(get_float("strategy", "perimeter_min_neighbors", 1))
     budget = get("strategy", "budget", "per_level")
 
     try:
@@ -272,8 +272,17 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
 
 
 def validate_config(path: str | Path) -> list[str]:
-    """Diagnostics for a case file; empty means clean."""
-    _, diags = _parse_config(path)
+    """Diagnostics for a case file; empty means clean.
+
+    A file that parses cleanly also has its DEM and mask files loaded, so
+    content errors surface here rather than in ``run``.
+    """
+    config, diags = _parse_config(path)
+    if config is not None:
+        try:
+            _load_terrain(config)
+        except SitingError as exc:
+            diags.append(str(exc))
     return diags
 
 
@@ -307,19 +316,21 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
     )
     excluded = None
     if config.excluded_mask_file is not None:
-        from .terrain import _parse_esri_ascii
-
-        values, _ = _parse_esri_ascii(
-            config.excluded_mask_file.read_text(), str(config.excluded_mask_file)
-        )
-        excluded = values != 0
+        try:
+            excluded = load_mask(config.excluded_mask_file, grid.shape)
+        except GridFormatError as exc:
+            raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
     return grid, excluded
 
 
-def _run_case(config: CaseConfig, grid: TerrainGrid, excluded, case: CaseSpec) -> CaseOutcome:
-    spec = SitingSpec.from_engineering(
+def _case_spec(config: CaseConfig, grid: TerrainGrid, case: CaseSpec) -> SitingSpec:
+    return SitingSpec.from_engineering(
         case.power_mw, case.head_m, case.hours, grid.lower_elevation, config.efficiency
     )
+
+
+def _run_case(config: CaseConfig, grid: TerrainGrid, excluded, case: CaseSpec) -> CaseOutcome:
+    spec = _case_spec(config, grid, case)
     logger.info(
         "case %d: head %.0f m, %.0f MW, %.0f h -> volume target %.3f hm3 (%s)",
         case.index, case.head_m, case.power_mw, case.hours, spec.vol_min / 1e6,
@@ -488,9 +499,7 @@ def _cmd_export(args) -> int:
     config = load_case_config(args.config)
     case = _find_case(config, args.case)
     grid, excluded = _load_terrain(config)
-    spec = SitingSpec.from_engineering(
-        case.power_mw, case.head_m, case.hours, grid.lower_elevation, config.efficiency
-    )
+    spec = _case_spec(config, grid, case)
     sp = build_siting_problem(
         grid, spec, config.cost_params,
         level=int(parse_level(args.level)), excluded=excluded,
@@ -509,9 +518,7 @@ def _cmd_oracle(args) -> int:
     config = load_case_config(args.config)
     case = _find_case(config, args.case)
     grid, excluded = _load_terrain(config)
-    spec = SitingSpec.from_engineering(
-        case.power_mw, case.head_m, case.hours, grid.lower_elevation, config.efficiency
-    )
+    spec = _case_spec(config, grid, case)
     try:
         result = oracle_enumerate(
             grid, spec, config.cost_params, excluded=excluded, max_cells=args.max_cells

@@ -125,7 +125,6 @@ def add_tour_constraints(
     prob: MipProblem,
     sv: SitingVariables,
     cands: CandidateSets,
-    literal_u_bound: bool = False,
 ) -> None:
     """Single closed perimeter tour via rank (MTZ-style) ordering.
 
@@ -133,11 +132,9 @@ def add_tour_constraints(
     every active perimeter cell has in- and out-degree one. Rank inequalities
     u_a - u_b + S*w_ab <= S - 1 + S*l_b hold for every arc, with S the
     perimeter-candidate count; the l_b term exempts arcs entering the link
-    cell, which anchors ranks through u <= (S-1)(1-l).
-
-    ``literal_u_bound`` reproduces the unrepaired rank bound u <= x (instead of
-    u <= (S-1)x), which forbids tours longer than two cells; kept only for
-    formulation experiments.
+    cell, which anchors ranks through u <= (S-1)(1-l). Ranks are capped by
+    u <= (S-1)x rather than u <= x, which would forbid tours longer than two
+    cells.
     """
     cells = sorted(sv.x)
     if len(cells) < 3:
@@ -179,8 +176,9 @@ def add_tour_constraints(
             Sense.EQ,
             0.0,
         )
-        u_cap = 1.0 if literal_u_bound else s_bound - 1.0
-        prob.add_row(f"rank_cap_{i}_{j}", [(rank[cell], 1.0), (xid, -u_cap)], Sense.LE, 0.0)
+        prob.add_row(
+            f"rank_cap_{i}_{j}", [(rank[cell], 1.0), (xid, 1.0 - s_bound)], Sense.LE, 0.0
+        )
         prob.add_row(
             f"rank_root_{i}_{j}",
             [(rank[cell], 1.0), (sv.link[cell], s_bound - 1.0)],

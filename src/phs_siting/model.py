@@ -327,7 +327,6 @@ def build_siting_problem(
     level: int = 0,
     excluded=None,
     perimeter_min_neighbors: int = 1,
-    literal_u_bound: bool = False,
 ) -> SitingProblem:
     """Assemble the siting MIP at a given connectivity-defense level.
 
@@ -355,7 +354,7 @@ def build_siting_problem(
     if level >= 1:
         _connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
-        _connectivity.add_tour_constraints(prob, sv, cands, literal_u_bound=literal_u_bound)
+        _connectivity.add_tour_constraints(prob, sv, cands)
 
     return SitingProblem(prob, sv, grid, cands, spec, params, dist, int(level))
 

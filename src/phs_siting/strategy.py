@@ -2,9 +2,10 @@
 
 The ladder solves the cheapest model first and escalates the connectivity
 constraints only while flood fill keeps finding several reservoir components.
-The zoom-in heuristic runs the ladder on a coarsened grid, clips a window
-around the incumbent, refines the aggregation and repeats down to the native
-resolution, which trades global optimality for tractable problem sizes.
+The zoom-in heuristic solves the first rung on a coarsened grid, clips a
+window around the incumbent, refines the aggregation and repeats down to the
+native resolution, where the full ladder runs; this trades global optimality
+for tractable problem sizes.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .terrain import (
     candidate_sets,
     cells_to_mask,
     clip,
-    connected_components,
     distance_field,
 )
 
@@ -53,7 +53,7 @@ class StrategyConfig:
     zoom_factors: tuple[int, ...] = (8, 4, 2, 1)
     clip_margin: int | None = None  # None -> default_clip_margin(factor)
     time_limit_s: float | None = None
-    budget: str = "per_level"  # "per_level" splits the cap; "total" is a countdown
+    budget: str = "per_level"  # "per_level" splits the cap per stage and rung; "total" counts down
     gap_target: float = 0.0
     perimeter_min_neighbors: int = 1
     distance_metric: str = "horizontal"
@@ -70,6 +70,10 @@ class StrategyConfig:
         object.__setattr__(self, "zoom_factors", zf)
         if self.budget not in ("per_level", "total"):
             raise ValueError("budget must be 'per_level' or 'total'")
+        if self.perimeter_min_neighbors not in (1, 3):
+            raise ValueError("perimeter_min_neighbors must be 1 or 3")
+        if self.clip_margin is not None and self.clip_margin < 0:
+            raise ValueError("clip_margin must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,20 @@ def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) 
     )
 
 
+def _budgets(total: float | None, mode: str, n: int) -> Iterator[float | None]:
+    """Time limits for n consecutive solves sharing ``total`` seconds.
+
+    "per_level" gives each solve an equal share; "total" gives each the time
+    left before the shared deadline, which starts at the first solve.
+    """
+    if total is None or mode == "per_level":
+        yield from [None if total is None else total / n] * n
+        return
+    deadline = time.perf_counter() + total
+    for _ in range(n):
+        yield max(deadline - time.perf_counter(), 1e-3)
+
+
 def run_ladder(
     grid: TerrainGrid,
     spec: SitingSpec,
@@ -132,22 +150,10 @@ def run_ladder(
         dist = distance_field(grid, config.distance_metric)
 
     total = time_budget_s if time_budget_s is not None else config.time_limit_s
-    per_level = None
-    if total is not None and config.budget == "per_level":
-        per_level = total / len(config.ladder)
-    deadline = None if total is None else time.perf_counter() + total
-
     trace: list[TraceEntry] = trace_out if trace_out is not None else []
     best_fragmented: ReservoirSolution | None = None
 
-    for level in config.ladder:
-        if per_level is not None:
-            budget = per_level
-        elif deadline is not None:
-            budget = max(deadline - time.perf_counter(), 1e-3)
-        else:
-            budget = None
-
+    for level, budget in zip(config.ladder, _budgets(total, config.budget, len(config.ladder))):
         sp = build_siting_problem(
             grid,
             spec,
@@ -229,26 +235,22 @@ def run_zoom_in(
     The volume target stays absolute across zoom levels; storage coefficients
     rescale with the coarse cell size. Distance fields are computed on the
     full (aggregated) extent before clipping so the lower body never drops out
-    of a window. The final window is solved at native resolution and verified
-    against the full-resolution model.
+    of a window. A coarse stage only places the next window, so it solves the
+    first ladder rung alone and the window covers its whole (pruned) reservoir,
+    fragmented or not. The final window is solved at native resolution with
+    the full ladder and verified against the full-resolution model.
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
     excluded_mask = cells_to_mask(excluded, grid.shape)
-
-    total = config.time_limit_s
-    per_stage = None
-    if total is not None and config.budget == "per_level":
-        per_stage = total / len(config.zoom_factors)
-    deadline = None if total is None else time.perf_counter() + total
+    coarse_config = replace(config, ladder=config.ladder[:1])
 
     trace: list[TraceEntry] = []
     window = (0, 0, grid.nrows, grid.ncols)
     solution: ReservoirSolution | None = None
-    window_origin = (0, 0)
-    window_grid = grid
 
-    for factor in config.zoom_factors:
+    budgets = _budgets(config.time_limit_s, config.budget, len(config.zoom_factors))
+    for factor, budget in zip(config.zoom_factors, budgets):
         coarse = aggregate(grid, factor)
         if not coarse.lower_mask.any():
             raise InfeasibleProblemError(
@@ -256,87 +258,52 @@ def run_zoom_in(
                 "rule); use smaller zoom factors or a wider lower body"
             )
         coarse_dist = distance_field(coarse, config.distance_metric)
+        sub, (roff, coff) = clip(coarse, _window_to_coarse(window, factor, coarse.shape), 0)
+        rows, cols = slice(roff, roff + sub.nrows), slice(coff, coff + sub.ncols)
+        sub_dist = DistanceField(
+            coarse_dist.values[rows, cols], sub.cell_length, coarse_dist.metric
+        )
+        sub_excluded = None
         if excluded_mask.any():
             # A super-cell is off limits as soon as any child is.
             nr, nc = coarse.shape
             padded = np.zeros((nr * factor, nc * factor), dtype=bool)
             padded[: grid.nrows, : grid.ncols] = excluded_mask
-            coarse_excluded = padded.reshape(nr, factor, nc, factor).any(axis=(1, 3))
-        else:
-            coarse_excluded = None
-
-        sub_mask = _window_to_coarse(window, factor, coarse.shape)
-        sub, (roff, coff) = clip(coarse, sub_mask, 0)
-        sub_dist = DistanceField(
-            coarse_dist.values[roff : roff + sub.nrows, coff : coff + sub.ncols],
-            sub.cell_length,
-            coarse_dist.metric,
-        )
-        sub_excluded = (
-            None
-            if coarse_excluded is None
-            else coarse_excluded[roff : roff + sub.nrows, coff : coff + sub.ncols]
-        )
-
-        if per_stage is not None:
-            budget = per_stage
-        elif deadline is not None:
-            budget = max(deadline - time.perf_counter(), 1e-3)
-        else:
-            budget = None
+            sub_excluded = padded.reshape(nr, factor, nc, factor).any(axis=(1, 3))[rows, cols]
 
         stage_trace: list[TraceEntry] = []
+        failure: Exception | None = None
         try:
             solution = run_ladder(
-                sub, spec, params, config,
+                sub, spec, params, config if factor == 1 else coarse_config,
                 dist=sub_dist, excluded=sub_excluded,
                 time_budget_s=budget, zoom_factor=factor, trace_out=stage_trace,
             )
         except (InfeasibleProblemError, NoIncumbentError) as exc:
-            trace.extend(
-                replace(t, stage="zoom", window=_fine_window(window, factor, roff, coff, sub))
-                for t in stage_trace
-            )
+            failure = exc
+        stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
+        trace.extend(replace(t, stage="zoom", window=stage_window) for t in stage_trace)
+        if failure is not None:
             raise NoIncumbentError(
-                f"zoom level (factor {factor}) produced no incumbent: {exc}", trace
-            ) from exc
-        trace.extend(
-            replace(t, stage="zoom", window=_fine_window(window, factor, roff, coff, sub))
-            for t in stage_trace
-        )
-        window_origin = (roff, coff)
-        window_grid = sub
+                f"zoom level (factor {factor}) produced no incumbent: {failure}", trace
+            ) from failure
 
-        # Localize the next window around the incumbent (largest component if
-        # the ladder came back fragmented; finer levels restore connectivity).
-        target_mask = solution.reservoir_mask
-        if not solution.connected:
-            comps = connected_components(target_mask, "four")
-            target_mask = np.zeros_like(target_mask)
-            for i, j in comps[0]:
-                target_mask[i, j] = True
-
-        cells = np.argwhere(target_mask)
-        fine_r0 = (cells[:, 0].min() + roff) * factor
-        fine_r1 = (cells[:, 0].max() + roff + 1) * factor
-        fine_c0 = (cells[:, 1].min() + coff) * factor
-        fine_c1 = (cells[:, 1].max() + coff + 1) * factor
+        # The next window covers every cell of the incumbent's reservoir; the
+        # extraction prune has already cleared the components it does not need.
+        cells = np.argwhere(solution.reservoir_mask)
         margin = config.clip_margin if config.clip_margin is not None else default_clip_margin(factor)
-        r0 = max(0, int(fine_r0) - margin)
-        c0 = max(0, int(fine_c0) - margin)
-        r1 = min(grid.nrows, int(fine_r1) + margin)
-        c1 = min(grid.ncols, int(fine_c1) + margin)
+        r0 = max(0, int(cells[:, 0].min() + roff) * factor - margin)
+        c0 = max(0, int(cells[:, 1].min() + coff) * factor - margin)
+        r1 = min(grid.nrows, int(cells[:, 0].max() + roff + 1) * factor + margin)
+        c1 = min(grid.ncols, int(cells[:, 1].max() + coff + 1) * factor + margin)
         window = (r0, c0, r1 - r0, c1 - c0)
 
     assert solution is not None
-    full = solution.with_origin(window_origin, grid.shape)
+    # The last zoom factor is 1, so (roff, coff) places the native window.
+    full = solution.with_origin((roff, coff), grid.shape)
     full_cands = candidate_sets(grid, spec.water_elevation, excluded_mask)
     violations = verify_masks(grid, full_cands, spec, full)
     if violations:
         logger.warning("zoom-in final solution fails full-resolution checks: %s", violations)
         full = replace(full, valid=False)
     return _aggregate_totals(full, trace)
-
-
-def _fine_window(window, factor, roff, coff, sub) -> tuple[int, int, int, int]:
-    return (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)

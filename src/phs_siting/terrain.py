@@ -37,11 +37,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
-    """Normalize a cell collection (mask array or iterable of (i, j)) to a bool mask."""
+    """Normalize a cell collection (bool mask or iterable of (i, j)) to a bool mask.
+
+    A bool array is taken as a mask and must have the grid's shape.
+    """
     if cells is None:
         return np.zeros(shape, dtype=bool)
     arr = np.asarray(cells)
-    if arr.dtype == bool and arr.shape == shape:
+    if arr.dtype == bool:
+        if arr.shape != tuple(shape):
+            raise ValueError(f"mask shape {arr.shape} does not match the grid {tuple(shape)}")
         return arr.copy()
     mask = np.zeros(shape, dtype=bool)
     for i, j in arr.reshape(-1, 2):
@@ -343,12 +348,7 @@ def load_grid(
         lower_mask &= ~nodata
         level = lower.level if lower_elevation is None else lower_elevation
     elif isinstance(lower, MaskFile):
-        mask_values, _ = _parse_esri_ascii(Path(lower.path).read_text(), str(lower.path))
-        if mask_values.shape != values.shape:
-            raise GridFormatError(
-                f"lower mask shape {mask_values.shape} does not match DEM {values.shape}"
-            )
-        lower_mask = mask_values != 0
+        lower_mask = load_mask(lower.path, values.shape)
         if np.any(lower_mask & nodata):
             raise GridFormatError("lower mask covers NODATA cells")
         if lower_elevation is not None:
@@ -365,6 +365,21 @@ def load_grid(
             "lower-body mask is empty; the siting model requires an existing lower reservoir"
         )
     return TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+
+
+def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
+    """Read a 0/1 ESRI ASCII raster as a bool mask; it must match the DEM's shape."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise GridFormatError(f"cannot read {path}: {exc}") from exc
+    values, _ = _parse_esri_ascii(text, str(path))
+    if values.shape != tuple(shape):
+        raise GridFormatError(
+            f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}"
+        )
+    return values != 0
 
 
 def write_esri_ascii(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting.cli import load_case_config, main, run_batch, validate_config
+from phs_siting.cli import _load_terrain, load_case_config, main, run_batch, validate_config
 
 from conftest import RIVER_ELEVATION
 
@@ -80,6 +80,12 @@ def test_validate_clean_config(micro_config):
         (STALE_SOLVER_KEYS, "solver.backend"),
         (("path = dem.asc", "path = missing.asc"), "dem.path"),
         (("lower_by_elevation = 385", "oops_key = 1"), "dem.oops_key"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 2"),
+         "strategy: perimeter_min_neighbors"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -1"), "strategy: clip_margin"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 0"),
+         "strategy: perimeter_min_neighbors"),
+        (("time_limit_s = 60", "time_limit_s = 60\nworkers = 0"), "solver.workers"),
     ],
 )
 def test_validate_reports_field_paths(micro_config, mutation, needle):
@@ -95,6 +101,33 @@ def test_validate_rejects_stale_solver_keys(micro_config):
     diags = validate_config(micro_config)
     assert "solver.backend: unknown key" in diags
     assert "solver.seed: unknown key" in diags
+
+
+def _exclude(config_path, shape, cell):
+    """Point the case file at a 0/1 excluded-cell raster barring one cell."""
+    values = np.zeros(shape)
+    values[cell] = 1
+    ps.write_esri_ascii(config_path.parent / "no.asc", values, 34.0, value_format="{:.0f}")
+    config_path.write_text(config_path.read_text().replace(
+        "lower_tolerance = 0.5", "lower_tolerance = 0.5\nexcluded_mask_file = no.asc"))
+
+
+def test_excluded_mask_bars_its_cells(micro_config):
+    _exclude(micro_config, (8, 8), (3, 4))
+    assert validate_config(micro_config) == []
+    _, excluded = _load_terrain(load_case_config(micro_config))
+    assert excluded.shape == (8, 8) and np.argwhere(excluded).tolist() == [[3, 4]]
+
+
+def test_excluded_mask_of_wrong_shape_is_reported(micro_config, tmp_path, capsys):
+    # a 4x6 mask on the 8x8 DEM: once read as (i, j) pairs, now refused
+    _exclude(micro_config, (4, 6), (3, 5))
+    diags = validate_config(micro_config)
+    assert len(diags) == 1 and diags[0].startswith("dem.excluded_mask_file: mask shape (4, 6)")
+    assert main(["validate", str(micro_config)]) == 1
+    assert main(["run", str(micro_config)]) == 2
+    assert "dem.excluded_mask_file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_batch_produces_artifacts(micro_config, tmp_path):

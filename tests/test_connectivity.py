@@ -150,13 +150,16 @@ def test_tour_constraints_hold_for_all_zero():
             assert abs(activity - row.rhs) <= 1e-9
 
 
-def test_literal_rank_bound_reproduces_typo():
-    # with the unrepaired bound u <= x, the 4-cell perimeter tour of the pit
-    # cannot be ranked, so the model goes infeasible
+def test_rank_cap_rows_carry_repaired_coefficient():
+    # u <= (S-1)x with S perimeter candidates; u <= x would leave the 4-cell
+    # perimeter tour of the pit unrankable
     grid, spec = pit_grid(), pit_spec()
-    sp = ps.build_siting_problem(grid, spec, level=3, literal_u_bound=True)
-    res = ps.solve(sp.mip, "highs")
-    assert res.status is ps.SolveStatus.INFEASIBLE
+    sp = ps.build_siting_problem(grid, spec, level=3)
+    s_bound = len(sp.variables.x)
+    caps = {r.name: dict(r.coeffs) for r in sp.mip.rows if r.name.startswith("rank_cap_")}
+    assert len(caps) == s_bound
+    for (i, j), xid in sp.variables.x.items():
+        assert caps[f"rank_cap_{i}_{j}"][xid] == -(s_bound - 1)
 
 
 def test_tour_needs_three_perimeter_candidates():

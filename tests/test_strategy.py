@@ -7,6 +7,7 @@ import phs_siting as ps
 from phs_siting import Level, StrategyConfig
 
 from conftest import (
+    CELL,
     RIVER_ELEVATION,
     midsize_grid,
     midsize_spec,
@@ -26,6 +27,10 @@ def test_config_validation():
         StrategyConfig(zoom_factors=(8, 4, 2))
     with pytest.raises(ValueError, match="per_level"):
         StrategyConfig(budget="sometimes")
+    with pytest.raises(ValueError, match="1 or 3"):
+        StrategyConfig(perimeter_min_neighbors=2)
+    with pytest.raises(ValueError, match="clip_margin"):
+        StrategyConfig(clip_margin=-1)
 
 
 def test_ladder_stops_at_level_zero_on_pit():
@@ -189,3 +194,70 @@ def test_zoom_trace_reports_windows_and_sizes():
     assert all(t.window is not None for t in zoomed.trace)
     assert zoomed.n_variables == max(t.n_variables for t in zoomed.trace)
     assert zoomed.wall_time_s == pytest.approx(sum(t.wall_time_s for t in zoomed.trace))
+
+
+def _coarse_split_grid():
+    """8x14 terrain, 17 m cells, whose two pits are apart at factor 2 only.
+
+    A shallow channel (545 m, one fine row) joins the pits at native
+    resolution. Aggregated by 2, each channel block averages 555 m, above the
+    550 m water level, so the coarse reservoirs cannot touch: the first rung
+    fragments, and planes are infeasible there. Both pits are needed for the
+    volume, and at native resolution flooding the channel avoids wet dams.
+    """
+    elev = np.full((8, 14), 565.0)
+    elev[6:, :] = RIVER_ELEVATION
+    elev[2:4, 2:4] = 500.0
+    elev[2:4, 10:12] = 500.0
+    elev[2, 4:10] = 545.0
+    return river_grid(elev, CELL / 2)
+
+
+def test_zoom_coarse_stage_solves_first_rung_only(monkeypatch):
+    import phs_siting.strategy as strategy
+
+    grid, spec = _coarse_split_grid(), spec_for_volume(100_000.0)
+    config = StrategyConfig(zoom_factors=(2, 1), clip_margin=0)
+    stages = []
+    original = strategy.run_ladder
+
+    def recording(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        stages.append((kwargs["zoom_factor"], sol))
+        return sol
+
+    monkeypatch.setattr(strategy, "run_ladder", recording)
+    zoomed = ps.run_zoom_in(grid, spec, config=config)
+
+    coarse = [t for t in zoomed.trace if t.zoom_factor > 1]
+    assert [(t.zoom_factor, t.level) for t in coarse] == [(2, int(config.ladder[0]))]
+    assert coarse[0].n_components == 2  # the coarse incumbent really fragments
+
+    # the native window covers both coarse components, not just the larger one
+    (factor, coarse_sol), _ = stages
+    r0, c0 = coarse[0].window[:2]
+    fine = [t for t in zoomed.trace if t.zoom_factor == 1]
+    wr, wc, wn, wm = fine[0].window
+    for i, j in np.argwhere(coarse_sol.reservoir_mask):
+        top, left = r0 + i * factor, c0 + j * factor
+        assert wr <= top and top + factor <= wr + wn
+        assert wc <= left and left + factor <= wc + wm
+
+    assert zoomed.valid and zoomed.connected
+    cands = ps.candidate_sets(grid, spec.water_elevation)
+    assert ps.verify_masks(grid, cands, spec, zoomed) == []
+    assert zoomed.costs.total == pytest.approx(ps.run_ladder(grid, spec).costs.total, rel=1e-9)
+
+
+def test_zoom_failure_keeps_stage_trace():
+    # a pit on the top edge counts as capacity but can never be flooded, so
+    # the coarse rung is proved infeasible; its trace entry survives the raise
+    elev = np.full((8, 8), 600.0)
+    elev[6:, :] = RIVER_ELEVATION
+    elev[0:2, 4:6] = 500.0
+    grid = river_grid(elev, CELL / 2)
+    with pytest.raises(ps.NoIncumbentError, match="factor 2") as info:
+        ps.run_zoom_in(grid, spec_for_volume(50_000.0), config=StrategyConfig(zoom_factors=(2, 1)))
+    [entry] = info.value.trace
+    assert (entry.stage, entry.zoom_factor, entry.status) == ("zoom", 2, "infeasible")
+    assert entry.window == (0, 0, 8, 8)

@@ -101,6 +101,16 @@ def test_mask_file_lower_spec(tmp_path):
     assert grid.lower_elevation == 385.0  # median over mask cells
 
 
+def test_mask_file_shape_must_match_dem(tmp_path):
+    dem = tmp_path / "dem.asc"
+    dem.write_text("ncols 3\nnrows 3\ncellsize 34\n385 500 600\n385 500 600\n385 500 600\n")
+    mask = tmp_path / "mask.asc"
+    mask.write_text("ncols 2\nnrows 3\ncellsize 34\n1 0\n1 0\n1 0\n")
+    with pytest.raises(ps.GridFormatError, match=r"mask shape \(3, 2\) does not match DEM \(3, 3\)"):
+        ps.load_grid(dem, "esri_ascii", ps.MaskFile(mask))
+    assert not ps.load_mask(mask, (3, 2))[:, 1].any()
+
+
 def test_esri_write_read_round_trip(tmp_path):
     elev = np.full((5, 5), 600.0)
     elev[:, 0] = RIVER_ELEVATION
@@ -275,6 +285,15 @@ def test_candidates_excluded_pit_rejected():
     grid = pit_grid()
     with pytest.raises(ps.InfeasibleProblemError):
         ps.candidate_sets(grid, WATER, excluded=[(2, 3)])
+
+
+def test_candidates_reject_wrongly_shaped_exclusion_mask():
+    # a bool array is a mask, never a list of (i, j) pairs
+    grid = pit_grid()
+    wrong = np.zeros((4, 6), bool)
+    wrong[3, 5] = True
+    with pytest.raises(ValueError, match="does not match the grid"):
+        ps.candidate_sets(grid, WATER, excluded=wrong)
 
 
 def test_candidates_exclude_lower_and_nodata():
