@@ -14,6 +14,7 @@ import argparse
 import configparser
 import csv
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -117,6 +118,19 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             diags.append(f"{section}.{key}: not a number ({raw!r})")
             return fallback
 
+    def get_int(section: str, key: str, fallback=None):
+        raw = get(section, key)
+        if raw is None or raw.strip() == "":
+            return fallback
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not value.is_integer():
+            diags.append(f"{section}.{key}: not an integer ({raw.strip()})")
+            return fallback
+        return int(value)
+
     if not parser.has_section("dem"):
         diags.append("dem: section is required")
         return None, diags
@@ -181,7 +195,10 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     if time_limit is not None and time_limit <= 0:
         diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
     gap_target = get_float("solver", "gap_target", 0.0)
-    workers = int(get_float("solver", "workers", 1))
+    if not 0 <= gap_target < 1:
+        diags.append(f"solver.gap_target: must be in [0, 1), got {gap_target}")
+        gap_target = 0.0
+    workers = get_int("solver", "workers", 1)
     if workers < 1:
         diags.append(f"solver.workers: must be >= 1, got {workers}")
 
@@ -197,21 +214,21 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     except ValueError:
         diags.append(f"strategy.zoom_factors: not integers ({zoom_raw!r})")
         zoom_factors = (8, 4, 2, 1)
-    clip_margin = get_float("strategy", "clip_margin", None)
+    clip_margin = get_int("strategy", "clip_margin", None)
     metric = get("strategy", "distance_metric", "horizontal")
     if metric not in ("horizontal", "slant"):
         diags.append(f"strategy.distance_metric: must be horizontal or slant, got {metric!r}")
-    min_nbrs = int(get_float("strategy", "perimeter_min_neighbors", 1))
+    min_nbrs = get_int("strategy", "perimeter_min_neighbors", 1)
     budget = get("strategy", "budget", "per_level")
 
     try:
         strategy = StrategyConfig(
             ladder=ladder,
             zoom_factors=zoom_factors,
-            clip_margin=None if clip_margin is None else int(clip_margin),
+            clip_margin=clip_margin,
             time_limit_s=time_limit,
             budget=budget,
-            gap_target=gap_target or 0.0,
+            gap_target=gap_target,
             perimeter_min_neighbors=min_nbrs,
             distance_metric=metric if metric in ("horizontal", "slant") else "horizontal",
         )

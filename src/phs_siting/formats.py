@@ -18,8 +18,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+import scipy.sparse as sparse
+
 from .errors import GridFormatError
-from .model import MipProblem, Sense, VarKind
+from .model import KINDS, SENSES, MipProblem, Sense, VarKind
 
 _SENSE_TO_MPS = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
 _MPS_TO_SENSE = {v: k for k, v in _SENSE_TO_MPS.items()}
@@ -36,20 +39,6 @@ def _fmt(value: float, digits: int = 17) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _column_entries(problem: MipProblem) -> list[list[tuple[str, float]]]:
-    """Per-variable (row name, coefficient) lists, objective first."""
-    entries: list[list[tuple[str, float]]] = [[] for _ in problem.variables]
-    for vid, coef in problem.objective.items():
-        entries[vid].append((_OBJ, coef))
-    for row in problem.rows:
-        for vid, coef in row.coeffs:
-            entries[vid].append((row.name, coef))
-    for vid, lst in enumerate(entries):
-        if not lst:
-            lst.append((_OBJ, 0.0))
-    return entries
-
-
 def write_mps(problem: MipProblem, form: str = "free") -> str:
     """Render the problem as MPS text in "free" or "fixed" form."""
     if form not in ("free", "fixed"):
@@ -61,8 +50,8 @@ def write_mps(problem: MipProblem, form: str = "free") -> str:
         var_names = [f"V{vid:07d}" for vid in range(problem.num_variables)]
         row_names = [f"C{rid:07d}" for rid in range(problem.num_constraints)]
     else:
-        var_names = [v.name for v in problem.variables]
-        row_names = [r.name for r in problem.rows]
+        var_names = problem.variable_names()
+        row_names = problem.row_names()
 
     def card(f1: str, f2: str = "", f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
         if fixed:
@@ -76,54 +65,56 @@ def write_mps(problem: MipProblem, form: str = "free") -> str:
     lines = [f"NAME          {problem.name}"]
     lines.append("ROWS")
     lines.append(card("N", _OBJ))
-    for rid, row in enumerate(problem.rows):
-        lines.append(card(_SENSE_TO_MPS[row.sense], row_names[rid]))
+    for name, code in zip(row_names, problem.senses.tolist()):
+        lines.append(card(_SENSE_TO_MPS[SENSES[code]], name))
 
-    row_name_of = {row.name: row_names[rid] for rid, row in enumerate(problem.rows)}
-    row_name_of[_OBJ] = _OBJ
-
+    # Per column: the objective entry first (a zero one if the column has no
+    # entry at all), then its rows in row order.
     lines.append("COLUMNS")
-    entries = _column_entries(problem)
+    objective = problem.objective
+    columns = problem.matrix.tocsc()
+    columns.sort_indices()
+    ptr, row_ids, coefs = (a.tolist() for a in (columns.indptr, columns.indices, columns.data))
+    kinds = problem.kinds.tolist()
+    continuous = KINDS.index(VarKind.CONTINUOUS)
     in_integer_block = False
     marker = 0
-    for vid, variable in enumerate(problem.variables):
-        is_int = variable.kind in (VarKind.BINARY, VarKind.INTEGER)
-        if is_int and not in_integer_block:
-            lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTORG'"))
+    for vid, name in enumerate(var_names):
+        is_int = kinds[vid] != continuous
+        if is_int != in_integer_block:
+            lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTORG'" if is_int else "'INTEND'"))
             marker += 1
-            in_integer_block = True
-        elif not is_int and in_integer_block:
-            lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTEND'"))
-            marker += 1
-            in_integer_block = False
-        for row_name, coef in entries[vid]:
-            lines.append(card("", var_names[vid], row_name_of[row_name], _fmt(coef, digits)))
+            in_integer_block = is_int
+        if vid in objective or ptr[vid] == ptr[vid + 1]:
+            lines.append(card("", name, _OBJ, _fmt(objective.get(vid, 0.0), digits)))
+        for k in range(ptr[vid], ptr[vid + 1]):
+            lines.append(card("", name, row_names[row_ids[k]], _fmt(coefs[k], digits)))
     if in_integer_block:
         lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTEND'"))
 
     lines.append("RHS")
     if problem.objective_constant != 0.0:
         lines.append(card("", "RHS", _OBJ, _fmt(-problem.objective_constant, digits)))
-    for rid, row in enumerate(problem.rows):
-        if row.rhs != 0.0:
-            lines.append(card("", "RHS", row_names[rid], _fmt(row.rhs, digits)))
+    for name, rhs in zip(row_names, problem.rhs.tolist()):
+        if rhs != 0.0:
+            lines.append(card("", "RHS", name, _fmt(rhs, digits)))
 
     lines.append("BOUNDS")
-    for vid, variable in enumerate(problem.variables):
-        if variable.kind is VarKind.BINARY:
-            lines.append(card("BV", "BND", var_names[vid]))
-        elif variable.kind is VarKind.INTEGER:
-            lines.append(card("LI", "BND", var_names[vid], _fmt(variable.lb, digits)))
-            if math.isfinite(variable.ub):
-                lines.append(card("UI", "BND", var_names[vid], _fmt(variable.ub, digits)))
+    for name, kind, lb, ub in zip(var_names, kinds, problem.lb.tolist(), problem.ub.tolist()):
+        if KINDS[kind] is VarKind.BINARY:
+            lines.append(card("BV", "BND", name))
+        elif KINDS[kind] is VarKind.INTEGER:
+            lines.append(card("LI", "BND", name, _fmt(lb, digits)))
+            if math.isfinite(ub):
+                lines.append(card("UI", "BND", name, _fmt(ub, digits)))
         else:
-            if variable.lb != 0.0:
-                if math.isfinite(variable.lb):
-                    lines.append(card("LO", "BND", var_names[vid], _fmt(variable.lb, digits)))
+            if lb != 0.0:
+                if math.isfinite(lb):
+                    lines.append(card("LO", "BND", name, _fmt(lb, digits)))
                 else:
-                    lines.append(card("MI", "BND", var_names[vid]))
-            if math.isfinite(variable.ub):
-                lines.append(card("UP", "BND", var_names[vid], _fmt(variable.ub, digits)))
+                    lines.append(card("MI", "BND", name))
+            if math.isfinite(ub):
+                lines.append(card("UP", "BND", name, _fmt(ub, digits)))
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -151,45 +142,45 @@ def write_lp(problem: MipProblem) -> str:
         out.append(line)
         return out
 
+    names = problem.variable_names()
     lines = [f"\\ {problem.name}", "Minimize"]
-    tokens = []
-    first = True
-    for vid, coef in problem.objective.items():
-        tokens.append(term(coef, problem.variables[vid].name, first))
-        first = False
+    tokens = [
+        term(coef, names[vid], k == 0)
+        for k, (vid, coef) in enumerate(problem.objective.items())
+    ]
     const = problem.objective_constant
     if const != 0.0 or not tokens:
-        sign = "-" if const < 0 else ("" if first else "+")
+        sign = "-" if const < 0 else ("" if not tokens else "+")
         tokens.append(f"{sign} {_fmt(abs(const))}".strip() if sign else _fmt(abs(const)))
     lines.extend(wrap("obj:", tokens))
 
     lines.append("Subject To")
     sense_text = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}
-    for row in problem.rows:
-        tokens = []
-        first = True
-        for vid, coef in row.coeffs:
-            tokens.append(term(coef, problem.variables[vid].name, first))
-            first = False
+    matrix = problem.matrix
+    ptr, cols, coefs = (a.tolist() for a in (matrix.indptr, matrix.indices, matrix.data))
+    for rid, (name, code, rhs) in enumerate(
+        zip(problem.row_names(), problem.senses.tolist(), problem.rhs.tolist())
+    ):
+        tokens = [term(coefs[k], names[cols[k]], k == ptr[rid]) for k in range(ptr[rid], ptr[rid + 1])]
         if not tokens:
             tokens.append("0")
-        lines.extend(wrap(f"{row.name}:", tokens, f"{sense_text[row.sense]} {_fmt(row.rhs)}"))
+        lines.extend(wrap(f"{name}:", tokens, f"{sense_text[SENSES[code]]} {_fmt(rhs)}"))
 
-    integer_bounds = [
-        v for v in problem.variables if v.kind is VarKind.INTEGER
-    ]
-    continuous = [v for v in problem.variables if v.kind is VarKind.CONTINUOUS]
-    if integer_bounds or continuous:
+    kinds = [KINDS[code] for code in problem.kinds.tolist()]
+    lb, ub = problem.lb.tolist(), problem.ub.tolist()
+    bounded = [vid for vid, kind in enumerate(kinds) if kind is VarKind.INTEGER]
+    bounded += [vid for vid, kind in enumerate(kinds) if kind is VarKind.CONTINUOUS]
+    if bounded:
         lines.append("Bounds")
-        for v in integer_bounds + continuous:
-            ub = "inf" if math.isinf(v.ub) else _fmt(v.ub)
-            lines.append(f" {_fmt(v.lb)} <= {v.name} <= {ub}")
+        for vid in bounded:
+            upper = "inf" if math.isinf(ub[vid]) else _fmt(ub[vid])
+            lines.append(f" {_fmt(lb[vid])} <= {names[vid]} <= {upper}")
 
-    binaries = [v.name for v in problem.variables if v.kind is VarKind.BINARY]
+    binaries = [name for name, kind in zip(names, kinds) if kind is VarKind.BINARY]
     if binaries:
         lines.append("Binaries")
         lines.extend(wrap("", binaries))
-    generals = [v.name for v in problem.variables if v.kind is VarKind.INTEGER]
+    generals = [name for name, kind in zip(names, kinds) if kind is VarKind.INTEGER]
     if generals:
         lines.append("Generals")
         lines.extend(wrap("", generals))
@@ -497,11 +488,15 @@ def problems_structurally_equal(
 
     Variables and rows are matched by name when both problems share the same
     name sets (free MPS, LP) and by position otherwise (fixed MPS, which
-    sanitizes names but preserves order).
+    sanitizes names but preserves order). A row's coefficients differ when it
+    has entries on other variables, explicit zeros included, or a value not
+    within ``tol`` (relative, floored at 1).
     """
 
-    def close(u: float, v: float) -> bool:
-        return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
+    def close(u, v):
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        with np.errstate(invalid="ignore"):
+            return (u == v) | (np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v))))
 
     diffs: list[str] = []
     if a.num_variables != b.num_variables:
@@ -511,47 +506,67 @@ def problems_structurally_equal(
     if diffs:
         return diffs
 
-    a_var_names = [v.name for v in a.variables]
-    b_var_names = [v.name for v in b.variables]
-    by_name = set(a_var_names) == set(b_var_names)
-    if by_name:
-        # b's variable id -> a's variable id, so coefficients compare in a-space
-        b_to_a = {bid: a.variable_id(name) for bid, name in enumerate(b_var_names)}
-        var_pairs = [(a.variables[a.variable_id(n)], v) for n, v in zip(b_var_names, b.variables)]
+    # b's variable and row ids -> a's, so everything compares in a's order
+    a_names, b_names = a.variable_names(), b.variable_names()
+    by_name = set(a_names) == set(b_names)
+    var_map = np.array([a.variable_id(n) for n in b_names] if by_name else range(b.num_variables),
+                       dtype=np.int64)
+    a_rows, b_rows = a.row_names(), b.row_names()
+    rows_by_name = by_name and set(a_rows) == set(b_rows)
+    if rows_by_name:
+        a_row_id = {name: rid for rid, name in enumerate(a_rows)}
+        row_map = np.array([a_row_id[n] for n in b_rows], dtype=np.int64)
     else:
-        b_to_a = {vid: vid for vid in range(b.num_variables)}
-        var_pairs = list(zip(a.variables, b.variables))
+        row_map = np.arange(b.num_constraints)
 
-    for va, vb in var_pairs:
-        label = va.name if by_name else f"#{a.variables.index(va)}"
-        if va.kind != vb.kind:
-            diffs.append(f"variable {label} kind {va.kind.value} != {vb.kind.value}")
-        if not close(va.lb, vb.lb) or not (
-            close(va.ub, vb.ub) or (math.isinf(va.ub) and math.isinf(vb.ub))
-        ):
+    kind_bad = a.kinds[var_map] != b.kinds
+    bound_bad = ~(close(a.lb[var_map], b.lb) & close(a.ub[var_map], b.ub))
+    for vid in np.flatnonzero(kind_bad | bound_bad).tolist():
+        avid = int(var_map[vid])
+        label = a_names[avid] if by_name else f"#{avid}"
+        if kind_bad[vid]:
+            diffs.append(f"variable {label} kind {KINDS[a.kinds[avid]].value} != "
+                         f"{KINDS[b.kinds[vid]].value}")
+        if bound_bad[vid]:
             diffs.append(f"variable {label} bounds differ")
 
-    rows_by_name = by_name and {r.name for r in a.rows} == {r.name for r in b.rows}
-    if rows_by_name:
-        a_rows = {r.name: r for r in a.rows}
-        row_pairs = [(a_rows[r.name], r) for r in b.rows]
-    else:
-        row_pairs = list(zip(a.rows, b.rows))
-    for ra, rb in row_pairs:
-        label = ra.name
-        if ra.sense != rb.sense:
+    a_rhs, b_rhs = a.rhs[row_map], b.rhs
+    sense_bad = a.senses[row_map] != b.senses
+    rhs_bad = ~close(a_rhs, b_rhs)
+    coef_bad = _rows_differ(a.matrix[row_map], b.matrix, var_map, close)
+    for rid in np.flatnonzero(sense_bad | rhs_bad | coef_bad).tolist():
+        label = a_rows[row_map[rid]]
+        if sense_bad[rid]:
             diffs.append(f"row {label} sense differs")
-        if not close(ra.rhs, rb.rhs):
-            diffs.append(f"row {label} rhs {ra.rhs} != {rb.rhs}")
-        ca = dict(ra.coeffs)
-        cb = {b_to_a[vid]: coef for vid, coef in rb.coeffs}
-        if set(ca) != set(cb) or any(not close(ca[k], cb[k]) for k in ca):
+        if rhs_bad[rid]:
+            diffs.append(f"row {label} rhs {a_rhs[rid]} != {b_rhs[rid]}")
+        if coef_bad[rid]:
             diffs.append(f"row {label} coefficients differ")
 
     oa = {k: v for k, v in a.objective.items() if v != 0.0}
-    ob = {b_to_a[k]: v for k, v in b.objective.items() if v != 0.0}
+    ob = {int(var_map[k]): v for k, v in b.objective.items() if v != 0.0}
     if set(oa) != set(ob) or any(not close(oa[k], ob[k]) for k in oa):
         diffs.append("objective coefficients differ")
     if not close(a.objective_constant, b.objective_constant):
         diffs.append("objective constant differs")
     return diffs
+
+
+def _rows_differ(a_matrix, b_matrix, var_map: np.ndarray, close) -> np.ndarray:
+    """Per row: whether the entries of ``b_matrix``, its columns mapped through
+    ``var_map``, differ from those of ``a_matrix`` in position or value."""
+    b_matrix = sparse.csr_array((b_matrix.data, var_map[b_matrix.indices], b_matrix.indptr),
+                                shape=b_matrix.shape)
+    for m in (a_matrix, b_matrix):
+        m.sort_indices()
+    counts_a, counts_b = np.diff(a_matrix.indptr), np.diff(b_matrix.indptr)
+    bad = counts_a != counts_b
+    # Rows with equal counts hold aligned entries once the others are dropped.
+    keep_a = np.repeat(~bad, counts_a)
+    keep_b = np.repeat(~bad, counts_b)
+    row_of = np.repeat(np.arange(len(bad)), counts_a)[keep_a]
+    entry_bad = (a_matrix.indices[keep_a] != b_matrix.indices[keep_b]) | ~close(
+        a_matrix.data[keep_a], b_matrix.data[keep_b]
+    )
+    bad[row_of[entry_bad]] = True
+    return bad

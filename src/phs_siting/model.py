@@ -2,19 +2,22 @@
 
 Variables follow the naming scheme ``x_i_j`` (perimeter), ``y_i_j`` (interior),
 ``z_i_j`` (reservoir), ``l_i_j`` (conveyance link); the scheme is stable and is
-what the file exporters emit. Neighbor variables that fall outside the grid or
-outside a candidate set are treated as constant zero, which makes the shape
-rules well defined at grid edges.
+what the file exporters emit. The problem is stored as arrays and the names are
+derived from this scheme only when something asks for them. Neighbor variables
+that fall outside the grid or outside a candidate set are treated as constant
+zero, which makes the shape rules well defined at grid edges.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .costing import (
     CostBreakdown,
@@ -53,6 +56,11 @@ class Sense(Enum):
     EQ = "="
 
 
+#: Stored codes of the enums: the index into these tuples.
+KINDS = tuple(VarKind)
+SENSES = tuple(Sense)
+
+
 @dataclass(frozen=True)
 class Variable:
     name: str
@@ -69,17 +77,99 @@ class Row:
     rhs: float
 
 
+class CellNames:
+    """Names of a block of variables or rows, spelled out only when asked for.
+
+    Each cell of ``cells`` (an (n, 2) array) gets one name per pattern, in
+    pattern order; a pattern is a format string taking the cell's row and
+    column, such as ``"cover_{}_{}_up"``.
+    """
+
+    def __init__(self, patterns: tuple[str, ...], cells: np.ndarray):
+        self.patterns = patterns
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return len(self.patterns) * len(self.cells)
+
+    def __iter__(self) -> Iterator[str]:
+        for i, j in self.cells.tolist():
+            for pattern in self.patterns:
+                yield pattern.format(i, j)
+
+
+class _Column:
+    """A growable 1-D array: small appends collect in a list, blocks as arrays."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+        self._chunks: list[np.ndarray] = []
+        self._tail: list = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def append(self, values: list) -> None:
+        self._tail += values
+        self._size += len(values)
+
+    def extend(self, values) -> None:
+        self._flush()
+        block = np.array(values, dtype=self.dtype)
+        self._chunks.append(block)
+        self._size += len(block)
+
+    def array(self) -> np.ndarray:
+        self._flush()
+        if len(self._chunks) != 1:
+            self._chunks = [np.concatenate(self._chunks) if self._chunks
+                            else np.empty(0, dtype=self.dtype)]
+        return self._chunks[0]
+
+    def _flush(self) -> None:
+        if self._tail:
+            self._chunks.append(np.array(self._tail, dtype=self.dtype))
+            self._tail = []
+
+
+def _spell(blocks: list) -> list[str]:
+    names: list[str] = []
+    for block in blocks:
+        if isinstance(block, str):
+            names.append(block)
+        else:
+            names.extend(block)
+    return names
+
+
 class MipProblem:
-    """Sparse mixed-integer linear program with named variables and rows."""
+    """Sparse mixed-integer linear program stored as arrays.
+
+    Variables are kind/bound arrays; constraints are COO triplets with a sense
+    and a right-hand side per row; the objective is sparse and keeps the ids it
+    was given, zero coefficients included. Names are stored per block (one
+    string, or a :class:`CellNames` pattern over cells) and spelled out on
+    demand, as are the ``variables`` and ``rows`` lists and the CSR matrix.
+    """
 
     def __init__(self, name: str = "siting"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.rows: list[Row] = []
-        self.objective: dict[int, float] = {}
+        self._var_names: list = []
+        self._kind = _Column(np.int8)
+        self._lb = _Column(float)
+        self._ub = _Column(float)
+        self._row_names: list = []
+        self._sense = _Column(np.int8)
+        self._rhs = _Column(float)
+        self._coo = (_Column(np.int64), _Column(np.int64), _Column(float))
+        self._obj_ids = np.empty(0, dtype=np.int64)
+        self._obj_vals = np.empty(0)
         self.objective_constant: float = 0.0
-        self._var_index: dict[str, int] = {}
-        self._row_names: set[str] = set()
+        # name -> id and the row-name set: built on first need, then kept current
+        self._var_index: dict[str, int] | None = None
+        self._row_name_set: set[str] | None = None
+        self._views: dict[str, object] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -90,7 +180,8 @@ class MipProblem:
         lb: float | None = None,
         ub: float | None = None,
     ) -> int:
-        if name in self._var_index:
+        index = self._index()
+        if name in index:
             raise ValueError(f"duplicate variable name {name!r}")
         if kind is VarKind.BINARY:
             lb, ub = 0.0, 1.0
@@ -99,208 +190,319 @@ class MipProblem:
             ub = math.inf if ub is None else float(ub)
         if lb > ub:
             raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
-        vid = len(self.variables)
-        self.variables.append(Variable(name, kind, lb, ub))
-        self._var_index[name] = vid
+        vid = self.num_variables
+        self._var_names.append(name)
+        self._kind.append([KINDS.index(kind)])
+        self._lb.append([lb])
+        self._ub.append([ub])
+        index[name] = vid
+        self._views.clear()
         return vid
+
+    def add_binaries(self, names: CellNames) -> np.ndarray:
+        """Declare one binary variable per name; returns their (contiguous) ids."""
+        start = self.num_variables
+        n = len(names)
+        if self._var_index is not None:
+            for offset, name in enumerate(names):
+                if name in self._var_index:
+                    raise ValueError(f"duplicate variable name {name!r}")
+                self._var_index[name] = start + offset
+        self._var_names.append(names)
+        self._kind.extend(np.full(n, KINDS.index(VarKind.BINARY)))
+        self._lb.extend(np.zeros(n))
+        self._ub.extend(np.ones(n))
+        self._views.clear()
+        return np.arange(start, start + n)
 
     def add_row(
         self, name: str, coeffs: Iterable[tuple[int, float]], sense: Sense, rhs: float
     ) -> int:
-        if name in self._row_names:
+        if name in self._row_set():
             raise ValueError(f"duplicate row name {name!r}")
+        n = len(self._kind)
         merged: dict[int, float] = {}
         for vid, coef in coeffs:
-            if not 0 <= vid < len(self.variables):
+            if not 0 <= vid < n:
                 raise ValueError(f"row {name!r} references unknown variable id {vid}")
             if not math.isfinite(coef):
                 raise ValueError(f"row {name!r} has non-finite coefficient on {vid}")
             merged[vid] = merged.get(vid, 0.0) + coef
         if not math.isfinite(rhs):
             raise ValueError(f"row {name!r} has non-finite rhs")
-        self.rows.append(Row(name, tuple(sorted(merged.items())), sense, float(rhs)))
-        self._row_names.add(name)
-        return len(self.rows) - 1
+        rid = len(self._sense)
+        rows, cols, vals = self._coo
+        vids = sorted(merged)
+        rows.append([rid] * len(vids))
+        cols.append(vids)
+        vals.append([merged[vid] for vid in vids])
+        self._row_names.append(name)
+        self._row_name_set.add(name)
+        self._sense.append([SENSES.index(sense)])
+        self._rhs.append([float(rhs)])
+        if self._views:
+            self._views.clear()
+        return rid
+
+    def add_rows(
+        self,
+        names: CellNames | list[str],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
+        sense: Sense | tuple[Sense, ...],
+        rhs: float = 0.0,
+    ) -> None:
+        """Append a block of rows given as COO triplets.
+
+        ``rows`` index the block's own rows (0 .. len(names)-1) and may repeat a
+        (row, col) pair only if it is meant to be summed. ``sense`` is one
+        Sense, or one per pattern of ``names``, repeated over its cells.
+        """
+        n_rows = len(names)
+        cols = np.asarray(cols)
+        vals = np.asarray(vals, dtype=float)
+        if cols.size and (cols.min() < 0 or cols.max() >= self.num_variables):
+            raise ValueError("row block references unknown variable ids")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("row block has non-finite coefficients")
+        if not math.isfinite(rhs):
+            raise ValueError("row block has non-finite rhs")
+        if self._row_name_set is not None:
+            for name in names:
+                if name in self._row_name_set:
+                    raise ValueError(f"duplicate row name {name!r}")
+                self._row_name_set.add(name)
+        senses = (sense,) if isinstance(sense, Sense) else tuple(sense)
+        coo_rows, coo_cols, coo_vals = self._coo
+        coo_rows.extend(np.asarray(rows) + self.num_constraints)
+        coo_cols.extend(cols)
+        coo_vals.extend(vals)
+        self._row_names.append(names)
+        self._sense.extend(np.resize([SENSES.index(s) for s in senses], n_rows))
+        self._rhs.extend(np.full(n_rows, float(rhs)))
+        self._views.clear()
 
     def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
-        for vid, coef in coeffs.items():
-            if not 0 <= vid < len(self.variables):
-                raise ValueError(f"objective references unknown variable id {vid}")
-            if not math.isfinite(coef):
-                raise ValueError(f"objective has non-finite coefficient on {vid}")
+        ids = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
+        vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+        bad = (ids < 0) | (ids >= self.num_variables)
+        if bad.any():
+            raise ValueError(f"objective references unknown variable id {ids[bad][0]}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"objective has non-finite coefficient on {ids[~np.isfinite(vals)][0]}")
         if not math.isfinite(constant):
             raise ValueError("objective constant must be finite")
-        self.objective = dict(sorted(coeffs.items()))
+        order = np.argsort(ids, kind="stable")
+        self._obj_ids, self._obj_vals = ids[order], vals[order]
         self.objective_constant = float(constant)
+        self._views.clear()
 
-    # -- queries ------------------------------------------------------------
+    # -- arrays -------------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._kind)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.rows)
+        return len(self._sense)
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Kind code per variable (an index into ``KINDS``)."""
+        return self._kind.array()
+
+    @property
+    def integer_mask(self) -> np.ndarray:
+        """True for binary and integer variables."""
+        return self.kinds != KINDS.index(VarKind.CONTINUOUS)
+
+    @property
+    def lb(self) -> np.ndarray:
+        return self._lb.array()
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self._ub.array()
+
+    @property
+    def senses(self) -> np.ndarray:
+        """Sense code per row (an index into ``SENSES``)."""
+        return self._sense.array()
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._rhs.array()
+
+    def cost_vector(self) -> np.ndarray:
+        c = np.zeros(self.num_variables)
+        c[self._obj_ids] = self._obj_vals
+        return c
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) activity bounds per row, infinite on the open side."""
+        senses, rhs = self.senses, self.rhs
+        lo = np.where(senses == SENSES.index(Sense.LE), -np.inf, rhs)
+        hi = np.where(senses == SENSES.index(Sense.GE), np.inf, rhs)
+        return lo, hi
+
+    @property
+    def matrix(self) -> sparse.csr_array:
+        """The constraint matrix, with sorted column indices in every row."""
+        if "matrix" not in self._views:
+            rows, cols, vals = (column.array() for column in self._coo)
+            self._views["matrix"] = sparse.csr_array(
+                (vals, (rows, cols)), shape=(self.num_constraints, self.num_variables)
+            )
+        return self._views["matrix"]
+
+    # -- names and views ----------------------------------------------------
+
+    def variable_names(self) -> list[str]:
+        if "var_names" not in self._views:
+            self._views["var_names"] = _spell(self._var_names)
+        return self._views["var_names"]
+
+    def row_names(self) -> list[str]:
+        if "row_names" not in self._views:
+            self._views["row_names"] = _spell(self._row_names)
+        return self._views["row_names"]
+
+    @property
+    def variables(self) -> list[Variable]:
+        if "variables" not in self._views:
+            self._views["variables"] = [
+                Variable(name, KINDS[kind], lb, ub)
+                for name, kind, lb, ub in zip(
+                    self.variable_names(), self.kinds.tolist(), self.lb.tolist(), self.ub.tolist()
+                )
+            ]
+        return self._views["variables"]
+
+    @property
+    def rows(self) -> list[Row]:
+        if "rows" not in self._views:
+            matrix = self.matrix
+            ptr = matrix.indptr.tolist()
+            pairs = list(zip(matrix.indices.tolist(), matrix.data.tolist()))
+            self._views["rows"] = [
+                Row(name, tuple(pairs[ptr[r] : ptr[r + 1]]), SENSES[code], rhs)
+                for r, (name, code, rhs) in enumerate(
+                    zip(self.row_names(), self.senses.tolist(), self.rhs.tolist())
+                )
+            ]
+        return self._views["rows"]
+
+    @property
+    def objective(self) -> dict[int, float]:
+        """Objective entries as {variable id: coefficient}, ascending ids."""
+        return dict(zip(self._obj_ids.tolist(), self._obj_vals.tolist()))
 
     def variable_id(self, name: str) -> int:
-        return self._var_index[name]
+        return self._index()[name]
 
-    def values_vector(self, values: Mapping[str, float]) -> np.ndarray:
-        """Order a name->value mapping into the internal variable order."""
-        vec = np.zeros(len(self.variables))
+    def _index(self) -> dict[str, int]:
+        if self._var_index is None:
+            self._var_index = {name: vid for vid, name in enumerate(self.variable_names())}
+        return self._var_index
+
+    def _row_set(self) -> set[str]:
+        if self._row_name_set is None:
+            self._row_name_set = set(self.row_names())
+        return self._row_name_set
+
+    def values_vector(self, values) -> np.ndarray:
+        """Values in the internal variable order.
+
+        Accepts a vector (returned as is), a :class:`SolutionValues` of this
+        problem, or a name -> value mapping, in which missing names read 0.
+        """
+        if isinstance(values, np.ndarray):
+            return values
+        if isinstance(values, SolutionValues) and values.problem is self:
+            return values.vector
+        vec = np.zeros(self.num_variables)
+        index = self._index()
         for name, value in values.items():
-            if name in self._var_index:
-                vec[self._var_index[name]] = value
+            if name in index:
+                vec[index[name]] = value
         return vec
+
+
+class SolutionValues(Mapping):
+    """Name -> value view of a solution vector; names resolve on demand."""
+
+    def __init__(self, problem: MipProblem, vector: np.ndarray):
+        self.problem = problem
+        self.vector = vector
+
+    def __getitem__(self, name: str) -> float:
+        return float(self.vector[self.problem.variable_id(name)])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.problem.variable_names()[: len(self.vector)])
+
+    def __len__(self) -> int:
+        return len(self.vector)
 
 
 @dataclass
 class SitingVariables:
-    """Cell-indexed handles into the variable families of a siting problem."""
+    """Cell-indexed handles into the variable families of a siting problem.
 
-    x: dict[Cell, int] = field(default_factory=dict)
-    y: dict[Cell, int] = field(default_factory=dict)
-    z: dict[Cell, int] = field(default_factory=dict)
-    link: dict[Cell, int] = field(default_factory=dict)
-
-
-def declare_cell_variables(prob: MipProblem, cands: CandidateSets) -> SitingVariables:
-    sv = SitingVariables()
-    for i, j in cands.reservoir_cells():
-        sv.z[(i, j)] = prob.add_variable(f"z_{i}_{j}")
-    for i, j in cands.perimeter_cells():
-        sv.x[(i, j)] = prob.add_variable(f"x_{i}_{j}")
-    for i, j in cands.interior_cells():
-        sv.y[(i, j)] = prob.add_variable(f"y_{i}_{j}")
-    return sv
-
-
-def add_shape_constraints(
-    prob: MipProblem,
-    sv: SitingVariables,
-    cands: CandidateSets,
-    perimeter_min_neighbors: int = 1,
-) -> None:
-    """Reservoir shape rules over the 4-neighborhood.
-
-    Per reservoir cell and direction: z <= x + z_neighbor (a reservoir cell is
-    perimeter or is backed by reservoir on every side). Per perimeter cell:
-    min_neighbors * x <= sum of neighbor z. Role split z = x + y. Per interior
-    cell and direction: y <= z_neighbor.
+    ``cells[f]`` holds the (row, col) cells of family f (``z`` reservoir, ``x``
+    perimeter, ``y`` interior, ``l`` link) in row-major order; their ids run
+    contiguously from ``start[f]``. The dicts ``z``, ``x``, ``y`` and ``link``
+    map cell -> id and are built on first use.
     """
-    if perimeter_min_neighbors not in (1, 3):
-        raise ValueError("perimeter_min_neighbors must be 1 (as per the base model) or 3")
 
-    def neighbor(cell: Cell, d: int) -> Cell:
-        di, dj = FOUR_NEIGHBORS[d]
-        return (cell[0] + di, cell[1] + dj)
+    cells: dict[str, np.ndarray]
+    start: dict[str, int]
 
-    for cell, zid in sv.z.items():
-        i, j = cell
-        for d, dname in enumerate(_DIRECTIONS):
-            coeffs = [(zid, 1.0)]
-            if cell in sv.x:
-                coeffs.append((sv.x[cell], -1.0))
-            nbr = neighbor(cell, d)
-            if nbr in sv.z:
-                coeffs.append((sv.z[nbr], -1.0))
-            prob.add_row(f"cover_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
+    def ids(self, family: str) -> np.ndarray:
+        return np.arange(self.start[family], self.start[family] + len(self.cells[family]))
 
-        coeffs = [(zid, 1.0)]
-        if cell in sv.x:
-            coeffs.append((sv.x[cell], -1.0))
-        if cell in sv.y:
-            coeffs.append((sv.y[cell], -1.0))
-        prob.add_row(f"role_{i}_{j}", coeffs, Sense.EQ, 0.0)
+    def _by_cell(self, family: str) -> dict[Cell, int]:
+        return dict(zip(map(tuple, self.cells[family].tolist()), self.ids(family).tolist()))
 
-    for cell, xid in sv.x.items():
-        i, j = cell
-        coeffs = [(xid, float(perimeter_min_neighbors))]
-        for d in range(4):
-            nbr = neighbor(cell, d)
-            if nbr in sv.z:
-                coeffs.append((sv.z[nbr], -1.0))
-        prob.add_row(f"contact_{i}_{j}", coeffs, Sense.LE, 0.0)
+    @cached_property
+    def z(self) -> dict[Cell, int]:
+        return self._by_cell("z")
 
-    for cell, yid in sv.y.items():
-        i, j = cell
-        for d, dname in enumerate(_DIRECTIONS):
-            coeffs = [(yid, 1.0)]
-            nbr = neighbor(cell, d)
-            if nbr in sv.z:
-                coeffs.append((sv.z[nbr], -1.0))
-            prob.add_row(f"inter_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
+    @cached_property
+    def x(self) -> dict[Cell, int]:
+        return self._by_cell("x")
+
+    @cached_property
+    def y(self) -> dict[Cell, int]:
+        return self._by_cell("y")
+
+    @cached_property
+    def link(self) -> dict[Cell, int]:
+        return self._by_cell("l")
 
 
-def volume_coefficients(
-    cands: CandidateSets, grid: TerrainGrid, spec: SitingSpec
-) -> dict[Cell, float]:
-    """Stored volume (m^3) contributed by each interior candidate when flooded."""
-    area = grid.cell_area
-    return {
-        (i, j): (spec.water_elevation - float(grid.elevations[i, j])) * area
-        for i, j in cands.interior_cells()
-    }
+def _id_raster(shape: tuple[int, int], cells: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Variable id per cell, -1 where the family has none, with a -1 border."""
+    raster = np.full((shape[0] + 2, shape[1] + 2), -1, dtype=np.int64)
+    raster[cells[:, 0] + 1, cells[:, 1] + 1] = ids
+    return raster
 
 
-def add_volume_constraint(
-    prob: MipProblem,
-    sv: SitingVariables,
-    cands: CandidateSets,
-    grid: TerrainGrid,
-    spec: SitingSpec,
-) -> None:
-    coeffs = volume_coefficients(cands, grid, spec)
-    capacity = sum(coeffs.values())
-    if capacity < spec.vol_min:
-        raise InfeasibleProblemError(
-            f"total storable capacity {capacity:.3e} m^3 over {len(coeffs)} interior "
-            f"candidates is below the volume target {spec.vol_min:.3e} m^3"
-        )
-    prob.add_row(
-        "volume",
-        [(sv.y[cell], coef) for cell, coef in coeffs.items()],
-        Sense.GE,
-        spec.vol_min,
-    )
+class _Entries:
+    """COO triplets of one row block; entries on absent variables (-1) drop out."""
 
+    def __init__(self):
+        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-def add_link_constraints(prob: MipProblem, sv: SitingVariables, cands: CandidateSets) -> None:
-    """One conveyance link cell, chosen among active perimeter cells."""
-    if not sv.x:
-        raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    for cell, xid in sv.x.items():
-        i, j = cell
-        lid = prob.add_variable(f"l_{i}_{j}")
-        sv.link[cell] = lid
-        prob.add_row(f"linkx_{i}_{j}", [(lid, 1.0), (xid, -1.0)], Sense.LE, 0.0)
-    prob.add_row("link_sum", [(lid, 1.0) for lid in sv.link.values()], Sense.EQ, 1.0)
+    def add(self, rows: np.ndarray, cols: np.ndarray, coef) -> None:
+        keep = cols >= 0
+        self.parts.append((rows[keep], cols[keep], np.broadcast_to(coef, cols.shape)[keep]))
 
-
-def set_siting_objective(
-    prob: MipProblem,
-    sv: SitingVariables,
-    grid: TerrainGrid,
-    spec: SitingSpec,
-    params: CostParams,
-    dist: DistanceField,
-) -> None:
-    """Minimize embankment on active perimeter cells plus conveyance at the link.
-
-    Dry perimeter cells cost nothing. The E&M equipment cost is a constant for
-    a given (head, capacity) pair and enters as the objective offset.
-    """
-    coeffs: dict[int, float] = {}
-    for (i, j), xid in sv.x.items():
-        cost, _ = embankment_cell_cost(
-            grid.cell_length, spec.water_elevation, float(grid.elevations[i, j]), params
-        )
-        coeffs[xid] = cost
-    for (i, j), lid in sv.link.items():
-        excavation, lining = conveyance_cost(spec.flow, float(dist.values[i, j]), params)
-        coeffs[lid] = excavation + lining
-    prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
+    def add_to(self, prob: MipProblem, names, sense, rhs: float = 0.0) -> None:
+        rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
+        prob.add_rows(names, rows, cols, vals, sense, rhs)
 
 
 @dataclass
@@ -332,6 +534,18 @@ def build_siting_problem(
 
     Levels: 0 none, 1 horizontal/vertical separating planes, 2 planes plus
     diagonals, 3 perimeter tour (TSP) constraints.
+
+    The base model is built one row family at a time from cell-id rasters.
+    Variables come in the order z, x, y, l, each in row-major cell order.
+    Rows: per reservoir cell ``cover_i_j_<dir>`` for the four directions
+    (z <= x + z_neighbor) then ``role_i_j`` (z = x + y); per perimeter cell
+    ``contact_i_j`` (min_neighbors * x <= sum of neighbor z); per interior
+    cell ``inter_i_j_<dir>`` (y <= z_neighbor); ``volume`` (stored volume >=
+    target); per perimeter cell ``linkx_i_j`` (l <= x); and ``link_sum``
+    (exactly one link). Neighbors outside the grid or the candidate sets are
+    constant zero. The objective is embankment on active perimeter cells plus
+    conveyance at the link; dry perimeter cells cost nothing, and the E&M
+    equipment cost, a constant for a (head, capacity) pair, is the offset.
     """
     from . import connectivity as _connectivity
     from . import terrain as _terrain
@@ -343,14 +557,79 @@ def build_siting_problem(
         dist = _terrain.distance_field(grid)
     if dist.values.shape != grid.shape:
         raise ValueError("distance field shape does not match the grid")
+    if perimeter_min_neighbors not in (1, 3):
+        raise ValueError("perimeter_min_neighbors must be 1 (as per the base model) or 3")
 
     prob = MipProblem()
-    sv = declare_cell_variables(prob, cands)
-    add_shape_constraints(prob, sv, cands, perimeter_min_neighbors)
-    add_volume_constraint(prob, sv, cands, grid, spec)
-    add_link_constraints(prob, sv, cands)
-    set_siting_objective(prob, sv, grid, spec, params, dist)
+    cells = {"z": np.argwhere(cands.reservoir_ok), "x": np.argwhere(cands.perimeter_ok),
+             "y": np.argwhere(cands.interior_ok)}
+    cells["l"] = cells["x"]
+    ids = {f: prob.add_binaries(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zxy"}
+    shape = cands.shape
+    Z, X, Y = (_id_raster(shape, cells[f], ids[f]) for f in "zxy")
 
+    def at(raster: np.ndarray, family: str, di: int = 0, dj: int = 0) -> np.ndarray:
+        """Per cell of ``family``: the raster's id at that cell shifted by (di, dj)."""
+        c = cells[family]
+        return raster[c[:, 0] + 1 + di, c[:, 1] + 1 + dj]
+
+    nz, nx, ny = (len(cells[f]) for f in "zxy")
+    block = _Entries()
+    k = np.arange(nz)
+    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
+        rows = 5 * k + d
+        block.add(rows, ids["z"], 1.0)
+        block.add(rows, at(X, "z"), -1.0)
+        block.add(rows, at(Z, "z", di, dj), -1.0)
+    block.add(5 * k + 4, ids["z"], 1.0)
+    block.add(5 * k + 4, at(X, "z"), -1.0)
+    block.add(5 * k + 4, at(Y, "z"), -1.0)
+    patterns = tuple(f"cover_{{}}_{{}}_{d}" for d in _DIRECTIONS) + ("role_{}_{}",)
+    block.add_to(prob, CellNames(patterns, cells["z"]), (Sense.LE,) * 4 + (Sense.EQ,))
+
+    block = _Entries()
+    k = np.arange(nx)
+    block.add(k, ids["x"], float(perimeter_min_neighbors))
+    for di, dj in FOUR_NEIGHBORS:
+        block.add(k, at(Z, "x", di, dj), -1.0)
+    block.add_to(prob, CellNames(("contact_{}_{}",), cells["x"]), Sense.LE)
+
+    block = _Entries()
+    k = np.arange(ny)
+    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
+        block.add(4 * k + d, ids["y"], 1.0)
+        block.add(4 * k + d, at(Z, "y", di, dj), -1.0)
+    inter = tuple(f"inter_{{}}_{{}}_{d}" for d in _DIRECTIONS)
+    block.add_to(prob, CellNames(inter, cells["y"]), Sense.LE)
+
+    y_cells = cells["y"]
+    volume = (spec.water_elevation - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
+    capacity = sum(volume.tolist())
+    if capacity < spec.vol_min:
+        raise InfeasibleProblemError(
+            f"total storable capacity {capacity:.3e} m^3 over {ny} interior "
+            f"candidates is below the volume target {spec.vol_min:.3e} m^3"
+        )
+    prob.add_rows(["volume"], np.zeros(ny, dtype=np.int64), ids["y"], volume, Sense.GE, spec.vol_min)
+
+    if not nx:
+        raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
+    ids["l"] = prob.add_binaries(CellNames(("l_{}_{}",), cells["l"]))
+    k = np.arange(nx)
+    prob.add_rows(CellNames(("linkx_{}_{}",), cells["x"]), np.concatenate([k, k]),
+                  np.concatenate([ids["l"], ids["x"]]), np.repeat([1.0, -1.0], nx), Sense.LE)
+    prob.add_rows(["link_sum"], np.zeros(nx, dtype=np.int64), ids["l"], np.ones(nx), Sense.EQ, 1.0)
+
+    x_elev = grid.elevations[cells["x"][:, 0], cells["x"][:, 1]].tolist()
+    x_dist = dist.values[cells["x"][:, 0], cells["x"][:, 1]].tolist()
+    water = spec.water_elevation
+    coeffs = {xid: embankment_cell_cost(grid.cell_length, water, e, params)[0]
+              for xid, e in zip(ids["x"].tolist(), x_elev)}
+    coeffs.update((lid, sum(conveyance_cost(spec.flow, d, params)))
+                  for lid, d in zip(ids["l"].tolist(), x_dist))
+    prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
+
+    sv = SitingVariables(cells, {f: int(ids[f][0]) for f in ids})
     if level >= 1:
         _connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
@@ -410,12 +689,18 @@ class ReservoirSolution:
         )
 
 
-def _round_binary(name: str, value: float, tol: float) -> bool:
-    if abs(value) <= tol:
-        return False
-    if abs(value - 1.0) <= tol:
-        return True
-    raise IntegralityError(f"variable {name} = {value} is fractional beyond tolerance {tol}")
+def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray, tol: float) -> np.ndarray:
+    """The cells of ``family`` whose variable is 1; any value off 0 and 1 raises."""
+    values = vec[sv.ids(family)]
+    zero = np.abs(values) <= tol
+    one = ~zero & (np.abs(values - 1.0) <= tol)
+    if not np.all(zero | one):
+        k = int(np.argmin(zero | one))
+        i, j = sv.cells[family][k].tolist()
+        raise IntegralityError(
+            f"variable {family}_{i}_{j} = {float(values[k])} is fractional beyond tolerance {tol}"
+        )
+    return sv.cells[family][one]
 
 
 def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
@@ -484,7 +769,7 @@ def _drop_spare_components(
 
 def extract_solution(
     sp: SitingProblem,
-    values: Mapping[str, float],
+    values: Mapping[str, float] | np.ndarray,
     *,
     status: str = "optimal",
     objective_value: float | None = None,
@@ -494,29 +779,19 @@ def extract_solution(
 ) -> ReservoirSolution:
     """Turn solver values into masks and physically recomputed metrics.
 
-    Reservoir components the solution does not need are dropped first (see
-    ``_drop_spare_components``); the connectivity verdict, storage, area,
-    embankment and costs are then all rebuilt from the kept masks and the
-    terrain, never read back from the solver objective.
+    ``values`` is the solution vector, or a name -> value mapping (see
+    ``MipProblem.values_vector``). Reservoir components the solution does not
+    need are dropped first (see ``_drop_spare_components``); the connectivity
+    verdict, storage, area, embankment and costs are then all rebuilt from the
+    kept masks and the terrain, never read back from the solver objective.
     """
     grid, spec, params = sp.grid, sp.spec, sp.cost_params
-    shape = grid.shape
-    x_mask = np.zeros(shape, dtype=bool)
-    y_mask = np.zeros(shape, dtype=bool)
-    z_mask = np.zeros(shape, dtype=bool)
-    link_cells: list[Cell] = []
-    for mask, cells, family in (
-        (x_mask, sp.variables.x, "x"),
-        (y_mask, sp.variables.y, "y"),
-        (z_mask, sp.variables.z, "z"),
-    ):
-        for i, j in cells:
-            name = f"{family}_{i}_{j}"
-            mask[i, j] = _round_binary(name, values.get(name, 0.0), tolerance)
-    for i, j in sp.variables.link:
-        name = f"l_{i}_{j}"
-        if _round_binary(name, values.get(name, 0.0), tolerance):
-            link_cells.append((i, j))
+    vec = sp.mip.values_vector(values)
+    x_mask, y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(3))
+    for mask, family in ((x_mask, "x"), (y_mask, "y"), (z_mask, "z")):
+        on = _round_binaries(sp.variables, family, vec, tolerance)
+        mask[on[:, 0], on[:, 1]] = True
+    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec, tolerance).tolist()]
 
     if not np.any(y_mask):
         raise InfeasibleProblemError("incumbent floods no interior cell; volume target cannot hold")

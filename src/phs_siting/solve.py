@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
-from .model import MipProblem, Sense, VarKind
+from .model import SENSES, MipProblem, Sense, SolutionValues
 from .sizing import SitingSpec
 from .terrain import (
     FOUR_NEIGHBORS,
@@ -43,22 +42,36 @@ class SolveStatus(Enum):
 @dataclass(frozen=True)
 class SolveLimits:
     time_limit_s: float | None = None
-    gap_target: float = 0.0  # relative MIP gap at which the solver may stop
+    gap_target: float = 0.0  # relative MIP gap at which the solver may stop, in [0, 1)
+
+    def __post_init__(self):
+        if not 0.0 <= self.gap_target < 1.0:
+            raise ValueError(f"gap_target must be in [0, 1), got {self.gap_target}")
 
 
 @dataclass
 class SolveResult:
+    """Outcome of one solve; ``x`` is the incumbent in variable order, if any."""
+
     status: SolveStatus
-    values: dict[str, float] | None
+    x: np.ndarray | None
     objective: float | None
     bound: float | None
     gap: float | None
     wall_time_s: float
     message: str = ""
+    problem: MipProblem | None = field(default=None, repr=False)
 
     @property
     def has_incumbent(self) -> bool:
-        return self.values is not None
+        return self.x is not None
+
+    @property
+    def values(self) -> SolutionValues | None:
+        """The incumbent as a name -> value mapping; names resolve on demand."""
+        if self.x is None:
+            return None
+        return SolutionValues(self.problem, self.x)
 
 
 def _relative_gap(objective: float | None, bound: float | None) -> float | None:
@@ -77,37 +90,9 @@ class HighsBackend:
 
     def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
         limits = limits or SolveLimits()
-        n = problem.num_variables
-        c = np.zeros(n)
-        for vid, coef in problem.objective.items():
-            c[vid] = coef
-        integrality = np.array(
-            [0 if v.kind is VarKind.CONTINUOUS else 1 for v in problem.variables]
-        )
-        lb = np.array([v.lb for v in problem.variables])
-        ub = np.array([v.ub for v in problem.variables])
-
         constraints = None
-        if problem.rows:
-            data, rows_idx, cols_idx, lo, hi = [], [], [], [], []
-            for rid, row in enumerate(problem.rows):
-                for vid, coef in row.coeffs:
-                    rows_idx.append(rid)
-                    cols_idx.append(vid)
-                    data.append(coef)
-                if row.sense is Sense.LE:
-                    lo.append(-np.inf)
-                    hi.append(row.rhs)
-                elif row.sense is Sense.GE:
-                    lo.append(row.rhs)
-                    hi.append(np.inf)
-                else:
-                    lo.append(row.rhs)
-                    hi.append(row.rhs)
-            matrix = sparse.csr_matrix(
-                (data, (rows_idx, cols_idx)), shape=(len(problem.rows), n)
-            )
-            constraints = LinearConstraint(matrix, lo, hi)
+        if problem.num_constraints:
+            constraints = LinearConstraint(problem.matrix, *problem.row_bounds())
 
         options: dict = {"disp": False, "mip_rel_gap": limits.gap_target}
         if limits.time_limit_s is not None:
@@ -115,19 +100,17 @@ class HighsBackend:
 
         start = time.perf_counter()
         res = milp(
-            c=c,
+            c=problem.cost_vector(),
             constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
+            integrality=problem.integer_mask.astype(np.uint8),
+            bounds=Bounds(problem.lb, problem.ub),
             options=options,
         )
         elapsed = time.perf_counter() - start
 
         constant = problem.objective_constant
-        values = None
         objective = None
         if res.x is not None:
-            values = {v.name: float(res.x[vid]) for vid, v in enumerate(problem.variables)}
             objective = float(res.fun) + constant
         bound = None
         dual = getattr(res, "mip_dual_bound", None)
@@ -144,12 +127,13 @@ class HighsBackend:
             status = SolveStatus.ERROR
         return SolveResult(
             status=status,
-            values=values,
+            x=res.x,
             objective=objective,
             bound=bound,
             gap=_relative_gap(objective, bound),
             wall_time_s=elapsed,
             message=str(res.message),
+            problem=problem,
         )
 
 
@@ -185,29 +169,38 @@ def solve(
 
 
 def verify_solution(
-    problem: MipProblem, values: Mapping[str, float], tol: float = 1e-6
+    problem: MipProblem, values: Mapping[str, float] | np.ndarray, tol: float = 1e-6
 ) -> list[str]:
     """Re-check an incumbent against the stored rows, bounds and integrality.
 
-    Independent of the solver; returns violation descriptions (empty = clean).
+    Independent of the solver: row activities are ``A @ x`` against the row
+    bounds. Returns violation descriptions (empty = clean).
     """
     vec = problem.values_vector(values)
+    lb, ub = problem.lb, problem.ub
+    outside = (vec < lb - tol) | (vec > ub + tol)
+    fractional = problem.integer_mask & (np.abs(vec - np.round(vec)) > tol)
     issues: list[str] = []
-    for vid, variable in enumerate(problem.variables):
-        v = vec[vid]
-        if v < variable.lb - tol or v > variable.ub + tol:
-            issues.append(f"{variable.name}={v} outside [{variable.lb}, {variable.ub}]")
-        if variable.kind is not VarKind.CONTINUOUS and abs(v - round(v)) > tol:
-            issues.append(f"{variable.name}={v} not integral")
-    for row in problem.rows:
-        activity = sum(coef * vec[vid] for vid, coef in row.coeffs)
-        slack_tol = tol * max(1.0, abs(row.rhs))
-        if row.sense is Sense.LE and activity > row.rhs + slack_tol:
-            issues.append(f"row {row.name}: {activity} > {row.rhs}")
-        elif row.sense is Sense.GE and activity < row.rhs - slack_tol:
-            issues.append(f"row {row.name}: {activity} < {row.rhs}")
-        elif row.sense is Sense.EQ and abs(activity - row.rhs) > slack_tol:
-            issues.append(f"row {row.name}: {activity} != {row.rhs}")
+    names = problem.variable_names() if np.any(outside | fractional) else []
+    for vid in np.flatnonzero(outside | fractional).tolist():
+        v = float(vec[vid])
+        if outside[vid]:
+            issues.append(f"{names[vid]}={v} outside [{float(lb[vid])}, {float(ub[vid])}]")
+        if fractional[vid]:
+            issues.append(f"{names[vid]}={v} not integral")
+
+    activity = problem.matrix @ vec
+    rhs, senses = problem.rhs, problem.senses
+    slack_tol = tol * np.maximum(1.0, np.abs(rhs))
+    above = activity > rhs + slack_tol
+    below = activity < rhs - slack_tol
+    is_le = senses == SENSES.index(Sense.LE)
+    is_ge = senses == SENSES.index(Sense.GE)
+    violated = np.where(is_le, above, np.where(is_ge, below, above | below))
+    row_names = problem.row_names() if violated.any() else []
+    for rid in np.flatnonzero(violated).tolist():
+        op = ">" if is_le[rid] else "<" if is_ge[rid] else "!="
+        issues.append(f"row {row_names[rid]}: {float(activity[rid])} {op} {float(rhs[rid])}")
     return issues
 
 

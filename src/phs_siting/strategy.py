@@ -74,6 +74,8 @@ class StrategyConfig:
             raise ValueError("perimeter_min_neighbors must be 1 or 3")
         if self.clip_margin is not None and self.clip_margin < 0:
             raise ValueError("clip_margin must be >= 0")
+        if not 0.0 <= self.gap_target < 1.0:
+            raise ValueError(f"gap_target must be in [0, 1), got {self.gap_target}")
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ def run_ladder(
 
         solution = extract_solution(
             sp,
-            result.values,
+            result.x,
             status=result.status.value,
             objective_value=result.objective,
             gap=result.gap,

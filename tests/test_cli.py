@@ -86,6 +86,14 @@ def test_validate_clean_config(micro_config):
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 0"),
          "strategy: perimeter_min_neighbors"),
         (("time_limit_s = 60", "time_limit_s = 60\nworkers = 0"), "solver.workers"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = 2.7"),
+         "strategy.clip_margin: not an integer (2.7)"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 3.5"),
+         "strategy.perimeter_min_neighbors: not an integer (3.5)"),
+        (("time_limit_s = 60", "time_limit_s = 60\nworkers = 1.9"),
+         "solver.workers: not an integer (1.9)"),
+        (("time_limit_s = 60", "time_limit_s = 60\ngap_target = -0.5"), "solver.gap_target"),
+        (("time_limit_s = 60", "time_limit_s = 60\ngap_target = 1.5"), "solver.gap_target"),
     ],
 )
 def test_validate_reports_field_paths(micro_config, mutation, needle):

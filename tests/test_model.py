@@ -13,6 +13,9 @@ from phs_siting.model import Sense, diag_corrected_length
 from conftest import (
     RIVER_ELEVATION,
     WATER,
+    diagonal_blob_grid,
+    diagonal_blob_spec,
+    micro_case,
     midsize_grid,
     midsize_spec,
     pit_grid,
@@ -20,7 +23,10 @@ from conftest import (
     river_grid,
     solve_at_level,
     spec_for_volume,
+    two_basin_grid,
+    two_basin_spec,
 )
+from reference_model import build_reference
 
 
 def _shape_rows(problem):
@@ -341,3 +347,64 @@ def test_solver_incumbent_verifies_cleanly():
     grid, spec = pit_grid(), pit_spec()
     sp, res, _ = solve_at_level(grid, spec, 3)
     assert ps.verify_solution(sp.mip, res.values) == []
+
+
+def _bowl_window(**kwargs):
+    """A native-resolution window around the main bowl of a 256x256 DEM."""
+    yy, xx = np.mgrid[0:256, 0:256].astype(float)
+    elev = 450.0 + 2.5 * xx + np.random.default_rng(11).uniform(0, 2, (256, 256))
+    elev -= 195.0 * np.exp(-((yy - 128) ** 2 + (xx - 48) ** 2) / (2 * 6.5**2))
+    elev[:, :8] = RIVER_ELEVATION
+    grid = river_grid(elev)
+    spec = ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+    window = np.zeros(grid.shape, dtype=bool)
+    window[110:147, 30:67] = True
+    sub, (r0, c0) = ps.clip(grid, window, 0)
+    full = ps.distance_field(grid)
+    dist = ps.DistanceField(full.values[r0 : r0 + sub.nrows, c0 : c0 + sub.ncols],
+                            sub.cell_length, full.metric)
+    return sub, spec, {"dist": dist, **kwargs}
+
+
+_REFERENCE_CASES = {
+    **{f"pit-l{lv}": (lambda lv=lv: (pit_grid(), pit_spec(), {"level": lv})) for lv in range(4)},
+    **{f"two_basin-l{lv}": (lambda lv=lv: (two_basin_grid(), two_basin_spec(), {"level": lv}))
+       for lv in range(4)},
+    **{f"diagonal_blob-l{lv}": (lambda lv=lv: (diagonal_blob_grid(), diagonal_blob_spec(),
+                                               {"level": lv})) for lv in range(4)},
+    **{f"micro{seed}-l{lv}": (lambda seed=seed, lv=lv: (*micro_case(seed), {"level": lv}))
+       for seed in (0, 4) for lv in (0, 3)},
+    "pit-pmn3-l3": lambda: (pit_grid(), pit_spec(), {"level": 3, "perimeter_min_neighbors": 3}),
+    "two_basin-pmn3": lambda: (two_basin_grid(), two_basin_spec(),
+                               {"perimeter_min_neighbors": 3}),
+    "midsize-pmn1-l1": lambda: (midsize_grid(), midsize_spec(), {"level": 1}),
+    "midsize-pmn3": lambda: (midsize_grid(), midsize_spec(), {"perimeter_min_neighbors": 3}),
+    "two_basin-excluded-l1": lambda: (two_basin_grid(), two_basin_spec(),
+                                      {"level": 1, "excluded": [(1, 2), (2, 5)]}),
+    "midsize-excluded": lambda: (midsize_grid(), midsize_spec(),
+                                 {"excluded": [(46, 16), (45, 16)]}),
+    "bowl-window": _bowl_window,
+    "bowl-window-l1": lambda: _bowl_window(level=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_array_build_matches_per_row_reference(case):
+    """The block build gives the per-row builder's problem, bit for bit."""
+    grid, spec, kwargs = _REFERENCE_CASES[case]()
+    built = ps.build_siting_problem(grid, spec, **kwargs).mip
+    ref = build_reference(grid, spec, **kwargs)
+    assert built.variables == ref.variables  # names, order, kinds, bounds
+    assert list(built.rows) == list(ref.rows)  # names, order, coefficients, senses, rhs
+    assert list(built.objective.items()) == list(ref.objective.items())
+    assert built.objective_constant == ref.objective_constant
+    for a, b in ((built.matrix, ref.matrix), (built.cost_vector(), ref.cost_vector()),
+                 (built.lb, ref.lb), (built.ub, ref.ub), (built.kinds, ref.kinds),
+                 (built.senses, ref.senses), (built.rhs, ref.rhs)):
+        if not isinstance(a, np.ndarray):
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            a, b = a.data, b.data
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for write in (lambda p: ps.write_mps(p, "free"), lambda p: ps.write_mps(p, "fixed"),
+                  ps.write_lp):
+        assert write(built) == write(ref)

@@ -1,5 +1,7 @@
 """The HiGHS solve, incumbent verification, and the exhaustive oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ def test_solve_rejects_other_solvers():
     sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
     with pytest.raises(ValueError, match="highs"):
         ps.solve(sp.mip, "xpress")
+
+
+@pytest.mark.parametrize("gap", [-0.5, 1.0, 1.5, math.nan])
+def test_solve_limits_reject_gap_target_outside_unit_interval(gap):
+    # HiGHS would ignore a negative gap and stop at "optimal" far above the
+    # optimum with a gap of 1 or more
+    with pytest.raises(ValueError, match="gap_target"):
+        ps.SolveLimits(gap_target=gap)
 
 
 def test_time_limit_status_on_nontrivial_instance():
@@ -147,6 +157,39 @@ def test_integer_bounds_survive_round_trip(tmp_path):
         ps.export_problem(prob, fmt, path)
         back = ps.read_problem_file(path)
         assert ps.problems_structurally_equal(prob, back, tol=1e-9) == []
+
+
+def _two_row_problem(names=("u", "b", "r", "s"), coef=-3.0, sense=Sense.GE, rhs=1.0,
+                     kind=VarKind.INTEGER, ub=17.0, extra=(), objective=1.25):
+    u_name, b_name, r_name, s_name = names
+    prob = MipProblem("two-rows")
+    u = prob.add_variable(u_name, kind, lb=0.0, ub=ub)
+    b = prob.add_variable(b_name)
+    prob.add_row(r_name, [(u, 1.0), (b, coef)], Sense.LE, 5.5)
+    prob.add_row(s_name, [(b, 1.0), *[(u, c) for c in extra]], sense, rhs)
+    prob.set_objective({u: objective}, constant=-42.5)
+    return prob
+
+
+@pytest.mark.parametrize(
+    "change,needle",
+    [
+        ({"coef": -3.5}, "row r coefficients differ"),
+        ({"extra": (0.0,)}, "row s coefficients differ"),  # an explicit zero is an entry
+        ({"sense": Sense.LE}, "row s sense differs"),
+        ({"rhs": 2.0}, "row s rhs 1.0 != 2.0"),
+        ({"kind": VarKind.CONTINUOUS}, "variable u kind integer != continuous"),
+        ({"ub": 16.0}, "variable u bounds differ"),
+        ({"objective": 1.5}, "objective coefficients differ"),
+        ({"names": ("U", "B", "R", "S"), "rhs": 2.0}, "row s rhs 1.0 != 2.0"),  # by position
+        ({"names": ("b", "u", "s", "r")}, "variable u kind integer != binary"),
+    ],
+)
+def test_structural_compare_reports_each_difference(change, needle):
+    base = _two_row_problem()
+    assert ps.problems_structurally_equal(base, _two_row_problem()) == []
+    diffs = ps.problems_structurally_equal(base, _two_row_problem(**change))
+    assert needle in diffs, diffs
 
 
 # --------------------------------------------------------------------------- #

@@ -31,6 +31,9 @@ def test_config_validation():
         StrategyConfig(perimeter_min_neighbors=2)
     with pytest.raises(ValueError, match="clip_margin"):
         StrategyConfig(clip_margin=-1)
+    for gap in (-0.5, 1.0, 1.5):
+        with pytest.raises(ValueError, match="gap_target"):
+            StrategyConfig(gap_target=gap)
 
 
 def test_ladder_stops_at_level_zero_on_pit():
