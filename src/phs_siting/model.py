@@ -11,7 +11,7 @@ zero, which makes the shape rules well defined at grid edges.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -133,14 +133,19 @@ class _Column:
             self._tail = []
 
 
-def _spell(blocks: list) -> list[str]:
+def _spell(blocks: list, start: int = 0, stop: int | None = None) -> list[str]:
+    """The names of ``blocks`` from position ``start`` up to ``stop``; blocks
+    wholly outside that range are not spelled out."""
     names: list[str] = []
+    first = pos = 0
     for block in blocks:
-        if isinstance(block, str):
-            names.append(block)
-        else:
-            names.extend(block)
-    return names
+        size = 1 if isinstance(block, str) else len(block)
+        if pos + size > start and (stop is None or pos < stop):
+            if not names:
+                first = pos
+            names.extend([block] if isinstance(block, str) else block)
+        pos += size
+    return names[start - first : None if stop is None else stop - first]
 
 
 class MipProblem:
@@ -381,18 +386,31 @@ class MipProblem:
         return self._views["variables"]
 
     @property
-    def rows(self) -> list[Row]:
-        if "rows" not in self._views:
-            matrix = self.matrix
-            ptr = matrix.indptr.tolist()
-            pairs = list(zip(matrix.indices.tolist(), matrix.data.tolist()))
-            self._views["rows"] = [
-                Row(name, tuple(pairs[ptr[r] : ptr[r + 1]]), SENSES[code], rhs)
-                for r, (name, code, rhs) in enumerate(
-                    zip(self.row_names(), self.senses.tolist(), self.rhs.tolist())
-                )
-            ]
-        return self._views["rows"]
+    def rows(self) -> Sequence[Row]:
+        """The rows as ``Row`` items; ``len`` is free, and a slice spells out
+        only the rows it covers."""
+        return _RowView(self)
+
+    def _rows(self, start: int, stop: int) -> list[Row]:
+        if "rows" in self._views:
+            return self._views["rows"][start:stop]
+        matrix = self.matrix
+        ptr = matrix.indptr[start : stop + 1].tolist()
+        entries = slice(ptr[0], ptr[-1])
+        pairs = list(zip(matrix.indices[entries].tolist(), matrix.data[entries].tolist()))
+        if "row_names" in self._views:
+            names = self._views["row_names"][start:stop]
+        else:
+            names = _spell(self._row_names, start, stop)
+        rows = [
+            Row(name, tuple(pairs[a - ptr[0] : b - ptr[0]]), SENSES[code], rhs)
+            for name, a, b, code, rhs in zip(
+                names, ptr, ptr[1:], self.senses[start:stop].tolist(), self.rhs[start:stop].tolist()
+            )
+        ]
+        if start == 0 and stop == self.num_constraints:
+            self._views["rows"] = rows
+        return rows
 
     @property
     def objective(self) -> dict[int, float]:
@@ -428,6 +446,26 @@ class MipProblem:
             if name in index:
                 vec[index[name]] = value
         return vec
+
+
+class _RowView(Sequence):
+    def __init__(self, problem: MipProblem):
+        self._problem = problem
+
+    def __len__(self) -> int:
+        return self._problem.num_constraints
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step == 1:
+                return self._problem._rows(start, max(start, stop))
+            return self._problem._rows(0, len(self))[key]
+        rid = range(len(self))[key]
+        return self._problem._rows(rid, rid + 1)[0]
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self._problem._rows(0, len(self)))
 
 
 class SolutionValues(Mapping):

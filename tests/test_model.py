@@ -394,8 +394,12 @@ def test_array_build_matches_per_row_reference(case):
     grid, spec, kwargs = _REFERENCE_CASES[case]()
     built = ps.build_siting_problem(grid, spec, **kwargs).mip
     ref = build_reference(grid, spec, **kwargs)
+    ref_rows = list(ref.rows)
+    n = len(ref_rows)
+    assert len(built.rows) == built.num_constraints == n
+    assert built.rows[n // 2 :] == ref_rows[n // 2 :] and built.rows[-1] == ref_rows[-1]
     assert built.variables == ref.variables  # names, order, kinds, bounds
-    assert list(built.rows) == list(ref.rows)  # names, order, coefficients, senses, rhs
+    assert list(built.rows) == ref_rows  # names, order, coefficients, senses, rhs
     assert list(built.objective.items()) == list(ref.objective.items())
     assert built.objective_constant == ref.objective_constant
     for a, b in ((built.matrix, ref.matrix), (built.cost_vector(), ref.cost_vector()),
