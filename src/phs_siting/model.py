@@ -729,11 +729,13 @@ class ReservoirSolution:
 
 def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray, tol: float) -> np.ndarray:
     """The cells of ``family`` whose variable is 1; any value off 0 and 1 raises."""
-    values = vec[sv.ids(family)]
+    start = sv.start[family]
+    values = vec[start : start + len(sv.cells[family])]
     zero = np.abs(values) <= tol
     one = ~zero & (np.abs(values - 1.0) <= tol)
-    if not np.all(zero | one):
-        k = int(np.argmin(zero | one))
+    binary = zero | one
+    if not binary.all():
+        k = int(binary.argmin())
         i, j = sv.cells[family][k].tolist()
         raise IntegralityError(
             f"variable {family}_{i}_{j} = {float(values[k])} is fractional beyond tolerance {tol}"
