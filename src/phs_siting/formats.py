@@ -556,7 +556,7 @@ def _rows_differ(a_matrix, b_matrix, var_map: np.ndarray, close) -> np.ndarray:
     """Per row: whether the entries of ``b_matrix``, its columns mapped through
     ``var_map``, differ from those of ``a_matrix`` in position or value."""
     b_matrix = sparse.csr_array((b_matrix.data, var_map[b_matrix.indices], b_matrix.indptr),
-                                shape=b_matrix.shape)
+                                shape=b_matrix.shape, copy=True)
     for m in (a_matrix, b_matrix):
         m.sort_indices()
     counts_a, counts_b = np.diff(a_matrix.indptr), np.diff(b_matrix.indptr)

@@ -159,6 +159,18 @@ def test_integer_bounds_survive_round_trip(tmp_path):
         assert ps.problems_structurally_equal(prob, back, tol=1e-9) == []
 
 
+def test_structural_compare_leaves_both_problems_unchanged():
+    # the LP reader meets variables in another order, so b's columns are remapped
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=3)
+    back = ps.read_lp(ps.write_lp(sp.mip))
+    assert back.variable_names() != sp.mip.variable_names()
+    snapshot = [(m.data.copy(), m.indices.copy()) for m in (sp.mip.matrix, back.matrix)]
+    for _ in range(2):
+        assert ps.problems_structurally_equal(sp.mip, back) == []
+    for m, (data, indices) in zip((sp.mip.matrix, back.matrix), snapshot):
+        assert np.array_equal(m.data, data) and np.array_equal(m.indices, indices)
+
+
 def _two_row_problem(names=("u", "b", "r", "s"), coef=-3.0, sense=Sense.GE, rhs=1.0,
                      kind=VarKind.INTEGER, ub=17.0, extra=(), objective=1.25):
     u_name, b_name, r_name, s_name = names
