@@ -1,9 +1,13 @@
 """The HiGHS solve, solution verification, and the exhaustive micro oracle.
 
-Every model is solved by HiGHS branch-and-bound through scipy.optimize.milp.
-It exposes no incumbent callbacks, so anti-fragmentation constraints are
-delivered eagerly and escalated by re-solving (see strategy module) rather
-than lazily inside one solve.
+Every model is solved by HiGHS branch-and-bound on one live ``_Highs`` object
+from SciPy's bundled binding (``scipy.optimize._highspy._core``): the stored
+arrays go in through ``passModel``, the run's status, incumbent, node count
+and dual bound come back through ``getModelStatus``, ``getSolution`` and
+``getInfo``. HiGHS's feasibility-jump heuristic is switched off; it is a fixed
+cost per solve that these binary models do not repay. HiGHS offers no lazy
+constraints here, so anti-fragmentation constraints are delivered eagerly and
+escalated by re-solving (see the strategy module).
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
@@ -37,6 +42,38 @@ class SolveStatus(Enum):
     INFEASIBLE = "infeasible"
     TIME_LIMIT = "time_limit"
     ERROR = "error"
+
+
+#: Every HiGHS model status, classified. A stop on a limit keeps its
+#: incumbent; "unbounded" cannot happen on a bounded binary model, so it is an
+#: error like the load and solve failures, never a reason to escalate.
+_STATUS = {
+    HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    HighsModelStatus.kTimeLimit: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kIterationLimit: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kSolutionLimit: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kObjectiveBound: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kObjectiveTarget: SolveStatus.TIME_LIMIT,
+    HighsModelStatus.kUnbounded: SolveStatus.ERROR,
+    HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.ERROR,
+    HighsModelStatus.kNotset: SolveStatus.ERROR,
+    HighsModelStatus.kModelEmpty: SolveStatus.ERROR,
+    HighsModelStatus.kLoadError: SolveStatus.ERROR,
+    HighsModelStatus.kModelError: SolveStatus.ERROR,
+    HighsModelStatus.kPresolveError: SolveStatus.ERROR,
+    HighsModelStatus.kSolveError: SolveStatus.ERROR,
+    HighsModelStatus.kPostsolveError: SolveStatus.ERROR,
+    HighsModelStatus.kUnknown: SolveStatus.ERROR,
+    HighsModelStatus.kInterrupt: SolveStatus.ERROR,
+    HighsModelStatus.kHighsInterrupt: SolveStatus.ERROR,
+    HighsModelStatus.kMemoryLimit: SolveStatus.ERROR,
+}
+
+#: HiGHS options set on every solve. ``threads`` stays at the HiGHS default:
+#: the scheduler is process-wide, and asking for fewer threads than an earlier
+#: run in the process makes ``run()`` fail. ``random_seed`` is HiGHS's fixed 0.
+_OPTIONS = {"output_flag": False, "mip_heuristic_run_feasibility_jump": False}
 
 
 @dataclass(frozen=True)
@@ -60,6 +97,7 @@ class SolveResult:
     gap: float | None
     wall_time_s: float
     message: str = ""
+    nodes: int = 0  # branch-and-bound nodes HiGHS explored
     problem: MipProblem | None = field(default=None, repr=False)
 
     @property
@@ -81,58 +119,102 @@ def _relative_gap(objective: float | None, bound: float | None) -> float | None:
     return max(0.0, (objective - bound) / max(abs(objective), 1e-12))
 
 
+def _configured(limits: SolveLimits) -> _Highs:
+    """A fresh HiGHS object with this module's options and ``limits`` set.
+
+    Raises RuntimeError naming any option HiGHS rejects, such as one that an
+    older HiGHS does not know.
+    """
+    highs = _Highs()
+    options = {**_OPTIONS, "mip_rel_gap": limits.gap_target}
+    if limits.time_limit_s is not None:
+        options["time_limit"] = max(limits.time_limit_s, 1e-3)
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) == HighsStatus.kError:
+            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
+    return highs
+
+
+def _pass_model(highs: _Highs, problem: MipProblem) -> HighsStatus:
+    """Hand ``problem``'s stored arrays to ``highs`` (rowwise CSR, objective offset 0)."""
+    a = problem.matrix
+    return highs.passModel(
+        problem.num_variables, problem.num_constraints, a.nnz,
+        _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
+        problem.cost_vector(), problem.lb, problem.ub, *problem.row_bounds(),
+        a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False), a.data,
+        problem.integer_mask.astype(np.int32),
+    )
+
+
+@dataclass(frozen=True)
+class EngineRun:
+    """What one HiGHS run reports, classified."""
+
+    solve_status: SolveStatus
+    message: str
+    info: _core.HighsInfo
+
+    @property
+    def status(self) -> int:
+        """The SciPy ``milp`` status code: 0 optimal, 1 limit, 2 infeasible, 4 other."""
+        return {SolveStatus.OPTIMAL: 0, SolveStatus.TIME_LIMIT: 1,
+                SolveStatus.INFEASIBLE: 2}.get(self.solve_status, 4)
+
+    @property
+    def mip_node_count(self) -> int:
+        return max(0, int(self.info.mip_node_count))  # -1 when no tree search ran
+
+
+def milp(highs: _Highs) -> EngineRun:
+    """Run HiGHS on the model loaded in ``highs``: the engine call of a solve.
+
+    The name is kept from the SciPy function this replaced because
+    ``perfbench/tracing.py`` times the engine by wrapping
+    ``phs_siting.solve.milp`` and reads ``.status`` (SciPy codes, 1 = time
+    limit) and ``.mip_node_count`` from the result. It can go once the
+    library records its own spans.
+    """
+    ran = highs.run() != HighsStatus.kError
+    model_status = highs.getModelStatus()
+    message = highs.modelStatusToString(model_status)
+    if not ran:
+        return EngineRun(SolveStatus.ERROR, f"HiGHS run() failed ({message})", highs.getInfo())
+    return EngineRun(_STATUS[model_status], message, highs.getInfo())
+
+
 class HighsBackend:
-    """HiGHS branch-and-bound via scipy.optimize.milp.
+    """HiGHS branch-and-bound on one live ``_Highs`` object per solve.
 
     ``perfbench/tracing.py`` wraps ``HighsBackend.solve`` and the module's
     ``milp`` by name, so both stay where they are.
     """
 
     def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
-        limits = limits or SolveLimits()
-        constraints = None
-        if problem.num_constraints:
-            constraints = LinearConstraint(problem.matrix, *problem.row_bounds())
-
-        options: dict = {"disp": False, "mip_rel_gap": limits.gap_target}
-        if limits.time_limit_s is not None:
-            options["time_limit"] = max(limits.time_limit_s, 1e-3)
-
         start = time.perf_counter()
-        res = milp(
-            c=problem.cost_vector(),
-            constraints=constraints,
-            integrality=problem.integer_mask.astype(np.uint8),
-            bounds=Bounds(problem.lb, problem.ub),
-            options=options,
-        )
-        elapsed = time.perf_counter() - start
-
-        constant = problem.objective_constant
-        objective = None
-        if res.x is not None:
-            objective = float(res.fun) + constant
-        bound = None
-        dual = getattr(res, "mip_dual_bound", None)
-        if dual is not None and math.isfinite(dual):
-            bound = float(dual) + constant
-
-        if res.status == 0:
-            status = SolveStatus.OPTIMAL
-        elif res.status == 1:
-            status = SolveStatus.TIME_LIMIT
-        elif res.status == 2:
-            status = SolveStatus.INFEASIBLE
+        highs = _configured(limits or SolveLimits())
+        if _pass_model(highs, problem) == HighsStatus.kError:
+            run = EngineRun(SolveStatus.ERROR, "HiGHS could not load the model", highs.getInfo())
         else:
-            status = SolveStatus.ERROR
+            run = milp(highs)
+        info, constant = run.info, problem.objective_constant
+        x = objective = bound = None
+        if run.solve_status is not SolveStatus.ERROR:
+            if info.primal_solution_status == _core.kSolutionStatusFeasible:
+                x = np.asarray(highs.getSolution().col_value)
+                objective = float(info.objective_function_value) + constant
+            if math.isfinite(info.mip_dual_bound):
+                bound = float(info.mip_dual_bound) + constant
+        elapsed = time.perf_counter() - start
         return SolveResult(
-            status=status,
-            x=res.x,
+            status=run.solve_status,
+            x=x,
             objective=objective,
             bound=bound,
             gap=_relative_gap(objective, bound),
             wall_time_s=elapsed,
-            message=str(res.message),
+            message=run.message,
+            nodes=run.mip_node_count,
             problem=problem,
         )
 
@@ -161,6 +243,7 @@ def solve(
             f"objective: {result.objective}",
             f"bound: {result.bound}",
             f"gap: {result.gap}",
+            f"nodes: {result.nodes}",
             f"wall_time_s: {result.wall_time_s:.3f}",
             f"message: {result.message}",
         ]

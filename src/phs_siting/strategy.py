@@ -177,8 +177,9 @@ def run_ladder(
                 )
             )
             logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
-            if result.status == SolveStatus.INFEASIBLE:
-                # Higher levels only add constraints; escalation cannot help.
+            if result.status in (SolveStatus.INFEASIBLE, SolveStatus.ERROR):
+                # Higher levels only add constraints, so escalation cannot
+                # help an infeasible rung; a solver error is reported as is.
                 break
             continue
 

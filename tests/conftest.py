@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 
@@ -171,6 +172,23 @@ def midsize_spec() -> ps.SitingSpec:
     return ps.SitingSpec.from_engineering(60.0, HEAD, 3.0, RIVER_ELEVATION, ETA)
 
 
+def bowl_window(**kwargs):
+    """A native-resolution window around the main bowl of a 256x256 DEM."""
+    yy, xx = np.mgrid[0:256, 0:256].astype(float)
+    elev = 450.0 + 2.5 * xx + np.random.default_rng(11).uniform(0, 2, (256, 256))
+    elev -= 195.0 * np.exp(-((yy - 128) ** 2 + (xx - 48) ** 2) / (2 * 6.5**2))
+    elev[:, :8] = RIVER_ELEVATION
+    grid = river_grid(elev)
+    spec = ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+    window = np.zeros(grid.shape, dtype=bool)
+    window[110:147, 30:67] = True
+    sub, (r0, c0) = ps.clip(grid, window, 0)
+    full = ps.distance_field(grid)
+    dist = ps.DistanceField(full.values[r0 : r0 + sub.nrows, c0 : c0 + sub.ncols],
+                            sub.cell_length, full.metric)
+    return sub, spec, {"dist": dist, **kwargs}
+
+
 def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
     """Build at one defense level, solve with HiGHS, extract the solution."""
     sp = ps.build_siting_problem(grid, spec, level=level, **kwargs)
@@ -188,14 +206,20 @@ def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
     return sp, res, sol
 
 
+class FailingHighs(core._Highs):
+    """A HiGHS object whose ``run()`` returns kError, as HiGHS's own can."""
+
+    def run(self):
+        return core.HighsStatus.kError
+
+
 def highs_file_optimum(path) -> float:
     """Objective of an exported model file, parsed and solved by HiGHS itself.
 
     HiGHS's own MPS/LP reader is independent of ``phs_siting.formats``, so this
-    checks the writers against an outside parser. The reader is reachable only
-    through SciPy's private HiGHS binding; the calling test skips without it.
+    checks the writers against an outside parser. The reader comes from SciPy's
+    bundled HiGHS binding, the one the solver uses.
     """
-    core = pytest.importorskip("scipy.optimize._highspy._core")
     highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     assert highs.readModel(str(path)) == core.HighsStatus.kOk

@@ -13,6 +13,7 @@ from phs_siting.model import Sense, diag_corrected_length
 from conftest import (
     RIVER_ELEVATION,
     WATER,
+    bowl_window,
     diagonal_blob_grid,
     diagonal_blob_spec,
     micro_case,
@@ -349,23 +350,6 @@ def test_solver_incumbent_verifies_cleanly():
     assert ps.verify_solution(sp.mip, res.values) == []
 
 
-def _bowl_window(**kwargs):
-    """A native-resolution window around the main bowl of a 256x256 DEM."""
-    yy, xx = np.mgrid[0:256, 0:256].astype(float)
-    elev = 450.0 + 2.5 * xx + np.random.default_rng(11).uniform(0, 2, (256, 256))
-    elev -= 195.0 * np.exp(-((yy - 128) ** 2 + (xx - 48) ** 2) / (2 * 6.5**2))
-    elev[:, :8] = RIVER_ELEVATION
-    grid = river_grid(elev)
-    spec = ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
-    window = np.zeros(grid.shape, dtype=bool)
-    window[110:147, 30:67] = True
-    sub, (r0, c0) = ps.clip(grid, window, 0)
-    full = ps.distance_field(grid)
-    dist = ps.DistanceField(full.values[r0 : r0 + sub.nrows, c0 : c0 + sub.ncols],
-                            sub.cell_length, full.metric)
-    return sub, spec, {"dist": dist, **kwargs}
-
-
 _REFERENCE_CASES = {
     **{f"pit-l{lv}": (lambda lv=lv: (pit_grid(), pit_spec(), {"level": lv})) for lv in range(4)},
     **{f"two_basin-l{lv}": (lambda lv=lv: (two_basin_grid(), two_basin_spec(), {"level": lv}))
@@ -383,8 +367,8 @@ _REFERENCE_CASES = {
                                       {"level": 1, "excluded": [(1, 2), (2, 5)]}),
     "midsize-excluded": lambda: (midsize_grid(), midsize_spec(),
                                  {"excluded": [(46, 16), (45, 16)]}),
-    "bowl-window": _bowl_window,
-    "bowl-window-l1": lambda: _bowl_window(level=1),
+    "bowl-window": bowl_window,
+    "bowl-window-l1": lambda: bowl_window(level=1),
 }
 
 

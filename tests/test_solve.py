@@ -1,14 +1,25 @@
 """The HiGHS solve, incumbent verification, and the exhaustive oracle."""
 
+import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 from phs_siting.model import MipProblem, Sense, VarKind
 
 from conftest import (
+    FailingHighs,
+    bowl_window,
+    diagonal_blob_grid,
+    diagonal_blob_spec,
     highs_file_optimum,
     micro_case,
     midsize_grid,
@@ -67,6 +78,7 @@ def test_solve_persists_log(tmp_path):
     text = log.read_text()
     assert "status: optimal" in text
     assert f"variables: {sp.mip.num_variables}" in text
+    assert "\nnodes: " in text
 
 
 def test_verify_solution_flags_violations():
@@ -86,6 +98,138 @@ def test_reported_gap_is_incumbent_relative():
     res = ps.solve(sp.mip, "highs")
     assert res.gap == pytest.approx((res.objective - res.bound) / abs(res.objective), abs=1e-12)
     assert res.gap <= 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# The HiGHS adapter                                                            #
+# --------------------------------------------------------------------------- #
+
+# ``phs_siting.solve`` is the function; the module is reached by import path.
+solve_mod = importlib.import_module("phs_siting.solve")
+
+
+def test_status_table_covers_every_highs_model_status():
+    table = solve_mod._STATUS
+    assert set(table) == set(core.HighsModelStatus.__members__.values())
+    statuses = {name: table[member] for name, member in core.HighsModelStatus.__members__.items()}
+    for name in ("kTimeLimit", "kIterationLimit", "kSolutionLimit"):
+        assert statuses[name] is ps.SolveStatus.TIME_LIMIT
+    for name in ("kUnbounded", "kUnboundedOrInfeasible", "kLoadError", "kModelError",
+                 "kPresolveError", "kSolveError", "kPostsolveError"):
+        assert statuses[name] is ps.SolveStatus.ERROR
+    assert statuses["kOptimal"] is ps.SolveStatus.OPTIMAL
+    assert statuses["kInfeasible"] is ps.SolveStatus.INFEASIBLE
+
+
+def test_solve_reports_nodes_and_bound():
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=3)
+    res = ps.solve(sp.mip, "highs")
+    assert type(res.nodes) is int and res.nodes >= 0
+    assert res.bound <= res.objective
+
+
+def test_limit_stop_keeps_its_incumbent(monkeypatch):
+    # HiGHS stops at the first improving solution with kSolutionLimit
+    monkeypatch.setitem(solve_mod._OPTIONS, "mip_max_improving_sols", 1)
+    sp = ps.build_siting_problem(diagonal_blob_grid(), diagonal_blob_spec(), level=2)
+    res = ps.solve(sp.mip, "highs", ps.SolveLimits(time_limit_s=30))
+    assert res.status is ps.SolveStatus.TIME_LIMIT
+    assert res.message == "Solution limit reached"
+    assert res.has_incumbent and ps.verify_solution(sp.mip, res.x) == []
+    assert res.bound < res.objective and res.gap > 0
+
+
+def test_failed_run_is_an_error_without_incumbent(monkeypatch):
+    monkeypatch.setattr(solve_mod, "_Highs", FailingHighs)
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+    res = ps.solve(sp.mip, "highs")
+    assert res.status is ps.SolveStatus.ERROR
+    assert res.message == "HiGHS run() failed (Not Set)"
+    assert not res.has_incumbent and res.objective is None and res.bound is None
+
+
+class _RejectingHighs(core._Highs):
+    def passModel(self, *args):
+        return core.HighsStatus.kError
+
+
+def test_rejected_model_is_an_error(monkeypatch):
+    monkeypatch.setattr(solve_mod, "_Highs", _RejectingHighs)
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+    res = ps.solve(sp.mip, "highs")
+    assert res.status is ps.SolveStatus.ERROR and not res.has_incumbent
+    assert res.message == "HiGHS could not load the model"
+
+
+def test_rejected_option_raises_naming_it(monkeypatch):
+    # an older HiGHS without the feasibility-jump switch fails the same way
+    monkeypatch.setitem(solve_mod._OPTIONS, "no_such_option", False)
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+    with pytest.raises(RuntimeError, match="no_such_option"):
+        ps.solve(sp.mip, "highs")
+
+
+def _micro_l3():
+    grid, spec = micro_case(0)
+    return grid, spec, {"level": 3}
+
+
+@pytest.mark.parametrize("case", [_micro_l3, bowl_window], ids=["micro-l3", "bowl-window"])
+def test_loaded_model_matches_problem_arrays(case):
+    grid, spec, kwargs = case()
+    mip = ps.build_siting_problem(grid, spec, **kwargs).mip
+    highs = solve_mod._configured(ps.SolveLimits())
+    assert solve_mod._pass_model(highs, mip) == core.HighsStatus.kOk
+    lp = highs.getLp()
+    assert (lp.num_col_, lp.num_row_) == (mip.num_variables, mip.num_constraints)
+    assert lp.sense_ == core.ObjSense.kMinimize and lp.offset_ == 0.0
+    for got, want in ((lp.col_cost_, mip.cost_vector()), (lp.col_lower_, mip.lb),
+                      (lp.col_upper_, mip.ub), (lp.row_lower_, mip.row_bounds()[0]),
+                      (lp.row_upper_, mip.row_bounds()[1])):
+        assert np.array_equal(np.asarray(got), want)
+    a = lp.a_matrix_
+    fmt = sparse.csc_array if a.format_ == core.MatrixFormat.kColwise else sparse.csr_array
+    loaded = sparse.csr_array(fmt((a.value_, a.index_, a.start_), shape=mip.matrix.shape))
+    want = mip.matrix
+    assert np.array_equal(loaded.indptr, want.indptr)
+    assert np.array_equal(loaded.indices, want.indices)
+    assert np.array_equal(loaded.data, want.data)
+    kinds = [core.HighsVarType(int(k)) for k in mip.integer_mask]
+    assert list(lp.integrality_) == kinds
+
+
+# A HiGHS object with 2 threads, then ``ps.solve`` in the same process.
+_SCHEDULER_SCRIPT = """
+import numpy as np
+from scipy.optimize._highspy import _core as core
+import phs_siting as ps
+from conftest import pit_grid, pit_spec
+
+highs = core._Highs()
+highs.setOptionValue("output_flag", False)
+highs.setOptionValue("threads", 2)
+i32 = lambda *v: np.array(v, dtype=np.int32)
+f64 = lambda *v: np.array(v, dtype=float)
+# minimise x subject to x >= 0.5, x integer in [0, 10]
+highs.passModel(1, 1, 1, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+                f64(1.0), f64(0.0), f64(10.0), f64(0.5), f64(np.inf),
+                i32(0, 1), i32(0), f64(1.0), i32(1))
+assert highs.run() == core.HighsStatus.kOk
+sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+print(ps.solve(sp.mip, "highs").status.value)
+"""
+
+
+def test_solve_runs_after_a_wider_highs_scheduler():
+    """HiGHS's scheduler is process-wide: a solve that pinned fewer threads
+    than an earlier run in the process would fail, so ``threads`` is left alone."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    done = subprocess.run([sys.executable, "-c", _SCHEDULER_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["optimal"]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Escalation ladder and zoom-in heuristic behavior."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from phs_siting import Level, StrategyConfig
 from conftest import (
     CELL,
     RIVER_ELEVATION,
+    FailingHighs,
     midsize_grid,
     midsize_spec,
     pit_grid,
@@ -92,6 +95,26 @@ def test_ladder_solutions_recheck_volume_and_shape(two_basin_levels):
 def test_ladder_infeasible_capacity_fails_fast():
     with pytest.raises(ps.InfeasibleProblemError, match="below the volume target"):
         ps.run_ladder(pit_grid(), spec_for_volume(1e6))
+
+
+def test_ladder_stops_on_solver_error(monkeypatch):
+    import phs_siting.strategy as strategy
+
+    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_Highs", FailingHighs)
+    builds = []
+    original = strategy.build_siting_problem
+
+    def counting(*args, **kwargs):
+        builds.append(kwargs["level"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(strategy, "build_siting_problem", counting)
+    with pytest.raises(ps.NoIncumbentError) as info:
+        ps.run_ladder(pit_grid(), pit_spec())
+    assert builds == [0]  # no escalation past an error
+    [entry] = info.value.trace
+    assert (entry.level, entry.status, entry.objective) == (0, "error", None)
+    assert entry.note == "HiGHS run() failed (Not Set)"
 
 
 def test_ladder_aggregates_problem_size_and_time(two_basin_levels):
