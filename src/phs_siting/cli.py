@@ -113,10 +113,14 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         if raw is None or raw.strip() == "":
             return fallback
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             diags.append(f"{section}.{key}: not a number ({raw!r})")
             return fallback
+        if not math.isfinite(value):
+            diags.append(f"{section}.{key}: not a finite number ({raw.strip()})")
+            return fallback
+        return value
 
     def get_int(section: str, key: str, fallback=None):
         raw = get(section, key)

@@ -20,7 +20,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .model import MipProblem, Sense, SitingVariables, VarKind
+from .model import CellNames, MipProblem, Sense, SitingVariables, VarKind, _Entries, _id_raster
 from .terrain import EIGHT_NEIGHBORS, CandidateSets, connected_components
 
 
@@ -50,41 +50,34 @@ def _add_band_constraints(
     tag: str,
     before_name: str,
     after_name: str,
-    slices: list[list[int]],
-    big_m: float,
+    y: np.ndarray,
+    slice_of: np.ndarray,
+    n: int,
 ) -> None:
-    """One contiguity band over an ordered family of slices of y-variables.
+    """One contiguity band over ``n`` ordered slices; ``y[k]`` lies in slice ``slice_of[k]``.
 
     Per slice s: (1 - sum_s y) <= before_s + after_s, with before_s = 1
     forbidding any y in earlier slices and after_s = 1 forbidding any y in
-    later slices (big-M switched).
+    later slices (big-M switched). big M is the interior-candidate count, the
+    tightest constant that still lets a fully flooded side of any slice switch
+    its constraint off.
     """
-    n = len(slices)
-    before = [prob.add_variable(f"{before_name}_{s}") for s in range(n)]
-    after = [prob.add_variable(f"{after_name}_{s}") for s in range(n)]
-    flat: list[int] = []
-    offsets: list[int] = []
-    for members in slices:
-        offsets.append(len(flat))
-        flat.extend(members)
-    for s in range(n):
-        coeffs = [(vid, 1.0) for vid in slices[s]]
-        coeffs += [(before[s], 1.0), (after[s], 1.0)]
-        prob.add_row(f"{tag}gap_{s}", coeffs, Sense.GE, 1.0)
-        earlier = flat[: offsets[s]]
-        later = flat[offsets[s] + len(slices[s]) :]
-        prob.add_row(
-            f"{tag}pre_{s}",
-            [(vid, 1.0) for vid in earlier] + [(before[s], big_m)],
-            Sense.LE,
-            big_m,
-        )
-        prob.add_row(
-            f"{tag}post_{s}",
-            [(vid, 1.0) for vid in later] + [(after[s], big_m)],
-            Sense.LE,
-            big_m,
-        )
+    big_m = max(1.0, float(len(y)))
+    s = np.arange(n)
+    before = prob.add_variables(CellNames((f"{before_name}_{{}}",), s[:, None]))
+    after = prob.add_variables(CellNames((f"{after_name}_{{}}",), s[:, None]))
+    block = _Entries()
+    block.add(3 * slice_of, y, 1.0)
+    block.add(3 * s, before, 1.0)
+    block.add(3 * s, after, 1.0)
+    k, earlier = np.nonzero(slice_of[:, None] < s)
+    block.add(3 * earlier + 1, y[k], 1.0)
+    block.add(3 * s + 1, before, big_m)
+    k, later = np.nonzero(slice_of[:, None] > s)
+    block.add(3 * later + 2, y[k], 1.0)
+    block.add(3 * s + 2, after, big_m)
+    names = CellNames((f"{tag}gap_{{}}", f"{tag}pre_{{}}", f"{tag}post_{{}}"), s[:, None])
+    block.add_to(prob, names, (Sense.GE, Sense.LE, Sense.LE), (1.0, big_m, big_m))
 
 
 def add_separating_planes(
@@ -93,32 +86,18 @@ def add_separating_planes(
     cands: CandidateSets,
     include_diagonals: bool = False,
 ) -> None:
-    """Row/column (and optionally diagonal) contiguity bands on interior cells.
-
-    big M is the interior-candidate count, the tightest constant that still
-    lets a fully flooded side of any slice switch its constraint off.
-    """
+    """Row/column (and optionally diagonal) contiguity bands on interior cells."""
     nr, nc = cands.shape
-    big_m = max(1.0, float(len(sv.y)))
-
-    rows: list[list[int]] = [[] for _ in range(nr)]
-    cols: list[list[int]] = [[] for _ in range(nc)]
-    for (i, j), vid in sv.y.items():
-        rows[i].append(vid)
-        cols[j].append(vid)
+    y = sv.ids("y")
+    i, j = sv.cells["y"].T
     # "up" clears the rows above an empty row, "down" the rows below; the
     # column pair works the same way across columns.
-    _add_band_constraints(prob, "row", "up", "down", rows, big_m)
-    _add_band_constraints(prob, "col", "right", "left", cols, big_m)
-
+    _add_band_constraints(prob, "row", "up", "down", y, i, nr)
+    _add_band_constraints(prob, "col", "right", "left", y, j, nc)
     if include_diagonals:
-        anti: list[list[int]] = [[] for _ in range(nr + nc - 1)]
-        main: list[list[int]] = [[] for _ in range(nr + nc - 1)]
-        for (i, j), vid in sv.y.items():
-            anti[i + j].append(vid)
-            main[i - j + nc - 1].append(vid)
-        _add_band_constraints(prob, "adg", "adg_b", "adg_a", anti, big_m)
-        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", main, big_m)
+        n_diag = nr + nc - 1
+        _add_band_constraints(prob, "adg", "adg_b", "adg_a", y, i + j, n_diag)
+        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", y, i - j + nc - 1, n_diag)
 
 
 def add_tour_constraints(
@@ -134,65 +113,46 @@ def add_tour_constraints(
     perimeter-candidate count; the l_b term exempts arcs entering the link
     cell, which anchors ranks through u <= (S-1)(1-l). Ranks are capped by
     u <= (S-1)x rather than u <= x, which would forbid tours longer than two
-    cells.
+    cells. Arcs run from each perimeter cell, in row-major order, to its
+    perimeter neighbors in ``EIGHT_NEIGHBORS`` order.
     """
-    cells = sorted(sv.x)
-    if len(cells) < 3:
-        raise ValueError(f"perimeter tour needs at least 3 perimeter candidates, got {len(cells)}")
-    if not sv.link:
-        raise ValueError("link variables must be added before the tour constraints")
-    s_bound = float(len(cells))
+    cells = sv.cells["x"]
+    n = len(cells)
+    if n < 3:
+        raise ValueError(f"perimeter tour needs at least 3 perimeter candidates, got {n}")
+    s_bound = float(n)
 
-    arcs: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    out_arcs: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
-    in_arcs: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
-    for (i, j) in cells:
-        for di, dj in EIGHT_NEIGHBORS:
-            nbr = (i + di, j + dj)
-            if nbr in sv.x:
-                wid = prob.add_variable(f"w_{i}_{j}_{nbr[0]}_{nbr[1]}")
-                arcs[((i, j), nbr)] = wid
-                out_arcs[(i, j)].append(wid)
-                in_arcs[nbr].append(wid)
+    k = np.arange(n)
+    index = _id_raster(cands.shape, cells, k)  # perimeter index per cell, -1 elsewhere
+    nbr = np.stack([index[cells[:, 0] + 1 + di, cells[:, 1] + 1 + dj]
+                    for di, dj in EIGHT_NEIGHBORS], axis=1)
+    a, d = np.nonzero(nbr >= 0)
+    b = nbr[a, d]
+    arcs = np.column_stack([cells[a], cells[b]])
+    w = prob.add_variables(CellNames(("w_{}_{}_{}_{}",), arcs))
+    u = prob.add_variables(CellNames(("u_{}_{}",), cells), VarKind.INTEGER, 0.0, s_bound - 1.0)
+    x, link = sv.ids("x"), sv.ids("l")
 
-    rank: dict[tuple[int, int], int] = {}
-    for (i, j) in cells:
-        rank[(i, j)] = prob.add_variable(
-            f"u_{i}_{j}", VarKind.INTEGER, lb=0.0, ub=s_bound - 1.0
-        )
+    block = _Entries()
+    block.add(4 * a, w, 1.0)
+    block.add(4 * k, x, -1.0)
+    block.add(4 * b + 1, w, 1.0)
+    block.add(4 * k + 1, x, -1.0)
+    block.add(4 * k + 2, u, 1.0)
+    block.add(4 * k + 2, x, 1.0 - s_bound)
+    block.add(4 * k + 3, u, 1.0)
+    block.add(4 * k + 3, link, s_bound - 1.0)
+    patterns = ("deg_out_{}_{}", "deg_in_{}_{}", "rank_cap_{}_{}", "rank_root_{}_{}")
+    block.add_to(prob, CellNames(patterns, cells), (Sense.EQ, Sense.EQ, Sense.LE, Sense.LE),
+                 (0.0, 0.0, 0.0, s_bound - 1.0))
 
-    for cell in cells:
-        i, j = cell
-        xid = sv.x[cell]
-        prob.add_row(
-            f"deg_out_{i}_{j}",
-            [(wid, 1.0) for wid in out_arcs[cell]] + [(xid, -1.0)],
-            Sense.EQ,
-            0.0,
-        )
-        prob.add_row(
-            f"deg_in_{i}_{j}",
-            [(wid, 1.0) for wid in in_arcs[cell]] + [(xid, -1.0)],
-            Sense.EQ,
-            0.0,
-        )
-        prob.add_row(
-            f"rank_cap_{i}_{j}", [(rank[cell], 1.0), (xid, 1.0 - s_bound)], Sense.LE, 0.0
-        )
-        prob.add_row(
-            f"rank_root_{i}_{j}",
-            [(rank[cell], 1.0), (sv.link[cell], s_bound - 1.0)],
-            Sense.LE,
-            s_bound - 1.0,
-        )
-
-    for (a, b), wid in arcs.items():
-        prob.add_row(
-            f"mtz_{a[0]}_{a[1]}_{b[0]}_{b[1]}",
-            [(rank[a], 1.0), (rank[b], -1.0), (wid, s_bound), (sv.link[b], -s_bound)],
-            Sense.LE,
-            s_bound - 1.0,
-        )
+    block = _Entries()
+    arc = np.arange(len(w))
+    block.add(arc, u[a], 1.0)
+    block.add(arc, u[b], -1.0)
+    block.add(arc, w, s_bound)
+    block.add(arc, link[b], -s_bound)
+    block.add_to(prob, CellNames(("mtz_{}_{}_{}_{}",), arcs), Sense.LE, s_bound - 1.0)
 
 
 @dataclass(frozen=True)

@@ -231,15 +231,23 @@ class _ProblemAssembler:
         self.kinds[name] = kind
 
     def build(self) -> MipProblem:
+        """The problem, checked for what only outside input can get wrong:
+        repeated row names and (in ``add_variables``) lb > ub."""
+        seen: set[str] = set()
+        for row_name, *_ in self.rows:
+            if row_name in seen:
+                raise GridFormatError(f"duplicate row name {row_name!r}")
+            seen.add(row_name)
         problem = MipProblem(self.name)
-        ids: dict[str, int] = {}
-        for name in self.order:
-            kind = self.kinds[name]
-            lb = self.lbs.get(name)
-            ub = self.ubs.get(name)
-            ids[name] = problem.add_variable(name, kind, lb, ub)
-        for row_name, coeffs, sense, rhs in self.rows:
-            problem.add_row(row_name, [(ids[n], c) for n, c in coeffs.items()], sense, rhs)
+        order = self.order
+        problem.add_variables(order, [self.kinds[n] for n in order],
+                              [self.lbs.get(n, 0.0) for n in order],
+                              [self.ubs.get(n, math.inf) for n in order])
+        ids = {name: vid for vid, name in enumerate(order)}
+        names, coeffs, senses, rhs = zip(*self.rows) if self.rows else ((), (), (), ())
+        problem.add_rows(list(names), np.repeat(np.arange(len(names)), [len(c) for c in coeffs]),
+                         [ids[n] for c in coeffs for n in c], [v for c in coeffs for v in c.values()],
+                         senses, rhs)
         problem.set_objective({ids[n]: c for n, c in self.objective.items()}, self.constant)
         return problem
 

@@ -11,10 +11,9 @@ zero, which makes the shape rules well defined at grid edges.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -80,9 +79,9 @@ class Row:
 class CellNames:
     """Names of a block of variables or rows, spelled out only when asked for.
 
-    Each cell of ``cells`` (an (n, 2) array) gets one name per pattern, in
-    pattern order; a pattern is a format string taking the cell's row and
-    column, such as ``"cover_{}_{}_up"``.
+    Each row of ``cells`` (an (n, k) int array, such as the (row, col) of a
+    grid cell) gets one name per pattern, in pattern order; a pattern is a
+    format string taking the row's k numbers, such as ``"cover_{}_{}_up"``.
     """
 
     def __init__(self, patterns: tuple[str, ...], cells: np.ndarray):
@@ -93,44 +92,32 @@ class CellNames:
         return len(self.patterns) * len(self.cells)
 
     def __iter__(self) -> Iterator[str]:
-        for i, j in self.cells.tolist():
+        for cell in self.cells.tolist():
             for pattern in self.patterns:
-                yield pattern.format(i, j)
+                yield pattern.format(*cell)
 
 
 class _Column:
-    """A growable 1-D array: small appends collect in a list, blocks as arrays."""
+    """A growable 1-D array, appended to one block at a time."""
 
     def __init__(self, dtype):
         self.dtype = dtype
         self._chunks: list[np.ndarray] = []
-        self._tail: list = []
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def append(self, values: list) -> None:
-        self._tail += values
-        self._size += len(values)
-
     def extend(self, values) -> None:
-        self._flush()
         block = np.array(values, dtype=self.dtype)
         self._chunks.append(block)
         self._size += len(block)
 
     def array(self) -> np.ndarray:
-        self._flush()
         if len(self._chunks) != 1:
             self._chunks = [np.concatenate(self._chunks) if self._chunks
                             else np.empty(0, dtype=self.dtype)]
         return self._chunks[0]
-
-    def _flush(self) -> None:
-        if self._tail:
-            self._chunks.append(np.array(self._tail, dtype=self.dtype))
-            self._tail = []
 
 
 def _spell(blocks: list, start: int = 0, stop: int | None = None) -> list[str]:
@@ -139,13 +126,20 @@ def _spell(blocks: list, start: int = 0, stop: int | None = None) -> list[str]:
     names: list[str] = []
     first = pos = 0
     for block in blocks:
-        size = 1 if isinstance(block, str) else len(block)
-        if pos + size > start and (stop is None or pos < stop):
+        if pos + len(block) > start and (stop is None or pos < stop):
             if not names:
                 first = pos
-            names.extend([block] if isinstance(block, str) else block)
-        pos += size
+            names.extend(block)
+        pos += len(block)
     return names[start - first : None if stop is None else stop - first]
+
+
+def _spread(values, n: int, dtype) -> np.ndarray:
+    """One value, or one per pattern repeated over the cells, as ``n`` values."""
+    values = np.asarray(values, dtype=dtype).ravel()
+    if n and (values.size == 0 or n % values.size):
+        raise ValueError(f"{values.size} values do not repeat evenly over {n} entries")
+    return values[np.arange(n) % max(values.size, 1)]
 
 
 class MipProblem:
@@ -153,9 +147,11 @@ class MipProblem:
 
     Variables are kind/bound arrays; constraints are COO triplets with a sense
     and a right-hand side per row; the objective is sparse and keeps the ids it
-    was given, zero coefficients included. Names are stored per block (one
-    string, or a :class:`CellNames` pattern over cells) and spelled out on
-    demand, as are the ``variables`` and ``rows`` lists and the CSR matrix.
+    was given, zero coefficients included. Variables and rows enter in blocks.
+    Names are stored per block (a list, or a :class:`CellNames` pattern over
+    cells) and spelled out on demand, as are the ``variables`` and ``rows``
+    lists, the name -> id index and the CSR matrix. Uniqueness of names is up
+    to the caller: the builders and the file readers.
     """
 
     def __init__(self, name: str = "siting"):
@@ -171,83 +167,40 @@ class MipProblem:
         self._obj_ids = np.empty(0, dtype=np.int64)
         self._obj_vals = np.empty(0)
         self.objective_constant: float = 0.0
-        # name -> id and the row-name set: built on first need, then kept current
-        self._var_index: dict[str, int] | None = None
-        self._row_name_set: set[str] | None = None
         self._views: dict[str, object] = {}
 
     # -- construction -------------------------------------------------------
 
-    def add_variable(
+    def add_variables(
         self,
-        name: str,
-        kind: VarKind = VarKind.BINARY,
-        lb: float | None = None,
-        ub: float | None = None,
-    ) -> int:
-        index = self._index()
-        if name in index:
-            raise ValueError(f"duplicate variable name {name!r}")
-        if kind is VarKind.BINARY:
-            lb, ub = 0.0, 1.0
-        else:
-            lb = 0.0 if lb is None else float(lb)
-            ub = math.inf if ub is None else float(ub)
-        if lb > ub:
-            raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
-        vid = self.num_variables
-        self._var_names.append(name)
-        self._kind.append([KINDS.index(kind)])
-        self._lb.append([lb])
-        self._ub.append([ub])
-        index[name] = vid
-        self._views.clear()
-        return vid
+        names: CellNames | list[str],
+        kind: VarKind | Sequence[VarKind] = VarKind.BINARY,
+        lb: float | Sequence[float] = 0.0,
+        ub: float | Sequence[float] = math.inf,
+    ) -> np.ndarray:
+        """Declare one variable per name; returns their (contiguous) ids.
 
-    def add_binaries(self, names: CellNames) -> np.ndarray:
-        """Declare one binary variable per name; returns their (contiguous) ids."""
-        start = self.num_variables
+        ``kind``, ``lb`` and ``ub`` are one value or one per name. Binaries
+        are always bounded by [0, 1], whatever bounds are given.
+        """
         n = len(names)
-        if self._var_index is not None:
-            for offset, name in enumerate(names):
-                if name in self._var_index:
-                    raise ValueError(f"duplicate variable name {name!r}")
-                self._var_index[name] = start + offset
+        kinds = [kind] if isinstance(kind, VarKind) else kind
+        codes = _spread([KINDS.index(k) for k in kinds], n, np.int8)
+        binary = codes == KINDS.index(VarKind.BINARY)
+        lb = np.where(binary, 0.0, _spread(lb, n, float))
+        ub = np.where(binary, 1.0, _spread(ub, n, float))
+        bad = lb > ub
+        if bad.any():
+            k = int(bad.argmax())
+            name = _spell([names], k, k + 1)[0]
+            raise ValueError(f"variable {name!r} has lb {lb[k]} > ub {ub[k]}")
+        start = self.num_variables
         self._var_names.append(names)
-        self._kind.extend(np.full(n, KINDS.index(VarKind.BINARY)))
-        self._lb.extend(np.zeros(n))
-        self._ub.extend(np.ones(n))
+        self._kind.extend(codes)
+        self._lb.extend(lb)
+        self._ub.extend(ub)
         self._views.clear()
         return np.arange(start, start + n)
-
-    def add_row(
-        self, name: str, coeffs: Iterable[tuple[int, float]], sense: Sense, rhs: float
-    ) -> int:
-        if name in self._row_set():
-            raise ValueError(f"duplicate row name {name!r}")
-        n = len(self._kind)
-        merged: dict[int, float] = {}
-        for vid, coef in coeffs:
-            if not 0 <= vid < n:
-                raise ValueError(f"row {name!r} references unknown variable id {vid}")
-            if not math.isfinite(coef):
-                raise ValueError(f"row {name!r} has non-finite coefficient on {vid}")
-            merged[vid] = merged.get(vid, 0.0) + coef
-        if not math.isfinite(rhs):
-            raise ValueError(f"row {name!r} has non-finite rhs")
-        rid = len(self._sense)
-        rows, cols, vals = self._coo
-        vids = sorted(merged)
-        rows.append([rid] * len(vids))
-        cols.append(vids)
-        vals.append([merged[vid] for vid in vids])
-        self._row_names.append(name)
-        self._row_name_set.add(name)
-        self._sense.append([SENSES.index(sense)])
-        self._rhs.append([float(rhs)])
-        if self._views:
-            self._views.clear()
-        return rid
 
     def add_rows(
         self,
@@ -255,37 +208,34 @@ class MipProblem:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        sense: Sense | tuple[Sense, ...],
-        rhs: float = 0.0,
+        sense: Sense | Sequence[Sense],
+        rhs: float | Sequence[float] = 0.0,
     ) -> None:
         """Append a block of rows given as COO triplets.
 
         ``rows`` index the block's own rows (0 .. len(names)-1) and may repeat a
-        (row, col) pair only if it is meant to be summed. ``sense`` is one
-        Sense, or one per pattern of ``names``, repeated over its cells.
+        (row, col) pair only if it is meant to be summed. ``sense`` and ``rhs``
+        are one value, or one per pattern of ``names`` (one per name for a
+        list), repeated over its cells.
         """
         n_rows = len(names)
-        cols = np.asarray(cols)
+        cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
+        rhs = _spread(rhs, n_rows, float)
         if cols.size and (cols.min() < 0 or cols.max() >= self.num_variables):
             raise ValueError("row block references unknown variable ids")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("row block has non-finite coefficients")
-        if not math.isfinite(rhs):
+        if not np.isfinite(rhs).all():
             raise ValueError("row block has non-finite rhs")
-        if self._row_name_set is not None:
-            for name in names:
-                if name in self._row_name_set:
-                    raise ValueError(f"duplicate row name {name!r}")
-                self._row_name_set.add(name)
-        senses = (sense,) if isinstance(sense, Sense) else tuple(sense)
         coo_rows, coo_cols, coo_vals = self._coo
         coo_rows.extend(np.asarray(rows) + self.num_constraints)
         coo_cols.extend(cols)
         coo_vals.extend(vals)
         self._row_names.append(names)
-        self._sense.extend(np.resize([SENSES.index(s) for s in senses], n_rows))
-        self._rhs.extend(np.full(n_rows, float(rhs)))
+        senses = [sense] if isinstance(sense, Sense) else sense
+        self._sense.extend(_spread([SENSES.index(s) for s in senses], n_rows, np.int8))
+        self._rhs.extend(rhs)
         self._views.clear()
 
     def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
@@ -421,14 +371,9 @@ class MipProblem:
         return self._index()[name]
 
     def _index(self) -> dict[str, int]:
-        if self._var_index is None:
-            self._var_index = {name: vid for vid, name in enumerate(self.variable_names())}
-        return self._var_index
-
-    def _row_set(self) -> set[str]:
-        if self._row_name_set is None:
-            self._row_name_set = set(self.row_names())
-        return self._row_name_set
+        if "var_index" not in self._views:
+            self._views["var_index"] = {name: vid for vid, name in enumerate(self.variable_names())}
+        return self._views["var_index"]
 
     def values_vector(self, values) -> np.ndarray:
         """Values in the internal variable order.
@@ -491,8 +436,7 @@ class SitingVariables:
 
     ``cells[f]`` holds the (row, col) cells of family f (``z`` reservoir, ``x``
     perimeter, ``y`` interior, ``l`` link) in row-major order; their ids run
-    contiguously from ``start[f]``. The dicts ``z``, ``x``, ``y`` and ``link``
-    map cell -> id and are built on first use.
+    contiguously from ``start[f]``.
     """
 
     cells: dict[str, np.ndarray]
@@ -500,25 +444,6 @@ class SitingVariables:
 
     def ids(self, family: str) -> np.ndarray:
         return np.arange(self.start[family], self.start[family] + len(self.cells[family]))
-
-    def _by_cell(self, family: str) -> dict[Cell, int]:
-        return dict(zip(map(tuple, self.cells[family].tolist()), self.ids(family).tolist()))
-
-    @cached_property
-    def z(self) -> dict[Cell, int]:
-        return self._by_cell("z")
-
-    @cached_property
-    def x(self) -> dict[Cell, int]:
-        return self._by_cell("x")
-
-    @cached_property
-    def y(self) -> dict[Cell, int]:
-        return self._by_cell("y")
-
-    @cached_property
-    def link(self) -> dict[Cell, int]:
-        return self._by_cell("l")
 
 
 def _id_raster(shape: tuple[int, int], cells: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -536,9 +461,9 @@ class _Entries:
 
     def add(self, rows: np.ndarray, cols: np.ndarray, coef) -> None:
         keep = cols >= 0
-        self.parts.append((rows[keep], cols[keep], np.broadcast_to(coef, cols.shape)[keep]))
+        self.parts.append((rows[keep], cols[keep], np.full(cols.shape, coef, dtype=float)[keep]))
 
-    def add_to(self, prob: MipProblem, names, sense, rhs: float = 0.0) -> None:
+    def add_to(self, prob: MipProblem, names, sense, rhs=0.0) -> None:
         rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
         prob.add_rows(names, rows, cols, vals, sense, rhs)
 
@@ -602,7 +527,7 @@ def build_siting_problem(
     cells = {"z": np.argwhere(cands.reservoir_ok), "x": np.argwhere(cands.perimeter_ok),
              "y": np.argwhere(cands.interior_ok)}
     cells["l"] = cells["x"]
-    ids = {f: prob.add_binaries(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zxy"}
+    ids = {f: prob.add_variables(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zxy"}
     shape = cands.shape
     Z, X, Y = (_id_raster(shape, cells[f], ids[f]) for f in "zxy")
 
@@ -652,7 +577,7 @@ def build_siting_problem(
 
     if not nx:
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    ids["l"] = prob.add_binaries(CellNames(("l_{}_{}",), cells["l"]))
+    ids["l"] = prob.add_variables(CellNames(("l_{}_{}",), cells["l"]))
     k = np.arange(nx)
     prob.add_rows(CellNames(("linkx_{}_{}",), cells["x"]), np.concatenate([k, k]),
                   np.concatenate([ids["l"], ids["x"]]), np.repeat([1.0, -1.0], nx), Sense.LE)

@@ -82,6 +82,8 @@ class SolveLimits:
     gap_target: float = 0.0  # relative MIP gap at which the solver may stop, in [0, 1)
 
     def __post_init__(self):
+        if self.time_limit_s is not None and not self.time_limit_s > 0:
+            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
         if not 0.0 <= self.gap_target < 1.0:
             raise ValueError(f"gap_target must be in [0, 1), got {self.gap_target}")
 

@@ -74,8 +74,7 @@ class StrategyConfig:
             raise ValueError("perimeter_min_neighbors must be 1 or 3")
         if self.clip_margin is not None and self.clip_margin < 0:
             raise ValueError("clip_margin must be >= 0")
-        if not 0.0 <= self.gap_target < 1.0:
-            raise ValueError(f"gap_target must be in [0, 1), got {self.gap_target}")
+        SolveLimits(self.time_limit_s, self.gap_target)  # the same checks as each solve's
 
 
 @dataclass(frozen=True)

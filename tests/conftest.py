@@ -14,12 +14,30 @@ import pytest
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
+from phs_siting.model import Sense, VarKind
 
 CELL = 34.0
 RIVER_ELEVATION = 385.0
 WATER = 550.0
 HEAD = WATER - RIVER_ELEVATION  # 165 m
 ETA = 0.667
+
+
+def add_variable(prob: ps.MipProblem, name: str, kind=VarKind.BINARY, lb=0.0, ub=np.inf) -> int:
+    """Declare one variable through the block method; returns its id."""
+    return int(prob.add_variables([name], kind, lb, ub)[0])
+
+
+def add_row(prob: ps.MipProblem, name: str, coeffs, sense: Sense, rhs: float) -> None:
+    """Append one row, given as (variable id, coefficient) pairs, through the block method."""
+    coeffs = list(coeffs)
+    prob.add_rows([name], np.zeros(len(coeffs), dtype=np.int64), [vid for vid, _ in coeffs],
+                  [coef for _, coef in coeffs], sense, rhs)
+
+
+def cell_ids(sv, family: str) -> dict[tuple[int, int], int]:
+    """Cell -> variable id of one family (``z``, ``x``, ``y`` or ``l``) of a siting problem."""
+    return dict(zip(map(tuple, sv.cells[family].tolist()), sv.ids(family).tolist()))
 
 
 def river_grid(elev: np.ndarray, cell_length: float = CELL) -> ps.TerrainGrid:

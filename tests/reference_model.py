@@ -1,20 +1,22 @@
 """Per-row reference for the siting model build.
 
 This is the builder the package used before it assembled the base formulation
-from whole-array row blocks: one ``add_variable`` per variable and one
-``add_row`` per row, over cell -> id dicts. ``test_model`` requires the
-array build to produce exactly the same problem.
+and the connectivity rows from whole-array blocks: one variable and one row at
+a time, over cell -> id dicts (each added through the block methods as a
+block of one). ``test_model`` requires the array build to produce exactly the
+same problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from phs_siting import connectivity
 from phs_siting.costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from phs_siting.errors import InfeasibleProblemError
-from phs_siting.model import MipProblem, Sense
-from phs_siting.terrain import FOUR_NEIGHBORS, candidate_sets, distance_field
+from phs_siting.model import MipProblem, Sense, VarKind
+from phs_siting.terrain import EIGHT_NEIGHBORS, FOUR_NEIGHBORS, candidate_sets, distance_field
+
+from conftest import add_row, add_variable
 
 Cell = tuple[int, int]
 DIRECTIONS = ("up", "down", "left", "right")
@@ -31,11 +33,11 @@ class CellVariables:
 def _declare_cell_variables(prob, cands) -> CellVariables:
     sv = CellVariables()
     for i, j in cands.reservoir_cells():
-        sv.z[(i, j)] = prob.add_variable(f"z_{i}_{j}")
+        sv.z[(i, j)] = add_variable(prob, f"z_{i}_{j}")
     for i, j in cands.perimeter_cells():
-        sv.x[(i, j)] = prob.add_variable(f"x_{i}_{j}")
+        sv.x[(i, j)] = add_variable(prob, f"x_{i}_{j}")
     for i, j in cands.interior_cells():
-        sv.y[(i, j)] = prob.add_variable(f"y_{i}_{j}")
+        sv.y[(i, j)] = add_variable(prob, f"y_{i}_{j}")
     return sv
 
 
@@ -53,13 +55,13 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
             nbr = neighbor(cell, d)
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
-            prob.add_row(f"cover_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
+            add_row(prob, f"cover_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
         coeffs = [(zid, 1.0)]
         if cell in sv.x:
             coeffs.append((sv.x[cell], -1.0))
         if cell in sv.y:
             coeffs.append((sv.y[cell], -1.0))
-        prob.add_row(f"role_{i}_{j}", coeffs, Sense.EQ, 0.0)
+        add_row(prob, f"role_{i}_{j}", coeffs, Sense.EQ, 0.0)
 
     for cell, xid in sv.x.items():
         i, j = cell
@@ -68,7 +70,7 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
             nbr = neighbor(cell, d)
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
-        prob.add_row(f"contact_{i}_{j}", coeffs, Sense.LE, 0.0)
+        add_row(prob, f"contact_{i}_{j}", coeffs, Sense.LE, 0.0)
 
     for cell, yid in sv.y.items():
         i, j = cell
@@ -77,7 +79,7 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
             nbr = neighbor(cell, d)
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
-            prob.add_row(f"inter_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
+            add_row(prob, f"inter_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
 
 
 def _add_volume_constraint(prob, sv, cands, grid, spec) -> None:
@@ -87,7 +89,7 @@ def _add_volume_constraint(prob, sv, cands, grid, spec) -> None:
     }
     if sum(coeffs.values()) < spec.vol_min:
         raise InfeasibleProblemError("total storable capacity is below the volume target")
-    prob.add_row("volume", [(sv.y[cell], coef) for cell, coef in coeffs.items()],
+    add_row(prob, "volume", [(sv.y[cell], coef) for cell, coef in coeffs.items()],
                  Sense.GE, spec.vol_min)
 
 
@@ -96,10 +98,10 @@ def _add_link_constraints(prob, sv) -> None:
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
     for cell, xid in sv.x.items():
         i, j = cell
-        lid = prob.add_variable(f"l_{i}_{j}")
+        lid = add_variable(prob, f"l_{i}_{j}")
         sv.link[cell] = lid
-        prob.add_row(f"linkx_{i}_{j}", [(lid, 1.0), (xid, -1.0)], Sense.LE, 0.0)
-    prob.add_row("link_sum", [(lid, 1.0) for lid in sv.link.values()], Sense.EQ, 1.0)
+        add_row(prob, f"linkx_{i}_{j}", [(lid, 1.0), (xid, -1.0)], Sense.LE, 0.0)
+    add_row(prob, "link_sum", [(lid, 1.0) for lid in sv.link.values()], Sense.EQ, 1.0)
 
 
 def _set_siting_objective(prob, sv, grid, spec, params, dist) -> None:
@@ -113,6 +115,136 @@ def _set_siting_objective(prob, sv, grid, spec, params, dist) -> None:
         excavation, lining = conveyance_cost(spec.flow, float(dist.values[i, j]), params)
         coeffs[lid] = excavation + lining
     prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
+
+
+def _add_band_constraints(
+    prob: MipProblem,
+    tag: str,
+    before_name: str,
+    after_name: str,
+    slices: list[list[int]],
+    big_m: float,
+) -> None:
+    """One contiguity band over an ordered family of slices of y-variables.
+
+    Per slice s: (1 - sum_s y) <= before_s + after_s, with before_s = 1
+    forbidding any y in earlier slices and after_s = 1 forbidding any y in
+    later slices (big-M switched).
+    """
+    n = len(slices)
+    before = [add_variable(prob, f"{before_name}_{s}") for s in range(n)]
+    after = [add_variable(prob, f"{after_name}_{s}") for s in range(n)]
+    flat: list[int] = []
+    offsets: list[int] = []
+    for members in slices:
+        offsets.append(len(flat))
+        flat.extend(members)
+    for s in range(n):
+        coeffs = [(vid, 1.0) for vid in slices[s]]
+        coeffs += [(before[s], 1.0), (after[s], 1.0)]
+        add_row(prob, f"{tag}gap_{s}", coeffs, Sense.GE, 1.0)
+        earlier = flat[: offsets[s]]
+        later = flat[offsets[s] + len(slices[s]) :]
+        add_row(
+            prob,
+            f"{tag}pre_{s}",
+            [(vid, 1.0) for vid in earlier] + [(before[s], big_m)],
+            Sense.LE,
+            big_m,
+        )
+        add_row(
+            prob,
+            f"{tag}post_{s}",
+            [(vid, 1.0) for vid in later] + [(after[s], big_m)],
+            Sense.LE,
+            big_m,
+        )
+
+
+def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> None:
+    """Row/column (and optionally diagonal) contiguity bands on interior cells."""
+    nr, nc = cands.shape
+    big_m = max(1.0, float(len(sv.y)))
+
+    rows: list[list[int]] = [[] for _ in range(nr)]
+    cols: list[list[int]] = [[] for _ in range(nc)]
+    for (i, j), vid in sv.y.items():
+        rows[i].append(vid)
+        cols[j].append(vid)
+    _add_band_constraints(prob, "row", "up", "down", rows, big_m)
+    _add_band_constraints(prob, "col", "right", "left", cols, big_m)
+
+    if include_diagonals:
+        anti: list[list[int]] = [[] for _ in range(nr + nc - 1)]
+        main: list[list[int]] = [[] for _ in range(nr + nc - 1)]
+        for (i, j), vid in sv.y.items():
+            anti[i + j].append(vid)
+            main[i - j + nc - 1].append(vid)
+        _add_band_constraints(prob, "adg", "adg_b", "adg_a", anti, big_m)
+        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", main, big_m)
+
+
+def add_tour_constraints(prob, sv, cands) -> None:
+    """Single closed perimeter tour via rank (MTZ-style) ordering."""
+    cells = sorted(sv.x)
+    if len(cells) < 3:
+        raise ValueError(f"perimeter tour needs at least 3 perimeter candidates, got {len(cells)}")
+    s_bound = float(len(cells))
+
+    arcs: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
+    out_arcs: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
+    in_arcs: dict[tuple[int, int], list[int]] = {c: [] for c in cells}
+    for (i, j) in cells:
+        for di, dj in EIGHT_NEIGHBORS:
+            nbr = (i + di, j + dj)
+            if nbr in sv.x:
+                wid = add_variable(prob, f"w_{i}_{j}_{nbr[0]}_{nbr[1]}")
+                arcs[((i, j), nbr)] = wid
+                out_arcs[(i, j)].append(wid)
+                in_arcs[nbr].append(wid)
+
+    rank: dict[tuple[int, int], int] = {}
+    for (i, j) in cells:
+        rank[(i, j)] = add_variable(
+            prob, f"u_{i}_{j}", VarKind.INTEGER, lb=0.0, ub=s_bound - 1.0
+        )
+
+    for cell in cells:
+        i, j = cell
+        xid = sv.x[cell]
+        add_row(
+            prob,
+            f"deg_out_{i}_{j}",
+            [(wid, 1.0) for wid in out_arcs[cell]] + [(xid, -1.0)],
+            Sense.EQ,
+            0.0,
+        )
+        add_row(
+            prob,
+            f"deg_in_{i}_{j}",
+            [(wid, 1.0) for wid in in_arcs[cell]] + [(xid, -1.0)],
+            Sense.EQ,
+            0.0,
+        )
+        add_row(
+            prob, f"rank_cap_{i}_{j}", [(rank[cell], 1.0), (xid, 1.0 - s_bound)], Sense.LE, 0.0
+        )
+        add_row(
+            prob,
+            f"rank_root_{i}_{j}",
+            [(rank[cell], 1.0), (sv.link[cell], s_bound - 1.0)],
+            Sense.LE,
+            s_bound - 1.0,
+        )
+
+    for (a, b), wid in arcs.items():
+        add_row(
+            prob,
+            f"mtz_{a[0]}_{a[1]}_{b[0]}_{b[1]}",
+            [(rank[a], 1.0), (rank[b], -1.0), (wid, s_bound), (sv.link[b], -s_bound)],
+            Sense.LE,
+            s_bound - 1.0,
+        )
 
 
 def build_reference(grid, spec, cost_params=None, *, cands=None, dist=None, level=0,
@@ -130,7 +262,7 @@ def build_reference(grid, spec, cost_params=None, *, cands=None, dist=None, leve
     _add_link_constraints(prob, sv)
     _set_siting_objective(prob, sv, grid, spec, params, dist)
     if level >= 1:
-        connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
+        add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
-        connectivity.add_tour_constraints(prob, sv, cands)
+        add_tour_constraints(prob, sv, cands)
     return prob

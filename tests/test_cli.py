@@ -94,6 +94,9 @@ def test_validate_clean_config(micro_config):
          "solver.workers: not an integer (1.9)"),
         (("time_limit_s = 60", "time_limit_s = 60\ngap_target = -0.5"), "solver.gap_target"),
         (("time_limit_s = 60", "time_limit_s = 60\ngap_target = 1.5"), "solver.gap_target"),
+        (("time_limit_s = 60", "time_limit_s = nan"), "solver.time_limit_s: not a finite number"),
+        (("head_m = 165", "head_m = nan"), "case.1.head_m: not a finite number"),
+        (("power_mw = 1.2", "power_mw = inf"), "project.power_mw: not a finite number"),
     ],
 )
 def test_validate_reports_field_paths(micro_config, mutation, needle):

@@ -9,6 +9,8 @@ from phs_siting.model import Sense
 
 from conftest import (
     RIVER_ELEVATION,
+    add_row,
+    cell_ids,
     pit_grid,
     pit_spec,
     river_grid,
@@ -22,9 +24,9 @@ from conftest import (
 def _fix_interior_pattern(sp, pattern_cells):
     """Pin the interior binaries to a pattern and relax the volume row."""
     prob = sp.mip
-    for cell, vid in sp.variables.y.items():
+    for cell, vid in cell_ids(sp.variables, "y").items():
         value = 1.0 if cell in pattern_cells else 0.0
-        prob.add_row(f"fix_y_{cell[0]}_{cell[1]}", [(vid, 1.0)], Sense.EQ, value)
+        add_row(prob, f"fix_y_{cell[0]}_{cell[1]}", [(vid, 1.0)], Sense.EQ, value)
     return prob
 
 
@@ -104,7 +106,7 @@ def test_tour_single_cycle_on_pit():
             i, j, h, k = map(int, name[2:].split("_"))
             assert (i, j) not in succ
             succ[(i, j)] = (h, k)
-    active = {cell for cell, vid in sp.variables.x.items() if res.values[f"x_{cell[0]}_{cell[1]}"] > 0.5}
+    active = {cell for cell in cell_ids(sp.variables, "x") if res.values[f"x_{cell[0]}_{cell[1]}"] > 0.5}
     assert set(succ) == active
     start = next(iter(active))
     seen = [start]
@@ -155,10 +157,11 @@ def test_rank_cap_rows_carry_repaired_coefficient():
     # perimeter tour of the pit unrankable
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
-    s_bound = len(sp.variables.x)
+    x_ids = cell_ids(sp.variables, "x")
+    s_bound = len(x_ids)
     caps = {r.name: dict(r.coeffs) for r in sp.mip.rows if r.name.startswith("rank_cap_")}
     assert len(caps) == s_bound
-    for (i, j), xid in sp.variables.x.items():
+    for (i, j), xid in x_ids.items():
         assert caps[f"rank_cap_{i}_{j}"][xid] == -(s_bound - 1)
 
 

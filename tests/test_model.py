@@ -14,6 +14,7 @@ from conftest import (
     RIVER_ELEVATION,
     WATER,
     bowl_window,
+    cell_ids,
     diagonal_blob_grid,
     diagonal_blob_spec,
     micro_case,
@@ -57,9 +58,9 @@ def test_shape_constraints_exhaustive_on_plus_instance():
     prob = sp.mip
     cells = sp.variables
     binaries = (
-        [("z", c, vid) for c, vid in cells.z.items()]
-        + [("x", c, vid) for c, vid in cells.x.items()]
-        + [("y", c, vid) for c, vid in cells.y.items()]
+        [("z", c, vid) for c, vid in cell_ids(cells, "z").items()]
+        + [("x", c, vid) for c, vid in cell_ids(cells, "x").items()]
+        + [("y", c, vid) for c, vid in cell_ids(cells, "y").items()]
     )
     shape_rows = _shape_rows(prob)
     assert len(binaries) == 10  # 5 z, 4 x, 1 y
@@ -161,7 +162,7 @@ def test_optimal_link_minimizes_conveyance():
 def test_dry_perimeter_cells_cost_exactly_zero():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=0)
-    dry = [vid for cell, vid in sp.variables.x.items()
+    dry = [vid for cell, vid in cell_ids(sp.variables, "x").items()
            if grid.elevations[cell] >= spec.water_elevation]
     assert dry
     for vid in dry:
@@ -362,6 +363,7 @@ _REFERENCE_CASES = {
     "two_basin-pmn3": lambda: (two_basin_grid(), two_basin_spec(),
                                {"perimeter_min_neighbors": 3}),
     "midsize-pmn1-l1": lambda: (midsize_grid(), midsize_spec(), {"level": 1}),
+    "midsize-l3": lambda: (midsize_grid(), midsize_spec(), {"level": 3}),
     "midsize-pmn3": lambda: (midsize_grid(), midsize_spec(), {"perimeter_min_neighbors": 3}),
     "two_basin-excluded-l1": lambda: (two_basin_grid(), two_basin_spec(),
                                       {"level": 1, "excluded": [(1, 2), (2, 5)]}),
@@ -369,15 +371,19 @@ _REFERENCE_CASES = {
                                  {"excluded": [(46, 16), (45, 16)]}),
     "bowl-window": bowl_window,
     "bowl-window-l1": lambda: bowl_window(level=1),
+    "bowl-window-l2": lambda: bowl_window(level=2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
 def test_array_build_matches_per_row_reference(case):
-    """The block build gives the per-row builder's problem, bit for bit."""
+    """The block build gives the per-row builder's problem, bit for bit, and
+    spells every variable and row name once."""
     grid, spec, kwargs = _REFERENCE_CASES[case]()
     built = ps.build_siting_problem(grid, spec, **kwargs).mip
     ref = build_reference(grid, spec, **kwargs)
+    for names in (built.variable_names(), built.row_names()):
+        assert len(set(names)) == len(names)
     ref_rows = list(ref.rows)
     n = len(ref_rows)
     assert len(built.rows) == built.num_constraints == n

@@ -17,6 +17,8 @@ from phs_siting.model import MipProblem, Sense, VarKind
 
 from conftest import (
     FailingHighs,
+    add_row,
+    add_variable,
     bowl_window,
     diagonal_blob_grid,
     diagonal_blob_spec,
@@ -41,9 +43,9 @@ def test_highs_solves_pit_optimum():
 
 def test_highs_reports_infeasible():
     prob = MipProblem("impossible")
-    a = prob.add_variable("a")
-    b = prob.add_variable("b")
-    prob.add_row("lo", [(a, 1.0), (b, 1.0)], Sense.GE, 3.0)  # two binaries sum to 2 max
+    a = add_variable(prob, "a")
+    b = add_variable(prob, "b")
+    add_row(prob, "lo", [(a, 1.0), (b, 1.0)], Sense.GE, 3.0)  # two binaries sum to 2 max
     prob.set_objective({a: 1.0, b: 1.0})
     res = ps.solve(prob, "highs")
     assert res.status is ps.SolveStatus.INFEASIBLE
@@ -62,6 +64,13 @@ def test_solve_limits_reject_gap_target_outside_unit_interval(gap):
     # optimum with a gap of 1 or more
     with pytest.raises(ValueError, match="gap_target"):
         ps.SolveLimits(gap_target=gap)
+
+
+@pytest.mark.parametrize("limit", [0.0, -1.0, math.nan])
+def test_solve_limits_reject_time_limit_that_is_not_positive(limit):
+    # max(nan, 1e-3) is nan, which HiGHS would run with no effective limit
+    with pytest.raises(ValueError, match="time_limit_s"):
+        ps.SolveLimits(time_limit_s=limit)
 
 
 def test_time_limit_status_on_nontrivial_instance():
@@ -262,8 +271,8 @@ def test_export_deterministic(fmt, tmp_path):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_export_empty_objective(fmt, tmp_path):
     prob = MipProblem("empty-objective")
-    a = prob.add_variable("a")
-    prob.add_row("r", [(a, 1.0)], Sense.LE, 1.0)
+    a = add_variable(prob, "a")
+    add_row(prob, "r", [(a, 1.0)], Sense.LE, 1.0)
     prob.set_objective({})
     path = tmp_path / ("empty.lp" if fmt == "lp" else "empty.mps")
     ps.export_problem(prob, fmt, path)
@@ -292,9 +301,9 @@ def test_unwritable_export_path():
 
 def test_integer_bounds_survive_round_trip(tmp_path):
     prob = MipProblem("ints")
-    u = prob.add_variable("u_0_0", VarKind.INTEGER, lb=0.0, ub=17.0)
-    b = prob.add_variable("b_0_0")
-    prob.add_row("r", [(u, 1.0), (b, -3.0)], Sense.LE, 5.5)
+    u = add_variable(prob, "u_0_0", VarKind.INTEGER, lb=0.0, ub=17.0)
+    b = add_variable(prob, "b_0_0")
+    add_row(prob, "r", [(u, 1.0), (b, -3.0)], Sense.LE, 5.5)
     prob.set_objective({u: 1.25}, constant=-42.5)
     for fmt in FORMATS:
         path = tmp_path / ("m.lp" if fmt == "lp" else f"m_{fmt}.mps")
@@ -319,10 +328,10 @@ def _two_row_problem(names=("u", "b", "r", "s"), coef=-3.0, sense=Sense.GE, rhs=
                      kind=VarKind.INTEGER, ub=17.0, extra=(), objective=1.25):
     u_name, b_name, r_name, s_name = names
     prob = MipProblem("two-rows")
-    u = prob.add_variable(u_name, kind, lb=0.0, ub=ub)
-    b = prob.add_variable(b_name)
-    prob.add_row(r_name, [(u, 1.0), (b, coef)], Sense.LE, 5.5)
-    prob.add_row(s_name, [(b, 1.0), *[(u, c) for c in extra]], sense, rhs)
+    u = add_variable(prob, u_name, kind, lb=0.0, ub=ub)
+    b = add_variable(prob, b_name)
+    add_row(prob, r_name, [(u, 1.0), (b, coef)], Sense.LE, 5.5)
+    add_row(prob, s_name, [(b, 1.0), *[(u, c) for c in extra]], sense, rhs)
     prob.set_objective({u: objective}, constant=-42.5)
     return prob
 
@@ -346,6 +355,29 @@ def test_structural_compare_reports_each_difference(change, needle):
     assert ps.problems_structurally_equal(base, _two_row_problem()) == []
     diffs = ps.problems_structurally_equal(base, _two_row_problem(**change))
     assert needle in diffs, diffs
+
+
+def test_mps_reader_rejects_duplicate_row():
+    text = ps.write_mps(_two_row_problem(), "free").replace(" G  s\n", " G  s\n G  r\n")
+    with pytest.raises(ps.GridFormatError, match="duplicate row name 'r'"):
+        ps.read_mps(text)
+
+
+def test_lp_reader_rejects_duplicate_constraint_label():
+    text = ps.write_lp(_two_row_problem()).replace(" s: ", " r: ")
+    with pytest.raises(ps.GridFormatError, match="duplicate row name 'r'"):
+        ps.read_lp(text)
+
+
+@pytest.mark.parametrize("fmt", ["mps", "lp"])
+def test_readers_reject_lower_bound_above_upper(fmt):
+    prob = _two_row_problem()
+    if fmt == "mps":
+        text, read = ps.write_mps(prob, "free").replace(" LI  BND  u  0", " LI  BND  u  18"), ps.read_mps
+    else:
+        text, read = ps.write_lp(prob).replace(" 0 <= u <= 17", " 18 <= u <= 17"), ps.read_lp
+    with pytest.raises(ValueError, match="variable 'u' has lb 18.0 > ub 17.0"):
+        read(text)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """Escalation ladder and zoom-in heuristic behavior."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ def test_config_validation():
     for gap in (-0.5, 1.0, 1.5):
         with pytest.raises(ValueError, match="gap_target"):
             StrategyConfig(gap_target=gap)
+    for limit in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            StrategyConfig(time_limit_s=limit)
 
 
 def test_ladder_stops_at_level_zero_on_pit():
