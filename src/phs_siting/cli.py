@@ -108,6 +108,8 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     def get(section: str, key: str, fallback=None) -> str | None:
         return parser.get(section, key, fallback=fallback)
 
+    rejected: set[str] = set()  # keys get_float has reported; no follow-up lines for them
+
     def get_float(section: str, key: str, fallback=None):
         raw = get(section, key)
         if raw is None or raw.strip() == "":
@@ -116,11 +118,12 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             value = float(raw)
         except ValueError:
             diags.append(f"{section}.{key}: not a number ({raw!r})")
-            return fallback
-        if not math.isfinite(value):
+        else:
+            if math.isfinite(value):
+                return value
             diags.append(f"{section}.{key}: not a finite number ({raw.strip()})")
-            return fallback
-        return value
+        rejected.add(f"{section}.{key}")
+        return fallback
 
     def get_int(section: str, key: str, fallback=None):
         raw = get(section, key)
@@ -160,7 +163,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         if not mask_path.exists():
             diags.append(f"dem.lower_mask_file: file not found ({mask_path})")
         lower = MaskFile(mask_path)
-    else:
+    elif "dem.lower_by_elevation" not in rejected:
         diags.append("dem: lower_by_elevation or lower_mask_file is required")
 
     excluded_file = get("dem", "excluded_mask_file")
@@ -172,7 +175,8 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
 
     power_mw = get_float("project", "power_mw", None)
     if power_mw is None:
-        diags.append("project.power_mw: required")
+        if "project.power_mw" not in rejected:
+            diags.append("project.power_mw: required")
     elif power_mw <= 0:
         diags.append(f"project.power_mw: must be positive, got {power_mw}")
     efficiency = get_float("project", "efficiency", DEFAULT_EFFICIENCY)
@@ -258,15 +262,14 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         hours = get_float(section, "operation_h")
         case_power = get_float(section, "power_mw", power_mw)
         zoom_flag = parser.getboolean(section, "zoom", fallback=False)
-        if head is None or head <= 0:
-            diags.append(f"{section}.head_m: must be a positive number, got {head}")
-        if hours is None or hours <= 0:
-            diags.append(f"{section}.operation_h: must be a positive number, got {hours}")
-        if case_power is None or case_power <= 0:
-            diags.append(f"{section}.power_mw: must be a positive number, got {case_power}")
+        for key, value in (("head_m", head), ("operation_h", hours), ("power_mw", case_power)):
+            if value is None and rejected & {f"{section}.{key}", f"project.{key}"}:
+                continue
+            if value is None or value <= 0:
+                diags.append(f"{section}.{key}: must be a positive number, got {value}")
         if head and hours and case_power and head > 0 and hours > 0 and case_power > 0:
             cases.append(CaseSpec(index, head, hours, case_power, zoom_flag))
-    if not cases and not any(d.startswith("case.") for d in diags):
+    if not any(name.startswith("case.") for name in parser.sections()):
         diags.append("cases: at least one [case.N] section is required")
     cases.sort(key=lambda c: c.index)
 

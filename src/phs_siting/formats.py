@@ -1,4 +1,4 @@
-"""MPS and LP file export/import for solver interoperability.
+"""MPS and LP file export, and import through HiGHS's own reader.
 
 The writers are deterministic: the same problem always produces byte-identical
 text. Free-form MPS and LP files carry the documented ``x_i_j`` variable
@@ -6,26 +6,32 @@ names; fixed-form MPS sanitizes names to the historical 8-character fields
 (``V0000001``/``C0000001``) while preserving order, so structural round trips
 compare by position rather than by name.
 
-Conventions (also honored by the parsers here): the objective is the first N
-row; an RHS entry on the objective row stores the negated objective constant;
-integer variables sit between INTORG/INTEND markers; every variable appears in
-COLUMNS at least once (a zero objective entry is emitted if needed).
+Conventions of the MPS writer: the objective is the first N row; an RHS entry
+on the objective row stores the negated objective constant; integer variables
+sit between INTORG/INTEND markers; every variable appears in COLUMNS at least
+once (a zero objective entry is emitted if needed).
+
+Every file is read by the HiGHS reader of the solver's binding, and the
+problem is rebuilt from the arrays HiGHS holds. So a problem read back takes
+its name from the caller or the file stem (HiGHS ignores the MPS ``NAME``
+card), an integer column bounded [0, 1] reads back as binary, and an explicit
+zero matrix coefficient is dropped.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
 from .model import KINDS, SENSES, MipProblem, Sense, VarKind
 
 _SENSE_TO_MPS = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-_MPS_TO_SENSE = {v: k for k, v in _SENSE_TO_MPS.items()}
 _OBJ = "COST"
 
 
@@ -204,289 +210,103 @@ def export_problem(problem: MipProblem, fmt: str, path: str | Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Parsers
+# Readers
 # ---------------------------------------------------------------------------
 
 
-class _ProblemAssembler:
-    """Accumulates declarations before building an immutable MipProblem."""
-
-    def __init__(self, name: str = "parsed"):
-        self.name = name
-        self.order: list[str] = []
-        self.kinds: dict[str, VarKind] = {}
-        self.lbs: dict[str, float] = {}
-        self.ubs: dict[str, float] = {}
-        self.rows: list[tuple[str, dict[str, float], Sense, float]] = []
-        self.objective: dict[str, float] = {}
-        self.constant = 0.0
-
-    def ensure_var(self, name: str, kind: VarKind = VarKind.CONTINUOUS) -> None:
-        if name not in self.kinds:
-            self.order.append(name)
-            self.kinds[name] = kind
-
-    def set_kind(self, name: str, kind: VarKind) -> None:
-        self.ensure_var(name, kind)
-        self.kinds[name] = kind
-
-    def build(self) -> MipProblem:
-        """The problem, checked for what only outside input can get wrong:
-        repeated row names and (in ``add_variables``) lb > ub."""
-        seen: set[str] = set()
-        for row_name, *_ in self.rows:
-            if row_name in seen:
-                raise GridFormatError(f"duplicate row name {row_name!r}")
-            seen.add(row_name)
-        problem = MipProblem(self.name)
-        order = self.order
-        problem.add_variables(order, [self.kinds[n] for n in order],
-                              [self.lbs.get(n, 0.0) for n in order],
-                              [self.ubs.get(n, math.inf) for n in order])
-        ids = {name: vid for vid, name in enumerate(order)}
-        names, coeffs, senses, rhs = zip(*self.rows) if self.rows else ((), (), (), ())
-        problem.add_rows(list(names), np.repeat(np.arange(len(names)), [len(c) for c in coeffs]),
-                         [ids[n] for c in coeffs for n in c], [v for c in coeffs for v in c.values()],
-                         senses, rhs)
-        problem.set_objective({ids[n]: c for n, c in self.objective.items()}, self.constant)
-        return problem
-
-
 def read_mps(text: str, name: str = "parsed") -> MipProblem:
-    """Parse the MPS subset produced by :func:`write_mps` (both forms)."""
-    asm = _ProblemAssembler(name)
-    section = None
-    obj_name = None
-    senses: dict[str, Sense] = {}
-    row_order: list[str] = []
-    row_coeffs: dict[str, dict[str, float]] = {}
-    rhs: dict[str, float] = {}
-    integer_mode = False
-
-    for raw in text.splitlines():
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        if not raw[0].isspace():
-            parts = raw.split()
-            section = parts[0].upper()
-            if section == "NAME" and len(parts) > 1:
-                asm.name = parts[1]
-            if section == "ENDATA":
-                break
-            continue
-        tokens = raw.split()
-        if section == "ROWS":
-            kind, row_name = tokens[0].upper(), tokens[1]
-            if kind == "N":
-                if obj_name is None:
-                    obj_name = row_name
-                continue
-            if kind not in _MPS_TO_SENSE:
-                raise GridFormatError(f"unknown MPS row type {kind!r}")
-            senses[row_name] = _MPS_TO_SENSE[kind]
-            row_order.append(row_name)
-            row_coeffs[row_name] = {}
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                integer_mode = tokens[2] == "'INTORG'"
-                continue
-            var = tokens[0]
-            asm.ensure_var(var, VarKind.INTEGER if integer_mode else VarKind.CONTINUOUS)
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                raise GridFormatError(f"odd COLUMNS entry count in line {raw!r}")
-            for k in range(0, len(pairs), 2):
-                row_name, value = pairs[k], float(pairs[k + 1])
-                if row_name == obj_name:
-                    if value != 0.0:
-                        asm.objective[var] = asm.objective.get(var, 0.0) + value
-                elif row_name in row_coeffs:
-                    row_coeffs[row_name][var] = row_coeffs[row_name].get(var, 0.0) + value
-                else:
-                    raise GridFormatError(f"COLUMNS references unknown row {row_name!r}")
-        elif section == "RHS":
-            pairs = tokens[1:]
-            if len(pairs) % 2:
-                raise GridFormatError(f"odd RHS entry count in line {raw!r}")
-            for k in range(0, len(pairs), 2):
-                row_name, value = pairs[k], float(pairs[k + 1])
-                if row_name == obj_name:
-                    asm.constant = -value
-                else:
-                    rhs[row_name] = value
-        elif section == "BOUNDS":
-            btype = tokens[0].upper()
-            var = tokens[2]
-            asm.ensure_var(var)
-            if btype == "BV":
-                asm.set_kind(var, VarKind.BINARY)
-            elif btype in ("UI", "UP"):
-                asm.ubs[var] = float(tokens[3])
-            elif btype in ("LI", "LO"):
-                asm.lbs[var] = float(tokens[3])
-            elif btype == "FX":
-                asm.lbs[var] = asm.ubs[var] = float(tokens[3])
-            elif btype == "MI":
-                asm.lbs[var] = -math.inf
-            elif btype == "PL":
-                asm.ubs[var] = math.inf
-            elif btype == "FR":
-                asm.lbs[var] = -math.inf
-                asm.ubs[var] = math.inf
-            else:
-                raise GridFormatError(f"unsupported bound type {btype!r}")
-        elif section == "RANGES":
-            raise GridFormatError("RANGES section is not supported")
-
-    for row_name in row_order:
-        asm.rows.append((row_name, row_coeffs[row_name], senses[row_name], rhs.get(row_name, 0.0)))
-    return asm.build()
-
-
-_LP_NUMBER = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-_LP_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _lp_tokens(text: str) -> list[str]:
-    out: list[str] = []
-    for raw in text.splitlines():
-        code = raw.split("\\", 1)[0]
-        code = code.replace(":", " : ").replace("<=", " <= ").replace(">=", " >= ")
-        for token in code.split():
-            out.append(token)
-    return out
+    """Read MPS text in either form; see :func:`read_problem_file`."""
+    return _read_text(text, ".mps", name)
 
 
 def read_lp(text: str, name: str = "parsed") -> MipProblem:
-    """Parse the LP subset produced by :func:`write_lp`."""
-    tokens = _lp_tokens(text)
-    asm = _ProblemAssembler(name)
-    pos = 0
+    """Read CPLEX-style LP text; see :func:`read_problem_file`."""
+    return _read_text(text, ".lp", name)
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
 
-    def keyword_at(idx: int) -> str | None:
-        if idx >= len(tokens):
-            return None
-        lowered = tokens[idx].lower()
-        if lowered in ("minimize", "maximize", "bounds", "binaries", "binary", "end",
-                       "generals", "general"):
-            return lowered
-        if lowered == "subject" and idx + 1 < len(tokens) and tokens[idx + 1].lower() == "to":
-            return "subject to"
-        return None
-
-    def parse_expr() -> tuple[dict[str, float], float]:
-        """Parse signed terms until a sense token or section keyword."""
-        nonlocal pos
-        coeffs: dict[str, float] = {}
-        constant = 0.0
-        sign = 1.0
-        pending: float | None = None
-        while pos < len(tokens):
-            tok = tokens[pos]
-            if tok in ("<=", ">=", "=") or keyword_at(pos):
-                break
-            if tok == "+":
-                if pending is not None:
-                    constant += sign * pending
-                    pending = None
-                sign = 1.0
-                pos += 1
-            elif tok == "-":
-                if pending is not None:
-                    constant += sign * pending
-                    pending = None
-                sign = -1.0
-                pos += 1
-            elif _LP_NUMBER.match(tok):
-                if pending is not None:
-                    constant += sign * pending
-                pending = float(tok)
-                pos += 1
-            elif _LP_IDENT.match(tok):
-                if pos + 1 < len(tokens) and tokens[pos + 1] == ":":
-                    break
-                coef = sign * (1.0 if pending is None else pending)
-                asm.ensure_var(tok)
-                coeffs[tok] = coeffs.get(tok, 0.0) + coef
-                pending = None
-                sign = 1.0
-                pos += 1
-            else:
-                raise GridFormatError(f"unexpected LP token {tok!r}")
-        if pending is not None:
-            constant += sign * pending
-        return coeffs, constant
-
-    while pos < len(tokens):
-        kw = keyword_at(pos)
-        if kw in ("minimize", "maximize"):
-            if kw == "maximize":
-                raise GridFormatError("maximization LP files are not supported")
-            pos += 1
-            if peek() and _LP_IDENT.match(tokens[pos]) and pos + 1 < len(tokens) and tokens[pos + 1] == ":":
-                pos += 2
-            coeffs, constant = parse_expr()
-            asm.objective = coeffs
-            asm.constant = constant
-        elif kw == "subject to":
-            pos += 2
-            while pos < len(tokens) and not keyword_at(pos):
-                row_name = f"c{len(asm.rows)}"
-                if _LP_IDENT.match(tokens[pos]) and pos + 1 < len(tokens) and tokens[pos + 1] == ":":
-                    row_name = tokens[pos]
-                    pos += 2
-                coeffs, constant = parse_expr()
-                if pos >= len(tokens) or tokens[pos] not in ("<=", ">=", "="):
-                    raise GridFormatError(f"constraint {row_name!r} lacks a sense")
-                sense = {"<=": Sense.LE, ">=": Sense.GE, "=": Sense.EQ}[tokens[pos]]
-                pos += 1
-                if pos >= len(tokens) or not _LP_NUMBER.match(tokens[pos]):
-                    raise GridFormatError(f"constraint {row_name!r} lacks a numeric rhs")
-                rhs = float(tokens[pos]) - constant
-                pos += 1
-                asm.rows.append((row_name, coeffs, sense, rhs))
-        elif kw == "bounds":
-            pos += 1
-            while pos < len(tokens) and not keyword_at(pos):
-                # Only the emitted two-sided form: lo <= name <= up
-                lo_tok = tokens[pos]
-                if not _LP_NUMBER.match(lo_tok):
-                    raise GridFormatError(f"unsupported bound line near {lo_tok!r}")
-                if tokens[pos + 1] != "<=" or tokens[pos + 3] != "<=":
-                    raise GridFormatError("unsupported bound syntax")
-                var = tokens[pos + 2]
-                up_tok = tokens[pos + 4]
-                asm.ensure_var(var)
-                asm.lbs[var] = float(lo_tok)
-                asm.ubs[var] = math.inf if up_tok.lower() == "inf" else float(up_tok)
-                pos += 5
-        elif kw in ("binaries", "binary"):
-            pos += 1
-            while pos < len(tokens) and not keyword_at(pos):
-                asm.set_kind(tokens[pos], VarKind.BINARY)
-                pos += 1
-        elif kw in ("generals", "general"):
-            pos += 1
-            while pos < len(tokens) and not keyword_at(pos):
-                asm.set_kind(tokens[pos], VarKind.INTEGER)
-                pos += 1
-        elif kw == "end":
-            break
-        else:
-            raise GridFormatError(f"unexpected LP token {tokens[pos]!r} at top level")
-    return asm.build()
+def _read_text(text: str, suffix: str, name: str) -> MipProblem:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"model{suffix}"
+        path.write_text(text)
+        return _read_model(path, name)
 
 
 def read_problem_file(path: str | Path) -> MipProblem:
-    """Load an exported file, dispatching on extension (.mps or .lp)."""
+    """Load a .mps (free or fixed form) or .lp file, named after the file stem.
+
+    HiGHS reads the file and picks the grammar from the extension. Raises
+    GridFormatError on what the writers never produce: a file HiGHS refuses
+    or reads only with a warning, a maximization, a ranged or free row, a
+    semi-continuous column, or a repeated row name. A variable with lb > ub
+    raises ValueError, naming it.
+    """
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".lp":
-        return read_lp(text, path.stem)
-    return read_mps(text, path.stem)
+    path.stat()  # a missing file is an OSError, not a format error
+    return _read_model(path, path.stem)
+
+
+def _read_model(path: Path, name: str) -> MipProblem:
+    """The problem HiGHS reads from ``path``, rebuilt as a ``MipProblem`` called ``name``."""
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    status = highs.readModel(str(path))
+    if status == HighsStatus.kError:
+        raise GridFormatError(f"HiGHS cannot read model {name!r}")
+    lp = highs.getLp()
+    if lp.sense_ != ObjSense.kMinimize:
+        raise GridFormatError(f"model {name!r} maximizes; only minimization is supported")
+    # integrality_ is empty when every column is continuous
+    integrality = lp.integrality_ or [HighsVarType.kContinuous] * lp.num_col_
+    for col_name, var_type in zip(lp.col_names_, integrality):
+        if var_type in (HighsVarType.kSemiContinuous, HighsVarType.kSemiInteger):
+            raise GridFormatError(f"variable {col_name!r} is semi-continuous")
+
+    # HiGHS drops every MPS row name when two repeat; the file still has them.
+    row_names = lp.row_names_ if len(lp.row_names_) == lp.num_row_ else _mps_row_names(path)
+    seen: set[str] = set()
+    for row_name in row_names:
+        if row_name in seen:
+            raise GridFormatError(f"duplicate row name {row_name!r}")
+        seen.add(row_name)
+    lower, upper = np.array(lp.row_lower_), np.array(lp.row_upper_)
+    le, ge, eq = np.isneginf(lower), np.isposinf(upper), lower == upper
+    odd = np.flatnonzero(le.astype(int) + ge + eq != 1)
+    if odd.size:
+        k = odd[0]
+        raise GridFormatError(f"row {row_names[k]!r} has bounds [{lower[k]}, {upper[k]}]; "
+                              "only <=, >= and = rows are supported")
+
+    problem = MipProblem(name)
+    kinds = [
+        VarKind.CONTINUOUS if var_type != HighsVarType.kInteger
+        else VarKind.BINARY if (lb, ub) == (0.0, 1.0) else VarKind.INTEGER
+        for var_type, lb, ub in zip(integrality, lp.col_lower_, lp.col_upper_)
+    ]
+    # HiGHS reads lb > ub with a warning; add_variables raises first, naming the variable
+    problem.add_variables(lp.col_names_, kinds, lp.col_lower_, lp.col_upper_)
+    if status != HighsStatus.kOk:
+        raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
+                              "such as an entry on an undeclared row or a repeated column")
+    a = lp.a_matrix_  # colwise
+    senses = [Sense.LE if x else Sense.GE if y else Sense.EQ for x, y in zip(le.tolist(), ge.tolist())]
+    problem.add_rows(list(row_names), a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
+                     a.value_, senses, np.where(le, upper, lower))
+    cost = np.asarray(lp.col_cost_)
+    ids = np.flatnonzero(cost)
+    problem.set_objective(dict(zip(ids.tolist(), cost[ids].tolist())), lp.offset_)
+    return problem
+
+
+def _mps_row_names(path: Path) -> list[str]:
+    """The names declared in the ROWS section of an MPS file, in order."""
+    names: list[str] = []
+    in_rows = False
+    for line in path.read_text().splitlines():
+        if line[:1].strip() and not line.startswith("*"):  # a section header
+            in_rows = line.split()[0].upper() == "ROWS"
+        elif in_rows and not line.startswith("*"):
+            names += line.split()[1:2]
+    return names
 
 
 def problems_structurally_equal(

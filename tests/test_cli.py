@@ -107,6 +107,24 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
     assert main(["validate", str(micro_config)]) == 1
 
 
+@pytest.mark.parametrize(
+    "mutation,expected",
+    [
+        (("power_mw = 1.2", "power_mw = inf"), ["project.power_mw: not a finite number (inf)"]),
+        (("head_m = 165", "head_m = nan"),
+         [f"case.{k}.head_m: not a finite number (nan)" for k in (1, 2)]),
+        (("operation_h = 3", "operation_h = abc"),
+         [f"case.{k}.operation_h: not a number ('abc')" for k in (1, 2)]),
+        (("zoom = no", "zoom = no\npower_mw = -inf"), ["case.1.power_mw: not a finite number (-inf)"]),
+        (("lower_by_elevation = 385", "lower_by_elevation = low"),
+         ["dem.lower_by_elevation: not a number ('low')"]),
+    ],
+)
+def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, expected):
+    micro_config.write_text(micro_config.read_text().replace(*mutation))
+    assert validate_config(micro_config) == expected
+
+
 def test_validate_rejects_stale_solver_keys(micro_config):
     micro_config.write_text(micro_config.read_text().replace(*STALE_SOLVER_KEYS))
     diags = validate_config(micro_config)

@@ -327,6 +327,53 @@ def test_diag_corrected_length():
     assert diag_corrected_length(straight, 34.0) == pytest.approx(4 * 34.0)
 
 
+def test_diag_corrected_length_counts_only_needed_diagonals():
+    # an orthogonally connected L needs no diagonal step
+    ell = np.zeros((2, 2), bool)
+    ell[0, 0] = ell[0, 1] = ell[1, 1] = True
+    assert diag_corrected_length(ell, 1.0) == pytest.approx(3.0)
+    # an orthogonal staircase needs none; a diagonal one needs one per step
+    stairs = np.zeros((4, 4), bool)
+    for k in range(3):
+        stairs[k, k] = stairs[k, k + 1] = True
+    assert diag_corrected_length(stairs, 1.0) == pytest.approx(6.0)
+    assert diag_corrected_length(np.eye(4, dtype=bool), 1.0) == pytest.approx(4 + 3 * (math.sqrt(2) - 1))
+
+
+def _min_diagonal_links(mask) -> int:
+    """Weight of a Kruskal minimum spanning forest of the 8-neighbor graph of
+    ``mask``, orthogonal edges weighing 0 and diagonal edges 1."""
+    cells = [tuple(c) for c in np.argwhere(mask).tolist()]
+    parent = {c: c for c in cells}
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    edges = sorted(
+        (abs(di) + abs(dj) - 1, c, (c[0] + di, c[1] + dj))
+        for c in cells
+        for di, dj in ((0, 1), (1, 0), (1, 1), (1, -1))
+        if (c[0] + di, c[1] + dj) in parent
+    )
+    weight = 0
+    for w, a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[ra] = rb
+            weight += w
+    return weight
+
+
+def test_diag_corrected_length_matches_minimum_spanning_forest():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        mask = rng.random((6, 6)) < rng.uniform(0.2, 0.7)
+        want = mask.sum() + (math.sqrt(2) - 1) * _min_diagonal_links(mask)
+        assert diag_corrected_length(mask, 1.0) == pytest.approx(want)
+
+
 def test_with_origin_embeds_masks():
     grid, spec = pit_grid(), pit_spec()
     sp, res, sol = solve_at_level(grid, spec, 0)

@@ -369,6 +369,27 @@ def test_lp_reader_rejects_duplicate_constraint_label():
         ps.read_lp(text)
 
 
+@pytest.mark.parametrize(
+    "fmt,old,new",
+    [
+        ("mps", "   b  s  1\n", "   b  s  1\n   b  q  2\n"),
+        ("mps", " G  s\n", " X  s\n"),
+        ("mps", " UP  BND  u  17\n", " SC  BND  u  17\n"),
+        ("mps", "BOUNDS\n", "RANGES\n   RNG  r  2\nBOUNDS\n"),
+        ("lp", "Minimize\n", "Maximize\n"),
+        ("lp", " s: 1 b >= 1\n", " s: 1 b\n"),
+    ],
+    ids=["mps-undeclared-row", "mps-unknown-row-type", "mps-sc-bound", "mps-ranges",
+         "lp-maximize", "lp-no-rhs"],
+)
+def test_readers_reject_malformed_file(fmt, old, new):
+    prob = _two_row_problem(kind=VarKind.CONTINUOUS)
+    text = ps.write_mps(prob, "free") if fmt == "mps" else ps.write_lp(prob)
+    assert old in text
+    with pytest.raises(ps.GridFormatError):
+        (ps.read_mps if fmt == "mps" else ps.read_lp)(text.replace(old, new))
+
+
 @pytest.mark.parametrize("fmt", ["mps", "lp"])
 def test_readers_reject_lower_bound_above_upper(fmt):
     prob = _two_row_problem()

@@ -291,3 +291,49 @@ def test_zoom_failure_keeps_stage_trace():
     [entry] = info.value.trace
     assert (entry.stage, entry.zoom_factor, entry.status) == ("zoom", 2, "infeasible")
     assert entry.window == (0, 0, 8, 8)
+
+
+def _coarse_stage_floods(cell, trace, stages) -> list[bool]:
+    """Per coarse stage: whether its reservoir holds the super-cell of ``cell``."""
+    coarse = [t for t in trace if t.zoom_factor > 1]
+    floods = []
+    for entry, (factor, sol) in zip(coarse, [s for s in stages if s[0] > 1]):
+        i = cell[0] // factor - entry.window[0] // factor
+        j = cell[1] // factor - entry.window[1] // factor
+        shape = sol.reservoir_mask.shape
+        floods.append(0 <= i < shape[0] and 0 <= j < shape[1] and bool(sol.reservoir_mask[i, j]))
+    return floods
+
+
+def test_zoom_keeps_excluded_cells_dry_at_every_stage(monkeypatch):
+    import phs_siting.strategy as strategy
+
+    # a broad basin next to the river, with room to move the dam off one cell
+    elev = np.full((12, 12), 600.0)
+    elev[:, 0:2] = RIVER_ELEVATION
+    elev[2:10, 4:10] = 520.0
+    grid, spec = river_grid(elev), spec_for_volume(200_000.0)
+    config = StrategyConfig(zoom_factors=(2, 1))
+    stages = []
+    original = strategy.run_ladder
+
+    def recording(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        stages.append((kwargs["zoom_factor"], sol))
+        return sol
+
+    monkeypatch.setattr(strategy, "run_ladder", recording)
+    cell = (1, 4)
+    free = ps.run_zoom_in(grid, spec, config=config)
+    assert free.reservoir_mask[cell]
+    assert _coarse_stage_floods(cell, free.trace, stages) == [True]
+
+    stages.clear()
+    excluded = np.zeros(grid.shape, dtype=bool)
+    excluded[cell] = True
+    site = ps.run_zoom_in(grid, spec, config=config, excluded=excluded)
+    assert site.valid and site.connected
+    cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+    assert ps.verify_masks(grid, cands, spec, site) == []
+    assert not (site.reservoir_mask & excluded).any()
+    assert _coarse_stage_floods(cell, site.trace, stages) == [False]
