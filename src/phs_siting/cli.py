@@ -108,7 +108,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     def get(section: str, key: str, fallback=None) -> str | None:
         return parser.get(section, key, fallback=fallback)
 
-    rejected: set[str] = set()  # keys get_float has reported; no follow-up lines for them
+    rejected: set[str] = set()  # keys already reported; no follow-up lines for them
 
     def get_float(section: str, key: str, fallback=None):
         raw = get(section, key)
@@ -174,11 +174,10 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             diags.append(f"dem.excluded_mask_file: file not found ({excluded_path})")
 
     power_mw = get_float("project", "power_mw", None)
-    if power_mw is None:
-        if "project.power_mw" not in rejected:
-            diags.append("project.power_mw: required")
-    elif power_mw <= 0:
-        diags.append(f"project.power_mw: must be positive, got {power_mw}")
+    if "project.power_mw" not in rejected and (power_mw is None or power_mw <= 0):
+        diags.append("project.power_mw: required" if power_mw is None
+                     else f"project.power_mw: must be positive, got {power_mw}")
+        rejected.add("project.power_mw")  # the cases that inherit it report nothing more
     efficiency = get_float("project", "efficiency", DEFAULT_EFFICIENCY)
     if efficiency is not None and not 0 < efficiency <= 1:
         diags.append(f"project.efficiency: must be in (0, 1], got {efficiency}")
@@ -261,9 +260,11 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         head = get_float(section, "head_m")
         hours = get_float(section, "operation_h")
         case_power = get_float(section, "power_mw", power_mw)
+        own_power = (get(section, "power_mw") or "").strip()
         zoom_flag = parser.getboolean(section, "zoom", fallback=False)
         for key, value in (("head_m", head), ("operation_h", hours), ("power_mw", case_power)):
-            if value is None and rejected & {f"{section}.{key}", f"project.{key}"}:
+            source = "project" if key == "power_mw" and not own_power else section
+            if f"{source}.{key}" in rejected:
                 continue
             if value is None or value <= 0:
                 diags.append(f"{section}.{key}: must be a positive number, got {value}")

@@ -113,10 +113,11 @@ def add_tour_constraints(
     perimeter-candidate count; the l_b term exempts arcs entering the link
     cell, which anchors ranks through u <= (S-1)(1-l). Ranks are capped by
     u <= (S-1)x rather than u <= x, which would forbid tours longer than two
-    cells. Arcs run from each perimeter cell, in row-major order, to its
-    perimeter neighbors in ``EIGHT_NEIGHBORS`` order.
+    cells. The perimeter indicator x is the expression z - y, so each x term
+    enters a row as a +z/-y pair. Arcs run from each perimeter cell, in
+    row-major order, to its perimeter neighbors in ``EIGHT_NEIGHBORS`` order.
     """
-    cells = sv.cells["x"]
+    cells = sv.cells["l"]  # the perimeter candidates
     n = len(cells)
     if n < 3:
         raise ValueError(f"perimeter tour needs at least 3 perimeter candidates, got {n}")
@@ -131,15 +132,17 @@ def add_tour_constraints(
     arcs = np.column_stack([cells[a], cells[b]])
     w = prob.add_variables(CellNames(("w_{}_{}_{}_{}",), arcs))
     u = prob.add_variables(CellNames(("u_{}_{}",), cells), VarKind.INTEGER, 0.0, s_bound - 1.0)
-    x, link = sv.ids("x"), sv.ids("l")
+    z, y = (_id_raster(cands.shape, sv.cells[f], sv.ids(f))[cells[:, 0] + 1, cells[:, 1] + 1]
+            for f in "zy")
+    link = sv.ids("l")
 
     block = _Entries()
     block.add(4 * a, w, 1.0)
-    block.add(4 * k, x, -1.0)
     block.add(4 * b + 1, w, 1.0)
-    block.add(4 * k + 1, x, -1.0)
+    block.add_perimeter(4 * k, z, y, -1.0)
+    block.add_perimeter(4 * k + 1, z, y, -1.0)
     block.add(4 * k + 2, u, 1.0)
-    block.add(4 * k + 2, x, 1.0 - s_bound)
+    block.add_perimeter(4 * k + 2, z, y, 1.0 - s_bound)
     block.add(4 * k + 3, u, 1.0)
     block.add(4 * k + 3, link, s_bound - 1.0)
     patterns = ("deg_out_{}_{}", "deg_in_{}_{}", "rank_cap_{}_{}", "rank_root_{}_{}")

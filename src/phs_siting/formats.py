@@ -1,8 +1,9 @@
 """MPS and LP file export, and import through HiGHS's own reader.
 
 The writers are deterministic: the same problem always produces byte-identical
-text. Free-form MPS and LP files carry the documented ``x_i_j`` variable
-names; fixed-form MPS sanitizes names to the historical 8-character fields
+text. Free-form MPS and LP files carry the documented ``z_i_j``, ``y_i_j``
+and ``l_i_j`` variable names (the model has no perimeter column: see
+``model``); fixed-form MPS sanitizes names to the historical 8-character fields
 (``V0000001``/``C0000001``) while preserving order, so structural round trips
 compare by position rather than by name.
 

@@ -1,11 +1,16 @@
 """Integer-programming core: problem container and the base siting formulation.
 
-Variables follow the naming scheme ``x_i_j`` (perimeter), ``y_i_j`` (interior),
-``z_i_j`` (reservoir), ``l_i_j`` (conveyance link); the scheme is stable and is
-what the file exporters emit. The problem is stored as arrays and the names are
-derived from this scheme only when something asks for them. Neighbor variables
-that fall outside the grid or outside a candidate set are treated as constant
-zero, which makes the shape rules well defined at grid edges.
+The paper's binary program marks each cell perimeter (x), interior (y) or
+reservoir (z = x + y). The model here is written over z and y alone: the
+perimeter indicator is the expression ``x = z - y`` (just ``z`` on dry cells,
+which have no y), which keeps the same feasible sites and the same LP
+relaxation with fewer columns and rows. Variables follow the naming scheme
+``z_i_j`` (reservoir), ``y_i_j`` (interior), ``l_i_j`` (conveyance link); the
+scheme is stable and is what the file exporters emit. The problem is stored as
+arrays and the names are derived from this scheme only when something asks for
+them. Neighbor variables that fall outside the grid or outside a candidate set
+are treated as constant zero, which makes the shape rules well defined at grid
+edges.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class CellNames:
 
     Each row of ``cells`` (an (n, k) int array, such as the (row, col) of a
     grid cell) gets one name per pattern, in pattern order; a pattern is a
-    format string taking the row's k numbers, such as ``"cover_{}_{}_up"``.
+    format string taking the row's k numbers, such as ``"inter_{}_{}_up"``.
     """
 
     def __init__(self, patterns: tuple[str, ...], cells: np.ndarray):
@@ -434,9 +439,11 @@ class SolutionValues(Mapping):
 class SitingVariables:
     """Cell-indexed handles into the variable families of a siting problem.
 
-    ``cells[f]`` holds the (row, col) cells of family f (``z`` reservoir, ``x``
-    perimeter, ``y`` interior, ``l`` link) in row-major order; their ids run
-    contiguously from ``start[f]``.
+    ``cells[f]`` holds the (row, col) cells of family f (``z`` reservoir,
+    ``y`` interior, ``l`` link) in row-major order; their ids run contiguously
+    from ``start[f]``. The link cells are the perimeter candidates, whose
+    perimeter indicator is the expression ``z - y`` (``z`` where there is no
+    ``y``).
     """
 
     cells: dict[str, np.ndarray]
@@ -462,6 +469,11 @@ class _Entries:
     def add(self, rows: np.ndarray, cols: np.ndarray, coef) -> None:
         keep = cols >= 0
         self.parts.append((rows[keep], cols[keep], np.full(cols.shape, coef, dtype=float)[keep]))
+
+    def add_perimeter(self, rows: np.ndarray, z: np.ndarray, y: np.ndarray, coef) -> None:
+        """``coef`` times the perimeter indicator x = z - y of the cells with ids ``z``, ``y``."""
+        self.add(rows, z, coef)
+        self.add(rows, y, -coef)
 
     def add_to(self, prob: MipProblem, names, sense, rhs=0.0) -> None:
         rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
@@ -499,14 +511,18 @@ def build_siting_problem(
     diagonals, 3 perimeter tour (TSP) constraints.
 
     The base model is built one row family at a time from cell-id rasters.
-    Variables come in the order z, x, y, l, each in row-major cell order.
-    Rows: per reservoir cell ``cover_i_j_<dir>`` for the four directions
-    (z <= x + z_neighbor) then ``role_i_j`` (z = x + y); per perimeter cell
-    ``contact_i_j`` (min_neighbors * x <= sum of neighbor z); per interior
-    cell ``inter_i_j_<dir>`` (y <= z_neighbor); ``volume`` (stored volume >=
-    target); per perimeter cell ``linkx_i_j`` (l <= x); and ``link_sum``
-    (exactly one link). Neighbors outside the grid or the candidate sets are
-    constant zero. The objective is embankment on active perimeter cells plus
+    Variables come in the order z, y, l, each in row-major cell order; the
+    perimeter indicator of a perimeter candidate is x = z - y (z where the
+    cell has no y). Rows: per interior cell ``role_i_j``, y <= z where the
+    cell is also a perimeter candidate and y = z where it is not; per
+    perimeter cell ``contact_i_j`` (min_neighbors * (z - y) <= sum of neighbor
+    z); per interior cell ``inter_i_j_<dir>`` (y <= z_neighbor); ``volume``
+    (stored volume >= target); per perimeter cell ``linkx_i_j`` (l <= z - y);
+    and ``link_sum`` (exactly one link). Neighbors outside the grid or the
+    candidate sets are constant zero. The paper's cover rows z <= x +
+    z_neighbor read y <= z_neighbor here, which ``inter`` already states, so
+    they are not written. The objective is embankment on active perimeter
+    cells, +cost on z and -cost on y of each wet perimeter cell, plus
     conveyance at the link; dry perimeter cells cost nothing, and the E&M
     equipment cost, a constant for a (head, capacity) pair, is the offset.
     """
@@ -524,38 +540,34 @@ def build_siting_problem(
         raise ValueError("perimeter_min_neighbors must be 1 (as per the base model) or 3")
 
     prob = MipProblem()
-    cells = {"z": np.argwhere(cands.reservoir_ok), "x": np.argwhere(cands.perimeter_ok),
-             "y": np.argwhere(cands.interior_ok)}
-    cells["l"] = cells["x"]
-    ids = {f: prob.add_variables(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zxy"}
+    cells = {"z": np.argwhere(cands.reservoir_ok), "y": np.argwhere(cands.interior_ok),
+             "l": np.argwhere(cands.perimeter_ok)}
+    ids = {f: prob.add_variables(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zy"}
     shape = cands.shape
-    Z, X, Y = (_id_raster(shape, cells[f], ids[f]) for f in "zxy")
+    Z, Y = (_id_raster(shape, cells[f], ids[f]) for f in "zy")
 
     def at(raster: np.ndarray, family: str, di: int = 0, dj: int = 0) -> np.ndarray:
         """Per cell of ``family``: the raster's id at that cell shifted by (di, dj)."""
         c = cells[family]
         return raster[c[:, 0] + 1 + di, c[:, 1] + 1 + dj]
 
-    nz, nx, ny = (len(cells[f]) for f in "zxy")
+    # the perimeter indicator x = z - y, as the (z, y) ids of each perimeter cell
+    pz, py = at(Z, "l"), at(Y, "l")
+    ny, nx = len(cells["y"]), len(cells["l"])
     block = _Entries()
-    k = np.arange(nz)
-    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
-        rows = 5 * k + d
-        block.add(rows, ids["z"], 1.0)
-        block.add(rows, at(X, "z"), -1.0)
-        block.add(rows, at(Z, "z", di, dj), -1.0)
-    block.add(5 * k + 4, ids["z"], 1.0)
-    block.add(5 * k + 4, at(X, "z"), -1.0)
-    block.add(5 * k + 4, at(Y, "z"), -1.0)
-    patterns = tuple(f"cover_{{}}_{{}}_{d}" for d in _DIRECTIONS) + ("role_{}_{}",)
-    block.add_to(prob, CellNames(patterns, cells["z"]), (Sense.LE,) * 4 + (Sense.EQ,))
+    k = np.arange(ny)
+    block.add(k, ids["y"], 1.0)
+    block.add(k, at(Z, "y"), -1.0)
+    on_perimeter = cands.perimeter_ok[cells["y"][:, 0], cells["y"][:, 1]].tolist()
+    block.add_to(prob, CellNames(("role_{}_{}",), cells["y"]),
+                 [Sense.LE if p else Sense.EQ for p in on_perimeter])
 
     block = _Entries()
     k = np.arange(nx)
-    block.add(k, ids["x"], float(perimeter_min_neighbors))
+    block.add_perimeter(k, pz, py, float(perimeter_min_neighbors))
     for di, dj in FOUR_NEIGHBORS:
-        block.add(k, at(Z, "x", di, dj), -1.0)
-    block.add_to(prob, CellNames(("contact_{}_{}",), cells["x"]), Sense.LE)
+        block.add(k, at(Z, "l", di, dj), -1.0)
+    block.add_to(prob, CellNames(("contact_{}_{}",), cells["l"]), Sense.LE)
 
     block = _Entries()
     k = np.arange(ny)
@@ -579,17 +591,24 @@ def build_siting_problem(
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
     ids["l"] = prob.add_variables(CellNames(("l_{}_{}",), cells["l"]))
     k = np.arange(nx)
-    prob.add_rows(CellNames(("linkx_{}_{}",), cells["x"]), np.concatenate([k, k]),
-                  np.concatenate([ids["l"], ids["x"]]), np.repeat([1.0, -1.0], nx), Sense.LE)
+    block = _Entries()
+    block.add(k, ids["l"], 1.0)
+    block.add_perimeter(k, pz, py, -1.0)
+    block.add_to(prob, CellNames(("linkx_{}_{}",), cells["l"]), Sense.LE)
     prob.add_rows(["link_sum"], np.zeros(nx, dtype=np.int64), ids["l"], np.ones(nx), Sense.EQ, 1.0)
 
-    x_elev = grid.elevations[cells["x"][:, 0], cells["x"][:, 1]].tolist()
-    x_dist = dist.values[cells["x"][:, 0], cells["x"][:, 1]].tolist()
+    p_elev = grid.elevations[cells["l"][:, 0], cells["l"][:, 1]].tolist()
+    p_dist = dist.values[cells["l"][:, 0], cells["l"][:, 1]].tolist()
     water = spec.water_elevation
-    coeffs = {xid: embankment_cell_cost(grid.cell_length, water, e, params)[0]
-              for xid, e in zip(ids["x"].tolist(), x_elev)}
+    coeffs: dict[int, float] = {}
+    for zid, yid, e in zip(pz.tolist(), py.tolist(), p_elev):
+        cost = embankment_cell_cost(grid.cell_length, water, e, params)[0]
+        if cost:  # a wet cell: the embankment sits on x = z - y
+            coeffs[zid] = cost
+            if yid >= 0:
+                coeffs[yid] = -cost
     coeffs.update((lid, sum(conveyance_cost(spec.flow, d, params)))
-                  for lid, d in zip(ids["l"].tolist(), x_dist))
+                  for lid, d in zip(ids["l"].tolist(), p_dist))
     prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
 
     sv = SitingVariables(cells, {f: int(ids[f][0]) for f in ids})
@@ -739,10 +758,11 @@ def extract_solution(
     """
     grid, spec, params = sp.grid, sp.spec, sp.cost_params
     vec = sp.mip.values_vector(values)
-    x_mask, y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(3))
-    for mask, family in ((x_mask, "x"), (y_mask, "y"), (z_mask, "z")):
+    y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(2))
+    for mask, family in ((y_mask, "y"), (z_mask, "z")):
         on = _round_binaries(sp.variables, family, vec, tolerance)
         mask[on[:, 0], on[:, 1]] = True
+    x_mask = z_mask & ~y_mask
     link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec, tolerance).tolist()]
 
     if not np.any(y_mask):

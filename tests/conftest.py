@@ -36,7 +36,7 @@ def add_row(prob: ps.MipProblem, name: str, coeffs, sense: Sense, rhs: float) ->
 
 
 def cell_ids(sv, family: str) -> dict[tuple[int, int], int]:
-    """Cell -> variable id of one family (``z``, ``x``, ``y`` or ``l``) of a siting problem."""
+    """Cell -> variable id of one family (``z``, ``y`` or ``l``) of a siting problem."""
     return dict(zip(map(tuple, sv.cells[family].tolist()), sv.ids(family).tolist()))
 
 

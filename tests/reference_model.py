@@ -1,10 +1,16 @@
-"""Per-row reference for the siting model build.
+"""Per-row references for the siting model build.
 
-This is the builder the package used before it assembled the base formulation
-and the connectivity rows from whole-array blocks: one variable and one row at
-a time, over cell -> id dicts (each added through the block methods as a
-block of one). ``test_model`` requires the array build to produce exactly the
-same problem.
+``build_reference`` is the builder the package used before it assembled the
+base formulation and the connectivity rows from whole-array blocks: one
+variable and one row at a time, over cell -> id dicts (each added through the
+block methods as a block of one), for the model over z and y in which the
+perimeter indicator is the expression x = z - y. ``test_model`` requires the
+array build to produce exactly the same problem.
+
+``build_reference_xyz`` builds the paper's own program with a perimeter column
+x per perimeter candidate, the cover rows z <= x + z_neighbor and the role
+rows z = x + y. ``test_model`` requires both programs to have the same MIP
+optimum and the same LP relaxation bound.
 """
 
 from __future__ import annotations
@@ -24,50 +30,69 @@ DIRECTIONS = ("up", "down", "left", "right")
 
 @dataclass
 class CellVariables:
-    x: dict[Cell, int] = field(default_factory=dict)
+    perimeter: list[Cell]
+    x: dict[Cell, int] = field(default_factory=dict)  # the paper's program only
     y: dict[Cell, int] = field(default_factory=dict)
     z: dict[Cell, int] = field(default_factory=dict)
     link: dict[Cell, int] = field(default_factory=dict)
 
+    def px(self, cell: Cell, coef: float) -> list[tuple[int, float]]:
+        """``coef`` times the perimeter indicator of ``cell``: x, or z - y."""
+        if self.x:
+            return [(self.x[cell], coef)]
+        return [(self.z[cell], coef)] + ([(self.y[cell], -coef)] if cell in self.y else [])
 
-def _declare_cell_variables(prob, cands) -> CellVariables:
-    sv = CellVariables()
+
+def _neighbor(cell, d):
+    di, dj = FOUR_NEIGHBORS[d]
+    return (cell[0] + di, cell[1] + dj)
+
+
+def _declare_cell_variables(prob, cands, xyz: bool) -> CellVariables:
+    sv = CellVariables(cands.perimeter_cells())
     for i, j in cands.reservoir_cells():
         sv.z[(i, j)] = add_variable(prob, f"z_{i}_{j}")
-    for i, j in cands.perimeter_cells():
-        sv.x[(i, j)] = add_variable(prob, f"x_{i}_{j}")
+    if xyz:
+        for i, j in sv.perimeter:
+            sv.x[(i, j)] = add_variable(prob, f"x_{i}_{j}")
     for i, j in cands.interior_cells():
         sv.y[(i, j)] = add_variable(prob, f"y_{i}_{j}")
     return sv
 
 
-def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
-    def neighbor(cell, d):
-        di, dj = FOUR_NEIGHBORS[d]
-        return (cell[0] + di, cell[1] + dj)
-
+def _add_cover_and_role_rows(prob, sv) -> None:
+    """The paper's rows per reservoir cell: z <= x + z_neighbor, z = x + y."""
     for cell, zid in sv.z.items():
         i, j = cell
+        x = [(sv.x[cell], -1.0)] if cell in sv.x else []
         for d, dname in enumerate(DIRECTIONS):
-            coeffs = [(zid, 1.0)]
-            if cell in sv.x:
-                coeffs.append((sv.x[cell], -1.0))
-            nbr = neighbor(cell, d)
-            if nbr in sv.z:
-                coeffs.append((sv.z[nbr], -1.0))
+            nbr = _neighbor(cell, d)
+            coeffs = [(zid, 1.0)] + x + ([(sv.z[nbr], -1.0)] if nbr in sv.z else [])
             add_row(prob, f"cover_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
-        coeffs = [(zid, 1.0)]
-        if cell in sv.x:
-            coeffs.append((sv.x[cell], -1.0))
-        if cell in sv.y:
-            coeffs.append((sv.y[cell], -1.0))
+        coeffs = [(zid, 1.0)] + x + ([(sv.y[cell], -1.0)] if cell in sv.y else [])
         add_row(prob, f"role_{i}_{j}", coeffs, Sense.EQ, 0.0)
 
-    for cell, xid in sv.x.items():
+
+def _add_role_rows(prob, sv) -> None:
+    """x = z - y >= 0 per interior cell, and x = 0 where it is no perimeter cell."""
+    perimeter = set(sv.perimeter)
+    for cell, yid in sv.y.items():
         i, j = cell
-        coeffs = [(xid, float(perimeter_min_neighbors))]
+        sense = Sense.LE if cell in perimeter else Sense.EQ
+        add_row(prob, f"role_{i}_{j}", [(yid, 1.0), (sv.z[cell], -1.0)], sense, 0.0)
+
+
+def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
+    if sv.x:
+        _add_cover_and_role_rows(prob, sv)
+    else:
+        _add_role_rows(prob, sv)
+
+    for cell in sv.perimeter:
+        i, j = cell
+        coeffs = sv.px(cell, float(perimeter_min_neighbors))
         for d in range(4):
-            nbr = neighbor(cell, d)
+            nbr = _neighbor(cell, d)
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
         add_row(prob, f"contact_{i}_{j}", coeffs, Sense.LE, 0.0)
@@ -76,7 +101,7 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
         i, j = cell
         for d, dname in enumerate(DIRECTIONS):
             coeffs = [(yid, 1.0)]
-            nbr = neighbor(cell, d)
+            nbr = _neighbor(cell, d)
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
             add_row(prob, f"inter_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
@@ -94,23 +119,25 @@ def _add_volume_constraint(prob, sv, cands, grid, spec) -> None:
 
 
 def _add_link_constraints(prob, sv) -> None:
-    if not sv.x:
+    if not sv.perimeter:
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    for cell, xid in sv.x.items():
+    for cell in sv.perimeter:
         i, j = cell
         lid = add_variable(prob, f"l_{i}_{j}")
         sv.link[cell] = lid
-        add_row(prob, f"linkx_{i}_{j}", [(lid, 1.0), (xid, -1.0)], Sense.LE, 0.0)
+        add_row(prob, f"linkx_{i}_{j}", [(lid, 1.0)] + sv.px(cell, -1.0), Sense.LE, 0.0)
     add_row(prob, "link_sum", [(lid, 1.0) for lid in sv.link.values()], Sense.EQ, 1.0)
 
 
 def _set_siting_objective(prob, sv, grid, spec, params, dist) -> None:
+    """Embankment on x, conveyance on l; the z/y program lists only wet cells."""
     coeffs: dict[int, float] = {}
-    for (i, j), xid in sv.x.items():
+    for (i, j) in sv.perimeter:
         cost, _ = embankment_cell_cost(
             grid.cell_length, spec.water_elevation, float(grid.elevations[i, j]), params
         )
-        coeffs[xid] = cost
+        if sv.x or cost != 0.0:
+            coeffs.update(sv.px((i, j), cost))
     for (i, j), lid in sv.link.items():
         excavation, lining = conveyance_cost(spec.flow, float(dist.values[i, j]), params)
         coeffs[lid] = excavation + lining
@@ -186,7 +213,8 @@ def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> N
 
 def add_tour_constraints(prob, sv, cands) -> None:
     """Single closed perimeter tour via rank (MTZ-style) ordering."""
-    cells = sorted(sv.x)
+    cells = sorted(sv.perimeter)
+    perimeter = set(cells)
     if len(cells) < 3:
         raise ValueError(f"perimeter tour needs at least 3 perimeter candidates, got {len(cells)}")
     s_bound = float(len(cells))
@@ -197,7 +225,7 @@ def add_tour_constraints(prob, sv, cands) -> None:
     for (i, j) in cells:
         for di, dj in EIGHT_NEIGHBORS:
             nbr = (i + di, j + dj)
-            if nbr in sv.x:
+            if nbr in perimeter:
                 wid = add_variable(prob, f"w_{i}_{j}_{nbr[0]}_{nbr[1]}")
                 arcs[((i, j), nbr)] = wid
                 out_arcs[(i, j)].append(wid)
@@ -211,23 +239,23 @@ def add_tour_constraints(prob, sv, cands) -> None:
 
     for cell in cells:
         i, j = cell
-        xid = sv.x[cell]
         add_row(
             prob,
             f"deg_out_{i}_{j}",
-            [(wid, 1.0) for wid in out_arcs[cell]] + [(xid, -1.0)],
+            [(wid, 1.0) for wid in out_arcs[cell]] + sv.px(cell, -1.0),
             Sense.EQ,
             0.0,
         )
         add_row(
             prob,
             f"deg_in_{i}_{j}",
-            [(wid, 1.0) for wid in in_arcs[cell]] + [(xid, -1.0)],
+            [(wid, 1.0) for wid in in_arcs[cell]] + sv.px(cell, -1.0),
             Sense.EQ,
             0.0,
         )
         add_row(
-            prob, f"rank_cap_{i}_{j}", [(rank[cell], 1.0), (xid, 1.0 - s_bound)], Sense.LE, 0.0
+            prob, f"rank_cap_{i}_{j}", [(rank[cell], 1.0)] + sv.px(cell, 1.0 - s_bound),
+            Sense.LE, 0.0
         )
         add_row(
             prob,
@@ -247,16 +275,15 @@ def add_tour_constraints(prob, sv, cands) -> None:
         )
 
 
-def build_reference(grid, spec, cost_params=None, *, cands=None, dist=None, level=0,
-                    excluded=None, perimeter_min_neighbors=1) -> MipProblem:
-    """The siting MIP, built row by row; same arguments as ``build_siting_problem``."""
+def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
+           excluded=None, perimeter_min_neighbors=1) -> MipProblem:
     params = cost_params or CostParams()
     if cands is None:
         cands = candidate_sets(grid, spec.water_elevation, excluded)
     if dist is None:
         dist = distance_field(grid)
     prob = MipProblem()
-    sv = _declare_cell_variables(prob, cands)
+    sv = _declare_cell_variables(prob, cands, xyz)
     _add_shape_constraints(prob, sv, perimeter_min_neighbors)
     _add_volume_constraint(prob, sv, cands, grid, spec)
     _add_link_constraints(prob, sv)
@@ -266,3 +293,14 @@ def build_reference(grid, spec, cost_params=None, *, cands=None, dist=None, leve
     if level >= 3:
         add_tour_constraints(prob, sv, cands)
     return prob
+
+
+def build_reference(grid, spec, **kwargs) -> MipProblem:
+    """The siting MIP over z and y, built row by row; same arguments as
+    ``build_siting_problem``."""
+    return _build(grid, spec, False, **kwargs)
+
+
+def build_reference_xyz(grid, spec, **kwargs) -> MipProblem:
+    """The paper's program: perimeter columns x, cover rows and z = x + y."""
+    return _build(grid, spec, True, **kwargs)

@@ -118,6 +118,8 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
         (("zoom = no", "zoom = no\npower_mw = -inf"), ["case.1.power_mw: not a finite number (-inf)"]),
         (("lower_by_elevation = 385", "lower_by_elevation = low"),
          ["dem.lower_by_elevation: not a number ('low')"]),
+        (("power_mw = 1.2\n", ""), ["project.power_mw: required"]),
+        (("power_mw = 1.2", "power_mw = -1"), ["project.power_mw: must be positive, got -1.0"]),
     ],
 )
 def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, expected):

@@ -99,14 +99,16 @@ def test_tour_single_cycle_on_pit():
     grid, spec = pit_grid(), pit_spec()
     sp, res, sol = solve_at_level(grid, spec, 3)
     assert res.status is ps.SolveStatus.OPTIMAL
-    # walk the active arcs: they must form one directed cycle over all x=1
+    # walk the active arcs: they must form one directed cycle over all x = z - y = 1
     succ = {}
     for name, value in res.values.items():
         if name.startswith("w_") and value > 0.5:
             i, j, h, k = map(int, name[2:].split("_"))
             assert (i, j) not in succ
             succ[(i, j)] = (h, k)
-    active = {cell for cell in cell_ids(sp.variables, "x") if res.values[f"x_{cell[0]}_{cell[1]}"] > 0.5}
+    values = res.values
+    active = {(i, j) for i, j in cell_ids(sp.variables, "l")
+              if values[f"z_{i}_{j}"] - values.get(f"y_{i}_{j}", 0.0) > 0.5}
     assert set(succ) == active
     start = next(iter(active))
     seen = [start]
@@ -153,16 +155,21 @@ def test_tour_constraints_hold_for_all_zero():
 
 
 def test_rank_cap_rows_carry_repaired_coefficient():
-    # u <= (S-1)x with S perimeter candidates; u <= x would leave the 4-cell
-    # perimeter tour of the pit unrankable
-    grid, spec = pit_grid(), pit_spec()
-    sp = ps.build_siting_problem(grid, spec, level=3)
-    x_ids = cell_ids(sp.variables, "x")
-    s_bound = len(x_ids)
-    caps = {r.name: dict(r.coeffs) for r in sp.mip.rows if r.name.startswith("rank_cap_")}
-    assert len(caps) == s_bound
-    for (i, j), xid in x_ids.items():
-        assert caps[f"rank_cap_{i}_{j}"][xid] == -(s_bound - 1)
+    # u <= (S-1)x with S perimeter candidates and x = z - y: -(S-1) on z and
+    # +(S-1) on y; u <= x would leave the 4-cell perimeter tour of the pit
+    # unrankable. The pit's perimeter is dry (no y); the shelf's is wet.
+    for grid, spec in ((pit_grid(), pit_spec()), (_band_grid(), spec_for_volume(20_000.0))):
+        sp = ps.build_siting_problem(grid, spec, level=3)
+        z, y = cell_ids(sp.variables, "z"), cell_ids(sp.variables, "y")
+        perimeter = cell_ids(sp.variables, "l")
+        s_bound = len(perimeter)
+        caps = {r.name: dict(r.coeffs) for r in sp.mip.rows if r.name.startswith("rank_cap_")}
+        assert len(caps) == s_bound
+        for i, j in perimeter:
+            cap = caps[f"rank_cap_{i}_{j}"]
+            assert cap[z[(i, j)]] == -(s_bound - 1)
+            assert cap.get(y.get((i, j))) == (s_bound - 1 if (i, j) in y else None)
+    assert any(cell in y for cell in perimeter)
 
 
 def test_tour_needs_three_perimeter_candidates():

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
-from phs_siting.model import Sense, diag_corrected_length
+from phs_siting.model import diag_corrected_length
+from phs_siting.solve import _configured, _pass_model
+from phs_siting.terrain import FOUR_NEIGHBORS
 
 from conftest import (
     RIVER_ELEVATION,
@@ -28,93 +31,73 @@ from conftest import (
     two_basin_grid,
     two_basin_spec,
 )
-from reference_model import build_reference
+from reference_model import build_reference, build_reference_xyz
 
 
-def _shape_rows(problem):
-    prefixes = ("cover_", "role_", "contact_", "inter_")
-    return [row for row in problem.rows if row.name.startswith(prefixes)]
+def _block_pit_grid():
+    """The pit grown to a 2x2 block of deep cells: each is both a perimeter
+    and an interior candidate, so its role row reads y <= z."""
+    grid = pit_grid()
+    elev = grid.elevations.copy()
+    elev[2:4, 3:5] = 500.0
+    return river_grid(elev)
 
 
-def _row_holds(row, vec) -> bool:
-    activity = sum(coef * vec[vid] for vid, coef in row.coeffs)
-    if row.sense is Sense.LE:
-        return activity <= row.rhs + 1e-9
-    if row.sense is Sense.GE:
-        return activity >= row.rhs - 1e-9
-    return abs(activity - row.rhs) <= 1e-9
+def _accepted_sites(problem) -> list[set]:
+    """Every 0/1 assignment of the z and y binaries that the shape rows accept,
+    as the set of (family, cell) pairs it sets to 1. Where the problem has x
+    columns (the paper's program), x is set to z - y, and an assignment that
+    makes it negative is rejected."""
+    ids = {(name[0], tuple(map(int, name[2:].split("_")))): vid
+           for vid, name in enumerate(problem.variable_names()) if name[0] in "xyz"}
+    keys = [key for key in ids if key[0] != "x"]
+    bits = np.array(list(itertools.product((0, 1), repeat=len(keys))), dtype=float)
+    bit = dict(zip(keys, bits.T))
+    vec = np.zeros((len(bits), problem.num_variables))
+    for (family, cell), vid in ids.items():
+        vec[:, vid] = bit[("z", cell)] - bit.get(("y", cell), 0.0) if family == "x" else bit[(family, cell)]
+    shape = [r for r, name in enumerate(problem.row_names())
+             if name.startswith(("cover_", "role_", "contact_", "inter_"))]
+    activity = (problem.matrix[shape] @ vec.T).T
+    lo, hi = (bound[shape] for bound in problem.row_bounds())
+    ok = (vec.min(axis=1) >= 0) & np.all((activity >= lo - 1e-9) & (activity <= hi + 1e-9), axis=1)
+    return [{key for key, b in zip(keys, row) if b} for row in bits[ok]]
 
 
 def test_shape_constraints_exhaustive_on_plus_instance():
-    """Enumerate every 0/1 assignment on the 5-cell pit instance.
+    """Enumerate every 0/1 assignment of the 6 binaries (5 z, 1 y) on the
+    5-cell pit instance.
 
     The shape rows alone must admit exactly the assignments where the flooded
     set is a legal reservoir: the empty set, perimeter-only clumps with mutual
-    support, and the full plus; and they must reject any interior cell missing
-    a neighbor.
+    support, and the full plus; they must reject any interior cell missing a
+    neighbor; and they must accept the same reservoirs as the paper's rows
+    over x, y and z, here and on a pit of 2x2 deep cells (16 binaries).
     """
     grid, spec = pit_grid(), pit_spec()
-    sp = ps.build_siting_problem(grid, spec, level=0)
-    prob = sp.mip
-    cells = sp.variables
-    binaries = (
-        [("z", c, vid) for c, vid in cell_ids(cells, "z").items()]
-        + [("x", c, vid) for c, vid in cell_ids(cells, "x").items()]
-        + [("y", c, vid) for c, vid in cell_ids(cells, "y").items()]
-    )
-    shape_rows = _shape_rows(prob)
-    assert len(binaries) == 10  # 5 z, 4 x, 1 y
+    prob = ps.build_siting_problem(grid, spec, level=0).mip
+    assert sum(name[0] in "zy" for name in prob.variable_names()) == 6
+    feasible = _accepted_sites(prob)
+    for terrain in (grid, _block_pit_grid()):
+        ours = _accepted_sites(ps.build_siting_problem(terrain, spec, level=0).mip)
+        paper = _accepted_sites(build_reference_xyz(terrain, spec))
+        assert sorted(map(sorted, ours)) == sorted(map(sorted, paper))
 
-    feasible = []
-    for bits in itertools.product((0, 1), repeat=len(binaries)):
-        vec = np.zeros(prob.num_variables)
-        for (_, _, vid), b in zip(binaries, bits):
-            vec[vid] = b
-        if all(_row_holds(row, vec) for row in shape_rows):
-            feasible.append(bits)
-
-    def assignment(**cells_set):
-        values = {}
-        for kind, cell, vid in binaries:
-            values[(kind, cell)] = 0
-        for key, val in cells_set.items():
-            values[key] = val
-        return tuple(values[(kind, cell)] for kind, cell, _ in binaries)
-
-    all_zero = tuple(0 for _ in binaries)
-    assert all_zero in feasible
-
-    plus = {}
-    for kind, cell, vid in binaries:
-        if kind == "z":
-            plus[(kind, cell)] = 1
-        elif kind == "x":
-            plus[(kind, cell)] = 1
-        else:
-            plus[(kind, cell)] = 1
-    full_plus = tuple(plus[(kind, cell)] for kind, cell, _ in binaries)
-    assert full_plus in feasible
-
+    center, arms = (2, 3), [(1, 3), (3, 3), (2, 2), (2, 4)]
+    plus = {("z", c) for c in [center, *arms]} | {("y", center)}
+    assert set() in feasible and plus in feasible
     # interior on, one supporting neighbor off -> must be infeasible
-    broken = dict(plus)
-    broken[("z", (1, 3))] = 0
-    broken[("x", (1, 3))] = 0
-    assert tuple(broken[(k, c)] for k, c, _ in binaries) not in feasible
+    assert plus - {("z", (1, 3))} not in feasible
 
-    # every feasible assignment keeps y supported and x in contact
-    for bits in feasible:
-        state = {(k, c): b for (k, c, _), b in zip(binaries, bits)}
-        for (k, c), b in state.items():
-            if k == "y" and b:
-                for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                    assert state.get(("z", (c[0] + di, c[1] + dj)), 0) == 1
-            if k == "x" and b:
-                assert any(
-                    state.get(("z", (c[0] + di, c[1] + dj)), 0) == 1
-                    for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1))
-                )
-            if k == "z" and b:
-                assert state.get(("x", c), 0) + state.get(("y", c), 0) == 1
+    # every feasible assignment keeps y supported, x = z - y binary and x in contact
+    for site in feasible:
+        z = {c for k, c in site if k == "z"}
+        y = {c for k, c in site if k == "y"}
+        assert y <= z
+        for c in y:
+            assert all((c[0] + di, c[1] + dj) in z for di, dj in FOUR_NEIGHBORS)
+        for c in z - y:
+            assert any((c[0] + di, c[1] + dj) in z for di, dj in FOUR_NEIGHBORS)
 
 
 def test_volume_coefficient_and_fail_fast():
@@ -141,10 +124,10 @@ def test_link_cardinality_and_dominance():
     other = next(name for name in values if name.startswith("l_") and values[name] < 0.5)
     values[other] = 1.0
     assert any("link_sum" in v for v in ps.verify_solution(sp.mip, values))
-    # link kept on a cell whose perimeter binary is forced off -> dominance row
+    # link kept on a cell whose perimeter indicator z - y is forced off -> dominance row
     values = dict(res.values)
     chosen = next(name for name in values if name.startswith("l_") and values[name] > 0.5)
-    values["x_" + chosen[2:]] = 0.0
+    values["z_" + chosen[2:]] = 0.0
     assert any("linkx" in v for v in ps.verify_solution(sp.mip, values))
 
 
@@ -162,11 +145,14 @@ def test_optimal_link_minimizes_conveyance():
 def test_dry_perimeter_cells_cost_exactly_zero():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=0)
-    dry = [vid for cell, vid in cell_ids(sp.variables, "x").items()
+    z, y = cell_ids(sp.variables, "z"), cell_ids(sp.variables, "y")
+    dry = [cell for cell in cell_ids(sp.variables, "l")
            if grid.elevations[cell] >= spec.water_elevation]
     assert dry
-    for vid in dry:
-        assert sp.mip.objective[vid] == 0.0
+    cost = sp.mip.cost_vector()
+    for cell in dry:
+        # x = z on a dry cell, which has no y
+        assert cell not in y and cost[z[cell]] == 0.0
 
 
 def test_objective_reconstruction_from_masks():
@@ -244,7 +230,7 @@ def _three_basin_grid():
 def _hand_values(sp, perimeter, interior, link):
     values = {v.name: 0.0 for v in sp.mip.variables}
     for i, j in perimeter:
-        values[f"x_{i}_{j}"] = values[f"z_{i}_{j}"] = 1.0
+        values[f"z_{i}_{j}"] = 1.0
     for i, j in interior:
         values[f"y_{i}_{j}"] = values[f"z_{i}_{j}"] = 1.0
     values["l_{}_{}".format(*link)] = 1.0
@@ -309,7 +295,8 @@ def test_variable_naming_scheme():
     sp = ps.build_siting_problem(grid, spec, level=3)
     names = {v.name for v in sp.mip.variables}
     assert "y_2_3" in names and "z_2_3" in names
-    assert "x_2_2" in names and "l_2_2" in names
+    assert "z_2_2" in names and "l_2_2" in names
+    assert not any(n.startswith("x_") for n in names)  # x = z - y has no column
     assert "u_2_2" in names
     assert any(n.startswith("w_") for n in names)
 
@@ -449,3 +436,48 @@ def test_array_build_matches_per_row_reference(case):
     for write in (lambda p: ps.write_mps(p, "free"), lambda p: ps.write_mps(p, "fixed"),
                   ps.write_lp):
         assert write(built) == write(ref)
+
+
+def _micro_seeds(n: int) -> list[int]:
+    """The first ``n`` seeds whose micro case exists and can hold a tour."""
+    seeds, seed = [], 0
+    while len(seeds) < n:
+        case = micro_case(seed)
+        if case and len(ps.candidate_sets(case[0], case[1].water_elevation).perimeter_cells()) >= 3:
+            seeds.append(seed)
+        seed += 1
+    return seeds
+
+
+def _optima(problem):
+    """(MIP status, MIP optimum, LP-relaxation optimum) of ``problem``."""
+    mip = ps.solve(problem)
+    highs = _configured(ps.SolveLimits())
+    assert highs.setOptionValue("solve_relaxation", True) == core.HighsStatus.kOk
+    assert _pass_model(highs, problem) == core.HighsStatus.kOk
+    assert highs.run() == core.HighsStatus.kOk
+    lp = None
+    if highs.getModelStatus() == core.HighsModelStatus.kOptimal:
+        lp = highs.getInfo().objective_function_value + problem.objective_constant
+    return mip.status, mip.objective, lp
+
+
+_EQUIVALENCE_CASES = {
+    **{f"micro{seed}": lambda seed=seed: (*micro_case(seed), range(4)) for seed in _micro_seeds(40)},
+    "pit": lambda: (pit_grid(), pit_spec(), range(3)),
+    "two_basin": lambda: (two_basin_grid(), two_basin_spec(), range(3)),
+    "diagonal_blob": lambda: (diagonal_blob_grid(), diagonal_blob_spec(), range(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_EQUIVALENCE_CASES))
+def test_model_matches_paper_program_optima(case):
+    """The model over z and y has the MIP optimum and the LP-relaxation bound
+    of the paper's program over x, y and z, at every level."""
+    grid, spec, levels = _EQUIVALENCE_CASES[case]()
+    for level in levels:
+        new = _optima(ps.build_siting_problem(grid, spec, level=level).mip)
+        paper = _optima(build_reference_xyz(grid, spec, level=level))
+        assert new[0] is paper[0], (level, new, paper)
+        for a, b in zip(new[1:], paper[1:]):
+            assert (a is None and b is None) or math.isclose(a, b, rel_tol=1e-9), (level, new, paper)
