@@ -377,11 +377,13 @@ def _trace_line(entry) -> str:
     objective = "-" if entry.objective is None else f"{entry.objective:.6g}"
     comps = "-" if entry.n_components is None else str(entry.n_components)
     gap = "-" if entry.gap is None else f"{100 * entry.gap:.2f}%"
+    limit = "-" if entry.time_limit_s is None else f"{entry.time_limit_s:.2f}s"
     return (
         f"stage={entry.stage} factor={entry.zoom_factor} level={entry.level} "
         f"status={entry.status} objective={objective} gap={gap} components={comps} "
         f"vars={entry.n_variables} rows={entry.n_constraints} "
-        f"time={entry.wall_time_s:.2f}s{window}{' ' + entry.note if entry.note else ''}"
+        f"time={entry.wall_time_s:.2f}s limit={limit}{window}"
+        f"{' ' + entry.note if entry.note else ''}"
     )
 
 

@@ -6,7 +6,7 @@ occupied slices must lie entirely on one side of it. They are cheap but only
 necessary for a connected interior, hence the escalation ladder.
 
 The tour constraints make the active perimeter cells a single closed walk over
-the 8-neighborhood, ordering cells with integer ranks as in Miller-Tucker-
+the 8-neighborhood, ordering cells with continuous ranks as in Miller-Tucker-
 Zemlin subtour elimination. Two repairs to the textbook form are needed here
 because the tour has no fixed depot and no fixed length: the conveyance link
 cell acts as the root (arcs entering it are exempt from the rank inequality),
@@ -116,6 +116,20 @@ def add_tour_constraints(
     cells. The perimeter indicator x is the expression z - y, so each x term
     enters a row as a +z/-y pair. Arcs run from each perimeter cell, in
     row-major order, to its perimeter neighbors in ``EIGHT_NEIGHBORS`` order.
+
+    The ranks u are continuous on [0, S-1]; integrality would allow no other
+    tours, projected onto (z, y, l, w):
+
+    - On an arc a->b with w_ab = 1 that does not enter the link cell, ``mtz``
+      reads u_b >= u_a + 1. A directed cycle that avoids the link would need
+      real numbers to rise all the way round it, which is impossible.
+    - Conversely, for any single cycle through the link, give each cell its
+      position on the cycle (0 at the link) and each inactive cell 0. These
+      integers satisfy ``rank_cap``, ``rank_root``, the bounds and, since
+      0 <= u <= S-1, every ``mtz`` row with w = 0.
+
+    The LP relaxation is the same either way; only branching and cuts on u
+    go away.
     """
     cells = sv.cells["l"]  # the perimeter candidates
     n = len(cells)
@@ -131,7 +145,8 @@ def add_tour_constraints(
     b = nbr[a, d]
     arcs = np.column_stack([cells[a], cells[b]])
     w = prob.add_variables(CellNames(("w_{}_{}_{}_{}",), arcs))
-    u = prob.add_variables(CellNames(("u_{}_{}",), cells), VarKind.INTEGER, 0.0, s_bound - 1.0)
+    u = prob.add_variables(CellNames(("u_{}_{}",), cells), VarKind.CONTINUOUS,
+                           0.0, s_bound - 1.0)
     z, y = (_id_raster(cands.shape, sv.cells[f], sv.ids(f))[cells[:, 0] + 1, cells[:, 1] + 1]
             for f in "zy")
     link = sv.ids("l")

@@ -94,6 +94,7 @@ class TraceEntry:
     wall_time_s: float
     window: tuple[int, int, int, int] | None = None  # fine coords: r0, c0, nrows, ncols
     note: str = ""
+    time_limit_s: float | None = None  # the rung's budget; None when unlimited
 
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
@@ -172,7 +173,7 @@ def run_ladder(
                 TraceEntry(
                     "ladder", zoom_factor, int(level), result.status.value, None, None,
                     None, None, sp.mip.num_variables, sp.mip.num_constraints,
-                    result.wall_time_s, note=result.message,
+                    result.wall_time_s, note=result.message, time_limit_s=budget,
                 )
             )
             logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
@@ -195,6 +196,7 @@ def run_ladder(
                 "ladder", zoom_factor, int(level), result.status.value, result.objective,
                 result.gap, solution.connected, solution.n_components,
                 sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
+                time_limit_s=budget,
             )
         )
         logger.info(

@@ -11,6 +11,10 @@ array build to produce exactly the same problem.
 x per perimeter candidate, the cover rows z <= x + z_neighbor and the role
 rows z = x + y. ``test_model`` requires both programs to have the same MIP
 optimum and the same LP relaxation bound.
+
+Both builders give the tour ranks u the kind the package uses, continuous.
+``build_reference_integer_ranks`` is the z/y model with the integer ranks the
+package used before; ``test_model`` requires the same MIP optimum from both.
 """
 
 from __future__ import annotations
@@ -211,7 +215,7 @@ def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> N
         _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", main, big_m)
 
 
-def add_tour_constraints(prob, sv, cands) -> None:
+def add_tour_constraints(prob, sv, cands, rank_kind=VarKind.CONTINUOUS) -> None:
     """Single closed perimeter tour via rank (MTZ-style) ordering."""
     cells = sorted(sv.perimeter)
     perimeter = set(cells)
@@ -233,9 +237,7 @@ def add_tour_constraints(prob, sv, cands) -> None:
 
     rank: dict[tuple[int, int], int] = {}
     for (i, j) in cells:
-        rank[(i, j)] = add_variable(
-            prob, f"u_{i}_{j}", VarKind.INTEGER, lb=0.0, ub=s_bound - 1.0
-        )
+        rank[(i, j)] = add_variable(prob, f"u_{i}_{j}", rank_kind, lb=0.0, ub=s_bound - 1.0)
 
     for cell in cells:
         i, j = cell
@@ -276,7 +278,8 @@ def add_tour_constraints(prob, sv, cands) -> None:
 
 
 def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
-           excluded=None, perimeter_min_neighbors=1) -> MipProblem:
+           excluded=None, perimeter_min_neighbors=1,
+           rank_kind=VarKind.CONTINUOUS) -> MipProblem:
     params = cost_params or CostParams()
     if cands is None:
         cands = candidate_sets(grid, spec.water_elevation, excluded)
@@ -291,7 +294,7 @@ def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
     if level >= 1:
         add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
-        add_tour_constraints(prob, sv, cands)
+        add_tour_constraints(prob, sv, cands, rank_kind)
     return prob
 
 
@@ -304,3 +307,8 @@ def build_reference(grid, spec, **kwargs) -> MipProblem:
 def build_reference_xyz(grid, spec, **kwargs) -> MipProblem:
     """The paper's program: perimeter columns x, cover rows and z = x + y."""
     return _build(grid, spec, True, **kwargs)
+
+
+def build_reference_integer_ranks(grid, spec, **kwargs) -> MipProblem:
+    """The siting MIP over z and y with integer tour ranks u."""
+    return _build(grid, spec, False, rank_kind=VarKind.INTEGER, **kwargs)

@@ -168,6 +168,12 @@ def test_run_batch_produces_artifacts(micro_config, tmp_path):
     for name in ("report_physical.csv", "report_costs.csv", "report_solver.csv",
                  "case_1_mask.asc", "case_2_mask.asc", "trace_1.log", "trace_2.log"):
         assert (out / name).exists(), name
+    # 60 s split over the four rungs of the direct case; the zoom case gives
+    # each of its two stages 30 s, all to the coarse rung, a quarter per native rung
+    assert "limit=15.00s" in (out / "trace_1.log").read_text().splitlines()[0]
+    zoom_limits = [line.split(" limit=")[1].split()[0]
+                   for line in (out / "trace_2.log").read_text().splitlines()]
+    assert zoom_limits[:2] == ["30.00s", "7.50s"]
 
     with open(out / "report_physical.csv") as fh:
         rows = list(csv.DictReader(fh))

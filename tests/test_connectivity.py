@@ -138,6 +138,36 @@ def test_tour_forbids_disjoint_rings():
     assert res3.status is ps.SolveStatus.INFEASIBLE
 
 
+def _cycle(*cells):
+    return list(zip(cells, cells[1:] + cells[:1]))
+
+
+# On the two-basin shelf every land cell is an interior candidate, hence also a
+# perimeter candidate: a ring round the west pit holds the volume, and a 2x2
+# block of perimeter cells on the saddle side is a second closed walk with no
+# interior of its own, which no separating plane sees.
+_PIT_RING = _cycle((0, 1), (1, 2), (2, 1), (1, 0))
+_BLOCK_RING = _cycle((0, 3), (0, 4), (1, 4), (1, 3))
+
+
+@pytest.mark.parametrize("arcs, link, status", [
+    (_PIT_RING, None, ps.SolveStatus.OPTIMAL),
+    (_PIT_RING + _BLOCK_RING, None, ps.SolveStatus.INFEASIBLE),
+    (_BLOCK_RING, (0, 1), ps.SolveStatus.INFEASIBLE),
+], ids=["one-cycle-through-link", "two-cycles", "cycle-avoids-link"])
+def test_continuous_ranks_eliminate_subtours(arcs, link, status):
+    # With the arcs w fixed to cycles, only a single cycle through the link
+    # cell is a tour; with continuous ranks the mtz rows still rule out the rest.
+    sp = ps.build_siting_problem(two_basin_grid(), spec_for_volume(50_000.0), level=3)
+    ids = {name: vid for vid, name in enumerate(sp.mip.variable_names())}
+    for (i, j), (h, k) in arcs:
+        add_row(sp.mip, f"fix_w_{i}_{j}_{h}_{k}", [(ids[f"w_{i}_{j}_{h}_{k}"], 1.0)],
+                Sense.EQ, 1.0)
+    if link is not None:
+        add_row(sp.mip, "fix_link", [(ids[f"l_{link[0]}_{link[1]}"], 1.0)], Sense.EQ, 1.0)
+    assert ps.solve(sp.mip).status is status
+
+
 def test_tour_constraints_hold_for_all_zero():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)

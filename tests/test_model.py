@@ -31,7 +31,7 @@ from conftest import (
     two_basin_grid,
     two_basin_spec,
 )
-from reference_model import build_reference, build_reference_xyz
+from reference_model import build_reference, build_reference_integer_ranks, build_reference_xyz
 
 
 def _block_pit_grid():
@@ -481,3 +481,22 @@ def test_model_matches_paper_program_optima(case):
         assert new[0] is paper[0], (level, new, paper)
         for a, b in zip(new[1:], paper[1:]):
             assert (a is None and b is None) or math.isclose(a, b, rel_tol=1e-9), (level, new, paper)
+
+
+_TOUR_CASES = {
+    **{f"micro{seed}": lambda seed=seed: (*micro_case(seed), {}) for seed in _micro_seeds(40)},
+    "pit": lambda: (pit_grid(), pit_spec(), {}),
+    "pit-pmn3": lambda: (pit_grid(), pit_spec(), {"perimeter_min_neighbors": 3}),
+    "two_basin": lambda: (two_basin_grid(), two_basin_spec(), {}),
+}
+
+
+@pytest.mark.parametrize("case", list(_TOUR_CASES))
+def test_continuous_ranks_match_integer_ranks_optima(case):
+    """Continuous MTZ ranks give the tour rung the MIP optimum of integer ranks."""
+    grid, spec, kwargs = _TOUR_CASES[case]()
+    continuous = ps.solve(ps.build_siting_problem(grid, spec, level=3, **kwargs).mip)
+    integer = ps.solve(build_reference_integer_ranks(grid, spec, level=3, **kwargs))
+    assert continuous.status is integer.status, (continuous.status, integer.status)
+    if integer.has_incumbent:
+        assert math.isclose(continuous.objective, integer.objective, rel_tol=1e-9)

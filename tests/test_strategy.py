@@ -19,6 +19,8 @@ from conftest import (
     pit_spec,
     river_grid,
     spec_for_volume,
+    two_basin_grid,
+    two_basin_spec,
 )
 
 
@@ -126,6 +128,22 @@ def test_ladder_aggregates_problem_size_and_time(two_basin_levels):
     sol = ps.run_ladder(grid, spec)
     assert sol.n_variables == max(t.n_variables for t in sol.trace)
     assert sol.wall_time_s == pytest.approx(sum(t.wall_time_s for t in sol.trace))
+
+
+def test_trace_records_each_rungs_time_limit():
+    # "per_level" hands each of the four rungs a quarter of the cap; "total"
+    # hands each the time left, so the limits never grow. The pit stops at
+    # level 0, the two-basin shelf escalates once.
+    for grid, spec in ((pit_grid(), pit_spec()), (two_basin_grid(), two_basin_spec())):
+        per_level = ps.run_ladder(grid, spec, config=StrategyConfig(time_limit_s=40.0))
+        assert [t.time_limit_s for t in per_level.trace] == [10.0] * len(per_level.trace)
+        total = ps.run_ladder(grid, spec,
+                              config=StrategyConfig(time_limit_s=40.0, budget="total"))
+        limits = [t.time_limit_s for t in total.trace]
+        assert 0.0 < limits[-1] and limits[0] <= 40.0
+        assert limits == sorted(limits, reverse=True)
+    assert len(total.trace) == 2
+    assert ps.run_ladder(pit_grid(), pit_spec()).trace[0].time_limit_s is None
 
 
 # --------------------------------------------------------------------------- #
