@@ -1,28 +1,27 @@
-"""MPS and LP file export, and import through HiGHS's own reader.
+"""MPS and LP files, written and read by HiGHS.
 
-The writers are deterministic: the same problem always produces byte-identical
-text. Free-form MPS and LP files carry the documented ``z_i_j``, ``y_i_j``
-and ``l_i_j`` variable names (the model has no perimeter column: see
-``model``); fixed-form MPS sanitizes names to the historical 8-character fields
-(``V0000001``/``C0000001``) while preserving order, so structural round trips
-compare by position rather than by name.
-
-Conventions of the MPS writer: the objective is the first N row; an RHS entry
-on the objective row stores the negated objective constant; integer variables
-sit between INTORG/INTEND markers; every variable appears in COLUMNS at least
-once (a zero objective entry is emitted if needed).
+A writer loads the problem with the solve's own ``_pass_model``, adds the
+objective constant as HiGHS's offset and the names, and returns the text of
+HiGHS's ``writeModel``: byte-identical for the same problem. Free-form MPS and
+LP files carry the stored row names and the ``z_i_j``, ``y_i_j`` and ``l_i_j``
+variable names (the model has no perimeter column: see ``model``). Fixed-form
+MPS names columns and rows ``V0000000``/``C0000000`` in order, in HiGHS's
+fixed layout, so structural round trips compare it by position. Numbers carry
+about 15 significant digits and can overrun a fixed field, so neither form
+suits a reader that cuts lines at column positions; readers that split on
+whitespace, HiGHS's among them, read both. No file carries the problem name.
 
 Every file is read by the HiGHS reader of the solver's binding, and the
 problem is rebuilt from the arrays HiGHS holds. So a problem read back takes
-its name from the caller or the file stem (HiGHS ignores the MPS ``NAME``
-card), an integer column bounded [0, 1] reads back as binary, and an explicit
-zero matrix coefficient is dropped.
+its name from the caller or the file stem, an integer column bounded [0, 1]
+reads back as binary, and an explicit zero matrix coefficient is dropped.
 """
 
 from __future__ import annotations
 
-import math
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -30,16 +29,8 @@ import scipy.sparse as sparse
 from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
-from .model import KINDS, SENSES, MipProblem, Sense, VarKind
-
-_SENSE_TO_MPS = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-_OBJ = "COST"
-
-
-def _fmt(value: float, digits: int = 17) -> str:
-    text = f"{value:.{digits}g}"
-    return "0" if text in ("-0", "-0.0") else text
-
+from .model import KINDS, MipProblem, Sense, VarKind
+from .solve import _pass_model
 
 # ---------------------------------------------------------------------------
 # Writers
@@ -50,149 +41,30 @@ def write_mps(problem: MipProblem, form: str = "free") -> str:
     """Render the problem as MPS text in "free" or "fixed" form."""
     if form not in ("free", "fixed"):
         raise ValueError(f"unknown MPS form {form!r}")
-    fixed = form == "fixed"
-    digits = 12 if fixed else 17
-
-    if fixed:
-        var_names = [f"V{vid:07d}" for vid in range(problem.num_variables)]
-        row_names = [f"C{rid:07d}" for rid in range(problem.num_constraints)]
-    else:
-        var_names = problem.variable_names()
-        row_names = problem.row_names()
-
-    def card(f1: str, f2: str = "", f3: str = "", f4: str = "", f5: str = "", f6: str = "") -> str:
-        if fixed:
-            line = f" {f1:<2} {f2:<8}  {f3:<8}  {f4:<12}"
-            if f5:
-                line += f"   {f5:<8}  {f6:<12}"
-            return line.rstrip()
-        parts = [" " + f1] + [p for p in (f2, f3, f4, f5, f6) if p]
-        return "  ".join(parts)
-
-    lines = [f"NAME          {problem.name}"]
-    lines.append("ROWS")
-    lines.append(card("N", _OBJ))
-    for name, code in zip(row_names, problem.senses.tolist()):
-        lines.append(card(_SENSE_TO_MPS[SENSES[code]], name))
-
-    # Per column: the objective entry first (a zero one if the column has no
-    # entry at all), then its rows in row order.
-    lines.append("COLUMNS")
-    objective = problem.objective
-    columns = problem.matrix.tocsc()
-    columns.sort_indices()
-    ptr, row_ids, coefs = (a.tolist() for a in (columns.indptr, columns.indices, columns.data))
-    kinds = problem.kinds.tolist()
-    continuous = KINDS.index(VarKind.CONTINUOUS)
-    in_integer_block = False
-    marker = 0
-    for vid, name in enumerate(var_names):
-        is_int = kinds[vid] != continuous
-        if is_int != in_integer_block:
-            lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTORG'" if is_int else "'INTEND'"))
-            marker += 1
-            in_integer_block = is_int
-        if vid in objective or ptr[vid] == ptr[vid + 1]:
-            lines.append(card("", name, _OBJ, _fmt(objective.get(vid, 0.0), digits)))
-        for k in range(ptr[vid], ptr[vid + 1]):
-            lines.append(card("", name, row_names[row_ids[k]], _fmt(coefs[k], digits)))
-    if in_integer_block:
-        lines.append(card(f"MARKER{marker}", "'MARKER'", "'INTEND'"))
-
-    lines.append("RHS")
-    if problem.objective_constant != 0.0:
-        lines.append(card("", "RHS", _OBJ, _fmt(-problem.objective_constant, digits)))
-    for name, rhs in zip(row_names, problem.rhs.tolist()):
-        if rhs != 0.0:
-            lines.append(card("", "RHS", name, _fmt(rhs, digits)))
-
-    lines.append("BOUNDS")
-    for name, kind, lb, ub in zip(var_names, kinds, problem.lb.tolist(), problem.ub.tolist()):
-        if KINDS[kind] is VarKind.BINARY:
-            lines.append(card("BV", "BND", name))
-        elif KINDS[kind] is VarKind.INTEGER:
-            lines.append(card("LI", "BND", name, _fmt(lb, digits)))
-            if math.isfinite(ub):
-                lines.append(card("UI", "BND", name, _fmt(ub, digits)))
-        else:
-            if lb != 0.0:
-                if math.isfinite(lb):
-                    lines.append(card("LO", "BND", name, _fmt(lb, digits)))
-                else:
-                    lines.append(card("MI", "BND", name))
-            if math.isfinite(ub):
-                lines.append(card("UP", "BND", name, _fmt(ub, digits)))
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    if form == "free":
+        return _write_model(problem, problem.variable_names(), problem.row_names(), ".mps")
+    return _write_model(problem, [f"V{vid:07d}" for vid in range(problem.num_variables)],
+                        [f"C{rid:07d}" for rid in range(problem.num_constraints)], ".mps")
 
 
 def write_lp(problem: MipProblem) -> str:
     """Render the problem in CPLEX-style LP text."""
+    return _write_model(problem, problem.variable_names(), problem.row_names(), ".lp")
 
-    def term(coef: float, name: str, first: bool) -> str:
-        sign = "-" if coef < 0 else ("" if first else "+")
-        mag = _fmt(abs(coef))
-        lead = f"{sign} " if sign and not first else sign
-        return f"{lead}{mag} {name}"
 
-    def wrap(label: str, tokens: list[str], suffix: str = "") -> list[str]:
-        out = []
-        line = f" {label}"
-        for tok in tokens:
-            if len(line) + len(tok) + 1 > 78:
-                out.append(line)
-                line = "   " + tok
-            else:
-                line += " " + tok
-        if suffix:
-            line += " " + suffix
-        out.append(line)
-        return out
-
-    names = problem.variable_names()
-    lines = [f"\\ {problem.name}", "Minimize"]
-    tokens = [
-        term(coef, names[vid], k == 0)
-        for k, (vid, coef) in enumerate(problem.objective.items())
-    ]
-    const = problem.objective_constant
-    if const != 0.0 or not tokens:
-        sign = "-" if const < 0 else ("" if not tokens else "+")
-        tokens.append(f"{sign} {_fmt(abs(const))}".strip() if sign else _fmt(abs(const)))
-    lines.extend(wrap("obj:", tokens))
-
-    lines.append("Subject To")
-    sense_text = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}
-    matrix = problem.matrix
-    ptr, cols, coefs = (a.tolist() for a in (matrix.indptr, matrix.indices, matrix.data))
-    for rid, (name, code, rhs) in enumerate(
-        zip(problem.row_names(), problem.senses.tolist(), problem.rhs.tolist())
-    ):
-        tokens = [term(coefs[k], names[cols[k]], k == ptr[rid]) for k in range(ptr[rid], ptr[rid + 1])]
-        if not tokens:
-            tokens.append("0")
-        lines.extend(wrap(f"{name}:", tokens, f"{sense_text[SENSES[code]]} {_fmt(rhs)}"))
-
-    kinds = [KINDS[code] for code in problem.kinds.tolist()]
-    lb, ub = problem.lb.tolist(), problem.ub.tolist()
-    bounded = [vid for vid, kind in enumerate(kinds) if kind is VarKind.INTEGER]
-    bounded += [vid for vid, kind in enumerate(kinds) if kind is VarKind.CONTINUOUS]
-    if bounded:
-        lines.append("Bounds")
-        for vid in bounded:
-            upper = "inf" if math.isinf(ub[vid]) else _fmt(ub[vid])
-            lines.append(f" {_fmt(lb[vid])} <= {names[vid]} <= {upper}")
-
-    binaries = [name for name, kind in zip(names, kinds) if kind is VarKind.BINARY]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(wrap("", binaries))
-    generals = [name for name, kind in zip(names, kinds) if kind is VarKind.INTEGER]
-    if generals:
-        lines.append("Generals")
-        lines.extend(wrap("", generals))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+def _write_model(problem: MipProblem, var_names: list[str], row_names: list[str],
+                 suffix: str) -> str:
+    """HiGHS's ``writeModel`` text of ``problem`` under these names; RuntimeError if refused."""
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    status = [_pass_model(highs, problem), highs.changeObjectiveOffset(problem.objective_constant)]
+    status += map(highs.passColName, range(len(var_names)), var_names)
+    status += map(highs.passRowName, range(len(row_names)), row_names)
+    with _model_path(suffix) as path:
+        status.append(highs.writeModel(str(path)))
+        if any(s != HighsStatus.kOk for s in status):
+            raise RuntimeError(f"HiGHS cannot write model {problem.name!r}")
+        return path.read_text()
 
 
 def export_problem(problem: MipProblem, fmt: str, path: str | Path) -> Path:
@@ -226,10 +98,16 @@ def read_lp(text: str, name: str = "parsed") -> MipProblem:
 
 
 def _read_text(text: str, suffix: str, name: str) -> MipProblem:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"model{suffix}"
+    with _model_path(suffix) as path:
         path.write_text(text)
         return _read_model(path, name)
+
+
+@contextmanager
+def _model_path(suffix: str) -> Iterator[Path]:
+    """``model<suffix>`` in a temporary directory that is removed on exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp) / f"model{suffix}"
 
 
 def read_problem_file(path: str | Path) -> MipProblem:

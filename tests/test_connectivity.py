@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting.connectivity import Level, connectivity_verdict, parse_level
+from phs_siting.connectivity import Level, add_tour_constraints, connectivity_verdict, parse_level
 from phs_siting.model import Sense
 
 from conftest import (
@@ -136,6 +136,11 @@ def test_tour_forbids_disjoint_rings():
     sp3 = ps.build_siting_problem(grid, spec, level=3)
     res3 = ps.solve(sp3.mip, "highs")
     assert res3.status is ps.SolveStatus.INFEASIBLE
+    # from level 1 on the planes alone rule out both rings, so add the tour
+    # alone to the level-0 model: it must make that model infeasible
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    add_tour_constraints(sp.mip, sp.variables, ps.candidate_sets(grid, spec.water_elevation))
+    assert ps.solve(sp.mip, "highs").status is ps.SolveStatus.INFEASIBLE
 
 
 def _cycle(*cells):
