@@ -382,6 +382,7 @@ def _trace_line(entry) -> str:
         f"stage={entry.stage} factor={entry.zoom_factor} level={entry.level} "
         f"status={entry.status} objective={objective} gap={gap} components={comps} "
         f"vars={entry.n_variables} rows={entry.n_constraints} "
+        f"nnz={entry.n_nonzeros} nodes={entry.nodes} "
         f"time={entry.wall_time_s:.2f}s limit={limit}{window}"
         f"{' ' + entry.note if entry.note else ''}"
     )

@@ -131,6 +131,8 @@ def add_tour_constraints(
     The LP relaxation is the same either way; only branching and cuts on u
     go away.
     """
+    if any(len(cells) for cells in sv.fixed.values()):
+        raise ValueError("the perimeter tour needs every z and l column; build the model at level 3")
     cells = sv.cells["l"]  # the perimeter candidates
     n = len(cells)
     if n < 3:

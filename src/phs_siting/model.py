@@ -10,11 +10,13 @@ scheme is stable and is what the file exporters emit. The problem is stored as
 arrays and the names are derived from this scheme only when something asks for
 them. Neighbor variables that fall outside the grid or outside a candidate set
 are treated as constant zero, which makes the shape rules well defined at grid
-edges.
+edges. Below the tour rung the builder leaves out the columns that a dominance
+argument fixes, with the rows they satisfy (see ``build_siting_problem``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -37,6 +39,7 @@ from .terrain import (
     CandidateSets,
     DistanceField,
     TerrainGrid,
+    _dilate4,
     connected_components,
 )
 
@@ -46,6 +49,8 @@ Cell = tuple[int, int]
 VOLUME_RTOL = 1e-6
 
 _DIRECTIONS = ("up", "down", "left", "right")
+#: Raster id of a cell whose ``z`` the builder fixed at 1 (absent cells are -1).
+_FIXED_ON = -2
 
 
 class VarKind(Enum):
@@ -87,19 +92,23 @@ class CellNames:
     Each row of ``cells`` (an (n, k) int array, such as the (row, col) of a
     grid cell) gets one name per pattern, in pattern order; a pattern is a
     format string taking the row's k numbers, such as ``"inter_{}_{}_up"``.
+    ``keep``, if given, holds one flag per name in that order, and the names
+    it flags False are left out.
     """
 
-    def __init__(self, patterns: tuple[str, ...], cells: np.ndarray):
+    def __init__(self, patterns: tuple[str, ...], cells: np.ndarray, keep: np.ndarray | None = None):
         self.patterns = patterns
         self.cells = cells
+        self.keep = keep
 
     def __len__(self) -> int:
+        if self.keep is not None:
+            return int(np.count_nonzero(self.keep))
         return len(self.patterns) * len(self.cells)
 
     def __iter__(self) -> Iterator[str]:
-        for cell in self.cells.tolist():
-            for pattern in self.patterns:
-                yield pattern.format(*cell)
+        names = (pattern.format(*cell) for cell in self.cells.tolist() for pattern in self.patterns)
+        return names if self.keep is None else itertools.compress(names, self.keep.tolist())
 
 
 class _Column:
@@ -441,13 +450,15 @@ class SitingVariables:
 
     ``cells[f]`` holds the (row, col) cells of family f (``z`` reservoir,
     ``y`` interior, ``l`` link) in row-major order; their ids run contiguously
-    from ``start[f]``. The link cells are the perimeter candidates, whose
+    from ``start[f]``. The link cells are perimeter candidates, whose
     perimeter indicator is the expression ``z - y`` (``z`` where there is no
-    ``y``).
+    ``y``). ``fixed[f]`` holds the cells whose ``z`` or ``l`` the builder
+    fixed at 1 and left out of the model (see ``build_siting_problem``).
     """
 
     cells: dict[str, np.ndarray]
     start: dict[str, int]
+    fixed: dict[str, np.ndarray]
 
     def ids(self, family: str) -> np.ndarray:
         return np.arange(self.start[family], self.start[family] + len(self.cells[family]))
@@ -475,8 +486,13 @@ class _Entries:
         self.add(rows, z, coef)
         self.add(rows, y, -coef)
 
-    def add_to(self, prob: MipProblem, names, sense, rhs=0.0) -> None:
+    def add_to(self, prob: MipProblem, names, sense, rhs=0.0, keep: np.ndarray | None = None) -> None:
+        """Add the block's rows to ``prob``; ``keep``, one flag per row, leaves
+        out the rows it flags False and renumbers the rest."""
         rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
+        if keep is not None:
+            kept = keep[rows]
+            rows, cols, vals = (np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept]
         prob.add_rows(names, rows, cols, vals, sense, rhs)
 
 
@@ -525,6 +541,35 @@ def build_siting_problem(
     cells, +cost on z and -cost on y of each wet perimeter cell, plus
     conveyance at the link; dry perimeter cells cost nothing, and the E&M
     equipment cost, a constant for a (head, capacity) pair, is the offset.
+
+    At levels 0-2 with ``perimeter_min_neighbors == 1``, the columns that
+    HiGHS's presolve would fix on every solve are left out, with the rows they
+    satisfy (dominated columns; Gamrath, Koch, Martin, Miltenberger &
+    Weninger 2015, *Progress in presolving for mixed integer programming*):
+
+    - Let D be the dry perimeter candidates (no y, no embankment cost) that
+      have a 4-neighbor in D. Setting z = 1 on every cell of D keeps every
+      row and the cost: a dry z costs 0; in every other row (a neighbor's
+      ``contact``, an interior neighbor's ``inter``, its own ``linkx`` through
+      x = z) it has coefficient -1; its own ``contact`` row holds through its
+      neighbor in D; the plane rows hold only y. So z is fixed at 1 on D, and
+      the ``contact`` rows of cells next to D and the ``inter`` rows towards
+      D go: with a neighbor z at 1 they read z - y <= 1 or y <= 1.
+    - With D on, ``linkx`` no longer binds any l on D. Let c* be the cell of
+      D with the cheapest conveyance (the first in row-major order on ties).
+      Every l whose cost is at least that of c*, other than c* itself, is
+      dominated by l_c*: moving its link mass onto c* keeps ``link_sum`` and
+      ``linkx`` and does not raise the cost. Those l are fixed at 0, and
+      their ``linkx`` rows go (they read y <= z, the role row, or z >= 0), as
+      does ``linkx`` on c* (l <= 1). If only l_c* is left, it is 1: it goes
+      with ``link_sum``, and its conveyance joins the objective constant.
+
+    Both arguments act pointwise on any feasible point, fractional or not, so
+    the fixings keep the MIP optimum and the LP-relaxation optimum; a site
+    may change at equal cost. Level 3 is built in full, because the tour rows
+    hold perimeter cells and the link, and so is ``perimeter_min_neighbors =
+    3``, whose contact rows need three neighbors. ``SitingVariables.fixed``
+    lists the cells fixed on, and ``extract_solution`` adds them to the masks.
     """
     from . import connectivity as _connectivity
     from . import terrain as _terrain
@@ -539,79 +584,120 @@ def build_siting_problem(
     if perimeter_min_neighbors not in (1, 3):
         raise ValueError("perimeter_min_neighbors must be 1 (as per the base model) or 3")
 
-    prob = MipProblem()
-    cells = {"z": np.argwhere(cands.reservoir_ok), "y": np.argwhere(cands.interior_ok),
-             "l": np.argwhere(cands.perimeter_ok)}
-    ids = {f: prob.add_variables(CellNames((f"{f}_{{}}_{{}}",), cells[f])) for f in "zy"}
-    shape = cands.shape
-    Z, Y = (_id_raster(shape, cells[f], ids[f]) for f in "zy")
-
-    def at(raster: np.ndarray, family: str, di: int = 0, dj: int = 0) -> np.ndarray:
-        """Per cell of ``family``: the raster's id at that cell shifted by (di, dj)."""
-        c = cells[family]
-        return raster[c[:, 0] + 1 + di, c[:, 1] + 1 + dj]
-
-    # the perimeter indicator x = z - y, as the (z, y) ids of each perimeter cell
-    pz, py = at(Z, "l"), at(Y, "l")
-    ny, nx = len(cells["y"]), len(cells["l"])
-    block = _Entries()
-    k = np.arange(ny)
-    block.add(k, ids["y"], 1.0)
-    block.add(k, at(Z, "y"), -1.0)
-    on_perimeter = cands.perimeter_ok[cells["y"][:, 0], cells["y"][:, 1]].tolist()
-    block.add_to(prob, CellNames(("role_{}_{}",), cells["y"]),
-                 [Sense.LE if p else Sense.EQ for p in on_perimeter])
-
-    block = _Entries()
-    k = np.arange(nx)
-    block.add_perimeter(k, pz, py, float(perimeter_min_neighbors))
-    for di, dj in FOUR_NEIGHBORS:
-        block.add(k, at(Z, "l", di, dj), -1.0)
-    block.add_to(prob, CellNames(("contact_{}_{}",), cells["l"]), Sense.LE)
-
-    block = _Entries()
-    k = np.arange(ny)
-    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
-        block.add(4 * k + d, ids["y"], 1.0)
-        block.add(4 * k + d, at(Z, "y", di, dj), -1.0)
-    inter = tuple(f"inter_{{}}_{{}}_{d}" for d in _DIRECTIONS)
-    block.add_to(prob, CellNames(inter, cells["y"]), Sense.LE)
-
-    y_cells = cells["y"]
-    volume = (spec.water_elevation - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
+    water = spec.water_elevation
+    y_cells, p_cells = np.argwhere(cands.interior_ok), np.argwhere(cands.perimeter_ok)
+    volume = (water - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
     capacity = sum(volume.tolist())
     if capacity < spec.vol_min:
         raise InfeasibleProblemError(
-            f"total storable capacity {capacity:.3e} m^3 over {ny} interior "
+            f"total storable capacity {capacity:.3e} m^3 over {len(y_cells)} interior "
             f"candidates is below the volume target {spec.vol_min:.3e} m^3"
         )
+    if not len(p_cells):
+        raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
+    embankment = np.array([embankment_cell_cost(grid.cell_length, water, e, params)[0]
+                           for e in grid.elevations[p_cells[:, 0], p_cells[:, 1]].tolist()])
+    conveyance = np.array([sum(conveyance_cost(spec.flow, d, params))
+                           for d in dist.values[p_cells[:, 0], p_cells[:, 1]].tolist()])
+
+    # the column fixing: z = 1 on D (``on``); l only on c* and cheaper cells
+    on = np.zeros(cands.shape, dtype=bool)
+    if level <= 2 and perimeter_min_neighbors == 1:
+        dry = p_cells[(embankment == 0) & ~cands.interior_ok[p_cells[:, 0], p_cells[:, 1]]]
+        on[dry[:, 0], dry[:, 1]] = True
+        on &= _dilate4(on)
+    on_p = on[p_cells[:, 0], p_cells[:, 1]]
+    keep_l = np.ones(len(p_cells), dtype=bool)
+    fixed_l = p_cells[:0]
+    if on_p.any():
+        best = int(np.flatnonzero(on_p)[conveyance[on_p].argmin()])
+        keep_l = conveyance < conveyance[best]
+        keep_l[best] = True
+        if keep_l.sum() == 1:
+            keep_l[best], fixed_l = False, p_cells[best : best + 1]
+
+    prob = MipProblem()
+    cells = {"z": np.argwhere(cands.reservoir_ok & ~on), "y": y_cells, "l": p_cells[keep_l]}
+    start: dict[str, int] = {}
+    ids: dict[str, np.ndarray] = {}
+
+    def declare(family: str) -> None:
+        start[family] = prob.num_variables
+        ids[family] = prob.add_variables(CellNames((f"{family}_{{}}_{{}}",), cells[family]))
+
+    declare("z")
+    declare("y")
+    Z, Y = (_id_raster(cands.shape, cells[f], ids[f]) for f in "zy")
+    Z[1:-1, 1:-1][on] = _FIXED_ON  # no column, so entries on it drop out like absent ones
+
+    def at(raster: np.ndarray, c: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
+        """Per cell of ``c``: the raster's value at that cell shifted by (di, dj)."""
+        return raster[c[:, 0] + 1 + di, c[:, 1] + 1 + dj]
+
+    def kept(keep: np.ndarray) -> np.ndarray | None:
+        return None if keep.all() else keep
+
+    ny, nx = len(y_cells), len(p_cells)
+    pz, py = at(Z, p_cells), at(Y, p_cells)
+    block = _Entries()
+    k = np.arange(ny)
+    block.add(k, ids["y"], 1.0)
+    block.add(k, at(Z, y_cells), -1.0)
+    on_perimeter = cands.perimeter_ok[y_cells[:, 0], y_cells[:, 1]].tolist()
+    block.add_to(prob, CellNames(("role_{}_{}",), y_cells),
+                 [Sense.LE if p else Sense.EQ for p in on_perimeter])
+
+    # the perimeter indicator x = z - y enters as the (z, y) ids of each cell;
+    # a row that holds a z fixed on is satisfied and left out
+    block = _Entries()
+    k = np.arange(nx)
+    block.add_perimeter(k, pz, py, float(perimeter_min_neighbors))
+    keep = np.ones(nx, dtype=bool)
+    for di, dj in FOUR_NEIGHBORS:
+        nbr = at(Z, p_cells, di, dj)
+        block.add(k, nbr, -1.0)
+        keep &= nbr != _FIXED_ON
+    keep = kept(keep)
+    block.add_to(prob, CellNames(("contact_{}_{}",), p_cells, keep), Sense.LE, keep=keep)
+
+    block = _Entries()
+    k = np.arange(ny)
+    keep = np.empty((ny, len(FOUR_NEIGHBORS)), dtype=bool)
+    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
+        nbr = at(Z, y_cells, di, dj)
+        block.add(4 * k + d, ids["y"], 1.0)
+        block.add(4 * k + d, nbr, -1.0)
+        keep[:, d] = nbr != _FIXED_ON
+    keep = kept(keep.ravel())
+    inter = tuple(f"inter_{{}}_{{}}_{d}" for d in _DIRECTIONS)
+    block.add_to(prob, CellNames(inter, y_cells, keep), Sense.LE, keep=keep)
+
     prob.add_rows(["volume"], np.zeros(ny, dtype=np.int64), ids["y"], volume, Sense.GE, spec.vol_min)
 
-    if not nx:
-        raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    ids["l"] = prob.add_variables(CellNames(("l_{}_{}",), cells["l"]))
-    k = np.arange(nx)
+    declare("l")
+    off = keep_l & ~on_p  # linkx rows: the link cells off D
+    k = np.arange(int(off.sum()))
     block = _Entries()
-    block.add(k, ids["l"], 1.0)
-    block.add_perimeter(k, pz, py, -1.0)
-    block.add_to(prob, CellNames(("linkx_{}_{}",), cells["l"]), Sense.LE)
-    prob.add_rows(["link_sum"], np.zeros(nx, dtype=np.int64), ids["l"], np.ones(nx), Sense.EQ, 1.0)
+    block.add(k, ids["l"][off[keep_l]], 1.0)
+    block.add_perimeter(k, pz[off], py[off], -1.0)
+    block.add_to(prob, CellNames(("linkx_{}_{}",), p_cells[off]), Sense.LE)
+    nl = len(ids["l"])
+    if nl:
+        prob.add_rows(["link_sum"], np.zeros(nl, dtype=np.int64), ids["l"], np.ones(nl), Sense.EQ, 1.0)
 
-    p_elev = grid.elevations[cells["l"][:, 0], cells["l"][:, 1]].tolist()
-    p_dist = dist.values[cells["l"][:, 0], cells["l"][:, 1]].tolist()
-    water = spec.water_elevation
     coeffs: dict[int, float] = {}
-    for zid, yid, e in zip(pz.tolist(), py.tolist(), p_elev):
-        cost = embankment_cell_cost(grid.cell_length, water, e, params)[0]
+    for zid, yid, cost in zip(pz.tolist(), py.tolist(), embankment.tolist()):
         if cost:  # a wet cell: the embankment sits on x = z - y
             coeffs[zid] = cost
             if yid >= 0:
                 coeffs[yid] = -cost
-    coeffs.update((lid, sum(conveyance_cost(spec.flow, d, params)))
-                  for lid, d in zip(ids["l"].tolist(), p_dist))
-    prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
+    coeffs.update(zip(ids["l"].tolist(), conveyance[keep_l].tolist()))
+    constant = equipment_cost(spec.head_m, spec.power_mw, params)
+    if len(fixed_l):
+        constant += float(conveyance[best])
+    prob.set_objective(coeffs, constant)
 
-    sv = SitingVariables(cells, {f: int(ids[f][0]) for f in ids})
+    sv = SitingVariables(cells, start, {"z": np.argwhere(on), "l": fixed_l})
     if level >= 1:
         _connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
@@ -751,19 +837,23 @@ def extract_solution(
     """Turn solver values into masks and physically recomputed metrics.
 
     ``values`` is the solution vector, or a name -> value mapping (see
-    ``MipProblem.values_vector``). Reservoir components the solution does not
+    ``MipProblem.values_vector``); the cells the builder fixed on join the
+    masks and the link. Reservoir components the solution does not
     need are dropped first (see ``_drop_spare_components``); the connectivity
     verdict, storage, area, embankment and costs are then all rebuilt from the
     kept masks and the terrain, never read back from the solver objective.
     """
     grid, spec, params = sp.grid, sp.spec, sp.cost_params
     vec = sp.mip.values_vector(values)
+    fixed = sp.variables.fixed
     y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(2))
-    for mask, family in ((y_mask, "y"), (z_mask, "z")):
-        on = _round_binaries(sp.variables, family, vec, tolerance)
+    for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec, tolerance)),
+                     (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec, tolerance),
+                                              fixed["z"]]))):
         mask[on[:, 0], on[:, 1]] = True
     x_mask = z_mask & ~y_mask
-    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec, tolerance).tolist()]
+    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec, tolerance).tolist()
+                  + fixed["l"].tolist()]
 
     if not np.any(y_mask):
         raise InfeasibleProblemError("incumbent floods no interior cell; volume target cannot hold")

@@ -81,8 +81,8 @@ class SolveLimits:
     """Per-solve limits.
 
     ``gap_target`` is HiGHS's ``mip_rel_gap``, in [0, 1). HiGHS solves without
-    the objective constant (the equipment cost), so the gap it stops on leaves
-    the constant out. ``SolveResult.gap`` and the reports include it and read
+    the objective constant (the equipment cost, plus the conveyance of a link
+    the builder fixed), so the gap it stops on leaves the constant out. ``SolveResult.gap`` and the reports include it and read
     smaller: on the diagonal-blob test terrain at level 2, a 2% target stopped
     at a reported 0.03%.
     """

@@ -95,6 +95,8 @@ class TraceEntry:
     window: tuple[int, int, int, int] | None = None  # fine coords: r0, c0, nrows, ncols
     note: str = ""
     time_limit_s: float | None = None  # the rung's budget; None when unlimited
+    n_nonzeros: int = 0  # constraint-matrix nonzeros of the model solved
+    nodes: int = 0  # branch-and-bound nodes HiGHS explored
 
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
@@ -174,6 +176,7 @@ def run_ladder(
                     "ladder", zoom_factor, int(level), result.status.value, None, None,
                     None, None, sp.mip.num_variables, sp.mip.num_constraints,
                     result.wall_time_s, note=result.message, time_limit_s=budget,
+                    n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes,
                 )
             )
             logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
@@ -196,7 +199,7 @@ def run_ladder(
                 "ladder", zoom_factor, int(level), result.status.value, result.objective,
                 result.gap, solution.connected, solution.n_components,
                 sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
-                time_limit_s=budget,
+                time_limit_s=budget, n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes,
             )
         )
         logger.info(

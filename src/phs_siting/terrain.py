@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
 
@@ -65,6 +65,10 @@ class TerrainGrid:
         nodata: True where the DEM has no data.
         lower_elevation: water level of the lower body, meters.
         xllcorner/yllcorner: lower-left corner, used only for file output.
+
+    The grid is immutable, so it keeps what ``aggregate`` and
+    ``distance_field`` derive from it: each coarse grid and each distance
+    field is computed once per grid and lives as long as the grid.
     """
 
     elevations: np.ndarray
@@ -74,6 +78,7 @@ class TerrainGrid:
     lower_elevation: float
     xllcorner: float = 0.0
     yllcorner: float = 0.0
+    _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         elev = np.asarray(self.elevations, dtype=float)
@@ -417,19 +422,33 @@ def write_esri_ascii(
 # ---------------------------------------------------------------------------
 
 
+def _derive(grid: TerrainGrid, key: tuple, make):
+    """``make()``, kept on ``grid`` under ``key``. Threads sharing a grid may
+    both compute a missing entry; the first one stored is what both get."""
+    try:
+        return grid._derived[key]
+    except KeyError:
+        return grid._derived.setdefault(key, make())
+
+
 def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
     """Coarsen the grid by merging factor x factor blocks into super-cells.
 
     Super-cell elevation is the mean over non-NODATA children; the lower-body
     flag needs a strict majority of valid children; a super-cell is NODATA only
     when every child is. Edges are padded with NODATA when factor does not
-    divide the grid side.
+    divide the grid side. The coarse grid is computed once per grid and
+    factor (see ``TerrainGrid``).
     """
     if int(factor) != factor or factor < 1:
         raise ValueError(f"aggregation factor must be a positive integer, got {factor}")
     factor = int(factor)
     if factor == 1:
         return grid
+    return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor))
+
+
+def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
     nr, nc = grid.shape
     nr2, nc2 = -(-nr // factor), -(-nc // factor)
     if min(nr2, nc2) < _MIN_SIDE:
@@ -543,8 +562,13 @@ def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal") -> 
 
     "horizontal" measures in the grid plane; "slant" adds the vertical offset
     between the cell elevation and the lower water level (exact, since the
-    vertical component is shared by all lower cells).
+    vertical component is shared by all lower cells). The field is computed
+    once per grid and metric (see ``TerrainGrid``).
     """
+    return _derive(grid, ("distance_field", metric), lambda: _distance_field(grid, metric))
+
+
+def _distance_field(grid: TerrainGrid, metric: DistanceMetric) -> DistanceField:
     if not np.any(grid.lower_mask):
         raise InfeasibleProblemError("distance field needs a non-empty lower-body mask")
     horizontal = ndimage.distance_transform_edt(

@@ -4,13 +4,17 @@
 base formulation and the connectivity rows from whole-array blocks: one
 variable and one row at a time, over cell -> id dicts (each added through the
 block methods as a block of one), for the model over z and y in which the
-perimeter indicator is the expression x = z - y. ``test_model`` requires the
-array build to produce exactly the same problem.
+perimeter indicator is the expression x = z - y. Below level 3, with
+``perimeter_min_neighbors`` 1, it applies the builder's column fixing one cell
+at a time: z = 1 on the dry perimeter candidates that back each other, the
+link only on the cheapest of those and on cheaper cells, and the rows these
+fixings satisfy left out. ``test_model`` requires the array build to produce
+exactly the same problem.
 
 ``build_reference_xyz`` builds the paper's own program with a perimeter column
 x per perimeter candidate, the cover rows z <= x + z_neighbor and the role
-rows z = x + y. ``test_model`` requires both programs to have the same MIP
-optimum and the same LP relaxation bound.
+rows z = x + y, and keeps every column. ``test_model`` requires both
+programs to have the same MIP optimum and the same LP relaxation bound.
 
 Both builders give the tour ranks u the kind the package uses, continuous.
 ``build_reference_integer_ranks`` is the z/y model with the integer ranks the
@@ -39,6 +43,9 @@ class CellVariables:
     y: dict[Cell, int] = field(default_factory=dict)
     z: dict[Cell, int] = field(default_factory=dict)
     link: dict[Cell, int] = field(default_factory=dict)
+    on: set[Cell] = field(default_factory=set)  # z fixed at 1, no column
+    links: list[Cell] = field(default_factory=list)  # cells with an l column
+    fixed_link: Cell | None = None  # l fixed at 1, no column
 
     def px(self, cell: Cell, coef: float) -> list[tuple[int, float]]:
         """``coef`` times the perimeter indicator of ``cell``: x, or z - y."""
@@ -52,16 +59,42 @@ def _neighbor(cell, d):
     return (cell[0] + di, cell[1] + dj)
 
 
-def _declare_cell_variables(prob, cands, xyz: bool) -> CellVariables:
-    sv = CellVariables(cands.perimeter_cells())
+def _conveyance(spec, params, dist, cell) -> float:
+    excavation, lining = conveyance_cost(spec.flow, float(dist.values[cell]), params)
+    return excavation + lining
+
+
+def _column_fixing(sv, grid, spec, cands, params, dist) -> None:
+    """D: the dry perimeter candidates (no y, no embankment cost) with a dry
+    perimeter 4-neighbor, whose z is 1; the link may sit only on c*, the cell
+    of D with the cheapest conveyance (the first in row-major order on ties),
+    or on a cell whose conveyance is cheaper still. If c* is left alone, the
+    link is fixed there."""
+    interior = set(cands.interior_cells())
+    dry = {
+        cell for cell in sv.perimeter if cell not in interior
+        and embankment_cell_cost(grid.cell_length, spec.water_elevation,
+                                 float(grid.elevations[cell]), params)[0] == 0.0
+    }
+    sv.on = {cell for cell in dry if any(_neighbor(cell, d) in dry for d in range(4))}
+    if not sv.on:
+        return
+    cost = {cell: _conveyance(spec, params, dist, cell) for cell in sv.perimeter}
+    best = min(sorted(sv.on), key=cost.__getitem__)
+    sv.links = [cell for cell in sv.perimeter if cell == best or cost[cell] < cost[best]]
+    if sv.links == [best]:
+        sv.links, sv.fixed_link = [], best
+
+
+def _declare_cell_variables(prob, sv, cands, xyz: bool) -> None:
     for i, j in cands.reservoir_cells():
-        sv.z[(i, j)] = add_variable(prob, f"z_{i}_{j}")
+        if (i, j) not in sv.on:
+            sv.z[(i, j)] = add_variable(prob, f"z_{i}_{j}")
     if xyz:
         for i, j in sv.perimeter:
             sv.x[(i, j)] = add_variable(prob, f"x_{i}_{j}")
     for i, j in cands.interior_cells():
         sv.y[(i, j)] = add_variable(prob, f"y_{i}_{j}")
-    return sv
 
 
 def _add_cover_and_role_rows(prob, sv) -> None:
@@ -94,6 +127,8 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
 
     for cell in sv.perimeter:
         i, j = cell
+        if any(_neighbor(cell, d) in sv.on for d in range(4)):
+            continue  # a neighbor z is 1: the row reads z - y <= 1
         coeffs = sv.px(cell, float(perimeter_min_neighbors))
         for d in range(4):
             nbr = _neighbor(cell, d)
@@ -106,6 +141,8 @@ def _add_shape_constraints(prob, sv, perimeter_min_neighbors) -> None:
         for d, dname in enumerate(DIRECTIONS):
             coeffs = [(yid, 1.0)]
             nbr = _neighbor(cell, d)
+            if nbr in sv.on:
+                continue  # y <= 1
             if nbr in sv.z:
                 coeffs.append((sv.z[nbr], -1.0))
             add_row(prob, f"inter_{i}_{j}_{dname}", coeffs, Sense.LE, 0.0)
@@ -125,11 +162,14 @@ def _add_volume_constraint(prob, sv, cands, grid, spec) -> None:
 def _add_link_constraints(prob, sv) -> None:
     if not sv.perimeter:
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    for cell in sv.perimeter:
+    if sv.fixed_link is not None:
+        return
+    for cell in sv.links:
         i, j = cell
         lid = add_variable(prob, f"l_{i}_{j}")
         sv.link[cell] = lid
-        add_row(prob, f"linkx_{i}_{j}", [(lid, 1.0)] + sv.px(cell, -1.0), Sense.LE, 0.0)
+        if cell not in sv.on:
+            add_row(prob, f"linkx_{i}_{j}", [(lid, 1.0)] + sv.px(cell, -1.0), Sense.LE, 0.0)
     add_row(prob, "link_sum", [(lid, 1.0) for lid in sv.link.values()], Sense.EQ, 1.0)
 
 
@@ -142,10 +182,12 @@ def _set_siting_objective(prob, sv, grid, spec, params, dist) -> None:
         )
         if sv.x or cost != 0.0:
             coeffs.update(sv.px((i, j), cost))
-    for (i, j), lid in sv.link.items():
-        excavation, lining = conveyance_cost(spec.flow, float(dist.values[i, j]), params)
-        coeffs[lid] = excavation + lining
-    prob.set_objective(coeffs, equipment_cost(spec.head_m, spec.power_mw, params))
+    for cell, lid in sv.link.items():
+        coeffs[lid] = _conveyance(spec, params, dist, cell)
+    constant = equipment_cost(spec.head_m, spec.power_mw, params)
+    if sv.fixed_link is not None:
+        constant += _conveyance(spec, params, dist, sv.fixed_link)
+    prob.set_objective(coeffs, constant)
 
 
 def _add_band_constraints(
@@ -286,7 +328,11 @@ def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
     if dist is None:
         dist = distance_field(grid)
     prob = MipProblem()
-    sv = _declare_cell_variables(prob, cands, xyz)
+    sv = CellVariables(cands.perimeter_cells())
+    sv.links = sv.perimeter
+    if not xyz and level <= 2 and perimeter_min_neighbors == 1:
+        _column_fixing(sv, grid, spec, cands, params, dist)
+    _declare_cell_variables(prob, sv, cands, xyz)
     _add_shape_constraints(prob, sv, perimeter_min_neighbors)
     _add_volume_constraint(prob, sv, cands, grid, spec)
     _add_link_constraints(prob, sv)

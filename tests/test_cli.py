@@ -1,6 +1,8 @@
 """Batch front-end: config validation, case execution, report artifacts."""
 
 import csv
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +173,8 @@ def test_run_batch_produces_artifacts(micro_config, tmp_path):
     # 60 s split over the four rungs of the direct case; the zoom case gives
     # each of its two stages 30 s, all to the coarse rung, a quarter per native rung
     assert "limit=15.00s" in (out / "trace_1.log").read_text().splitlines()[0]
+    assert all(" nnz=" in line and " nodes=" in line
+               for line in (out / "trace_1.log").read_text().splitlines())
     zoom_limits = [line.split(" limit=")[1].split()[0]
                    for line in (out / "trace_2.log").read_text().splitlines()]
     assert zoom_limits[:2] == ["30.00s", "7.50s"]
@@ -254,3 +258,20 @@ def test_workers_parallel_run(micro_config, tmp_path):
     assert config.workers == 2
     assert run_batch(config) == 0
     assert (tmp_path / "out" / "report_physical.csv").exists()
+
+
+def test_demo_batch_same_with_two_workers(tmp_path):
+    # both demo cases share one grid, and with it its coarse grid and distance field
+    demo = load_case_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
+    outs = []
+    for workers in (1, 2):
+        config = dataclasses.replace(demo, workers=workers, output_dir=tmp_path / f"w{workers}")
+        assert run_batch(config) == 0
+        outs.append(config.output_dir)
+    for name in ("case_1_mask.asc", "case_2_mask.asc", "report_physical.csv", "report_costs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    solver = []
+    for out in outs:
+        with open(out / "report_solver.csv") as fh:
+            solver.append([{k: v for k, v in row.items() if k != "time_s"} for row in csv.DictReader(fh)])
+    assert solver[0] == solver[1]

@@ -79,9 +79,16 @@ def test_shape_constraints_exhaustive_on_plus_instance():
     assert sum(name[0] in "zy" for name in prob.variable_names()) == 6
     feasible = _accepted_sites(prob)
     for terrain in (grid, _block_pit_grid()):
-        ours = _accepted_sites(ps.build_siting_problem(terrain, spec, level=0).mip)
+        # the tour rung keeps every column; below it the builder fixes z = 1
+        # on the block pit's dry ring, and then accepts exactly the paper's
+        # sites that hold the ring
+        ours = _accepted_sites(ps.build_siting_problem(terrain, spec, level=3).mip)
         paper = _accepted_sites(build_reference_xyz(terrain, spec))
         assert sorted(map(sorted, ours)) == sorted(map(sorted, paper))
+        sp = ps.build_siting_problem(terrain, spec, level=0)
+        ring = {("z", cell) for cell in map(tuple, sp.variables.fixed["z"].tolist())}
+        fixed = [site | ring for site in _accepted_sites(sp.mip)]
+        assert sorted(map(sorted, fixed)) == sorted(sorted(site) for site in paper if ring <= site)
 
     center, arms = (2, 3), [(1, 3), (3, 3), (2, 2), (2, 4)]
     plus = {("z", c) for c in [center, *arms]} | {("y", center)}
@@ -273,9 +280,10 @@ def test_extract_keeps_component_the_volume_needs():
 
 def test_extract_keeps_dry_link_component():
     # a link outpost: the link sits on a dry clump that floods nothing, apart
-    # from the pond that holds the volume; both stay, so the ladder escalates
+    # from the pond that holds the volume; both stay, so the ladder escalates.
+    # Below level 3 the builder fixes l = 0 on the clump, so build the tour rung
     grid, spec = _three_basin_grid(), pit_spec()
-    sp = ps.build_siting_problem(grid, spec, level=0)
+    sp = ps.build_siting_problem(grid, spec, level=3)
     sol = ps.extract_solution(sp, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
     assert not sol.connected and sol.n_components == 2
     assert sol.link_cell == (8, 3)

@@ -242,6 +242,31 @@ def test_zoom_trace_reports_windows_and_sizes():
     assert all(t.window is not None for t in zoomed.trace)
     assert zoomed.n_variables == max(t.n_variables for t in zoomed.trace)
     assert zoomed.wall_time_s == pytest.approx(sum(t.wall_time_s for t in zoomed.trace))
+    assert all(t.n_nonzeros > 0 and t.nodes >= 0 for t in zoomed.trace)
+    # the native entry reports the size of the model built on its window
+    native = zoomed.trace[-1]
+    r0, c0, nr, nc = native.window
+    window = np.zeros(grid.shape, dtype=bool)
+    window[r0 : r0 + nr, c0 : c0 + nc] = True
+    sub, (sr, sc) = ps.clip(grid, window, 0)
+    dist = ps.DistanceField(ps.distance_field(grid).values[sr : sr + sub.nrows, sc : sc + sub.ncols],
+                            sub.cell_length)
+    sp = ps.build_siting_problem(sub, spec, dist=dist, level=native.level)
+    assert (native.n_variables, native.n_constraints, native.n_nonzeros) == (
+        sp.mip.num_variables, sp.mip.num_constraints, sp.mip.matrix.nnz)
+
+
+def test_total_budget_after_an_overrun(monkeypatch):
+    import phs_siting.strategy as strategy
+
+    # four solves share 8 s; the first takes 5 s, well over its 2 s share,
+    # and the third ends after the deadline
+    clock = iter([100.0, 100.0, 105.0, 106.5, 110.0])
+    monkeypatch.setattr(strategy.time, "perf_counter", lambda: next(clock))
+    assert list(strategy._budgets(8.0, "total", 4)) == [8.0, 3.0, 1.5, 1e-3]
+    # per_level hands out equal shares whatever the clock says
+    assert list(strategy._budgets(8.0, "per_level", 4)) == [2.0] * 4
+    assert next(clock, None) is None
 
 
 def _coarse_split_grid():

@@ -1,6 +1,9 @@
 """Terrain loading, aggregation, clipping, candidates, distances, flood fill."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -212,6 +215,98 @@ def test_aggregate_composition_shape(a, b):
     direct = ps.aggregate(grid, a * b)
     assert once.shape == direct.shape
     assert np.allclose(once.elevations, direct.elevations)
+
+
+def _rebuilt(grid):
+    """The same grid built anew, with nothing derived from it kept yet."""
+    return ps.TerrainGrid(grid.elevations, grid.cell_length, grid.lower_mask, grid.nodata,
+                          grid.lower_elevation, grid.xllcorner, grid.yllcorner)
+
+
+def _ridge_grid():
+    elev = np.random.default_rng(3).uniform(560, 640, (12, 12))
+    elev[:, 0:3] = RIVER_ELEVATION  # a lower body at factors 2, 3 and 4
+    elev[5:7, 5:7] = 500.0
+    return river_grid(elev)
+
+
+def test_grid_keeps_coarse_grids_and_distance_fields():
+    grid = _ridge_grid()
+    factors, metrics = (2, 3, 4), ("horizontal", "slant")
+    for factor in factors:
+        assert ps.aggregate(grid, factor) is ps.aggregate(grid, factor)
+    for metric in metrics:
+        assert ps.distance_field(grid, metric) is ps.distance_field(grid, metric)
+    assert len(grid._derived) == len(factors) + len(metrics)  # one entry each
+    assert ps.distance_field(grid, "slant") is not ps.distance_field(grid, "horizontal")
+
+    fresh = _rebuilt(grid)
+    for factor in factors:
+        kept, new = ps.aggregate(grid, factor), ps.aggregate(fresh, factor)
+        assert np.array_equal(kept.elevations, new.elevations, equal_nan=True)
+        assert np.array_equal(kept.lower_mask, new.lower_mask)
+        assert np.array_equal(kept.nodata, new.nodata)
+        assert (kept.cell_length, kept.lower_elevation, kept.xllcorner, kept.yllcorner) == (
+            new.cell_length, new.lower_elevation, new.xllcorner, new.yllcorner)
+        # a coarse grid keeps its own distance field
+        assert ps.distance_field(kept) is ps.distance_field(ps.aggregate(grid, factor))
+        assert np.array_equal(ps.distance_field(kept).values, ps.distance_field(new).values)
+    for metric in metrics:
+        kept, new = ps.distance_field(grid, metric), ps.distance_field(fresh, metric)
+        assert kept.metric == new.metric and kept.cell_length == new.cell_length
+        assert np.array_equal(kept.values, new.values)
+    # a grid made from another by replace starts with nothing kept
+    assert dataclasses.replace(grid, lower_elevation=390.0)._derived == {}
+
+
+def test_clip_window_keeps_its_own_entries():
+    grid = _ridge_grid()
+    full = ps.distance_field(grid)
+    window = np.zeros(grid.shape, dtype=bool)
+    window[4:8, 0:8] = True
+    sub, (r0, c0) = ps.clip(grid, window, 0)
+    assert sub._derived == {}
+    kept = ps.distance_field(sub)
+    assert kept is not full and ps.distance_field(sub) is kept
+    assert list(sub._derived) == [("distance_field", "horizontal")]
+    assert np.array_equal(kept.values, ps.distance_field(_rebuilt(sub)).values)
+    assert ps.distance_field(grid) is full
+
+
+def test_threads_sharing_a_grid_get_one_entry_per_key():
+    grid = _ridge_grid()
+    results, errors = [], []
+
+    def work():
+        try:
+            coarse = ps.aggregate(grid, 2)
+            results.append((coarse, ps.distance_field(grid), ps.distance_field(coarse)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(results) == len(threads)
+    for k in range(3):  # a race may compute an entry twice, but every caller gets one object
+        assert len({id(r[k]) for r in results}) == 1
+
+
+def test_failed_derivations_are_not_kept():
+    grid = _ridge_grid()
+    with pytest.raises(ValueError, match="unknown distance metric"):
+        ps.distance_field(grid, "manhattan")
+    with pytest.raises(ValueError, match="collapses the grid"):
+        ps.aggregate(grid, 6)
+    assert grid._derived == {}
 
 
 # --------------------------------------------------------------------------- #
