@@ -378,11 +378,12 @@ def _trace_line(entry) -> str:
     comps = "-" if entry.n_components is None else str(entry.n_components)
     gap = "-" if entry.gap is None else f"{100 * entry.gap:.2f}%"
     limit = "-" if entry.time_limit_s is None else f"{entry.time_limit_s:.2f}s"
+    bound = "-" if entry.bound is None else f"{entry.bound:.6g}"
     return (
         f"stage={entry.stage} factor={entry.zoom_factor} level={entry.level} "
         f"status={entry.status} objective={objective} gap={gap} components={comps} "
         f"vars={entry.n_variables} rows={entry.n_constraints} "
-        f"nnz={entry.n_nonzeros} nodes={entry.nodes} "
+        f"nnz={entry.n_nonzeros} nodes={entry.nodes} bound={bound} build={entry.build_s:.3f}s "
         f"time={entry.wall_time_s:.2f}s limit={limit}{window}"
         f"{' ' + entry.note if entry.note else ''}"
     )

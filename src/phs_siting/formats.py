@@ -1,27 +1,37 @@
 """MPS and LP files, written and read by HiGHS.
 
-A writer loads the problem with the solve's own ``_pass_model``, adds the
-objective constant as HiGHS's offset and the names, and returns the text of
-HiGHS's ``writeModel``: byte-identical for the same problem. Free-form MPS and
-LP files carry the stored row names and the ``z_i_j``, ``y_i_j`` and ``l_i_j``
-variable names (the model has no perimeter column: see ``model``). Fixed-form
-MPS names columns and rows ``V0000000``/``C0000000`` in order, in HiGHS's
-fixed layout, so structural round trips compare it by position. Numbers carry
-about 15 significant digits and can overrun a fixed field, so neither form
-suits a reader that cuts lines at column positions; readers that split on
-whitespace, HiGHS's among them, read both. No file carries the problem name.
+A writer loads the problem with the solve's own ``_pass_model``, sets the
+objective constant as HiGHS's offset and the names in one more load, and
+returns the text of HiGHS's ``writeModel``: byte-identical for the same
+problem. Free-form MPS and LP files carry the stored row names and the
+``z_i_j``, ``y_i_j`` and ``l_i_j`` variable names (the model has no perimeter
+column: see ``model``). Fixed-form MPS names columns and rows
+``V0000000``/``C0000000`` in order, in HiGHS's fixed layout, so structural
+round trips compare it by position. Numbers carry about 15 significant digits
+and can overrun a fixed field, so neither form suits a reader that cuts lines
+at column positions; readers that split on whitespace, HiGHS's among them,
+read both. No file carries the problem name.
 
 Every file is read by the HiGHS reader of the solver's binding, and the
 problem is rebuilt from the arrays HiGHS holds. So a problem read back takes
 its name from the caller or the file stem, an integer column bounded [0, 1]
 reads back as binary, and an explicit zero matrix coefficient is dropped.
+
+HiGHS reads and writes only files. Text passes through a file with a fresh
+name in a private directory of this process (``tempfile.mkdtemp``, made on
+first use and removed at interpreter exit); each file is removed as soon as
+its call returns or raises. Staging changes no byte of the text.
 """
 
 from __future__ import annotations
 
+import atexit
+import itertools
+import os
+import shutil
 import tempfile
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +39,47 @@ import scipy.sparse as sparse
 from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
-from .model import KINDS, MipProblem, Sense, VarKind
+from .model import KINDS, SENSES, MipProblem, Sense, VarKind
 from .solve import _pass_model
+
+# ---------------------------------------------------------------------------
+# Staging
+# ---------------------------------------------------------------------------
+
+#: Process id -> that process's private directory. Keyed by pid so that a
+#: forked child makes, and removes, its own.
+_STAGING: dict[int, str] = {}
+_SERIAL = itertools.count()  # next() is atomic, so threads never share a name
+
+
+@contextmanager
+def _staged(suffix: str) -> Iterator[str]:
+    """A path no file has had in this process; whatever is there on exit is removed."""
+    path = os.path.join(_staging_dir(), f"{next(_SERIAL)}{suffix}")
+    try:
+        yield path
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+
+
+def _staging_dir() -> str:
+    pid = os.getpid()
+    if pid not in _STAGING:
+        made = tempfile.mkdtemp(prefix="phs-siting-")
+        if _STAGING.setdefault(pid, made) == made:
+            atexit.register(_remove_staging)
+        else:  # another thread made one first
+            os.rmdir(made)
+    return _STAGING[pid]
+
+
+def _remove_staging() -> None:
+    """Remove this process's directory (a forked child inherits the parent's hook)."""
+    path = _STAGING.pop(os.getpid(), None)
+    if path is not None:
+        shutil.rmtree(path, ignore_errors=True)
+
 
 # ---------------------------------------------------------------------------
 # Writers
@@ -57,14 +106,16 @@ def _write_model(problem: MipProblem, var_names: list[str], row_names: list[str]
     """HiGHS's ``writeModel`` text of ``problem`` under these names; RuntimeError if refused."""
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
-    status = [_pass_model(highs, problem), highs.changeObjectiveOffset(problem.objective_constant)]
-    status += map(highs.passColName, range(len(var_names)), var_names)
-    status += map(highs.passRowName, range(len(row_names)), row_names)
-    with _model_path(suffix) as path:
-        status.append(highs.writeModel(str(path)))
-        if any(s != HighsStatus.kOk for s in status):
+    loaded = _pass_model(highs, problem)
+    # a second load sets the offset and all the names in one call; passColName takes one name
+    lp = highs.getLp()
+    lp.offset_ = problem.objective_constant
+    lp.col_names_ = var_names
+    lp.row_names_ = row_names
+    with _staged(suffix) as path:
+        if (loaded, highs.passModel(lp), highs.writeModel(path)) != (HighsStatus.kOk,) * 3:
             raise RuntimeError(f"HiGHS cannot write model {problem.name!r}")
-        return path.read_text()
+        return Path(path).read_text()
 
 
 def export_problem(problem: MipProblem, fmt: str, path: str | Path) -> Path:
@@ -98,16 +149,10 @@ def read_lp(text: str, name: str = "parsed") -> MipProblem:
 
 
 def _read_text(text: str, suffix: str, name: str) -> MipProblem:
-    with _model_path(suffix) as path:
-        path.write_text(text)
+    with _staged(suffix) as path:
+        with open(path, "x") as file:
+            file.write(text)
         return _read_model(path, name)
-
-
-@contextmanager
-def _model_path(suffix: str) -> Iterator[Path]:
-    """``model<suffix>`` in a temporary directory that is removed on exit."""
-    with tempfile.TemporaryDirectory() as tmp:
-        yield Path(tmp) / f"model{suffix}"
 
 
 def read_problem_file(path: str | Path) -> MipProblem:
@@ -121,32 +166,43 @@ def read_problem_file(path: str | Path) -> MipProblem:
     """
     path = Path(path)
     path.stat()  # a missing file is an OSError, not a format error
-    return _read_model(path, path.stem)
+    return _read_model(str(path), path.stem)
 
 
-def _read_model(path: Path, name: str) -> MipProblem:
+_INTEGER = int(HighsVarType.kInteger)
+_SEMI_CONTINUOUS = int(HighsVarType.kSemiContinuous)
+_SEMI_INTEGER = int(HighsVarType.kSemiInteger)
+_KIND_OF = np.array(KINDS, dtype=object)
+_SENSE_OF = np.array(SENSES, dtype=object)
+
+
+def _read_model(path: str, name: str) -> MipProblem:
     """The problem HiGHS reads from ``path``, rebuilt as a ``MipProblem`` called ``name``."""
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
-    status = highs.readModel(str(path))
+    status = highs.readModel(path)
     if status == HighsStatus.kError:
         raise GridFormatError(f"HiGHS cannot read model {name!r}")
     lp = highs.getLp()
     if lp.sense_ != ObjSense.kMinimize:
         raise GridFormatError(f"model {name!r} maximizes; only minimization is supported")
+    col_names = lp.col_names_
     # integrality_ is empty when every column is continuous
-    integrality = lp.integrality_ or [HighsVarType.kContinuous] * lp.num_col_
-    for col_name, var_type in zip(lp.col_names_, integrality):
-        if var_type in (HighsVarType.kSemiContinuous, HighsVarType.kSemiInteger):
-            raise GridFormatError(f"variable {col_name!r} is semi-continuous")
+    var_types = np.fromiter(map(int, lp.integrality_), np.int8)
+    semi = (var_types == _SEMI_CONTINUOUS) | (var_types == _SEMI_INTEGER)
+    if semi.any():
+        raise GridFormatError(f"variable {col_names[semi.argmax()]!r} is semi-continuous")
 
     # HiGHS drops every MPS row name when two repeat; the file still has them.
-    row_names = lp.row_names_ if len(lp.row_names_) == lp.num_row_ else _mps_row_names(path)
-    seen: set[str] = set()
-    for row_name in row_names:
-        if row_name in seen:
-            raise GridFormatError(f"duplicate row name {row_name!r}")
-        seen.add(row_name)
+    row_names = lp.row_names_
+    if len(row_names) != lp.num_row_:
+        row_names = _mps_row_names(path)
+    if len(set(row_names)) < len(row_names):
+        seen: set[str] = set()
+        for row_name in row_names:
+            if row_name in seen:
+                raise GridFormatError(f"duplicate row name {row_name!r}")
+            seen.add(row_name)
     lower, upper = np.array(lp.row_lower_), np.array(lp.row_upper_)
     le, ge, eq = np.isneginf(lower), np.isposinf(upper), lower == upper
     odd = np.flatnonzero(le.astype(int) + ge + eq != 1)
@@ -156,31 +212,32 @@ def _read_model(path: Path, name: str) -> MipProblem:
                               "only <=, >= and = rows are supported")
 
     problem = MipProblem(name)
-    kinds = [
-        VarKind.CONTINUOUS if var_type != HighsVarType.kInteger
-        else VarKind.BINARY if (lb, ub) == (0.0, 1.0) else VarKind.INTEGER
-        for var_type, lb, ub in zip(integrality, lp.col_lower_, lp.col_upper_)
-    ]
+    col_lower, col_upper = np.array(lp.col_lower_), np.array(lp.col_upper_)
+    integer = var_types == _INTEGER if var_types.size else np.zeros(lp.num_col_, dtype=bool)
+    binary = integer & (col_lower == 0.0) & (col_upper == 1.0)
+    kinds = np.where(binary, KINDS.index(VarKind.BINARY),
+                     np.where(integer, KINDS.index(VarKind.INTEGER), KINDS.index(VarKind.CONTINUOUS)))
     # HiGHS reads lb > ub with a warning; add_variables raises first, naming the variable
-    problem.add_variables(lp.col_names_, kinds, lp.col_lower_, lp.col_upper_)
+    problem.add_variables(col_names, _KIND_OF[kinds], col_lower, col_upper)
     if status != HighsStatus.kOk:
         raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
                               "such as an entry on an undeclared row or a repeated column")
     a = lp.a_matrix_  # colwise
-    senses = [Sense.LE if x else Sense.GE if y else Sense.EQ for x, y in zip(le.tolist(), ge.tolist())]
-    problem.add_rows(list(row_names), a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
-                     a.value_, senses, np.where(le, upper, lower))
-    cost = np.asarray(lp.col_cost_)
+    senses = np.where(le, SENSES.index(Sense.LE), np.where(ge, SENSES.index(Sense.GE),
+                                                           SENSES.index(Sense.EQ)))
+    problem.add_rows(row_names, a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
+                     a.value_, _SENSE_OF[senses], np.where(le, upper, lower))
+    cost = np.array(lp.col_cost_)
     ids = np.flatnonzero(cost)
     problem.set_objective(dict(zip(ids.tolist(), cost[ids].tolist())), lp.offset_)
     return problem
 
 
-def _mps_row_names(path: Path) -> list[str]:
+def _mps_row_names(path: str) -> list[str]:
     """The names declared in the ROWS section of an MPS file, in order."""
     names: list[str] = []
     in_rows = False
-    for line in path.read_text().splitlines():
+    for line in Path(path).read_text().splitlines():
         if line[:1].strip() and not line.startswith("*"):  # a section header
             in_rows = line.split()[0].upper() == "ROWS"
         elif in_rows and not line.startswith("*"):
@@ -213,23 +270,25 @@ def problems_structurally_equal(
     if diffs:
         return diffs
 
-    # b's variable and row ids -> a's, so everything compares in a's order
+    # b's variable and row ids -> a's, so a's arrays are taken in b's order;
+    # None is the identity: free MPS keeps both orders, fixed MPS the
+    # positions, LP the rows
     a_names, b_names = a.variable_names(), b.variable_names()
-    by_name = set(a_names) == set(b_names)
-    var_map = np.array([a.variable_id(n) for n in b_names] if by_name else range(b.num_variables),
-                       dtype=np.int64)
+    same_order = a_names == b_names
+    by_name = same_order or set(a_names) == set(b_names)
+    var_map = None
+    if not same_order and by_name:
+        var_map = np.array(list(map(a.variable_id, b_names)), dtype=np.int64)
     a_rows, b_rows = a.row_names(), b.row_names()
-    rows_by_name = by_name and set(a_rows) == set(b_rows)
-    if rows_by_name:
+    row_map = None
+    if by_name and a_rows != b_rows and set(a_rows) == set(b_rows):
         a_row_id = {name: rid for rid, name in enumerate(a_rows)}
         row_map = np.array([a_row_id[n] for n in b_rows], dtype=np.int64)
-    else:
-        row_map = np.arange(b.num_constraints)
 
-    kind_bad = a.kinds[var_map] != b.kinds
-    bound_bad = ~(close(a.lb[var_map], b.lb) & close(a.ub[var_map], b.ub))
+    kind_bad = _take(a.kinds, var_map) != b.kinds
+    bound_bad = ~(close(_take(a.lb, var_map), b.lb) & close(_take(a.ub, var_map), b.ub))
     for vid in np.flatnonzero(kind_bad | bound_bad).tolist():
-        avid = int(var_map[vid])
+        avid = vid if var_map is None else int(var_map[vid])
         label = a_names[avid] if by_name else f"#{avid}"
         if kind_bad[vid]:
             diffs.append(f"variable {label} kind {KINDS[a.kinds[avid]].value} != "
@@ -237,12 +296,12 @@ def problems_structurally_equal(
         if bound_bad[vid]:
             diffs.append(f"variable {label} bounds differ")
 
-    a_rhs, b_rhs = a.rhs[row_map], b.rhs
-    sense_bad = a.senses[row_map] != b.senses
+    a_rhs, b_rhs = _take(a.rhs, row_map), b.rhs
+    sense_bad = _take(a.senses, row_map) != b.senses
     rhs_bad = ~close(a_rhs, b_rhs)
-    coef_bad = _rows_differ(a.matrix[row_map], b.matrix, var_map, close)
+    coef_bad = _rows_differ(_take(a.matrix, row_map), b.matrix, var_map, close)
     for rid in np.flatnonzero(sense_bad | rhs_bad | coef_bad).tolist():
-        label = a_rows[row_map[rid]]
+        label = a_rows[rid if row_map is None else row_map[rid]]
         if sense_bad[rid]:
             diffs.append(f"row {label} sense differs")
         if rhs_bad[rid]:
@@ -250,20 +309,25 @@ def problems_structurally_equal(
         if coef_bad[rid]:
             diffs.append(f"row {label} coefficients differ")
 
-    oa = {k: v for k, v in a.objective.items() if v != 0.0}
-    ob = {int(var_map[k]): v for k, v in b.objective.items() if v != 0.0}
-    if set(oa) != set(ob) or any(not close(oa[k], ob[k]) for k in oa):
+    a_cost, b_cost = _take(a.cost_vector(), var_map), b.cost_vector()
+    if np.any(((a_cost != 0.0) != (b_cost != 0.0)) | ~close(a_cost, b_cost)):
         diffs.append("objective coefficients differ")
     if not close(a.objective_constant, b.objective_constant):
         diffs.append("objective constant differs")
     return diffs
 
 
-def _rows_differ(a_matrix, b_matrix, var_map: np.ndarray, close) -> np.ndarray:
+def _take(values, index: np.ndarray | None):
+    """``values[index]``, or ``values`` itself when ``index`` is the identity (None)."""
+    return values if index is None else values[index]
+
+
+def _rows_differ(a_matrix, b_matrix, var_map: np.ndarray | None, close) -> np.ndarray:
     """Per row: whether the entries of ``b_matrix``, its columns mapped through
     ``var_map``, differ from those of ``a_matrix`` in position or value."""
-    b_matrix = sparse.csr_array((b_matrix.data, var_map[b_matrix.indices], b_matrix.indptr),
-                                shape=b_matrix.shape, copy=True)
+    if var_map is not None:
+        b_matrix = sparse.csr_array((b_matrix.data, var_map[b_matrix.indices], b_matrix.indptr),
+                                    shape=b_matrix.shape, copy=True)
     for m in (a_matrix, b_matrix):
         m.sort_indices()
     counts_a, counts_b = np.diff(a_matrix.indptr), np.diff(b_matrix.indptr)

@@ -394,6 +394,8 @@ class MipProblem:
 
         Accepts a vector (returned as is), a :class:`SolutionValues` of this
         problem, or a name -> value mapping, in which missing names read 0.
+        A mapping that names a variable the problem does not have (such as
+        one the builder fixed out) raises ValueError naming the first one.
         """
         if isinstance(values, np.ndarray):
             return values
@@ -402,8 +404,10 @@ class MipProblem:
         vec = np.zeros(self.num_variables)
         index = self._index()
         for name, value in values.items():
-            if name in index:
-                vec[index[name]] = value
+            vid = index.get(name)
+            if vid is None:
+                raise ValueError(f"problem {self.name!r} has no variable {name!r}")
+            vec[vid] = value
         return vec
 
 

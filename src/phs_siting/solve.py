@@ -99,7 +99,13 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
-    """Outcome of one solve; ``x`` is the incumbent in variable order, if any."""
+    """Outcome of one solve; ``x`` is the incumbent in variable order, if any.
+
+    ``objective`` and ``bound`` are HiGHS's values plus the problem's
+    objective constant, added in floating point. Equivalent builds that put a
+    cost in a column or in the constant can differ in the last bit, so compare
+    objectives with a tolerance, not ``==``.
+    """
 
     status: SolveStatus
     x: np.ndarray | None

@@ -97,6 +97,8 @@ class TraceEntry:
     time_limit_s: float | None = None  # the rung's budget; None when unlimited
     n_nonzeros: int = 0  # constraint-matrix nonzeros of the model solved
     nodes: int = 0  # branch-and-bound nodes HiGHS explored
+    bound: float | None = None  # HiGHS's dual bound plus the objective constant, if any
+    build_s: float = 0.0  # seconds ``build_siting_problem`` took for this model
 
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
@@ -158,6 +160,7 @@ def run_ladder(
     best_fragmented: ReservoirSolution | None = None
 
     for level, budget in zip(config.ladder, _budgets(total, config.budget, len(config.ladder))):
+        start = time.perf_counter()
         sp = build_siting_problem(
             grid,
             spec,
@@ -167,6 +170,7 @@ def run_ladder(
             level=int(level),
             perimeter_min_neighbors=config.perimeter_min_neighbors,
         )
+        build_s = time.perf_counter() - start
         result = solve(
             sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
         )
@@ -176,7 +180,8 @@ def run_ladder(
                     "ladder", zoom_factor, int(level), result.status.value, None, None,
                     None, None, sp.mip.num_variables, sp.mip.num_constraints,
                     result.wall_time_s, note=result.message, time_limit_s=budget,
-                    n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes,
+                    n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes, bound=result.bound,
+                    build_s=build_s,
                 )
             )
             logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
@@ -200,6 +205,7 @@ def run_ladder(
                 result.gap, solution.connected, solution.n_components,
                 sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
                 time_limit_s=budget, n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes,
+                bound=result.bound, build_s=build_s,
             )
         )
         logger.info(

@@ -175,6 +175,8 @@ def test_run_batch_produces_artifacts(micro_config, tmp_path):
     assert "limit=15.00s" in (out / "trace_1.log").read_text().splitlines()[0]
     assert all(" nnz=" in line and " nodes=" in line
                for line in (out / "trace_1.log").read_text().splitlines())
+    assert all(" bound=" in line and " build=" in line
+               for line in (out / "trace_1.log").read_text().splitlines())
     zoom_limits = [line.split(" limit=")[1].split()[0]
                    for line in (out / "trace_2.log").read_text().splitlines()]
     assert zoom_limits[:2] == ["30.00s", "7.50s"]

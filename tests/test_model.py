@@ -235,12 +235,15 @@ def _three_basin_grid():
 
 
 def _hand_values(sp, perimeter, interior, link):
+    """Name -> value of a hand-made site; a cell whose ``z`` or ``l`` the
+    builder fixed on has no column, so its name is left out."""
+    fixed_on = {(family, tuple(cell)) for family, cells in sp.variables.fixed.items()
+                for cell in cells.tolist()}
     values = {v.name: 0.0 for v in sp.mip.variables}
-    for i, j in perimeter:
-        values[f"z_{i}_{j}"] = 1.0
-    for i, j in interior:
-        values[f"y_{i}_{j}"] = values[f"z_{i}_{j}"] = 1.0
-    values["l_{}_{}".format(*link)] = 1.0
+    for family, cell in ([("z", c) for c in perimeter + interior] + [("y", c) for c in interior]
+                         + [("l", link)]):
+        if (family, cell) not in fixed_on:
+            values["{}_{}_{}".format(family, *cell)] = 1.0
     return values
 
 
@@ -289,6 +292,20 @@ def test_extract_keeps_dry_link_component():
     assert sol.link_cell == (8, 3)
     assert sol.perimeter_mask[8, 3] and sol.perimeter_mask[8, 4]
     assert sol.storage_m3 == pytest.approx(50.0 * CELL_M3)
+
+
+def test_extract_rejects_a_value_for_a_column_fixed_out():
+    # level 0 fixes l = 0 on the dry clump and leaves l_8_3 out of the model:
+    # a hand solution that sets it names a column the problem does not have
+    grid, spec = _three_basin_grid(), pit_spec()
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    assert "l_8_3" not in sp.mip.variable_names()
+    with pytest.raises(ValueError, match="l_8_3"):
+        ps.extract_solution(sp, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
+    values = {name: 0.0 for name in sp.mip.variable_names()}
+    with pytest.raises(ValueError, match="l_8_3"):
+        sp.mip.values_vector({**values, "l_8_3": 1.0})
+    assert not sp.mip.values_vector({}).any()  # a missing name still reads 0
 
 
 def test_direct_level_zero_midsize_solve_is_connected():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy import sparse
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
-from phs_siting.model import MipProblem, Sense, VarKind
+from phs_siting import formats
+from phs_siting.model import KINDS, MipProblem, Sense, VarKind
 
 from conftest import (
     FailingHighs,
@@ -599,6 +601,115 @@ def test_readers_reject_lower_bound_above_upper(fmt):
     text, read = (_MPS_LB_ABOVE_UB, ps.read_mps) if fmt == "mps" else (_LP_LB_ABOVE_UB, ps.read_lp)
     with pytest.raises(ValueError, match="variable 'u' has lb 18.0 > ub 17.0"):
         read(text)
+
+
+# --------------------------------------------------------------------------- #
+# Round trips through staged files                                             #
+# --------------------------------------------------------------------------- #
+
+_TEXT_FORMATS = {
+    "mps_free": (lambda p: ps.write_mps(p, "free"), ps.read_mps),
+    "mps_fixed": (lambda p: ps.write_mps(p, "fixed"), ps.read_mps),
+    "lp": (ps.write_lp, ps.read_lp),
+}
+
+
+def _kinds_problem(columns):
+    """One covering row over columns given as (kind, lb, ub), with costs and a constant."""
+    prob = MipProblem("kinds")
+    ids = [add_variable(prob, f"v{k}", kind, lb, ub) for k, (kind, lb, ub) in enumerate(columns)]
+    add_row(prob, "r", [(vid, 1.0 + k) for k, vid in enumerate(ids)], Sense.GE, 1.0)
+    prob.set_objective({vid: 2.0 + k for k, vid in enumerate(ids)}, constant=3.5)
+    return prob
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_round_trip_reads_kinds(fmt):
+    write, read = _TEXT_FORMATS[fmt]
+    bounds = [(0.0, 1.0), (0.0, 17.0), (0.0, 1.0), (0.0, 1.0)]
+    written = [VarKind.BINARY, VarKind.INTEGER, VarKind.INTEGER, VarKind.CONTINUOUS]
+    # an integer column on [0, 1] reads back as binary; a continuous one stays continuous
+    read_back = [VarKind.BINARY, VarKind.INTEGER, VarKind.BINARY, VarKind.CONTINUOUS]
+    back = read(write(_kinds_problem([(k, *b) for k, b in zip(written, bounds)])))
+    assert [KINDS[k] for k in back.kinds] == read_back
+    assert ps.problems_structurally_equal(
+        _kinds_problem([(k, *b) for k, b in zip(read_back, bounds)]), back) == []
+
+    # every column continuous: HiGHS holds an empty integrality list
+    continuous = _kinds_problem([(VarKind.CONTINUOUS, 0.0, 1.0), (VarKind.CONTINUOUS, -2.0, 5.0)])
+    back = read(write(continuous))
+    assert [KINDS[k] for k in back.kinds] == [VarKind.CONTINUOUS] * 2
+    assert ps.problems_structurally_equal(continuous, back) == []
+
+
+def test_staged_files_are_removed(monkeypatch):
+    prob = _kinds_problem([(VarKind.BINARY, 0.0, 1.0), (VarKind.INTEGER, 0.0, 17.0)])
+    for write, read in _TEXT_FORMATS.values():
+        assert ps.problems_structurally_equal(prob, read(write(prob))) == []
+    with pytest.raises(ps.GridFormatError, match="HiGHS cannot read model"):
+        ps.read_mps(_MPS_UNKNOWN_ROW_TYPE)
+
+    written = []
+
+    class WritesThenFails(core._Highs):
+        def writeModel(self, path):
+            super().writeModel(path)
+            written.append(path)
+            return core.HighsStatus.kError
+
+    monkeypatch.setattr(formats, "_Highs", WritesThenFails)
+    with pytest.raises(RuntimeError, match="HiGHS cannot write model"):
+        ps.write_lp(prob)
+    monkeypatch.undo()
+    assert len(written) == 1 and Path(written[0]).parent == Path(formats._staging_dir())
+    assert os.listdir(formats._staging_dir()) == []
+
+
+def test_threads_round_trip_through_their_own_files():
+    problems = []
+    for seed in range(100):
+        case = micro_case(seed)
+        if case is not None:
+            problems.append(ps.build_siting_problem(*case, level=3).mip)
+        if len(problems) == 8:
+            break
+
+    def round_trips(prob):
+        return [diff for _ in range(25) for write, read in _TEXT_FORMATS.values()
+                for diff in ps.problems_structurally_equal(prob, read(write(prob)))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(problems)) as pool:
+            futures = [pool.submit(round_trips, prob) for prob in problems]
+            diffs = [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(diffs) == 8 and diffs == [[]] * 8
+    assert os.listdir(formats._staging_dir()) == []
+
+
+_EXIT_SCRIPT = """
+import os
+import phs_siting as ps
+from phs_siting import formats
+from conftest import pit_grid, pit_spec
+mip = ps.build_siting_problem(pit_grid(), pit_spec(), level=3).mip
+assert ps.problems_structurally_equal(mip, ps.read_lp(ps.write_lp(mip))) == []
+print(os.path.dirname(formats._staging_dir()))
+"""
+
+
+def test_staging_directory_is_removed_at_exit(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root / "tests")])
+    done = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert Path(done.stdout.strip()) == tmp_path
+    assert list(tmp_path.iterdir()) == []
 
 
 # --------------------------------------------------------------------------- #

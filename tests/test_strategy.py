@@ -243,6 +243,10 @@ def test_zoom_trace_reports_windows_and_sizes():
     assert zoomed.n_variables == max(t.n_variables for t in zoomed.trace)
     assert zoomed.wall_time_s == pytest.approx(sum(t.wall_time_s for t in zoomed.trace))
     assert all(t.n_nonzeros > 0 and t.nodes >= 0 for t in zoomed.trace)
+    assert all(t.build_s > 0.0 for t in zoomed.trace)
+    # every rung solved to optimality, so its bound reaches its objective
+    assert all(t.status == "optimal" and t.bound == pytest.approx(t.objective, rel=1e-6)
+               for t in zoomed.trace)
     # the native entry reports the size of the model built on its window
     native = zoomed.trace[-1]
     r0, c0, nr, nc = native.window
