@@ -13,7 +13,9 @@ at column positions; readers that split on whitespace, HiGHS's among them,
 read both. No file carries the problem name.
 
 Every file is read by the HiGHS reader of the solver's binding, and the
-problem is rebuilt from the arrays HiGHS holds. So a problem read back takes
+problem is rebuilt from the arrays HiGHS holds; kinds and senses go in as
+code arrays, whose codes the ``VarKind`` and ``Sense`` members are. So a
+problem read back takes
 its name from the caller or the file stem, an integer column bounded [0, 1]
 reads back as binary, and an explicit zero matrix coefficient is dropped.
 
@@ -39,7 +41,7 @@ import scipy.sparse as sparse
 from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
-from .model import KINDS, SENSES, MipProblem, Sense, VarKind
+from .model import MipProblem, Sense, VarKind
 from .solve import _pass_model
 
 # ---------------------------------------------------------------------------
@@ -172,8 +174,6 @@ def read_problem_file(path: str | Path) -> MipProblem:
 _INTEGER = int(HighsVarType.kInteger)
 _SEMI_CONTINUOUS = int(HighsVarType.kSemiContinuous)
 _SEMI_INTEGER = int(HighsVarType.kSemiInteger)
-_KIND_OF = np.array(KINDS, dtype=object)
-_SENSE_OF = np.array(SENSES, dtype=object)
 
 
 def _read_model(path: str, name: str) -> MipProblem:
@@ -215,18 +215,16 @@ def _read_model(path: str, name: str) -> MipProblem:
     col_lower, col_upper = np.array(lp.col_lower_), np.array(lp.col_upper_)
     integer = var_types == _INTEGER if var_types.size else np.zeros(lp.num_col_, dtype=bool)
     binary = integer & (col_lower == 0.0) & (col_upper == 1.0)
-    kinds = np.where(binary, KINDS.index(VarKind.BINARY),
-                     np.where(integer, KINDS.index(VarKind.INTEGER), KINDS.index(VarKind.CONTINUOUS)))
+    kinds = np.where(binary, VarKind.BINARY, np.where(integer, VarKind.INTEGER, VarKind.CONTINUOUS))
     # HiGHS reads lb > ub with a warning; add_variables raises first, naming the variable
-    problem.add_variables(col_names, _KIND_OF[kinds], col_lower, col_upper)
+    problem.add_variables(col_names, kinds, col_lower, col_upper)
     if status != HighsStatus.kOk:
         raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
                               "such as an entry on an undeclared row or a repeated column")
     a = lp.a_matrix_  # colwise
-    senses = np.where(le, SENSES.index(Sense.LE), np.where(ge, SENSES.index(Sense.GE),
-                                                           SENSES.index(Sense.EQ)))
+    senses = np.where(le, Sense.LE, np.where(ge, Sense.GE, Sense.EQ))
     problem.add_rows(row_names, a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
-                     a.value_, _SENSE_OF[senses], np.where(le, upper, lower))
+                     a.value_, senses, np.where(le, upper, lower))
     cost = np.array(lp.col_cost_)
     ids = np.flatnonzero(cost)
     problem.set_objective(dict(zip(ids.tolist(), cost[ids].tolist())), lp.offset_)
@@ -291,8 +289,8 @@ def problems_structurally_equal(
         avid = vid if var_map is None else int(var_map[vid])
         label = a_names[avid] if by_name else f"#{avid}"
         if kind_bad[vid]:
-            diffs.append(f"variable {label} kind {KINDS[a.kinds[avid]].value} != "
-                         f"{KINDS[b.kinds[vid]].value}")
+            diffs.append(f"variable {label} kind {VarKind(a.kinds[avid]).name.lower()} != "
+                         f"{VarKind(b.kinds[vid]).name.lower()}")
         if bound_bad[vid]:
             diffs.append(f"variable {label} bounds differ")
 

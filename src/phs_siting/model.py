@@ -7,10 +7,12 @@ which have no y), which keeps the same feasible sites and the same LP
 relaxation with fewer columns and rows. Variables follow the naming scheme
 ``z_i_j`` (reservoir), ``y_i_j`` (interior), ``l_i_j`` (conveyance link); the
 scheme is stable and is what the file exporters emit. The problem is stored as
-arrays and the names are derived from this scheme only when something asks for
-them. Neighbor variables that fall outside the grid or outside a candidate set
-are treated as constant zero, which makes the shape rules well defined at grid
-edges. Below the tour rung the builder leaves out the columns that a dominance
+arrays (kinds and senses as the codes that ``VarKind`` and ``Sense`` members
+are), and the names are derived from this scheme only when something asks for
+them. Extraction and ``verify_masks`` use the fixed tolerances
+``INTEGRALITY_TOL`` and ``VOLUME_RTOL``. Neighbor variables that fall outside
+the grid or outside a candidate set are treated as constant zero, which makes
+the shape rules well defined at grid edges. Below the tour rung the builder leaves out the columns that a dominance
 argument fixes, with the rows they satisfy (see ``build_siting_problem``).
 """
 
@@ -20,7 +22,7 @@ import itertools
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 import scipy.sparse as sparse
@@ -47,39 +49,34 @@ Cell = tuple[int, int]
 
 #: Relative slack on the volume target when storage is recomputed from masks.
 VOLUME_RTOL = 1e-6
+#: Distance from 0 or 1 within which ``extract_solution`` reads a binary's value.
+INTEGRALITY_TOL = 1e-6
 
 _DIRECTIONS = ("up", "down", "left", "right")
 #: Raster id of a cell whose ``z`` the builder fixed at 1 (absent cells are -1).
 _FIXED_ON = -2
 
 
-class VarKind(Enum):
-    BINARY = "binary"
-    INTEGER = "integer"
-    CONTINUOUS = "continuous"
+class VarKind(IntEnum):
+    """A variable's kind; each member is the int8 code ``MipProblem.kinds`` stores."""
+
+    BINARY = 0
+    INTEGER = 1
+    CONTINUOUS = 2
 
 
-class Sense(Enum):
-    LE = "<="
-    GE = ">="
-    EQ = "="
+class Sense(IntEnum):
+    """A row's sense; each member is the int8 code ``MipProblem.senses`` stores."""
 
-
-#: Stored codes of the enums: the index into these tuples.
-KINDS = tuple(VarKind)
-SENSES = tuple(Sense)
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    kind: VarKind
-    lb: float
-    ub: float
+    LE = 0
+    GE = 1
+    EQ = 2
 
 
 @dataclass(frozen=True)
 class Row:
+    """A row as ``MipProblem.rows`` spells it out."""
+
     name: str
     coeffs: tuple[tuple[int, float], ...]
     sense: Sense
@@ -156,16 +153,26 @@ def _spread(values, n: int, dtype) -> np.ndarray:
     return values[np.arange(n) % max(values.size, 1)]
 
 
+def _codes(values, n: int, enum: type[IntEnum]) -> np.ndarray:
+    """``_spread`` of ``enum`` members or codes to int8; a code outside ``enum`` raises."""
+    codes = _spread(values, n, np.int64)
+    bad = (codes < 0) | (codes >= len(enum))
+    if bad.any():
+        raise ValueError(f"{codes[bad][0]} is not a valid {enum.__name__} code")
+    return codes.astype(np.int8)
+
+
 class MipProblem:
     """Sparse mixed-integer linear program stored as arrays.
 
     Variables are kind/bound arrays; constraints are COO triplets with a sense
     and a right-hand side per row; the objective is sparse and keeps the ids it
-    was given, zero coefficients included. Variables and rows enter in blocks.
-    Names are stored per block (a list, or a :class:`CellNames` pattern over
-    cells) and spelled out on demand, as are the ``variables`` and ``rows``
-    lists, the name -> id index and the CSR matrix. Uniqueness of names is up
-    to the caller: the builders and the file readers.
+    was given, zero coefficients included. Kinds and senses are stored as the
+    int8 codes that the ``VarKind`` and ``Sense`` members are. Variables and
+    rows enter in blocks. Names are stored per block (a list, or a
+    :class:`CellNames` pattern over cells) and spelled out on demand, as are
+    the ``rows`` view, the name -> id index and the CSR matrix. Uniqueness of
+    names is up to the caller: the builders and the file readers.
     """
 
     def __init__(self, name: str = "siting"):
@@ -188,19 +195,18 @@ class MipProblem:
     def add_variables(
         self,
         names: CellNames | list[str],
-        kind: VarKind | Sequence[VarKind] = VarKind.BINARY,
+        kind: VarKind | Sequence[int] = VarKind.BINARY,
         lb: float | Sequence[float] = 0.0,
         ub: float | Sequence[float] = math.inf,
     ) -> np.ndarray:
         """Declare one variable per name; returns their (contiguous) ids.
 
-        ``kind``, ``lb`` and ``ub`` are one value or one per name. Binaries
-        are always bounded by [0, 1], whatever bounds are given.
+        ``kind`` (members or codes), ``lb`` and ``ub`` are one value or one per
+        name. Binaries are always bounded by [0, 1], whatever bounds are given.
         """
         n = len(names)
-        kinds = [kind] if isinstance(kind, VarKind) else kind
-        codes = _spread([KINDS.index(k) for k in kinds], n, np.int8)
-        binary = codes == KINDS.index(VarKind.BINARY)
+        codes = _codes(kind, n, VarKind)
+        binary = codes == VarKind.BINARY
         lb = np.where(binary, 0.0, _spread(lb, n, float))
         ub = np.where(binary, 1.0, _spread(ub, n, float))
         bad = lb > ub
@@ -222,17 +228,18 @@ class MipProblem:
         rows: np.ndarray,
         cols: np.ndarray,
         vals: np.ndarray,
-        sense: Sense | Sequence[Sense],
+        sense: Sense | Sequence[int],
         rhs: float | Sequence[float] = 0.0,
     ) -> None:
         """Append a block of rows given as COO triplets.
 
         ``rows`` index the block's own rows (0 .. len(names)-1) and may repeat a
-        (row, col) pair only if it is meant to be summed. ``sense`` and ``rhs``
-        are one value, or one per pattern of ``names`` (one per name for a
-        list), repeated over its cells.
+        (row, col) pair only if it is meant to be summed. ``sense`` (members or
+        codes) and ``rhs`` are one value, or one per pattern of ``names`` (one
+        per name for a list), repeated over its cells.
         """
         n_rows = len(names)
+        senses = _codes(sense, n_rows, Sense)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
         rhs = _spread(rhs, n_rows, float)
@@ -247,8 +254,7 @@ class MipProblem:
         coo_cols.extend(cols)
         coo_vals.extend(vals)
         self._row_names.append(names)
-        senses = [sense] if isinstance(sense, Sense) else sense
-        self._sense.extend(_spread([SENSES.index(s) for s in senses], n_rows, np.int8))
+        self._sense.extend(senses)
         self._rhs.extend(rhs)
         self._views.clear()
 
@@ -279,13 +285,13 @@ class MipProblem:
 
     @property
     def kinds(self) -> np.ndarray:
-        """Kind code per variable (an index into ``KINDS``)."""
+        """Kind code per variable: ``VarKind(code)`` is its member."""
         return self._kind.array()
 
     @property
     def integer_mask(self) -> np.ndarray:
         """True for binary and integer variables."""
-        return self.kinds != KINDS.index(VarKind.CONTINUOUS)
+        return self.kinds != VarKind.CONTINUOUS
 
     @property
     def lb(self) -> np.ndarray:
@@ -297,7 +303,7 @@ class MipProblem:
 
     @property
     def senses(self) -> np.ndarray:
-        """Sense code per row (an index into ``SENSES``)."""
+        """Sense code per row: ``Sense(code)`` is its member."""
         return self._sense.array()
 
     @property
@@ -312,8 +318,8 @@ class MipProblem:
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) activity bounds per row, infinite on the open side."""
         senses, rhs = self.senses, self.rhs
-        lo = np.where(senses == SENSES.index(Sense.LE), -np.inf, rhs)
-        hi = np.where(senses == SENSES.index(Sense.GE), np.inf, rhs)
+        lo = np.where(senses == Sense.LE, -np.inf, rhs)
+        hi = np.where(senses == Sense.GE, np.inf, rhs)
         return lo, hi
 
     @property
@@ -339,20 +345,9 @@ class MipProblem:
         return self._views["row_names"]
 
     @property
-    def variables(self) -> list[Variable]:
-        if "variables" not in self._views:
-            self._views["variables"] = [
-                Variable(name, KINDS[kind], lb, ub)
-                for name, kind, lb, ub in zip(
-                    self.variable_names(), self.kinds.tolist(), self.lb.tolist(), self.ub.tolist()
-                )
-            ]
-        return self._views["variables"]
-
-    @property
     def rows(self) -> Sequence[Row]:
         """The rows as ``Row`` items; ``len`` is free, and a slice spells out
-        only the rows it covers."""
+        only the rows it covers. ``perfbench`` counts nonzeros through it."""
         return _RowView(self)
 
     def _rows(self, start: int, stop: int) -> list[Row]:
@@ -366,11 +361,11 @@ class MipProblem:
             names = self._views["row_names"][start:stop]
         else:
             names = _spell(self._row_names, start, stop)
+        codes = self.senses[start:stop].tolist()
+        member = {code: Sense(code) for code in set(codes)}  # a Sense() call costs ~1 us
         rows = [
-            Row(name, tuple(pairs[a - ptr[0] : b - ptr[0]]), SENSES[code], rhs)
-            for name, a, b, code, rhs in zip(
-                names, ptr, ptr[1:], self.senses[start:stop].tolist(), self.rhs[start:stop].tolist()
-            )
+            Row(name, tuple(pairs[a - ptr[0] : b - ptr[0]]), member[code], rhs)
+            for name, a, b, code, rhs in zip(names, ptr, ptr[1:], codes, self.rhs[start:stop].tolist())
         ]
         if start == 0 and stop == self.num_constraints:
             self._views["rows"] = rows
@@ -647,9 +642,8 @@ def build_siting_problem(
     k = np.arange(ny)
     block.add(k, ids["y"], 1.0)
     block.add(k, at(Z, y_cells), -1.0)
-    on_perimeter = cands.perimeter_ok[y_cells[:, 0], y_cells[:, 1]].tolist()
-    block.add_to(prob, CellNames(("role_{}_{}",), y_cells),
-                 [Sense.LE if p else Sense.EQ for p in on_perimeter])
+    on_perimeter = cands.perimeter_ok[y_cells[:, 0], y_cells[:, 1]]
+    block.add_to(prob, CellNames(("role_{}_{}",), y_cells), np.where(on_perimeter, Sense.LE, Sense.EQ))
 
     # the perimeter indicator x = z - y enters as the (z, y) ids of each cell;
     # a row that holds a z fixed on is satisfied and left out
@@ -740,7 +734,6 @@ class ReservoirSolution:
     connected: bool
     n_components: int
     valid: bool = True
-    origin: Cell = (0, 0)
     trace: tuple = ()
 
     def with_origin(self, origin: Cell, full_shape: tuple[int, int]) -> "ReservoirSolution":
@@ -757,22 +750,22 @@ class ReservoirSolution:
             interior_mask=out[1],
             reservoir_mask=out[2],
             link_cell=(self.link_cell[0] + r0, self.link_cell[1] + c0),
-            origin=(0, 0),
         )
 
 
-def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray, tol: float) -> np.ndarray:
-    """The cells of ``family`` whose variable is 1; any value off 0 and 1 raises."""
+def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray) -> np.ndarray:
+    """The cells of ``family`` whose variable is 1; a value off 0 and 1 by more
+    than ``INTEGRALITY_TOL`` raises."""
     start = sv.start[family]
     values = vec[start : start + len(sv.cells[family])]
-    zero = np.abs(values) <= tol
-    one = ~zero & (np.abs(values - 1.0) <= tol)
+    zero = np.abs(values) <= INTEGRALITY_TOL
+    one = ~zero & (np.abs(values - 1.0) <= INTEGRALITY_TOL)
     binary = zero | one
     if not binary.all():
         k = int(binary.argmin())
         i, j = sv.cells[family][k].tolist()
         raise IntegralityError(
-            f"variable {family}_{i}_{j} = {float(values[k])} is fractional beyond tolerance {tol}"
+            f"variable {family}_{i}_{j} = {float(values[k])} is fractional beyond tolerance {INTEGRALITY_TOL}"
         )
     return sv.cells[family][one]
 
@@ -836,27 +829,27 @@ def extract_solution(
     objective_value: float | None = None,
     gap: float | None = None,
     wall_time_s: float = 0.0,
-    tolerance: float = 1e-6,
 ) -> ReservoirSolution:
     """Turn solver values into masks and physically recomputed metrics.
 
     ``values`` is the solution vector, or a name -> value mapping (see
     ``MipProblem.values_vector``); the cells the builder fixed on join the
-    masks and the link. Reservoir components the solution does not
-    need are dropped first (see ``_drop_spare_components``); the connectivity
-    verdict, storage, area, embankment and costs are then all rebuilt from the
-    kept masks and the terrain, never read back from the solver objective.
+    masks and the link. A binary within ``INTEGRALITY_TOL`` of 0 or 1 reads as
+    that value; any other raises IntegralityError. Reservoir components the
+    solution does not need are dropped first (see ``_drop_spare_components``);
+    the connectivity verdict, storage, area, embankment and costs are then all
+    rebuilt from the kept masks and the terrain, never read back from the
+    solver objective.
     """
     grid, spec, params = sp.grid, sp.spec, sp.cost_params
     vec = sp.mip.values_vector(values)
     fixed = sp.variables.fixed
     y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(2))
-    for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec, tolerance)),
-                     (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec, tolerance),
-                                              fixed["z"]]))):
+    for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec)),
+                     (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec), fixed["z"]]))):
         mask[on[:, 0], on[:, 1]] = True
     x_mask = z_mask & ~y_mask
-    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec, tolerance).tolist()
+    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec).tolist()
                   + fixed["l"].tolist()]
 
     if not np.any(y_mask):
@@ -920,12 +913,12 @@ def verify_masks(
     cands: CandidateSets,
     spec: SitingSpec,
     solution: ReservoirSolution,
-    vol_tol: float = VOLUME_RTOL,
 ) -> list[str]:
     """Check the mask-level feasibility semantics of the base model.
 
     Returns human-readable violation strings; an empty list means the solution
-    satisfies the shape rules and the volume target on this grid.
+    satisfies the shape rules and the volume target, within ``VOLUME_RTOL``,
+    on this grid.
     """
     x, y, z = solution.perimeter_mask, solution.interior_mask, solution.reservoir_mask
     problems: list[str] = []
@@ -956,7 +949,7 @@ def verify_masks(
         problems.append("interior cell not surrounded by reservoir cells")
 
     storage = float(np.where(y, spec.water_elevation - grid.elevations, 0.0).sum()) * grid.cell_area
-    if storage < spec.vol_min * (1 - vol_tol):
+    if storage < spec.vol_min * (1 - VOLUME_RTOL):
         problems.append(f"stored volume {storage:.6e} below target {spec.vol_min:.6e}")
 
     if not cands.perimeter_ok[solution.link_cell]:

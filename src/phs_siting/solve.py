@@ -25,16 +25,9 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
-from .model import SENSES, MipProblem, Sense, SolutionValues
+from .model import MipProblem, Sense, SolutionValues
 from .sizing import SitingSpec
-from .terrain import (
-    FOUR_NEIGHBORS,
-    CandidateSets,
-    DistanceField,
-    TerrainGrid,
-    candidate_sets,
-    distance_field,
-)
+from .terrain import FOUR_NEIGHBORS, TerrainGrid, candidate_sets, distance_field
 
 
 class SolveStatus(Enum):
@@ -123,7 +116,7 @@ class SolveResult:
 
     @property
     def values(self) -> SolutionValues | None:
-        """The incumbent as a name -> value mapping; names resolve on demand."""
+        """The incumbent as a name -> value mapping, names resolved on demand; ``perfbench`` reads it."""
         if self.x is None:
             return None
         return SolutionValues(self.problem, self.x)
@@ -178,7 +171,7 @@ class EngineRun:
 
     @property
     def status(self) -> int:
-        """The SciPy ``milp`` status code: 0 optimal, 1 limit, 2 infeasible, 4 other."""
+        """The SciPy ``milp`` status code that ``perfbench`` reads: 0 optimal, 1 limit, 2 infeasible, 4 other."""
         return {SolveStatus.OPTIMAL: 0, SolveStatus.TIME_LIMIT: 1,
                 SolveStatus.INFEASIBLE: 2}.get(self.solve_status, 4)
 
@@ -248,8 +241,8 @@ def solve(
 ) -> SolveResult:
     """Solve a problem with HiGHS and optionally persist a one-page run log.
 
-    ``backend`` names the solver for callers that pass it; only ``"highs"``
-    is accepted.
+    ``backend`` names the solver for callers that pass it, ``perfbench``
+    among them; only ``"highs"`` is accepted.
     """
     if backend.lower() != "highs":
         raise ValueError(f"unknown backend {backend!r}; the only solver is 'highs'")
@@ -298,8 +291,8 @@ def verify_solution(
     slack_tol = tol * np.maximum(1.0, np.abs(rhs))
     above = activity > rhs + slack_tol
     below = activity < rhs - slack_tol
-    is_le = senses == SENSES.index(Sense.LE)
-    is_ge = senses == SENSES.index(Sense.GE)
+    is_le = senses == Sense.LE
+    is_ge = senses == Sense.GE
     violated = np.where(is_le, above, np.where(is_ge, below, above | below))
     row_names = problem.row_names() if violated.any() else []
     for rid in np.flatnonzero(violated).tolist():
@@ -331,8 +324,6 @@ def oracle_enumerate(
     spec: SitingSpec,
     cost_params: CostParams | None = None,
     *,
-    cands: CandidateSets | None = None,
-    dist: DistanceField | None = None,
     excluded=None,
     max_cells: int = 18,
     require_connected: bool = True,
@@ -347,10 +338,8 @@ def oracle_enumerate(
     is placed on the cheapest-conveyance perimeter cell.
     """
     params = cost_params or CostParams()
-    if cands is None:
-        cands = candidate_sets(grid, spec.water_elevation, excluded)
-    if dist is None:
-        dist = distance_field(grid)
+    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    dist = distance_field(grid)
 
     cells = cands.reservoir_cells()
     m = len(cells)

@@ -29,7 +29,6 @@ from .model import (
 from .sizing import SitingSpec
 from .solve import SolveLimits, SolveStatus, solve
 from .terrain import (
-    CandidateSets,
     DistanceField,
     TerrainGrid,
     aggregate,
@@ -74,6 +73,9 @@ class StrategyConfig:
             raise ValueError("perimeter_min_neighbors must be 1 or 3")
         if self.clip_margin is not None and self.clip_margin < 0:
             raise ValueError("clip_margin must be >= 0")
+        if self.distance_metric not in ("horizontal", "slant"):
+            raise ValueError(f"distance_metric must be 'horizontal' or 'slant', "
+                             f"got {self.distance_metric!r}")
         SolveLimits(self.time_limit_s, self.gap_target)  # the same checks as each solve's
 
 
@@ -134,7 +136,6 @@ def run_ladder(
     cost_params: CostParams | None = None,
     config: StrategyConfig | None = None,
     *,
-    cands: CandidateSets | None = None,
     dist: DistanceField | None = None,
     excluded=None,
     time_budget_s: float | None = None,
@@ -150,8 +151,7 @@ def run_ladder(
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
-    if cands is None:
-        cands = candidate_sets(grid, spec.water_elevation, excluded)
+    cands = candidate_sets(grid, spec.water_elevation, excluded)
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
 
@@ -174,40 +174,29 @@ def run_ladder(
         result = solve(
             sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
         )
-        if not result.has_incumbent:
-            trace.append(
-                TraceEntry(
-                    "ladder", zoom_factor, int(level), result.status.value, None, None,
-                    None, None, sp.mip.num_variables, sp.mip.num_constraints,
-                    result.wall_time_s, note=result.message, time_limit_s=budget,
-                    n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes, bound=result.bound,
-                    build_s=build_s,
-                )
+        solution = None
+        if result.has_incumbent:
+            solution = extract_solution(sp, result.x, status=result.status.value,
+                                        objective_value=result.objective, gap=result.gap,
+                                        wall_time_s=result.wall_time_s)
+        trace.append(
+            TraceEntry(
+                "ladder", zoom_factor, int(level), result.status.value, result.objective,
+                result.gap, None if solution is None else solution.connected,
+                None if solution is None else solution.n_components,
+                sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
+                note=result.message if solution is None else "", time_limit_s=budget,
+                n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes, bound=result.bound,
+                build_s=build_s,
             )
+        )
+        if solution is None:
             logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
             if result.status in (SolveStatus.INFEASIBLE, SolveStatus.ERROR):
                 # Higher levels only add constraints, so escalation cannot
                 # help an infeasible rung; a solver error is reported as is.
                 break
             continue
-
-        solution = extract_solution(
-            sp,
-            result.x,
-            status=result.status.value,
-            objective_value=result.objective,
-            gap=result.gap,
-            wall_time_s=result.wall_time_s,
-        )
-        trace.append(
-            TraceEntry(
-                "ladder", zoom_factor, int(level), result.status.value, result.objective,
-                result.gap, solution.connected, solution.n_components,
-                sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
-                time_limit_s=budget, n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes,
-                bound=result.bound, build_s=build_s,
-            )
-        )
         logger.info(
             "level %s: %s, objective %.6g, %d component(s)",
             level.name, result.status.value, result.objective, solution.n_components,

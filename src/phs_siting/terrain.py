@@ -39,7 +39,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
     """Normalize a cell collection (bool mask or iterable of (i, j)) to a bool mask.
 
-    A bool array is taken as a mask and must have the grid's shape.
+    A bool array is taken as a mask and must have the grid's shape; a cell
+    outside the grid (a negative index too) raises ValueError.
     """
     if cells is None:
         return np.zeros(shape, dtype=bool)
@@ -48,9 +49,13 @@ def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
         if arr.shape != tuple(shape):
             raise ValueError(f"mask shape {arr.shape} does not match the grid {tuple(shape)}")
         return arr.copy()
+    cells = arr.reshape(-1, 2).astype(int)
+    outside = ((cells < 0) | (cells >= shape)).any(axis=1)
+    if outside.any():
+        i, j = cells[outside.argmax()].tolist()
+        raise ValueError(f"cell ({i}, {j}) is outside the {shape[0]}x{shape[1]} grid")
     mask = np.zeros(shape, dtype=bool)
-    for i, j in arr.reshape(-1, 2):
-        mask[int(i), int(j)] = True
+    mask[cells[:, 0], cells[:, 1]] = True
     return mask
 
 
@@ -149,15 +154,16 @@ class CandidateSets:
     perimeter_ok: cells allowed to carry embankment; each has at least one
         4-neighbor in interior_ok.
     reservoir_ok: union of the two.
+
+    The ``*_cells()`` lists are what ``perfbench`` reads.
     """
 
     interior_ok: np.ndarray
     perimeter_ok: np.ndarray
     reservoir_ok: np.ndarray
-    excluded: np.ndarray
 
     def __post_init__(self):
-        for name in ("interior_ok", "perimeter_ok", "reservoir_ok", "excluded"):
+        for name in ("interior_ok", "perimeter_ok", "reservoir_ok"):
             object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=bool)))
 
     @property
@@ -373,7 +379,8 @@ def load_grid(
 
 
 def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
-    """Read a 0/1 ESRI ASCII raster as a bool mask; it must match the DEM's shape."""
+    """Read a 0/1 ESRI ASCII raster of the DEM's shape as a bool mask; other values
+    (the file's NODATA_value too) raise GridFormatError."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -384,7 +391,11 @@ def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
         raise GridFormatError(
             f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}"
         )
-    return values != 0
+    odd = (values != 0) & (values != 1)
+    if odd.any():
+        i, j = np.argwhere(odd)[0].tolist()
+        raise GridFormatError(f"mask value {values[i, j]:g} at (row, col) ({i}, {j}) is not 0 or 1 in {path}")
+    return values == 1
 
 
 def write_esri_ascii(
@@ -554,7 +565,7 @@ def candidate_sets(
             f"no interior candidates below water level {water_elevation}; head infeasible here"
         )
     perimeter = _dilate4(interior) & ~blocked
-    return CandidateSets(interior, perimeter, interior | perimeter, excluded_mask)
+    return CandidateSets(interior, perimeter, interior | perimeter)
 
 
 def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal") -> DistanceField:

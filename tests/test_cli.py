@@ -122,6 +122,8 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
          ["dem.lower_by_elevation: not a number ('low')"]),
         (("power_mw = 1.2\n", ""), ["project.power_mw: required"]),
         (("power_mw = 1.2", "power_mw = -1"), ["project.power_mw: must be positive, got -1.0"]),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\ndistance_metric = euclid"),
+         ["strategy.distance_metric: must be horizontal or slant, got 'euclid'"]),
     ],
 )
 def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, expected):
@@ -161,6 +163,16 @@ def test_excluded_mask_of_wrong_shape_is_reported(micro_config, tmp_path, capsys
     assert main(["run", str(micro_config)]) == 2
     assert "dem.excluded_mask_file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_excluded_mask_with_nodata_is_reported(micro_config):
+    _exclude(micro_config, (8, 8), (3, 4))
+    mask = micro_config.parent / "no.asc"
+    lines = mask.read_text().splitlines()
+    lines[-2] = " ".join(["-9999"] + lines[-2].split()[1:])  # row 6, col 0
+    mask.write_text("\n".join(lines) + "\n")
+    assert validate_config(micro_config) == [
+        f"dem.excluded_mask_file: mask value -9999 at (row, col) (6, 0) is not 0 or 1 in {mask}"]
 
 
 def test_run_batch_produces_artifacts(micro_config, tmp_path):

@@ -176,7 +176,7 @@ def test_continuous_ranks_eliminate_subtours(arcs, link, status):
 def test_tour_constraints_hold_for_all_zero():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
-    zeros = {v.name: 0.0 for v in sp.mip.variables}
+    zeros = dict.fromkeys(sp.mip.variable_names(), 0.0)
     tsp_rows = [r for r in sp.mip.rows if r.name.startswith(("deg_", "rank_", "mtz_"))]
     vec = sp.mip.values_vector(zeros)
     for row in tsp_rows:

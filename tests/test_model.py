@@ -9,7 +9,7 @@ from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
-from phs_siting.model import diag_corrected_length
+from phs_siting.model import CellNames, Sense, VarKind, diag_corrected_length
 from phs_siting.solve import _configured, _pass_model
 from phs_siting.terrain import FOUR_NEIGHBORS
 
@@ -239,7 +239,7 @@ def _hand_values(sp, perimeter, interior, link):
     builder fixed on has no column, so its name is left out."""
     fixed_on = {(family, tuple(cell)) for family, cells in sp.variables.fixed.items()
                 for cell in cells.tolist()}
-    values = {v.name: 0.0 for v in sp.mip.variables}
+    values = dict.fromkeys(sp.mip.variable_names(), 0.0)
     for family, cell in ([("z", c) for c in perimeter + interior] + [("y", c) for c in interior]
                          + [("l", link)]):
         if (family, cell) not in fixed_on:
@@ -318,12 +318,38 @@ def test_direct_level_zero_midsize_solve_is_connected():
 def test_variable_naming_scheme():
     grid, spec = pit_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
-    names = {v.name for v in sp.mip.variables}
+    names = set(sp.mip.variable_names())
     assert "y_2_3" in names and "z_2_3" in names
     assert "z_2_2" in names and "l_2_2" in names
     assert not any(n.startswith("x_") for n in names)  # x = z - y has no column
     assert "u_2_2" in names
     assert any(n.startswith("w_") for n in names)
+
+
+def _coded_problem(kind, sense):
+    prob = ps.MipProblem("codes")
+    prob.add_variables(["a", "b", "c"], kind, [0.0, -1.0, 0.0], [1.0, 5.0, 3.5])
+    prob.add_rows(CellNames(("r{}_lo", "r{}_eq"), np.array([[0], [1]])),
+                  [0, 1, 2, 3], [0, 1, 2, 0], [1.0, 2.0, 3.0, 4.0], sense, [1.0, 2.0])
+    return prob
+
+
+def test_kinds_and_senses_are_their_codes():
+    by_member = _coded_problem([VarKind.BINARY, VarKind.INTEGER, VarKind.CONTINUOUS],
+                               [Sense.LE, Sense.EQ])
+    by_code = _coded_problem(np.array([0, 1, 2], dtype=np.int8), np.array([0, 2]))
+    for a, b in ((by_member.kinds, by_code.kinds), (by_member.lb, by_code.lb),
+                 (by_member.ub, by_code.ub), (by_member.senses, by_code.senses),
+                 (by_member.rhs, by_code.rhs)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert by_member.kinds.tolist() == [0, 1, 2] and by_member.senses.tolist() == [0, 2, 0, 2]
+    assert [row.sense.name for row in by_code.rows] == ["LE", "EQ"] * 2  # members, not ints
+    one = _coded_problem(VarKind.INTEGER, Sense.GE)
+    assert one.kinds.tolist() == [1] * 3 and one.senses.tolist() == [1] * 4
+
+    for kind, sense in (([0, 7, 2], [0, 2]), (VarKind.BINARY, [0, 7]), ([-1], [0]), (0, [3, 0])):
+        with pytest.raises(ValueError, match="is not a valid (VarKind|Sense) code"):
+            _coded_problem(kind, sense)
 
 
 def test_diag_corrected_length():
@@ -447,7 +473,7 @@ def test_array_build_matches_per_row_reference(case):
     n = len(ref_rows)
     assert len(built.rows) == built.num_constraints == n
     assert built.rows[n // 2 :] == ref_rows[n // 2 :] and built.rows[-1] == ref_rows[-1]
-    assert built.variables == ref.variables  # names, order, kinds, bounds
+    assert built.variable_names() == ref.variable_names()  # kinds and bounds: the arrays below
     assert list(built.rows) == ref_rows  # names, order, coefficients, senses, rhs
     assert list(built.objective.items()) == list(ref.objective.items())
     assert built.objective_constant == ref.objective_constant

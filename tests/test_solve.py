@@ -15,7 +15,7 @@ from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 from phs_siting import formats
-from phs_siting.model import KINDS, MipProblem, Sense, VarKind
+from phs_siting.model import MipProblem, Sense, VarKind
 
 from conftest import (
     FailingHighs,
@@ -631,14 +631,14 @@ def test_round_trip_reads_kinds(fmt):
     # an integer column on [0, 1] reads back as binary; a continuous one stays continuous
     read_back = [VarKind.BINARY, VarKind.INTEGER, VarKind.BINARY, VarKind.CONTINUOUS]
     back = read(write(_kinds_problem([(k, *b) for k, b in zip(written, bounds)])))
-    assert [KINDS[k] for k in back.kinds] == read_back
+    assert [VarKind(k) for k in back.kinds] == read_back
     assert ps.problems_structurally_equal(
         _kinds_problem([(k, *b) for k, b in zip(read_back, bounds)]), back) == []
 
     # every column continuous: HiGHS holds an empty integrality list
     continuous = _kinds_problem([(VarKind.CONTINUOUS, 0.0, 1.0), (VarKind.CONTINUOUS, -2.0, 5.0)])
     back = read(write(continuous))
-    assert [KINDS[k] for k in back.kinds] == [VarKind.CONTINUOUS] * 2
+    assert [VarKind(k) for k in back.kinds] == [VarKind.CONTINUOUS] * 2
     assert ps.problems_structurally_equal(continuous, back) == []
 
 

@@ -37,6 +37,8 @@ def test_config_validation():
         StrategyConfig(perimeter_min_neighbors=2)
     with pytest.raises(ValueError, match="clip_margin"):
         StrategyConfig(clip_margin=-1)
+    with pytest.raises(ValueError, match="distance_metric must be 'horizontal' or 'slant', got 'euclid'"):
+        StrategyConfig(distance_metric="euclid")
     for gap in (-0.5, 1.0, 1.5):
         with pytest.raises(ValueError, match="gap_target"):
             StrategyConfig(gap_target=gap)

@@ -114,6 +114,17 @@ def test_mask_file_shape_must_match_dem(tmp_path):
     assert not ps.load_mask(mask, (3, 2))[:, 1].any()
 
 
+@pytest.mark.parametrize("value", ["-9999", "2", "0.5"])
+def test_mask_file_holds_only_zeros_and_ones(tmp_path, value):
+    # a no-data or other nonzero value is not read as True
+    dem = tmp_path / "dem.asc"
+    dem.write_text("ncols 3\nnrows 3\ncellsize 34\n385 500 600\n385 500 600\n385 500 600\n")
+    mask = tmp_path / "mask.asc"
+    mask.write_text(f"ncols 3\nnrows 3\ncellsize 34\nNODATA_value -9999\n1 0 0\n1 0 {value}\n1 0 0\n")
+    with pytest.raises(ps.GridFormatError, match=rf"mask value {value} at \(row, col\) \(1, 2\)"):
+        ps.load_grid(dem, "esri_ascii", ps.MaskFile(mask))
+
+
 def test_esri_write_read_round_trip(tmp_path):
     elev = np.full((5, 5), 600.0)
     elev[:, 0] = RIVER_ELEVATION
@@ -380,6 +391,17 @@ def test_candidates_excluded_pit_rejected():
     grid = pit_grid()
     with pytest.raises(ps.InfeasibleProblemError):
         ps.candidate_sets(grid, WATER, excluded=[(2, 3)])
+
+
+def test_cells_outside_the_grid_are_rejected():
+    # a negative index once wrapped round: (-1, 3) barred cell (4, 3)
+    grid = pit_grid()
+    with pytest.raises(ValueError, match=r"cell \(-1, 3\) is outside the 5x6 grid"):
+        ps.candidate_sets(grid, WATER, excluded=[(-1, 3)])
+    with pytest.raises(ValueError, match=r"cell \(0, -2\) is outside the 5x6 grid"):
+        ps.clip(grid, [(0, -2)], 0)
+    with pytest.raises(ValueError, match=r"cell \(5, 0\) is outside"):
+        ps.candidate_sets(grid, WATER, excluded=[(1, 3), (5, 0)])
 
 
 def test_candidates_reject_wrongly_shaped_exclusion_mask():
