@@ -381,8 +381,8 @@ def _trace_line(entry) -> str:
     bound = "-" if entry.bound is None else f"{entry.bound:.6g}"
     return (
         f"stage={entry.stage} factor={entry.zoom_factor} level={entry.level} "
-        f"status={entry.status} objective={objective} gap={gap} components={comps} "
-        f"vars={entry.n_variables} rows={entry.n_constraints} "
+        f"status={entry.status} path={entry.path} objective={objective} gap={gap} "
+        f"components={comps} vars={entry.n_variables} rows={entry.n_constraints} "
         f"nnz={entry.n_nonzeros} nodes={entry.nodes} bound={bound} build={entry.build_s:.3f}s "
         f"time={entry.wall_time_s:.2f}s limit={limit}{window}"
         f"{' ' + entry.note if entry.note else ''}"

@@ -147,6 +147,8 @@ def _spell(blocks: list, start: int = 0, stop: int | None = None) -> list[str]:
 
 def _spread(values, n: int, dtype) -> np.ndarray:
     """One value, or one per pattern repeated over the cells, as ``n`` values."""
+    if isinstance(values, (int, float)):  # enum members and bools included
+        return np.full(n, values, dtype=dtype)
     values = np.asarray(values, dtype=dtype).ravel()
     if n and (values.size == 0 or n % values.size):
         raise ValueError(f"{values.size} values do not repeat evenly over {n} entries")
@@ -331,6 +333,23 @@ class MipProblem:
                 (vals, (rows, cols)), shape=(self.num_constraints, self.num_variables)
             )
         return self._views["matrix"]
+
+    def violations(self, vec: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+        """Name-free feasibility test of the point ``vec``.
+
+        Returns masks of the columns outside their bounds and of the integer
+        columns off an integer, each by more than ``tol``; the row activities
+        ``A @ vec``; and a mask of the rows whose activity crosses the rhs on
+        the side its sense forbids by more than ``tol * max(1, |rhs|)``.
+        """
+        outside = (vec < self.lb - tol) | (vec > self.ub + tol)
+        fractional = self.integer_mask & (np.abs(vec - np.round(vec)) > tol)
+        activity = self.matrix @ vec
+        rhs, senses = self.rhs, self.senses
+        slack = tol * np.maximum(1.0, np.abs(rhs))
+        above, below = activity > rhs + slack, activity < rhs - slack
+        violated = np.where(senses == Sense.LE, above, np.where(senses == Sense.GE, below, above | below))
+        return outside, fractional, activity, violated
 
     # -- names and views ----------------------------------------------------
 
@@ -702,6 +721,56 @@ def build_siting_problem(
         _connectivity.add_tour_constraints(prob, sv, cands)
 
     return SitingProblem(prob, sv, grid, cands, spec, params, dist, int(level))
+
+
+def all_ones_optimum(sp: SitingProblem) -> tuple[np.ndarray, float] | None:
+    """The all-ones point of a level-0 model and its objective, if a bound
+    proves it optimal; else None.
+
+    The point sets every ``z`` and ``y`` column to 1 and, if ``l`` columns are
+    left, the kept ``l`` of lowest cost (the first on ties) to 1. The bound is
+    ``objective_constant`` plus that lowest ``l`` cost, or the constant alone.
+
+    Why the bound holds for every feasible point, fractional or not, given how
+    ``build_siting_problem`` writes its model: a wet perimeter cell costs
+    ``+c`` on its ``z``, with ``c >= 0`` (``CostParams`` are positive), and
+    ``-c`` on its ``y`` if it has one, so it adds ``c (z - y)``, which its
+    ``role`` row (y <= z) keeps >= 0, or ``c z >= 0``; every other ``z`` or
+    ``y`` costs 0; and ``link_sum`` makes the ``l`` a convex combination,
+    which costs at least the lowest ``l`` cost. A feasible point that attains
+    a valid lower bound is optimal (Achterberg 2007, *Constraint Integer
+    Programming*; Berthold 2006, *Primal Heuristics for Mixed Integer
+    Programs*).
+
+    The point is accepted only when both checks hold exactly, with no
+    tolerance: every cell's ``z`` and ``y`` costs sum to 0 (so no ``z``
+    without a ``y`` partner carries a cost, and the objective is the bound
+    with no sum that cancels), and ``MipProblem.violations`` finds no row or
+    bound broken. Higher levels are not certified: their plane and tour
+    columns would need values of their own.
+    """
+    if sp.level != 0:
+        return None
+    mip, sv = sp.mip, sp.variables
+    cost = mip.cost_vector()
+    net = np.zeros(sp.cands.shape)
+    for family in "zy":
+        cells = sv.cells[family]
+        net[cells[:, 0], cells[:, 1]] += cost[sv.ids(family)]
+    if net.any():
+        return None
+    x = np.zeros(mip.num_variables)
+    x[sv.ids("z")] = x[sv.ids("y")] = 1.0
+    bound = mip.objective_constant
+    links = sv.ids("l")
+    if len(links):
+        best = links[cost[links].argmin()]
+        x[best] = 1.0
+        bound += float(cost[best])
+    outside, fractional, _, violated = mip.violations(x, 0.0)
+    if outside.any() or fractional.any() or violated.any():
+        return None
+    return x, bound
 
 
 # ---------------------------------------------------------------------------

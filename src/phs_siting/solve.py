@@ -25,7 +25,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
-from .model import MipProblem, Sense, SolutionValues
+from .model import INTEGRALITY_TOL, MipProblem, Sense, SolutionValues
 from .sizing import SitingSpec
 from .terrain import FOUR_NEIGHBORS, TerrainGrid, candidate_sets, distance_field
 
@@ -265,18 +265,16 @@ def solve(
     return result
 
 
-def verify_solution(
-    problem: MipProblem, values: Mapping[str, float] | np.ndarray, tol: float = 1e-6
-) -> list[str]:
+def verify_solution(problem: MipProblem, values: Mapping[str, float] | np.ndarray) -> list[str]:
     """Re-check an incumbent against the stored rows, bounds and integrality.
 
-    Independent of the solver: row activities are ``A @ x`` against the row
-    bounds. Returns violation descriptions (empty = clean).
+    Independent of the solver: ``MipProblem.violations`` with tolerance
+    ``INTEGRALITY_TOL`` (row activities ``A @ x`` against the row bounds),
+    spelled out by name. Returns violation descriptions (empty = clean).
     """
     vec = problem.values_vector(values)
+    outside, fractional, activity, violated = problem.violations(vec, INTEGRALITY_TOL)
     lb, ub = problem.lb, problem.ub
-    outside = (vec < lb - tol) | (vec > ub + tol)
-    fractional = problem.integer_mask & (np.abs(vec - np.round(vec)) > tol)
     issues: list[str] = []
     names = problem.variable_names() if np.any(outside | fractional) else []
     for vid in np.flatnonzero(outside | fractional).tolist():
@@ -286,14 +284,8 @@ def verify_solution(
         if fractional[vid]:
             issues.append(f"{names[vid]}={v} not integral")
 
-    activity = problem.matrix @ vec
-    rhs, senses = problem.rhs, problem.senses
-    slack_tol = tol * np.maximum(1.0, np.abs(rhs))
-    above = activity > rhs + slack_tol
-    below = activity < rhs - slack_tol
-    is_le = senses == Sense.LE
-    is_ge = senses == Sense.GE
-    violated = np.where(is_le, above, np.where(is_ge, below, above | below))
+    rhs = problem.rhs
+    is_le, is_ge = problem.senses == Sense.LE, problem.senses == Sense.GE
     row_names = problem.row_names() if violated.any() else []
     for rid in np.flatnonzero(violated).tolist():
         op = ">" if is_le[rid] else "<" if is_ge[rid] else "!="

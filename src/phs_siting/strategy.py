@@ -22,12 +22,14 @@ from .costing import CostParams
 from .errors import InfeasibleProblemError, NoIncumbentError
 from .model import (
     ReservoirSolution,
+    SitingProblem,
+    all_ones_optimum,
     build_siting_problem,
     extract_solution,
     verify_masks,
 )
 from .sizing import SitingSpec
-from .solve import SolveLimits, SolveStatus, solve
+from .solve import SolveLimits, SolveResult, SolveStatus, solve
 from .terrain import (
     DistanceField,
     TerrainGrid,
@@ -99,8 +101,9 @@ class TraceEntry:
     time_limit_s: float | None = None  # the rung's budget; None when unlimited
     n_nonzeros: int = 0  # constraint-matrix nonzeros of the model solved
     nodes: int = 0  # branch-and-bound nodes HiGHS explored
-    bound: float | None = None  # HiGHS's dual bound plus the objective constant, if any
+    bound: float | None = None  # the dual bound plus the objective constant, if any
     build_s: float = 0.0  # seconds ``build_siting_problem`` took for this model
+    path: str = "highs"  # "certified": the all-ones point was proved optimal without HiGHS
 
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
@@ -128,6 +131,18 @@ def _budgets(total: float | None, mode: str, n: int) -> Iterator[float | None]:
     deadline = time.perf_counter() + total
     for _ in range(n):
         yield max(deadline - time.perf_counter(), 1e-3)
+
+
+def _certify(sp: SitingProblem) -> SolveResult | None:
+    """The rung's result without a HiGHS run, when ``all_ones_optimum`` proves one."""
+    start = time.perf_counter()
+    certified = all_ones_optimum(sp)
+    if certified is None:
+        return None
+    x, objective = certified
+    return SolveResult(SolveStatus.OPTIMAL, x, objective, objective, 0.0,
+                       time.perf_counter() - start, "certified optimal at the all-ones point",
+                       problem=sp.mip)
 
 
 def run_ladder(
@@ -171,7 +186,8 @@ def run_ladder(
             perimeter_min_neighbors=config.perimeter_min_neighbors,
         )
         build_s = time.perf_counter() - start
-        result = solve(
+        certified = _certify(sp)
+        result = certified or solve(
             sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
         )
         solution = None
@@ -187,7 +203,7 @@ def run_ladder(
                 sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
                 note=result.message if solution is None else "", time_limit_s=budget,
                 n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes, bound=result.bound,
-                build_s=build_s,
+                build_s=build_s, path="highs" if certified is None else "certified",
             )
         )
         if solution is None:

@@ -289,3 +289,13 @@ def test_demo_batch_same_with_two_workers(tmp_path):
         with open(out / "report_solver.csv") as fh:
             solver.append([{k: v for k, v in row.items() if k != "time_s"} for row in csv.DictReader(fh)])
     assert solver[0] == solver[1]
+
+
+def test_demo_trace_marks_certified_rung(tmp_path):
+    # demo case 1 floods a natural basin: level 0's all-ones point is proved optimal
+    demo = load_case_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
+    config = dataclasses.replace(demo, output_dir=tmp_path)
+    assert run_batch(config) == 0
+    [line] = [line for line in (tmp_path / "trace_1.log").read_text().splitlines()
+              if " level=0 " in line]
+    assert " path=certified " in line and " status=optimal " in line and " nodes=0 " in line

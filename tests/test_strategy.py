@@ -8,11 +8,15 @@ import pytest
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
+from phs_siting.model import all_ones_optimum
 
 from conftest import (
     CELL,
     RIVER_ELEVATION,
     FailingHighs,
+    diagonal_blob_grid,
+    diagonal_blob_spec,
+    micro_case,
     midsize_grid,
     midsize_spec,
     pit_grid,
@@ -117,8 +121,9 @@ def test_ladder_stops_on_solver_error(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(strategy, "build_siting_problem", counting)
+    # the two-basin shelf's all-ones point is not feasible, so level 0 reaches HiGHS
     with pytest.raises(ps.NoIncumbentError) as info:
-        ps.run_ladder(pit_grid(), pit_spec())
+        ps.run_ladder(two_basin_grid(), two_basin_spec())
     assert builds == [0]  # no escalation past an error
     [entry] = info.value.trace
     assert (entry.level, entry.status, entry.objective) == (0, "error", None)
@@ -146,6 +151,124 @@ def test_trace_records_each_rungs_time_limit():
         assert limits == sorted(limits, reverse=True)
     assert len(total.trace) == 2
     assert ps.run_ladder(pit_grid(), pit_spec()).trace[0].time_limit_s is None
+
+
+# --------------------------------------------------------------------------- #
+# Certified level 0                                                            #
+# --------------------------------------------------------------------------- #
+
+
+def _all_ones_point(sp) -> np.ndarray:
+    """Every z and y at 1, and the kept l of lowest cost at 1."""
+    sv, cost = sp.variables, sp.mip.cost_vector()
+    x = np.zeros(sp.mip.num_variables)
+    x[sv.ids("z")] = x[sv.ids("y")] = 1.0
+    links = sv.ids("l")
+    if len(links):
+        x[links[cost[links].argmin()]] = 1.0
+    return x
+
+
+_LEVEL0_CASES = {
+    "pit": lambda: (pit_grid(), pit_spec()),
+    "two_basin": lambda: (two_basin_grid(), two_basin_spec()),
+    "diagonal_blob": lambda: (diagonal_blob_grid(), diagonal_blob_spec()),
+    "midsize_grid": lambda: (midsize_grid(), midsize_spec()),
+    **{f"micro{seed}": (lambda seed=seed: micro_case(seed)) for seed in range(40)},
+}
+
+
+def test_certified_level_zero_agrees_with_highs():
+    certified = set()
+    for name, make in _LEVEL0_CASES.items():
+        case = make()
+        if case is None:  # micro_case skips uninteresting seeds
+            continue
+        grid, spec = case
+        sp = ps.build_siting_problem(grid, spec, level=0)
+        found = all_ones_optimum(sp)
+        if found is None:
+            continue
+        certified.add(name)
+        x, objective = found
+        highs = ps.solve(sp.mip)
+        assert highs.status is ps.SolveStatus.OPTIMAL, name
+        assert objective == pytest.approx(highs.objective, rel=1e-9), name
+        assert ps.verify_solution(sp.mip, x) == [], name
+        [entry] = ps.run_ladder(grid, spec, config=StrategyConfig(ladder=(Level.NONE,))).trace
+        assert (entry.path, entry.status, entry.nodes, entry.gap) == ("certified", "optimal", 0, 0.0)
+        assert entry.bound == entry.objective == objective, name
+    assert {"pit", "midsize_grid"} <= certified
+    assert not certified & {"two_basin", "diagonal_blob"}
+    assert len(certified) >= 30  # of the 40 micro seeds, those micro_case keeps
+
+
+class _NoHighs:
+    def __init__(self):
+        raise AssertionError("HiGHS was constructed")
+
+
+def test_certified_pit_runs_no_highs(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_Highs", _NoHighs)
+    sol = ps.run_ladder(pit_grid(), pit_spec())
+    assert sol.level == 0 and sol.valid and sol.connected
+    [entry] = sol.trace
+    assert (entry.path, entry.status, entry.nodes) == ("certified", "optimal", 0)
+    assert entry.bound == entry.objective == sol.objective_value
+    cands = ps.candidate_sets(pit_grid(), pit_spec().water_elevation)
+    assert ps.verify_masks(pit_grid(), cands, pit_spec(), sol) == []
+
+
+def test_broken_contact_row_goes_to_highs():
+    # three reservoir neighbours per perimeter cell: the all-ones plus shape has one
+    grid, spec = pit_grid(), pit_spec()
+    sp = ps.build_siting_problem(grid, spec, level=0, perimeter_min_neighbors=3)
+    assert all_ones_optimum(sp) is None
+    issues = ps.verify_solution(sp.mip, _all_ones_point(sp))
+    assert issues and all(issue.startswith("row contact_") for issue in issues)
+    with pytest.raises(ps.NoIncumbentError) as info:
+        ps.run_ladder(grid, spec, config=StrategyConfig(perimeter_min_neighbors=3))
+    [entry] = info.value.trace
+    assert (entry.path, entry.status) == ("highs", "infeasible")
+
+
+def test_cheapest_link_blocked_by_linkx_goes_to_highs():
+    # a two-cell pit whose deep cell, an interior and a perimeter candidate,
+    # is given the shortest conveyance: its link needs x = z - y = 1 there
+    elev = np.full((5, 7), 600.0)
+    elev[:, 0] = RIVER_ELEVATION
+    elev[2, 3], elev[2, 4] = 500.0, 505.0
+    grid, spec = river_grid(elev), pit_spec()
+    full = ps.distance_field(grid)
+    values = full.values.copy()
+    values[2, 3] = 0.0
+    dist = ps.DistanceField(values, full.cell_length, full.metric)
+    assert all_ones_optimum(ps.build_siting_problem(grid, spec, level=0)) is not None
+    sp = ps.build_siting_problem(grid, spec, level=0, dist=dist)
+    assert all_ones_optimum(sp) is None
+    assert ps.verify_solution(sp.mip, _all_ones_point(sp)) == ["row linkx_2_3: 1.0 > 0.0"]
+    sol = ps.run_ladder(grid, spec, dist=dist)
+    [entry] = sol.trace
+    assert (entry.path, entry.status) == ("highs", "optimal")
+    assert entry.objective == pytest.approx(ps.solve(sp.mip).objective, rel=1e-9)
+
+
+def test_costed_unpaired_z_goes_to_highs():
+    # a cost on a z without a y partner (the builder writes none: a wet cell
+    # is an interior candidate) keeps the all-ones point feasible, but it no
+    # longer attains the bound
+    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
+    assert all_ones_optimum(sp) is not None
+    ys = {tuple(cell) for cell in sp.variables.cells["y"].tolist()}
+    zid = next(vid for cell, vid in zip(sp.variables.cells["z"].tolist(), sp.variables.ids("z"))
+               if tuple(cell) not in ys)
+    sp.mip.set_objective({**sp.mip.objective, int(zid): 1.0}, sp.mip.objective_constant)
+    assert ps.verify_solution(sp.mip, _all_ones_point(sp)) == []
+    assert all_ones_optimum(sp) is None
+    # the two-basin shelf is turned away by its rows instead
+    sp = ps.build_siting_problem(two_basin_grid(), two_basin_spec(), level=0)
+    assert all_ones_optimum(sp) is None
+    assert any(v.startswith("row inter_") for v in ps.verify_solution(sp.mip, _all_ones_point(sp)))
 
 
 # --------------------------------------------------------------------------- #
