@@ -378,6 +378,8 @@ def _trace_line(entry) -> str:
     comps = "-" if entry.n_components is None else str(entry.n_components)
     gap = "-" if entry.gap is None else f"{100 * entry.gap:.2f}%"
     limit = "-" if entry.time_limit_s is None else f"{entry.time_limit_s:.2f}s"
+    if entry.time_limit_s is not None and entry.wall_time_s > entry.time_limit_s:
+        limit += " over_limit"  # HiGHS checks its limit only between presolve passes
     bound = "-" if entry.bound is None else f"{entry.bound:.6g}"
     return (
         f"stage={entry.stage} factor={entry.zoom_factor} level={entry.level} "

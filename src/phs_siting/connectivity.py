@@ -21,7 +21,7 @@ from enum import IntEnum
 import numpy as np
 
 from .model import CellNames, MipProblem, Sense, SitingVariables, VarKind, _Entries, _id_raster
-from .terrain import EIGHT_NEIGHBORS, CandidateSets, connected_components
+from .terrain import EIGHT_NEIGHBORS, CandidateSets, count_components
 
 
 class Level(IntEnum):
@@ -192,5 +192,5 @@ def connectivity_verdict(reservoir_mask: np.ndarray) -> Verdict:
     Ring reservoirs (holes inside) count as connected; only fragmentation into
     several components triggers escalation.
     """
-    comps = connected_components(np.asarray(reservoir_mask, dtype=bool), "four")
-    return Verdict(connected=len(comps) == 1, n_components=len(comps))
+    count = count_components(reservoir_mask, "four")
+    return Verdict(connected=count == 1, n_components=count)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -74,41 +76,45 @@ class CostBreakdown:
         return self.embankment + self.conveyance + self.equipment
 
 
-def embankment_cross_section(
-    water_elevation: float, ground_elevation: float, params: CostParams
-) -> float:
-    """Fill area (m^2) of the trapezoidal section closing one cell, 0 if dry."""
-    height = water_elevation - ground_elevation
-    if height <= 0:
-        return 0.0
-    return params.crest_width * height + params.slope_hv * height**2
+def embankment_cross_section(water_elevation, ground_elevation, params: CostParams):
+    """Fill area (m^2) of the trapezoidal section closing a cell, 0 where dry.
+
+    Takes scalars or arrays, with one formula for both. The square is
+    ``np.float_power(h, 2)``, which is libm ``pow`` as Python's ``h**2`` is;
+    numpy's ``h**2`` and ``h*h`` round a few heights differently.
+    """
+    height = np.subtract(water_elevation, ground_elevation)
+    area = np.where(height <= 0, 0.0,
+                    params.crest_width * height + params.slope_hv * np.float_power(height, 2))
+    return float(area) if area.ndim == 0 else area
 
 
 def embankment_cell_cost(
     cell_length: float,
-    water_elevation: float,
-    ground_elevation: float,
+    water_elevation,
+    ground_elevation,
     params: CostParams | None = None,
-) -> tuple[float, float]:
-    """Cost and fill volume of the embankment on one perimeter cell.
+):
+    """Cost and fill volume of the embankment on perimeter cells.
 
-    Returns (dollars, m^3). Both are zero when the ground already stands at or
-    above the water level.
+    Returns (dollars, m^3), floats for scalar elevations and arrays for
+    arrays. Both are zero where the ground already stands at or above the
+    water level.
     """
     params = params or CostParams()
     volume = cell_length * embankment_cross_section(water_elevation, ground_elevation, params)
     return params.embankment_unit * volume, volume
 
 
-def conveyance_cost(
-    flow: float, length: float, params: CostParams | None = None
-) -> tuple[float, float]:
-    """Excavation and lining dollars for a conveyance of ``length`` meters."""
+def conveyance_cost(flow: float, length, params: CostParams | None = None):
+    """Excavation and lining dollars for conveyances of ``length`` meters
+    (a scalar or an array)."""
     params = params or CostParams()
     if not flow > 0:
         raise ValueError(f"flow must be positive, got {flow}")
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    negative = np.asarray(length) < 0
+    if negative.any():
+        raise ValueError(f"length must be non-negative, got {np.asarray(length)[negative].flat[0]}")
     excavation = params.excavation_coefficient() * flow * length
     lining = params.lining_coefficient() * math.sqrt(flow) * length
     return excavation, lining

@@ -43,6 +43,7 @@ from .terrain import (
     TerrainGrid,
     _dilate4,
     connected_components,
+    count_components,
 )
 
 Cell = tuple[int, int]
@@ -53,12 +54,21 @@ VOLUME_RTOL = 1e-6
 INTEGRALITY_TOL = 1e-6
 
 _DIRECTIONS = ("up", "down", "left", "right")
+#: (row, column) offsets: a cell alone; its four neighbours in ``FOUR_NEIGHBORS``
+#: order; and the cell with its neighbours in row-major order.
+_SELF = np.zeros((2, 1), dtype=np.int64)
+_FOUR = np.array(FOUR_NEIGHBORS).T
+_STENCIL = np.array([(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]).T
 #: Raster id of a cell whose ``z`` the builder fixed at 1 (absent cells are -1).
 _FIXED_ON = -2
 
 
 class VarKind(IntEnum):
-    """A variable's kind; each member is the int8 code ``MipProblem.kinds`` stores."""
+    """A variable's kind; each member is the int8 code ``MipProblem.kinds`` stores.
+
+    Array code compares with ``int(member)``: numpy probes a member for the
+    array protocols first, which costs microseconds per operation.
+    """
 
     BINARY = 0
     INTEGER = 1
@@ -150,6 +160,8 @@ def _spread(values, n: int, dtype) -> np.ndarray:
     if isinstance(values, (int, float)):  # enum members and bools included
         return np.full(n, values, dtype=dtype)
     values = np.asarray(values, dtype=dtype).ravel()
+    if values.size == n:
+        return values
     if n and (values.size == 0 or n % values.size):
         raise ValueError(f"{values.size} values do not repeat evenly over {n} entries")
     return values[np.arange(n) % max(values.size, 1)]
@@ -157,6 +169,8 @@ def _spread(values, n: int, dtype) -> np.ndarray:
 
 def _codes(values, n: int, enum: type[IntEnum]) -> np.ndarray:
     """``_spread`` of ``enum`` members or codes to int8; a code outside ``enum`` raises."""
+    if isinstance(values, int) and 0 <= values < len(enum):  # one member or code
+        return np.full(n, int(values), dtype=np.int8)
     codes = _spread(values, n, np.int64)
     bad = (codes < 0) | (codes >= len(enum))
     if bad.any():
@@ -164,17 +178,46 @@ def _codes(values, n: int, enum: type[IntEnum]) -> np.ndarray:
     return codes.astype(np.int8)
 
 
+def _canonical_csr(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
+                   vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of the COO triplets, as ``sparse.csr_array((vals,
+    (rows, cols)))`` builds it: entries sorted by (row, column), each repeated
+    pair summed left to right in the order given, explicit zeros kept.
+    Entries that arrive in that order already are not sorted."""
+    key = rows * n_cols + cols
+    if key.size > 1 and not (key[1:] > key[:-1]).all():
+        order = np.argsort(key, kind="stable")
+        key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if len(first) < len(key):
+            # one pass per repeat, so each sum runs left to right as SciPy's
+            # does (``np.add.reduceat`` adds five or more terms in another order)
+            size = np.diff(np.append(first, len(key)))
+            summed = vals[first]
+            for k in range(1, int(size.max())):
+                more = size > k
+                summed[more] += vals[first[more] + k]
+            rows, cols, vals = rows[first], cols[first], summed
+    counts = np.bincount(rows, minlength=n_rows)
+    if len(counts) > n_rows:
+        raise ValueError("row block references rows outside the block")
+    return np.concatenate(([0], np.cumsum(counts))), cols, vals
+
+
 class MipProblem:
     """Sparse mixed-integer linear program stored as arrays.
 
-    Variables are kind/bound arrays; constraints are COO triplets with a sense
-    and a right-hand side per row; the objective is sparse and keeps the ids it
-    was given, zero coefficients included. Kinds and senses are stored as the
-    int8 codes that the ``VarKind`` and ``Sense`` members are. Variables and
-    rows enter in blocks. Names are stored per block (a list, or a
-    :class:`CellNames` pattern over cells) and spelled out on demand, as are
-    the ``rows`` view, the name -> id index and the CSR matrix. Uniqueness of
-    names is up to the caller: the builders and the file readers.
+    Variables are kind/bound arrays; constraints are one canonical CSR matrix
+    (``csr``: column indices sorted within each row, duplicate entries summed,
+    explicit zeros kept) with a sense and a right-hand side per row; the
+    objective is sparse and keeps the ids it was given, zero coefficients
+    included. Kinds and senses are stored as the int8 codes that the
+    ``VarKind`` and ``Sense`` members are. Variables and rows enter in blocks;
+    each row block is brought to canonical form as it is added and appended.
+    Names are stored per block (a list, or a :class:`CellNames` pattern over
+    cells) and spelled out on demand, as are the ``rows`` view, the name -> id
+    index and the SciPy ``matrix``. Uniqueness of names is up to the caller:
+    the builders and the file readers.
     """
 
     def __init__(self, name: str = "siting"):
@@ -186,7 +229,10 @@ class MipProblem:
         self._row_names: list = []
         self._sense = _Column(np.int8)
         self._rhs = _Column(float)
-        self._coo = (_Column(np.int64), _Column(np.int64), _Column(float))
+        self._indptr = _Column(np.int32)
+        self._indptr.extend([0])
+        self._indices = _Column(np.int32)
+        self._data = _Column(float)
         self._obj_ids = np.empty(0, dtype=np.int64)
         self._obj_vals = np.empty(0)
         self.objective_constant: float = 0.0
@@ -208,7 +254,7 @@ class MipProblem:
         """
         n = len(names)
         codes = _codes(kind, n, VarKind)
-        binary = codes == VarKind.BINARY
+        binary = codes == int(VarKind.BINARY)
         lb = np.where(binary, 0.0, _spread(lb, n, float))
         ub = np.where(binary, 1.0, _spread(ub, n, float))
         bad = lb > ub
@@ -235,13 +281,14 @@ class MipProblem:
     ) -> None:
         """Append a block of rows given as COO triplets.
 
-        ``rows`` index the block's own rows (0 .. len(names)-1) and may repeat a
-        (row, col) pair only if it is meant to be summed. ``sense`` (members or
-        codes) and ``rhs`` are one value, or one per pattern of ``names`` (one
-        per name for a list), repeated over its cells.
+        ``rows`` index the block's own rows (0 .. len(names)-1); a repeated
+        (row, col) pair is summed. ``sense`` (members or codes) and ``rhs`` are
+        one value, or one per pattern of ``names`` (one per name for a list),
+        repeated over its cells.
         """
         n_rows = len(names)
         senses = _codes(sense, n_rows, Sense)
+        rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
         rhs = _spread(rhs, n_rows, float)
@@ -251,18 +298,24 @@ class MipProblem:
             raise ValueError("row block has non-finite coefficients")
         if not np.isfinite(rhs).all():
             raise ValueError("row block has non-finite rhs")
-        coo_rows, coo_cols, coo_vals = self._coo
-        coo_rows.extend(np.asarray(rows) + self.num_constraints)
-        coo_cols.extend(cols)
-        coo_vals.extend(vals)
+        indptr, indices, data = _canonical_csr(n_rows, self.num_variables, rows, cols, vals)
+        self._indptr.extend(indptr[1:] + self.nnz)
+        self._indices.extend(indices)
+        self._data.extend(data)
         self._row_names.append(names)
         self._sense.extend(senses)
         self._rhs.extend(rhs)
         self._views.clear()
 
-    def set_objective(self, coeffs: Mapping[int, float], constant: float = 0.0) -> None:
-        ids = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
-        vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    def set_objective(self, coeffs: Mapping[int, float] | tuple[np.ndarray, np.ndarray],
+                      constant: float = 0.0) -> None:
+        """Set the objective from {variable id: coefficient} or from an
+        (ids, coefficients) pair of arrays with distinct ids."""
+        if isinstance(coeffs, Mapping):
+            ids = np.fromiter(coeffs.keys(), dtype=np.int64, count=len(coeffs))
+            vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+        else:
+            ids, vals = np.asarray(coeffs[0], dtype=np.int64), np.asarray(coeffs[1], dtype=float)
         bad = (ids < 0) | (ids >= self.num_variables)
         if bad.any():
             raise ValueError(f"objective references unknown variable id {ids[bad][0]}")
@@ -293,7 +346,7 @@ class MipProblem:
     @property
     def integer_mask(self) -> np.ndarray:
         """True for binary and integer variables."""
-        return self.kinds != VarKind.CONTINUOUS
+        return self.kinds != int(VarKind.CONTINUOUS)
 
     @property
     def lb(self) -> np.ndarray:
@@ -320,17 +373,28 @@ class MipProblem:
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) activity bounds per row, infinite on the open side."""
         senses, rhs = self.senses, self.rhs
-        lo = np.where(senses == Sense.LE, -np.inf, rhs)
-        hi = np.where(senses == Sense.GE, np.inf, rhs)
+        lo = np.where(senses == int(Sense.LE), -np.inf, rhs)
+        hi = np.where(senses == int(Sense.GE), np.inf, rhs)
         return lo, hi
 
     @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constraint matrix as (indptr, indices, data), int32 indices,
+        canonical: sorted column indices in every row and no repeated entry."""
+        return self._indptr.array(), self._indices.array(), self._data.array()
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the constraint matrix, explicit zeros included."""
+        return len(self._data)
+
+    @property
     def matrix(self) -> sparse.csr_array:
-        """The constraint matrix, with sorted column indices in every row."""
+        """A SciPy view of ``csr``; it shares the arrays, so mutating it mutates the problem."""
         if "matrix" not in self._views:
-            rows, cols, vals = (column.array() for column in self._coo)
+            indptr, indices, data = self.csr
             self._views["matrix"] = sparse.csr_array(
-                (vals, (rows, cols)), shape=(self.num_constraints, self.num_variables)
+                (data, indices, indptr), shape=(self.num_constraints, self.num_variables)
             )
         return self._views["matrix"]
 
@@ -344,11 +408,17 @@ class MipProblem:
         """
         outside = (vec < self.lb - tol) | (vec > self.ub + tol)
         fractional = self.integer_mask & (np.abs(vec - np.round(vec)) > tol)
-        activity = self.matrix @ vec
+        indptr, indices, data = self.csr
+        if "entry_rows" not in self._views:
+            self._views["entry_rows"] = np.repeat(np.arange(self.num_constraints), np.diff(indptr))
+        # entries in CSR order, so each row sums as the CSR matvec does
+        activity = np.bincount(self._views["entry_rows"], data * vec[indices],
+                               minlength=self.num_constraints)
         rhs, senses = self.rhs, self.senses
         slack = tol * np.maximum(1.0, np.abs(rhs))
         above, below = activity > rhs + slack, activity < rhs - slack
-        violated = np.where(senses == Sense.LE, above, np.where(senses == Sense.GE, below, above | below))
+        le, ge = senses == int(Sense.LE), senses == int(Sense.GE)
+        violated = np.where(le, above, np.where(ge, below, above | below))
         return outside, fractional, activity, violated
 
     # -- names and views ----------------------------------------------------
@@ -372,10 +442,10 @@ class MipProblem:
     def _rows(self, start: int, stop: int) -> list[Row]:
         if "rows" in self._views:
             return self._views["rows"][start:stop]
-        matrix = self.matrix
-        ptr = matrix.indptr[start : stop + 1].tolist()
+        indptr, indices, data = self.csr
+        ptr = indptr[start : stop + 1].tolist()
         entries = slice(ptr[0], ptr[-1])
-        pairs = list(zip(matrix.indices[entries].tolist(), matrix.data[entries].tolist()))
+        pairs = list(zip(indices[entries].tolist(), data[entries].tolist()))
         if "row_names" in self._views:
             names = self._views["row_names"][start:stop]
         else:
@@ -504,14 +574,54 @@ class _Entries:
         self.add(rows, z, coef)
         self.add(rows, y, -coef)
 
-    def add_to(self, prob: MipProblem, names, sense, rhs=0.0, keep: np.ndarray | None = None) -> None:
-        """Add the block's rows to ``prob``; ``keep``, one flag per row, leaves
-        out the rows it flags False and renumbers the rest."""
+    def add_to(self, prob: MipProblem, names, sense, rhs=0.0) -> None:
         rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
-        if keep is not None:
-            kept = keep[rows]
-            rows, cols, vals = (np.cumsum(keep) - 1)[rows[kept]], cols[kept], vals[kept]
         prob.add_rows(names, rows, cols, vals, sense, rhs)
+
+
+class _NameBlocks:
+    """The names of several blocks, one block after another."""
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.chain.from_iterable(self.blocks)
+
+
+class _RowFamilies:
+    """Row families gathered in row order and added to a problem as one block,
+    which costs one ``add_rows`` call however many families there are."""
+
+    def __init__(self):
+        self.names: list = []
+        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.n_rows = 0
+
+    def add(self, names, rows: np.ndarray, cols, vals, sense, rhs=0.0) -> None:
+        """A family as ``MipProblem.add_rows`` takes it: COO triplets over its own rows."""
+        n = len(names)
+        self.names.append(names)
+        self.parts.append((rows + self.n_rows, cols, vals, _codes(sense, n, Sense), _spread(rhs, n, float)))
+        self.n_rows += n
+
+    def add_table(self, names, table: np.ndarray, coefs, sense, rhs=0.0,
+                  keep: np.ndarray | None = None) -> None:
+        """A family with one row per row of ``table``, a fixed-width table of
+        column ids: coefficient ``coefs[j]`` on id ``table[k, j]``, where that
+        id is not negative (no column). ``keep``, one flag per table row,
+        leaves out the rows it flags False."""
+        if keep is not None:
+            table = table[keep]
+        rows, j = (table >= 0).nonzero()
+        self.add(names, rows, table[rows, j], np.asarray(coefs, dtype=float)[j], sense, rhs)
+
+    def add_to(self, prob: MipProblem) -> None:
+        rows, cols, vals, senses, rhs = (np.concatenate(part) for part in zip(*self.parts))
+        prob.add_rows(_NameBlocks(self.names), rows, cols, vals, senses, rhs)
 
 
 @dataclass
@@ -544,11 +654,12 @@ def build_siting_problem(
     Levels: 0 none, 1 horizontal/vertical separating planes, 2 planes plus
     diagonals, 3 perimeter tour (TSP) constraints.
 
-    The base model is built one row family at a time from cell-id rasters.
-    Variables come in the order z, y, l, each in row-major cell order; the
-    perimeter indicator of a perimeter candidate is x = z - y (z where the
-    cell has no y). Rows: per interior cell ``role_i_j``, y <= z where the
-    cell is also a perimeter candidate and y = z where it is not; per
+    The base model is built from cell-id rasters, its variables as one block
+    and its rows as one block. Variables come in the order z, y, l, each in
+    row-major cell order; the perimeter indicator of a perimeter candidate is
+    x = z - y (z where the cell has no y). Rows: per interior cell
+    ``role_i_j``, y <= z where the cell is also a perimeter candidate and
+    y = z where it is not; per
     perimeter cell ``contact_i_j`` (min_neighbors * (z - y) <= sum of neighbor
     z); per interior cell ``inter_i_j_<dir>`` (y <= z_neighbor); ``volume``
     (stored volume >= target); per perimeter cell ``linkx_i_j`` (l <= z - y);
@@ -613,10 +724,10 @@ def build_siting_problem(
         )
     if not len(p_cells):
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
-    embankment = np.array([embankment_cell_cost(grid.cell_length, water, e, params)[0]
-                           for e in grid.elevations[p_cells[:, 0], p_cells[:, 1]].tolist()])
-    conveyance = np.array([sum(conveyance_cost(spec.flow, d, params))
-                           for d in dist.values[p_cells[:, 0], p_cells[:, 1]].tolist()])
+    embankment = embankment_cell_cost(grid.cell_length, water,
+                                      grid.elevations[p_cells[:, 0], p_cells[:, 1]], params)[0]
+    excavation, lining = conveyance_cost(spec.flow, dist.values[p_cells[:, 0], p_cells[:, 1]], params)
+    conveyance = excavation + lining
 
     # the column fixing: z = 1 on D (``on``); l only on c* and cheaper cells
     on = np.zeros(cands.shape, dtype=bool)
@@ -636,85 +747,73 @@ def build_siting_problem(
 
     prob = MipProblem()
     cells = {"z": np.argwhere(cands.reservoir_ok & ~on), "y": y_cells, "l": p_cells[keep_l]}
-    start: dict[str, int] = {}
-    ids: dict[str, np.ndarray] = {}
-
-    def declare(family: str) -> None:
-        start[family] = prob.num_variables
-        ids[family] = prob.add_variables(CellNames((f"{family}_{{}}_{{}}",), cells[family]))
-
-    declare("z")
-    declare("y")
+    prob.add_variables(_NameBlocks([CellNames((f"{f}_{{}}_{{}}",), c) for f, c in cells.items()]))
+    start = dict(zip(cells, np.cumsum([0, *map(len, cells.values())]).tolist()))
+    sv = SitingVariables(cells, start, {"z": np.argwhere(on), "l": fixed_l})
+    ids = {f: sv.ids(f) for f in cells}
     Z, Y = (_id_raster(cands.shape, cells[f], ids[f]) for f in "zy")
     Z[1:-1, 1:-1][on] = _FIXED_ON  # no column, so entries on it drop out like absent ones
 
-    def at(raster: np.ndarray, c: np.ndarray, di: int = 0, dj: int = 0) -> np.ndarray:
-        """Per cell of ``c``: the raster's value at that cell shifted by (di, dj)."""
-        return raster[c[:, 0] + 1 + di, c[:, 1] + 1 + dj]
+    def at(raster: np.ndarray, c: np.ndarray, offsets: np.ndarray = _SELF) -> np.ndarray:
+        """Per cell of ``c`` (rows) and offset (columns): the raster's value
+        at that cell shifted by the offset."""
+        return raster[c[:, 0, None] + 1 + offsets[0], c[:, 1, None] + 1 + offsets[1]]
 
     def kept(keep: np.ndarray) -> np.ndarray | None:
         return None if keep.all() else keep
 
-    ny, nx = len(y_cells), len(p_cells)
-    pz, py = at(Z, p_cells), at(Y, p_cells)
-    block = _Entries()
-    k = np.arange(ny)
-    block.add(k, ids["y"], 1.0)
-    block.add(k, at(Z, y_cells), -1.0)
+    # The row families go in as one block, in row order. Most are a table of
+    # column ids, one row per model row, with one coefficient per table
+    # column; negative ids (no column) drop out. Ids rise along each table
+    # row (z ids run in row-major cell order, then y, then l), so the entries
+    # arrive in canonical order. The perimeter indicator x = z - y enters as
+    # the (z, y) ids of each cell, and a row that holds a z fixed on is
+    # satisfied and left out.
+    families = _RowFamilies()
+    pz, py = at(Z, p_cells)[:, 0], at(Y, p_cells)[:, 0]
     on_perimeter = cands.perimeter_ok[y_cells[:, 0], y_cells[:, 1]]
-    block.add_to(prob, CellNames(("role_{}_{}",), y_cells), np.where(on_perimeter, Sense.LE, Sense.EQ))
+    families.add_table(CellNames(("role_{}_{}",), y_cells),
+                       np.column_stack([at(Z, y_cells), ids["y"]]), (-1.0, 1.0),
+                       np.where(on_perimeter, int(Sense.LE), int(Sense.EQ)))
 
-    # the perimeter indicator x = z - y enters as the (z, y) ids of each cell;
-    # a row that holds a z fixed on is satisfied and left out
-    block = _Entries()
-    k = np.arange(nx)
-    block.add_perimeter(k, pz, py, float(perimeter_min_neighbors))
-    keep = np.ones(nx, dtype=bool)
-    for di, dj in FOUR_NEIGHBORS:
-        nbr = at(Z, p_cells, di, dj)
-        block.add(k, nbr, -1.0)
-        keep &= nbr != _FIXED_ON
-    keep = kept(keep)
-    block.add_to(prob, CellNames(("contact_{}_{}",), p_cells, keep), Sense.LE, keep=keep)
+    # The stencil's middle column is the cell's own z; a cell fixed on has a
+    # neighbour fixed on too, so testing the whole stencil drops the same rows.
+    stencil = at(Z, p_cells, _STENCIL)
+    keep = kept((stencil != _FIXED_ON).all(axis=1))
+    m = float(perimeter_min_neighbors)
+    families.add_table(CellNames(("contact_{}_{}",), p_cells, keep),
+                       np.column_stack([stencil, py]), (-1.0, -1.0, m, -1.0, -1.0, -m),
+                       Sense.LE, keep=keep)
 
-    block = _Entries()
-    k = np.arange(ny)
-    keep = np.empty((ny, len(FOUR_NEIGHBORS)), dtype=bool)
-    for d, (di, dj) in enumerate(FOUR_NEIGHBORS):
-        nbr = at(Z, y_cells, di, dj)
-        block.add(4 * k + d, ids["y"], 1.0)
-        block.add(4 * k + d, nbr, -1.0)
-        keep[:, d] = nbr != _FIXED_ON
-    keep = kept(keep.ravel())
+    nbr = at(Z, y_cells, _FOUR).ravel()  # row 4k + d: cell k, direction d
+    keep = kept(nbr != _FIXED_ON)
     inter = tuple(f"inter_{{}}_{{}}_{d}" for d in _DIRECTIONS)
-    block.add_to(prob, CellNames(inter, y_cells, keep), Sense.LE, keep=keep)
+    families.add_table(CellNames(inter, y_cells, keep),
+                       np.column_stack([nbr, np.repeat(ids["y"], len(FOUR_NEIGHBORS))]),
+                       (-1.0, 1.0), Sense.LE, keep=keep)
 
-    prob.add_rows(["volume"], np.zeros(ny, dtype=np.int64), ids["y"], volume, Sense.GE, spec.vol_min)
+    ny = len(y_cells)
+    families.add(["volume"], np.zeros(ny, dtype=np.int64), ids["y"], volume, Sense.GE, spec.vol_min)
 
-    declare("l")
     off = keep_l & ~on_p  # linkx rows: the link cells off D
-    k = np.arange(int(off.sum()))
-    block = _Entries()
-    block.add(k, ids["l"][off[keep_l]], 1.0)
-    block.add_perimeter(k, pz[off], py[off], -1.0)
-    block.add_to(prob, CellNames(("linkx_{}_{}",), p_cells[off]), Sense.LE)
+    families.add_table(CellNames(("linkx_{}_{}",), p_cells[off]),
+                       np.column_stack([pz[off], py[off], ids["l"][off[keep_l]]]),
+                       (-1.0, 1.0, 1.0), Sense.LE)
     nl = len(ids["l"])
     if nl:
-        prob.add_rows(["link_sum"], np.zeros(nl, dtype=np.int64), ids["l"], np.ones(nl), Sense.EQ, 1.0)
+        families.add(["link_sum"], np.zeros(nl, dtype=np.int64), ids["l"], np.ones(nl), Sense.EQ, 1.0)
+    families.add_to(prob)
 
-    coeffs: dict[int, float] = {}
-    for zid, yid, cost in zip(pz.tolist(), py.tolist(), embankment.tolist()):
-        if cost:  # a wet cell: the embankment sits on x = z - y
-            coeffs[zid] = cost
-            if yid >= 0:
-                coeffs[yid] = -cost
-    coeffs.update(zip(ids["l"].tolist(), conveyance[keep_l].tolist()))
+    # a wet perimeter cell's embankment sits on x = z - y
+    wet = embankment != 0
+    wet_y = wet & (py >= 0)
+    objective = (np.concatenate([pz[wet], py[wet_y], ids["l"]]),
+                 np.concatenate([embankment[wet], -embankment[wet_y], conveyance[keep_l]]))
     constant = equipment_cost(spec.head_m, spec.power_mw, params)
     if len(fixed_l):
         constant += float(conveyance[best])
-    prob.set_objective(coeffs, constant)
+    prob.set_objective(objective, constant)
 
-    sv = SitingVariables(cells, start, {"z": np.argwhere(on), "l": fixed_l})
     if level >= 1:
         _connectivity.add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
     if level >= 3:
@@ -839,6 +938,11 @@ def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray) -> np.nda
     return sv.cells[family][one]
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """The sum taken left to right, as a ``+=`` loop takes it (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
     """Embankment length with diagonal runs weighted sqrt(2).
 
@@ -848,9 +952,10 @@ def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
     adds (sqrt(2)-1)*Lc to the per-cell length. Reporting estimate only.
     """
     base = float(np.count_nonzero(emb_mask)) * cell_length
-    diagonal_links = len(connected_components(emb_mask, "four")) - len(
-        connected_components(emb_mask, "eight")
-    )
+    four = count_components(emb_mask, "four")
+    # each 8-connected component joins 4-connected ones, so with fewer than
+    # two of those there is no diagonal join to count
+    diagonal_links = four - count_components(emb_mask, "eight") if four > 1 else 0
     return base + (math.sqrt(2) - 1) * cell_length * diagonal_links
 
 
@@ -937,12 +1042,8 @@ def extract_solution(
 
     with np.errstate(invalid="ignore"):
         emb_mask = x_mask & (grid.elevations < water)
-    emb_cost = 0.0
-    emb_volume = 0.0
-    for i, j in np.argwhere(emb_mask):
-        cost, vol = embankment_cell_cost(grid.cell_length, water, float(grid.elevations[i, j]), params)
-        emb_cost += cost
-        emb_volume += vol
+    emb_cost, emb_volume = (_running_sum(v) for v in embankment_cell_cost(
+        grid.cell_length, water, grid.elevations[emb_mask], params))
 
     excavation, lining = conveyance_cost(spec.flow, float(sp.dist.values[link]), params)
     costs = CostBreakdown(

@@ -151,13 +151,11 @@ def _pass_model(highs: _Highs, problem: MipProblem) -> HighsStatus:
     This loads the model for a solve and for the ``formats`` writers, which
     add the offset and names. A solve keeps offset 0 (see ``SolveLimits``).
     """
-    a = problem.matrix
     return highs.passModel(
-        problem.num_variables, problem.num_constraints, a.nnz,
+        problem.num_variables, problem.num_constraints, problem.nnz,
         _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
         problem.cost_vector(), problem.lb, problem.ub, *problem.row_bounds(),
-        a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False), a.data,
-        problem.integer_mask.astype(np.int32),
+        *problem.csr, problem.integer_mask.astype(np.int32),
     )
 
 
@@ -366,12 +364,11 @@ def oracle_enumerate(
         req4_ok[k] = nbr_count == 4
         if y_ok[k]:
             vol[k] = (spec.water_elevation - float(grid.elevations[i, j])) * grid.cell_area
-        if x_ok[k]:
-            cost, _ = embankment_cell_cost(
-                grid.cell_length, spec.water_elevation, float(grid.elevations[i, j]), params
-            )
-            emb[k] = cost
-            conv[k] = sum(conveyance_cost(spec.flow, float(dist.values[i, j]), params))
+    i, j = np.array(cells).T
+    emb[x_ok] = embankment_cell_cost(grid.cell_length, spec.water_elevation,
+                                     grid.elevations[i, j][x_ok], params)[0]
+    excavation, lining = conveyance_cost(spec.flow, dist.values[i, j][x_ok], params)
+    conv[x_ok] = excavation + lining
     equip = equipment_cost(spec.head_m, spec.power_mw, params)
 
     n_subsets = (1 << m) - 1

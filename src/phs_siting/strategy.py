@@ -202,7 +202,7 @@ def run_ladder(
                 None if solution is None else solution.n_components,
                 sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
                 note=result.message if solution is None else "", time_limit_s=budget,
-                n_nonzeros=sp.mip.matrix.nnz, nodes=result.nodes, bound=result.bound,
+                n_nonzeros=sp.mip.nnz, nodes=result.nodes, bound=result.bound,
                 build_s=build_s, path="highs" if certified is None else "certified",
             )
         )

@@ -502,15 +502,15 @@ def clip(
     to the minimum legal grid side if needed.
     """
     mask = cells_to_mask(cells, grid.shape)
-    idx = np.argwhere(mask)
-    if idx.size == 0:
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    if rows.size == 0:
         raise ValueError("cannot clip around an empty cell set")
     if margin_cells < 0:
         raise ValueError("margin_cells must be >= 0")
-    r0 = max(0, int(idx[:, 0].min()) - margin_cells)
-    r1 = min(grid.nrows, int(idx[:, 0].max()) + 1 + margin_cells)
-    c0 = max(0, int(idx[:, 1].min()) - margin_cells)
-    c1 = min(grid.ncols, int(idx[:, 1].max()) + 1 + margin_cells)
+    r0 = max(0, int(rows[0]) - margin_cells)
+    r1 = min(grid.nrows, int(rows[-1]) + 1 + margin_cells)
+    c0 = max(0, int(cols[0]) - margin_cells)
+    c1 = min(grid.ncols, int(cols[-1]) + 1 + margin_cells)
     # Grow degenerate windows until they satisfy the minimum-side invariant.
     while r1 - r0 < _MIN_SIDE and (r0 > 0 or r1 < grid.nrows):
         r0, r1 = max(0, r0 - 1), min(grid.nrows, r1 + 1)
@@ -596,20 +596,37 @@ def _distance_field(grid: TerrainGrid, metric: DistanceMetric) -> DistanceField:
     return DistanceField(values, grid.cell_length, metric)
 
 
-def connected_components(mask: np.ndarray, adjacency: Adjacency = "four") -> list[np.ndarray]:
-    """Split a boolean mask into connected components.
-
-    Returns one (k, 2) index array per component, ordered by size descending
-    and then by the row-major position of the first cell.
-    """
-    mask = np.asarray(mask, dtype=bool)
+def _label(mask, adjacency: Adjacency) -> tuple[np.ndarray, int]:
+    """``ndimage.label`` of a boolean mask under 4- or 8-adjacency."""
     if adjacency == "four":
         structure = _CROSS
     elif adjacency == "eight":
         structure = np.ones((3, 3), dtype=bool)
     else:
         raise ValueError(f"unknown adjacency {adjacency!r}")
-    labels, count = ndimage.label(mask, structure=structure)
-    comps = [np.argwhere(labels == lbl) for lbl in range(1, count + 1)]
-    comps.sort(key=lambda c: (-len(c), tuple(c[0])))
+    return ndimage.label(np.asarray(mask, dtype=bool), structure=structure)
+
+
+def count_components(mask, adjacency: Adjacency = "four") -> int:
+    """The number of connected components of a boolean mask."""
+    return int(_label(mask, adjacency)[1])
+
+
+def connected_components(mask: np.ndarray, adjacency: Adjacency = "four") -> list[np.ndarray]:
+    """Split a boolean mask into connected components.
+
+    Returns one (k, 2) index array per component, its cells in row-major
+    order; components are ordered by size descending and then by the
+    row-major position of the first cell. One stable sort of the labelled
+    cells splits them all.
+    """
+    labels, count = _label(mask, adjacency)
+    cells = np.argwhere(labels)
+    if count < 2:
+        return [cells] if count else []
+    cell_labels = labels[labels != 0]  # in the row-major order of ``cells``
+    bounds = np.cumsum(np.bincount(cell_labels)).tolist()
+    cells = cells[np.argsort(cell_labels, kind="stable")]
+    comps = [cells[a:b] for a, b in zip(bounds, bounds[1:])]
+    comps.sort(key=lambda c: (-len(c), tuple(c[0].tolist())))
     return comps

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting.cli import _load_terrain, load_case_config, main, run_batch, validate_config
+from phs_siting.cli import _load_terrain, _trace_line, load_case_config, main, run_batch, validate_config
 
 from conftest import RIVER_ELEVATION
 
@@ -299,3 +299,12 @@ def test_demo_trace_marks_certified_rung(tmp_path):
     [line] = [line for line in (tmp_path / "trace_1.log").read_text().splitlines()
               if " level=0 " in line]
     assert " path=certified " in line and " status=optimal " in line and " nodes=0 " in line
+
+
+def test_trace_line_marks_a_rung_over_its_limit():
+    entry = ps.TraceEntry("ladder", 1, 2, "time_limit", None, None, None, None, 10, 20, 1.25,
+                          time_limit_s=0.5)
+    assert " limit=0.50s over_limit" in _trace_line(entry)
+    for wall, limit in ((0.5, 0.5), (0.25, 0.5), (9.0, None)):
+        line = _trace_line(dataclasses.replace(entry, wall_time_s=wall, time_limit_s=limit))
+        assert "over_limit" not in line, line

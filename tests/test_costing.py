@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,3 +133,47 @@ def test_custom_velocity_changes_lining():
     slow = CostParams(lining_velocity=3.0).lining_coefficient()
     fast = CostParams(lining_velocity=12.0).lining_coefficient()
     assert slow > CostParams().lining_coefficient() > fast
+
+
+def _python_embankment(cell_length, water, ground, params):
+    """The embankment formula in Python floats: ``h**2`` is libm ``pow``."""
+    h = water - ground
+    volume = cell_length * (0.0 if h <= 0 else params.crest_width * h + params.slope_hv * h**2)
+    return params.embankment_unit * volume, volume
+
+
+def _python_conveyance(flow, length, params):
+    return (params.excavation_coefficient() * flow * length,
+            params.lining_coefficient() * math.sqrt(flow) * length)
+
+
+def test_array_costs_equal_scalar_costs_bit_for_bit():
+    """Over 100,000 heights (dry, at the waterline and wet) and lengths, the
+    array costs equal the Python-float formulas exactly, as do one-value calls
+    on the first 10,000. ``h*h`` for the square rounds some heights
+    differently."""
+    rng = np.random.default_rng(17)
+    params, water, cell = CostParams(), 550.0, 34.0
+    heights = np.concatenate([[0.0, -0.0, -1.0, 1e-9], rng.uniform(-20.0, 120.0, 100_000)])
+    heights[rng.integers(0, heights.size, 1_000)] = 0.0
+    ground = water - heights
+    lengths = np.concatenate([[0.0], rng.uniform(0.0, 5e4, 100_000)])
+    flow = 412.5
+
+    want = [_python_embankment(cell, water, g, params) for g in ground.tolist()]
+    got = [embankment_cell_cost(cell, water, g, params) for g in ground[:10_000].tolist()]
+    cost, volume = embankment_cell_cost(cell, water, ground, params)
+    assert got == want[:10_000]
+    assert cost.tolist() == [c for c, _ in want] and volume.tolist() == [v for _, v in want]
+    assert (ground > water).any() and (ground == water).any()
+
+    want = [_python_conveyance(flow, d, params) for d in lengths.tolist()]
+    got = [conveyance_cost(flow, d, params) for d in lengths[:10_000].tolist()]
+    excavation, lining = conveyance_cost(flow, lengths, params)
+    assert got == want[:10_000]
+    assert excavation.tolist() == [e for e, _ in want] and lining.tolist() == [li for _, li in want]
+
+
+def test_conveyance_rejects_a_negative_length_in_an_array():
+    with pytest.raises(ValueError, match="-2.0"):
+        conveyance_cost(10.0, np.array([1.0, -2.0, 3.0]))

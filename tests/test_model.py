@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
@@ -215,6 +216,34 @@ def test_extract_embankment_metrics_with_wet_perimeter():
     assert sol.costs.embankment == pytest.approx(51_000.0)
 
 
+def test_extract_adds_embankment_cells_left_to_right():
+    """The embankment cost and volume are the one-cell costs added in
+    row-major order, bit for bit, as a loop adds them."""
+    grid, spec, kwargs = bowl_window(level=3)  # level 3 keeps every column
+    sp = ps.build_siting_problem(grid, spec, **kwargs)
+    sv, interior = sp.variables, sp.cands.interior_ok
+    # a disc of interior candidates: its rim is perimeter and stands in the water
+    yy, xx = np.mgrid[0 : grid.nrows, 0 : grid.ncols]
+    disc = interior & ((yy - 18) ** 2 + (xx - 18) ** 2 <= 36)
+    inner = disc & np.roll(disc, 1, 0) & np.roll(disc, -1, 0) & np.roll(disc, 1, 1) & np.roll(disc, -1, 1)
+    rim = np.argwhere(disc & ~inner)
+    vec = np.zeros(sp.mip.num_variables)
+    for family, on in (("z", disc), ("y", inner)):
+        cells = sv.cells[family]
+        vec[sv.ids(family)[on[cells[:, 0], cells[:, 1]]]] = 1.0
+    link = np.flatnonzero((sv.cells["l"] == rim[0]).all(axis=1))
+    vec[sv.ids("l")[link]] = 1.0
+    sol = ps.extract_solution(sp, vec)
+
+    cost = volume = 0.0
+    for i, j in np.argwhere(sol.perimeter_mask & (grid.elevations < spec.water_elevation)):
+        c, v = ps.embankment_cell_cost(grid.cell_length, spec.water_elevation, float(grid.elevations[i, j]))
+        cost += c
+        volume += v
+    assert len(rim) >= 16 and sol.embankment_length_m == len(rim) * grid.cell_length
+    assert sol.costs.embankment == cost and sol.embankment_volume_m3 == volume
+
+
 # Pit A is the pit-grid site; basins B and C are room for extra components.
 PIT_A, PIT_A_RING = [(2, 3)], [(1, 3), (3, 3), (2, 2), (2, 4)]
 BASIN_B, BASIN_B_RING = [(4, 7), (4, 8)], [(3, 7), (3, 8), (5, 7), (5, 8), (4, 6), (4, 9)]
@@ -332,6 +361,60 @@ def _coded_problem(kind, sense):
     prob.add_rows(CellNames(("r{}_lo", "r{}_eq"), np.array([[0], [1]])),
                   [0, 1, 2, 3], [0, 1, 2, 0], [1.0, 2.0, 3.0, 4.0], sense, [1.0, 2.0])
     return prob
+
+
+def _coo_block(rng, n_rows, n_cols):
+    """Unsorted COO triplets with explicit zeros, an empty last row (given two
+    or more rows) and repeated (row, col) pairs: one holding a term and its
+    negative, and one of seven or more terms, which SciPy adds left to right."""
+    n = int(rng.integers(1, 3 * n_rows + 1))
+    rows = rng.integers(0, max(n_rows - 1, 1), n)
+    cols = rng.integers(0, n_cols, n)
+    vals = rng.choice([0.0, 1.0, -2.5, 0.1, 1e-17, 3.0], n)
+    rows = np.concatenate([rows, rows[:1], np.full(6, rows[-1])])
+    cols = np.concatenate([cols, cols[:1], np.full(6, cols[-1])])
+    vals = np.concatenate([vals, -vals[:1], rng.choice([-2.5, 0.1, 0.3], 6)])
+    return rows, cols, vals
+
+
+def test_canonical_csr_is_scipys():
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_cols = int(rng.integers(1, 9))
+        prob = ps.MipProblem()
+        prob.add_variables([f"v{j}" for j in range(n_cols)], VarKind.CONTINUOUS, -5.0, 5.0)
+        all_rows, all_cols, all_vals = [], [], []
+        for block in range(int(rng.integers(1, 4))):
+            n_rows = int(rng.integers(1, 7))
+            rows, cols, vals = _coo_block(rng, n_rows, n_cols)
+            prob.add_rows([f"r{block}_{i}" for i in range(n_rows)], rows, cols, vals, Sense.LE, 1.0)
+            all_rows.append(rows + prob.num_constraints - n_rows)
+            all_cols.append(cols)
+            all_vals.append(vals)
+        want = sparse.csr_array((np.concatenate(all_vals), (np.concatenate(all_rows),
+                                 np.concatenate(all_cols))), shape=(prob.num_constraints, n_cols))
+        indptr, indices, data = prob.csr
+        assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+        assert data.tobytes() == want.data.tobytes()
+        assert prob.nnz == want.nnz == prob.matrix.nnz
+        x = rng.uniform(-5.0, 5.0, n_cols)
+        assert prob.violations(x, 0.0)[2].tobytes() == (want @ x).tobytes()
+
+
+def test_add_rows_rejects_rows_outside_the_block():
+    prob = ps.MipProblem()
+    prob.add_variables(["a", "b"])
+    with pytest.raises(ValueError, match="outside the block"):
+        prob.add_rows(["r"], [0, 1], [0, 1], [1.0, 1.0], Sense.LE)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_violations_activity_is_the_matvec_bit_for_bit(level):
+    rng = np.random.default_rng(level)
+    for grid, spec in (micro_case(seed) for seed in _micro_seeds(10)):
+        mip = ps.build_siting_problem(grid, spec, level=level).mip
+        for x in (rng.random(mip.num_variables), rng.integers(0, 2, mip.num_variables) * 1.0):
+            assert mip.violations(x, 0.0)[2].tobytes() == (mip.matrix @ x).tobytes()
 
 
 def test_kinds_and_senses_are_their_codes():

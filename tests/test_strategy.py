@@ -385,6 +385,33 @@ def test_zoom_trace_reports_windows_and_sizes():
         sp.mip.num_variables, sp.mip.num_constraints, sp.mip.matrix.nnz)
 
 
+@pytest.mark.parametrize("make", ["_zoomable_pit_grid", "_coarse_split_grid", "two_basin_grid"])
+def test_trace_nonzeros_are_each_models_matrix_nnz(monkeypatch, make):
+    """Zoom runs, and a ladder that escalates past level 0 (its plane rows
+    arrive unsorted)."""
+    import phs_siting.strategy as strategy
+
+    built = []
+    original = strategy.build_siting_problem
+
+    def recording(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(strategy, "build_siting_problem", recording)
+    grid = globals()[make]()
+    if make == "two_basin_grid":
+        solution = ps.run_ladder(grid, two_basin_spec())
+        assert solution.level >= 1
+    else:
+        solution = ps.run_zoom_in(grid, spec_for_volume(100_000.0),
+                                  config=StrategyConfig(zoom_factors=(2, 1)))
+    assert len(solution.trace) == len(built)
+    for entry, sp in zip(solution.trace, built):
+        assert entry.n_nonzeros == sp.mip.nnz == sp.mip.matrix.nnz
+        assert entry.n_nonzeros == sum(len(row.coeffs) for row in sp.mip.rows)
+
+
 def test_total_budget_after_an_overrun(monkeypatch):
     import phs_siting.strategy as strategy
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phs_siting as ps
+from phs_siting.terrain import count_components
 
 from conftest import RIVER_ELEVATION, WATER, diagonal_blob_grid, pit_grid, river_grid, two_basin_grid
 
@@ -547,6 +548,30 @@ def _components_naive(mask, adjacency):
             if merged:
                 break
     return {frozenset(g) for g in groups}
+
+
+def _components_one_label_at_a_time(mask, adjacency):
+    """The construction the single sort replaced: one scan of the labels per component."""
+    from scipy import ndimage
+
+    structure = np.ones((3, 3), bool) if adjacency == "eight" else ndimage.generate_binary_structure(2, 1)
+    labels, count = ndimage.label(mask, structure=structure)
+    comps = [np.argwhere(labels == k) for k in range(1, count + 1)]
+    comps.sort(key=lambda c: (-len(c), tuple(c[0])))
+    return comps
+
+
+@pytest.mark.parametrize("adjacency", ["four", "eight"])
+def test_components_keep_the_order_of_one_scan_per_label(adjacency):
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 40, 2))
+        mask = rng.random(shape) < rng.uniform(0.05, 0.75)
+        want = _components_one_label_at_a_time(mask, adjacency)
+        got = ps.connected_components(mask, adjacency)
+        assert len(got) == len(want) == count_components(mask, adjacency)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 @given(st.integers(min_value=0, max_value=500), st.sampled_from(["four", "eight"]))
