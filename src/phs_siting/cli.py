@@ -391,6 +391,13 @@ def _trace_line(entry) -> str:
     )
 
 
+def _site_path(solution: ReservoirSolution) -> str:
+    """How the rung that produced the site was solved: "certified" or "highs".
+    That rung is the native stage's (zoom factor 1) at the site's level."""
+    return next(t.path for t in solution.trace
+                if t.zoom_factor == 1 and t.level == solution.level)
+
+
 def _write_mask(path: Path, grid: TerrainGrid, solution: ReservoirSolution) -> None:
     roles = np.zeros(grid.shape)
     roles[solution.perimeter_mask] = 1
@@ -475,7 +482,7 @@ def run_batch(config: CaseConfig) -> int:
                 "time_s": f"{sol.wall_time_s:.1f}",
                 "gap_pct": "-" if sol.gap is None else f"{100 * sol.gap:.1f}",
                 "level": sol.level,
-                "backend": "highs",
+                "path": _site_path(sol),
             }
         )
 

@@ -12,14 +12,18 @@ are), and the names are derived from this scheme only when something asks for
 them. Extraction and ``verify_masks`` use the fixed tolerances
 ``INTEGRALITY_TOL`` and ``VOLUME_RTOL``. Neighbor variables that fall outside
 the grid or outside a candidate set are treated as constant zero, which makes
-the shape rules well defined at grid edges. Below the tour rung the builder leaves out the columns that a dominance
-argument fixes, with the rows they satisfy (see ``build_siting_problem``).
+the shape rules well defined at grid edges. Below the tour rung the builder
+leaves out the columns that a dominance argument fixes, with the rows they
+satisfy (see ``build_siting_problem``). At level 0, ``certify_level_zero``
+proves the site of every candidate optimal from the candidate rasters alone,
+when it is, and then no model is built.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import IntEnum
@@ -638,6 +642,64 @@ class SitingProblem:
     level: int
 
 
+def _four_sides(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, the value of ``mask`` at its up, down, left and right
+    neighbor; False where the neighbor is off the grid."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
+
+
+def _cell_volumes(grid: TerrainGrid, spec: SitingSpec, y_cells: np.ndarray) -> np.ndarray:
+    """Storage of each interior candidate, the ``volume`` row's coefficients.
+
+    Raises InfeasibleProblemError when all of them together, summed left to
+    right as the row's activity is, fall short of the volume target.
+    """
+    volume = (spec.water_elevation - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
+    capacity = _running_sum(volume)
+    if capacity < spec.vol_min:
+        raise InfeasibleProblemError(
+            f"total storable capacity {capacity:.3e} m^3 over {len(y_cells)} interior "
+            f"candidates is below the volume target {spec.vol_min:.3e} m^3"
+        )
+    return volume
+
+
+def _conveyance(spec: SitingSpec, params: CostParams, dist: DistanceField,
+                cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Conveyance dollars of a link on each of ``cells`` of a grid of ``shape``."""
+    if dist.values.shape != shape:
+        raise ValueError("distance field shape does not match the grid")
+    excavation, lining = conveyance_cost(spec.flow, dist.values[cells[:, 0], cells[:, 1]], params)
+    return excavation + lining
+
+
+def _fix_columns(cands: CandidateSets, p_cells: np.ndarray, conveyance: np.ndarray, fixing: bool):
+    """The column fixing of ``build_siting_problem``, the one copy of its rule.
+
+    Returns ``on``, the raster of D (empty unless ``fixing``); ``on_p``, its
+    value per perimeter candidate (the rows of ``p_cells``); ``keep_l``, per
+    perimeter candidate whether its ``l`` may be 1: c* and the cells cheaper
+    than c*, or every cell when D is empty; and the index of c* in ``p_cells``,
+    or None. A perimeter candidate that is not an interior candidate stands at
+    or above the water level, so it costs no embankment: D is the set of such
+    cells with a 4-neighbor in the set.
+    """
+    if fixing:
+        on = cands.perimeter_ok & ~cands.interior_ok
+        on &= _dilate4(on)
+    else:
+        on = np.zeros(cands.shape, dtype=bool)
+    on_p = on[p_cells[:, 0], p_cells[:, 1]]
+    if not on_p.any():
+        return on, on_p, np.ones(len(p_cells), dtype=bool), None
+    best = int(np.flatnonzero(on_p)[conveyance[on_p].argmin()])
+    keep_l = conveyance < conveyance[best]
+    keep_l[best] = True
+    return on, on_p, keep_l, best
+
+
 def build_siting_problem(
     grid: TerrainGrid,
     spec: SitingSpec,
@@ -708,42 +770,22 @@ def build_siting_problem(
         cands = _terrain.candidate_sets(grid, spec.water_elevation, excluded)
     if dist is None:
         dist = _terrain.distance_field(grid)
-    if dist.values.shape != grid.shape:
-        raise ValueError("distance field shape does not match the grid")
     if perimeter_min_neighbors not in (1, 3):
         raise ValueError("perimeter_min_neighbors must be 1 (as per the base model) or 3")
 
     water = spec.water_elevation
     y_cells, p_cells = np.argwhere(cands.interior_ok), np.argwhere(cands.perimeter_ok)
-    volume = (water - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
-    capacity = sum(volume.tolist())
-    if capacity < spec.vol_min:
-        raise InfeasibleProblemError(
-            f"total storable capacity {capacity:.3e} m^3 over {len(y_cells)} interior "
-            f"candidates is below the volume target {spec.vol_min:.3e} m^3"
-        )
+    volume = _cell_volumes(grid, spec, y_cells)
     if not len(p_cells):
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
     embankment = embankment_cell_cost(grid.cell_length, water,
                                       grid.elevations[p_cells[:, 0], p_cells[:, 1]], params)[0]
-    excavation, lining = conveyance_cost(spec.flow, dist.values[p_cells[:, 0], p_cells[:, 1]], params)
-    conveyance = excavation + lining
-
-    # the column fixing: z = 1 on D (``on``); l only on c* and cheaper cells
-    on = np.zeros(cands.shape, dtype=bool)
-    if level <= 2 and perimeter_min_neighbors == 1:
-        dry = p_cells[(embankment == 0) & ~cands.interior_ok[p_cells[:, 0], p_cells[:, 1]]]
-        on[dry[:, 0], dry[:, 1]] = True
-        on &= _dilate4(on)
-    on_p = on[p_cells[:, 0], p_cells[:, 1]]
-    keep_l = np.ones(len(p_cells), dtype=bool)
+    conveyance = _conveyance(spec, params, dist, p_cells, grid.shape)
+    on, on_p, keep_l, best = _fix_columns(cands, p_cells, conveyance,
+                                          level <= 2 and perimeter_min_neighbors == 1)
     fixed_l = p_cells[:0]
-    if on_p.any():
-        best = int(np.flatnonzero(on_p)[conveyance[on_p].argmin()])
-        keep_l = conveyance < conveyance[best]
-        keep_l[best] = True
-        if keep_l.sum() == 1:
-            keep_l[best], fixed_l = False, p_cells[best : best + 1]
+    if best is not None and keep_l.sum() == 1:
+        keep_l[best], fixed_l = False, p_cells[best : best + 1]
 
     prob = MipProblem()
     cells = {"z": np.argwhere(cands.reservoir_ok & ~on), "y": y_cells, "l": p_cells[keep_l]}
@@ -804,11 +846,11 @@ def build_siting_problem(
         families.add(["link_sum"], np.zeros(nl, dtype=np.int64), ids["l"], np.ones(nl), Sense.EQ, 1.0)
     families.add_to(prob)
 
-    # a wet perimeter cell's embankment sits on x = z - y
+    # a wet perimeter cell's embankment sits on x = z - y; it lies below the
+    # water level and is not blocked, so it is an interior candidate with a y
     wet = embankment != 0
-    wet_y = wet & (py >= 0)
-    objective = (np.concatenate([pz[wet], py[wet_y], ids["l"]]),
-                 np.concatenate([embankment[wet], -embankment[wet_y], conveyance[keep_l]]))
+    objective = (np.concatenate([pz[wet], py[wet], ids["l"]]),
+                 np.concatenate([embankment[wet], -embankment[wet], conveyance[keep_l]]))
     constant = equipment_cost(spec.head_m, spec.power_mw, params)
     if len(fixed_l):
         constant += float(conveyance[best])
@@ -822,54 +864,82 @@ def build_siting_problem(
     return SitingProblem(prob, sv, grid, cands, spec, params, dist, int(level))
 
 
-def all_ones_optimum(sp: SitingProblem) -> tuple[np.ndarray, float] | None:
-    """The all-ones point of a level-0 model and its objective, if a bound
-    proves it optimal; else None.
+def certify_level_zero(
+    grid: TerrainGrid,
+    spec: SitingSpec,
+    params: CostParams,
+    *,
+    cands: CandidateSets,
+    dist: DistanceField,
+    perimeter_min_neighbors: int = 1,
+) -> ReservoirSolution | None:
+    """The optimal site of the level-0 model, when the candidate rasters prove
+    one without building it; else None.
 
-    The point sets every ``z`` and ``y`` column to 1 and, if ``l`` columns are
-    left, the kept ``l`` of lowest cost (the first on ties) to 1. The bound is
-    ``objective_constant`` plus that lowest ``l`` cost, or the constant alone.
+    The site is "all candidates": the reservoir is every reservoir candidate,
+    the interior every interior candidate, and the link sits where
+    ``build_siting_problem``'s tie rule puts it (``_fix_columns``): on the
+    first cell in row-major order of least conveyance among the cells whose
+    ``l`` it keeps, which is c* alone when no kept cell is cheaper. In the
+    model that site is the point with every ``z`` and ``y`` at 1 and that
+    ``l`` at 1.
 
-    Why the bound holds for every feasible point, fractional or not, given how
-    ``build_siting_problem`` writes its model: a wet perimeter cell costs
-    ``+c`` on its ``z``, with ``c >= 0`` (``CostParams`` are positive), and
-    ``-c`` on its ``y`` if it has one, so it adds ``c (z - y)``, which its
-    ``role`` row (y <= z) keeps >= 0, or ``c z >= 0``; every other ``z`` or
-    ``y`` costs 0; and ``link_sum`` makes the ``l`` a convex combination,
-    which costs at least the lowest ``l`` cost. A feasible point that attains
-    a valid lower bound is optimal (Achterberg 2007, *Constraint Integer
-    Programming*; Berthold 2006, *Primal Heuristics for Mixed Integer
-    Programs*).
+    Why it is optimal when accepted. Every feasible point of the level-0
+    model, fractional or not, costs at least the bound "equipment + the
+    cheapest conveyance over the perimeter candidates": each wet perimeter
+    cell adds ``c (z - y)`` with ``c >= 0``, which its ``role`` row (y <= z)
+    keeps >= 0; ``link_sum`` makes the ``l`` a convex combination; and the
+    cheapest kept ``l`` is the cheapest perimeter candidate, since every
+    ``l`` the builder drops costs at least c*'s. The site attains the bound:
+    a wet perimeter candidate lies below the water level and is not blocked,
+    so it is an interior candidate and its ``z - y`` is 0, and the site has
+    no embankment. A feasible point that attains a valid lower bound is
+    optimal (Achterberg 2007, *Constraint Integer Programming*).
 
-    The point is accepted only when both checks hold exactly, with no
-    tolerance: every cell's ``z`` and ``y`` costs sum to 0 (so no ``z``
-    without a ``y`` partner carries a cost, and the objective is the bound
-    with no sum that cancels), and ``MipProblem.violations`` finds no row or
-    bound broken. Higher levels are not certified: their plane and tour
-    columns would need values of their own.
+    When the point is feasible, row by row: ``role`` always holds (1 <= 1,
+    1 = 1); ``contact`` holds on interior candidates (z - y = 0) and, at
+    ``perimeter_min_neighbors = 1``, on every other perimeter candidate,
+    which has an interior neighbor; ``link_sum`` and the bounds hold. The
+    rest are the checks, in order:
+
+    - ``inter`` (y <= z_neighbor, a neighbor outside the grid or the
+      candidate sets being constant 0): every 4-neighbor of an interior
+      candidate is a reservoir candidate inside the grid;
+    - ``contact`` at ``perimeter_min_neighbors = 3``: every perimeter
+      candidate that is not an interior candidate has at least three
+      reservoir candidates among its 4-neighbors;
+    - ``volume``: the builder's capacity check, whose sum runs in the
+      row's order; it raises InfeasibleProblemError as the builder does;
+    - ``linkx`` (l <= z - y): the link cell is not an interior candidate.
+
+    So the site is accepted exactly when the level-0 model's all-ones point
+    is feasible, and no model is built. The solution reports status
+    ``optimal``, the bound as its objective, gap 0, no model size, and the
+    seconds the checks took as its wall time.
     """
-    if sp.level != 0:
+    start = time.perf_counter()
+    interior, reservoir = cands.interior_ok, cands.reservoir_ok
+    up, down, left, right = _four_sides(reservoir)
+    if (interior & ~(up & down & left & right)).any():
         return None
-    mip, sv = sp.mip, sp.variables
-    cost = mip.cost_vector()
-    net = np.zeros(sp.cands.shape)
-    for family in "zy":
-        cells = sv.cells[family]
-        net[cells[:, 0], cells[:, 1]] += cost[sv.ids(family)]
-    if net.any():
+    if perimeter_min_neighbors == 3:
+        count = up.astype(np.int8) + down + left + right
+        if (cands.perimeter_ok & ~interior & (count < 3)).any():
+            return None
+    _cell_volumes(grid, spec, np.argwhere(interior))
+    p_cells = np.argwhere(cands.perimeter_ok)
+    conveyance = _conveyance(spec, params, dist, p_cells, grid.shape)
+    keep_l = _fix_columns(cands, p_cells, conveyance, perimeter_min_neighbors == 1)[2]
+    kept = np.flatnonzero(keep_l)
+    k = int(kept[conveyance[kept].argmin()])
+    link = (int(p_cells[k, 0]), int(p_cells[k, 1]))
+    if interior[link]:
         return None
-    x = np.zeros(mip.num_variables)
-    x[sv.ids("z")] = x[sv.ids("y")] = 1.0
-    bound = mip.objective_constant
-    links = sv.ids("l")
-    if len(links):
-        best = links[cost[links].argmin()]
-        x[best] = 1.0
-        bound += float(cost[best])
-    outside, fractional, _, violated = mip.violations(x, 0.0)
-    if outside.any() or fractional.any() or violated.any():
-        return None
-    return x, bound
+    objective = float(equipment_cost(spec.head_m, spec.power_mw, params)) + float(conveyance[k])
+    return _site_solution(grid, spec, params, dist, interior.copy(), reservoir.copy(), link,
+                          status="optimal", objective_value=objective, gap=0.0,
+                          wall_time_s=time.perf_counter() - start, level=0,
+                          n_variables=0, n_constraints=0)
 
 
 # ---------------------------------------------------------------------------
@@ -951,10 +1021,11 @@ def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
     pieces: (4-connected components) - (8-connected components) in all. Each
     adds (sqrt(2)-1)*Lc to the per-cell length. Reporting estimate only.
     """
-    base = float(np.count_nonzero(emb_mask)) * cell_length
-    four = count_components(emb_mask, "four")
+    cells = int(np.count_nonzero(emb_mask))
+    base = float(cells) * cell_length
     # each 8-connected component joins 4-connected ones, so with fewer than
-    # two of those there is no diagonal join to count
+    # two of those (fewer than two cells, say) there is no diagonal join to count
+    four = count_components(emb_mask, "four") if cells > 1 else cells
     diagonal_links = four - count_components(emb_mask, "eight") if four > 1 else 0
     return base + (math.sqrt(2) - 1) * cell_length * diagonal_links
 
@@ -1009,20 +1080,15 @@ def extract_solution(
     ``values`` is the solution vector, or a name -> value mapping (see
     ``MipProblem.values_vector``); the cells the builder fixed on join the
     masks and the link. A binary within ``INTEGRALITY_TOL`` of 0 or 1 reads as
-    that value; any other raises IntegralityError. Reservoir components the
-    solution does not need are dropped first (see ``_drop_spare_components``);
-    the connectivity verdict, storage, area, embankment and costs are then all
-    rebuilt from the kept masks and the terrain, never read back from the
-    solver objective.
+    that value; any other raises IntegralityError. The masks then go to
+    ``_site_solution``.
     """
-    grid, spec, params = sp.grid, sp.spec, sp.cost_params
     vec = sp.mip.values_vector(values)
     fixed = sp.variables.fixed
-    y_mask, z_mask = (np.zeros(grid.shape, dtype=bool) for _ in range(2))
+    y_mask, z_mask = (np.zeros(sp.grid.shape, dtype=bool) for _ in range(2))
     for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec)),
                      (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec), fixed["z"]]))):
         mask[on[:, 0], on[:, 1]] = True
-    x_mask = z_mask & ~y_mask
     link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec).tolist()
                   + fixed["l"].tolist()]
 
@@ -1030,8 +1096,33 @@ def extract_solution(
         raise InfeasibleProblemError("incumbent floods no interior cell; volume target cannot hold")
     if len(link_cells) != 1:
         raise IntegralityError(f"expected exactly one link cell, found {len(link_cells)}")
-    link = link_cells[0]
+    return _site_solution(sp.grid, sp.spec, sp.cost_params, sp.dist, y_mask, z_mask, link_cells[0],
+                          status=status, objective_value=objective_value, gap=gap,
+                          wall_time_s=wall_time_s, level=sp.level,
+                          n_variables=sp.mip.num_variables, n_constraints=sp.mip.num_constraints)
 
+
+def _site_solution(
+    grid: TerrainGrid,
+    spec: SitingSpec,
+    params: CostParams,
+    dist: DistanceField,
+    y_mask: np.ndarray,
+    z_mask: np.ndarray,
+    link: Cell,
+    *,
+    objective_value: float | None,
+    **report,
+) -> ReservoirSolution:
+    """The site with interior ``y_mask``, reservoir ``z_mask`` and ``link``.
+
+    Reservoir components the site does not need are dropped first, from the
+    masks in place (see ``_drop_spare_components``); the connectivity
+    verdict, storage, area, embankment and costs are then all rebuilt from
+    the kept masks and the terrain, never read back from a solver objective.
+    ``report`` gives the remaining ``ReservoirSolution`` fields.
+    """
+    x_mask = z_mask & ~y_mask
     water = spec.water_elevation
     depth = np.where(y_mask, water - grid.elevations, 0.0)
     components = _drop_spare_components(
@@ -1045,7 +1136,7 @@ def extract_solution(
     emb_cost, emb_volume = (_running_sum(v) for v in embankment_cell_cost(
         grid.cell_length, water, grid.elevations[emb_mask], params))
 
-    excavation, lining = conveyance_cost(spec.flow, float(sp.dist.values[link]), params)
+    excavation, lining = conveyance_cost(spec.flow, float(dist.values[link]), params)
     costs = CostBreakdown(
         embankment=emb_cost,
         conveyance_excavation=excavation,
@@ -1063,18 +1154,13 @@ def extract_solution(
         embankment_length_m=float(np.count_nonzero(emb_mask)) * grid.cell_length,
         embankment_length_diag_m=diag_corrected_length(emb_mask, grid.cell_length),
         embankment_volume_m3=emb_volume,
-        distance_m=float(sp.dist.values[link]),
+        distance_m=float(dist.values[link]),
         costs=costs,
         objective_value=costs.total if objective_value is None else objective_value,
-        gap=gap,
-        wall_time_s=wall_time_s,
-        status=status,
-        level=sp.level,
-        n_variables=sp.mip.num_variables,
-        n_constraints=sp.mip.num_constraints,
         connected=len(components) == 1,
         n_components=len(components),
         valid=len(components) == 1,
+        **report,
     )
 
 
@@ -1101,24 +1187,14 @@ def verify_masks(
     if np.any(y & ~cands.interior_ok):
         problems.append("interior cell outside the interior candidate set")
 
-    nr, nc = grid.shape
-    padded = np.zeros((nr + 2, nc + 2), dtype=bool)
-    padded[1:-1, 1:-1] = z
-    nbr_count = (
-        padded[:-2, 1:-1].astype(int)
-        + padded[2:, 1:-1]
-        + padded[1:-1, :-2]
-        + padded[1:-1, 2:]
-    )
-    all_four = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
-    if np.any(x & (nbr_count < 1)):
+    up, down, left, right = _four_sides(z)
+    if np.any(x & ~(up | down | left | right)):
         problems.append("perimeter cell with no reservoir neighbor")
-    if np.any(y & ~all_four):
+    if np.any(y & ~(up & down & left & right)):
         problems.append("interior cell not surrounded by reservoir cells")
 
-    storage = float(np.where(y, spec.water_elevation - grid.elevations, 0.0).sum()) * grid.cell_area
+    # summed over the interior cells alone, so a window around the site gives the same sum
+    storage = float((spec.water_elevation - grid.elevations[y]).sum()) * grid.cell_area
     if storage < spec.vol_min * (1 - VOLUME_RTOL):
         problems.append(f"stored volume {storage:.6e} below target {spec.vol_min:.6e}")
 

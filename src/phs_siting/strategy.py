@@ -22,14 +22,13 @@ from .costing import CostParams
 from .errors import InfeasibleProblemError, NoIncumbentError
 from .model import (
     ReservoirSolution,
-    SitingProblem,
-    all_ones_optimum,
     build_siting_problem,
+    certify_level_zero,
     extract_solution,
     verify_masks,
 )
 from .sizing import SitingSpec
-from .solve import SolveLimits, SolveResult, SolveStatus, solve
+from .solve import SolveLimits, SolveStatus, solve
 from .terrain import (
     DistanceField,
     TerrainGrid,
@@ -83,7 +82,12 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One solved subproblem in a strategy run."""
+    """One solved subproblem in a strategy run.
+
+    The model fields (``n_variables``, ``n_constraints``, ``n_nonzeros``,
+    ``nodes``, ``build_s``) describe the model handed to HiGHS; a rung that
+    ``certify_level_zero`` settles builds none, and they read 0.
+    """
 
     stage: str  # "ladder" or "zoom"
     zoom_factor: int
@@ -103,7 +107,7 @@ class TraceEntry:
     nodes: int = 0  # branch-and-bound nodes HiGHS explored
     bound: float | None = None  # the dual bound plus the objective constant, if any
     build_s: float = 0.0  # seconds ``build_siting_problem`` took for this model
-    path: str = "highs"  # "certified": the all-ones point was proved optimal without HiGHS
+    path: str = "highs"  # "certified": proved optimal from the candidate rasters, no model built
 
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
@@ -131,18 +135,6 @@ def _budgets(total: float | None, mode: str, n: int) -> Iterator[float | None]:
     deadline = time.perf_counter() + total
     for _ in range(n):
         yield max(deadline - time.perf_counter(), 1e-3)
-
-
-def _certify(sp: SitingProblem) -> SolveResult | None:
-    """The rung's result without a HiGHS run, when ``all_ones_optimum`` proves one."""
-    start = time.perf_counter()
-    certified = all_ones_optimum(sp)
-    if certified is None:
-        return None
-    x, objective = certified
-    return SolveResult(SolveStatus.OPTIMAL, x, objective, objective, 0.0,
-                       time.perf_counter() - start, "certified optimal at the all-ones point",
-                       problem=sp.mip)
 
 
 def run_ladder(
@@ -175,47 +167,18 @@ def run_ladder(
     best_fragmented: ReservoirSolution | None = None
 
     for level, budget in zip(config.ladder, _budgets(total, config.budget, len(config.ladder))):
-        start = time.perf_counter()
-        sp = build_siting_problem(
-            grid,
-            spec,
-            params,
-            cands=cands,
-            dist=dist,
-            level=int(level),
-            perimeter_min_neighbors=config.perimeter_min_neighbors,
-        )
-        build_s = time.perf_counter() - start
-        certified = _certify(sp)
-        result = certified or solve(
-            sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target)
-        )
-        solution = None
-        if result.has_incumbent:
-            solution = extract_solution(sp, result.x, status=result.status.value,
-                                        objective_value=result.objective, gap=result.gap,
-                                        wall_time_s=result.wall_time_s)
-        trace.append(
-            TraceEntry(
-                "ladder", zoom_factor, int(level), result.status.value, result.objective,
-                result.gap, None if solution is None else solution.connected,
-                None if solution is None else solution.n_components,
-                sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
-                note=result.message if solution is None else "", time_limit_s=budget,
-                n_nonzeros=sp.mip.nnz, nodes=result.nodes, bound=result.bound,
-                build_s=build_s, path="highs" if certified is None else "certified",
-            )
-        )
+        solution, entry = _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor)
+        trace.append(entry)
         if solution is None:
-            logger.info("level %s: no incumbent (%s)", level.name, result.status.value)
-            if result.status in (SolveStatus.INFEASIBLE, SolveStatus.ERROR):
+            logger.info("level %s: no incumbent (%s)", level.name, entry.status)
+            if entry.status in (SolveStatus.INFEASIBLE.value, SolveStatus.ERROR.value):
                 # Higher levels only add constraints, so escalation cannot
                 # help an infeasible rung; a solver error is reported as is.
                 break
             continue
         logger.info(
-            "level %s: %s, objective %.6g, %d component(s)",
-            level.name, result.status.value, result.objective, solution.n_components,
+            "level %s: %s (%s), objective %.6g, %d component(s)",
+            level.name, entry.status, entry.path, entry.objective, solution.n_components,
         )
         if solution.connected:
             return _aggregate_totals(replace(solution, valid=True), trace)
@@ -228,6 +191,42 @@ def run_ladder(
     if best_fragmented is not None:
         return _aggregate_totals(replace(best_fragmented, valid=False), trace)
     raise NoIncumbentError("every ladder level ended without an incumbent", trace)
+
+
+def _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor):
+    """One ladder rung: (its solution or None, its trace entry).
+
+    Level 0 is first given to ``certify_level_zero``; a rung it does not
+    settle is built and solved with HiGHS.
+    """
+    if level == Level.NONE:
+        site = certify_level_zero(grid, spec, params, cands=cands, dist=dist,
+                                  perimeter_min_neighbors=config.perimeter_min_neighbors)
+        if site is not None:
+            return site, TraceEntry(
+                "ladder", zoom_factor, 0, site.status, site.objective_value, site.gap,
+                site.connected, site.n_components, 0, 0, site.wall_time_s, time_limit_s=budget,
+                bound=site.objective_value, path="certified",
+            )
+    start = time.perf_counter()
+    sp = build_siting_problem(grid, spec, params, cands=cands, dist=dist, level=int(level),
+                              perimeter_min_neighbors=config.perimeter_min_neighbors)
+    build_s = time.perf_counter() - start
+    result = solve(sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target))
+    solution = None
+    if result.has_incumbent:
+        solution = extract_solution(sp, result.x, status=result.status.value,
+                                    objective_value=result.objective, gap=result.gap,
+                                    wall_time_s=result.wall_time_s)
+    entry = TraceEntry(
+        "ladder", zoom_factor, int(level), result.status.value, result.objective, result.gap,
+        None if solution is None else solution.connected,
+        None if solution is None else solution.n_components,
+        sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
+        note=result.message if solution is None else "", time_limit_s=budget,
+        n_nonzeros=sp.mip.nnz, nodes=result.nodes, bound=result.bound, build_s=build_s,
+    )
+    return solution, entry
 
 
 def _window_to_coarse(window: tuple[int, int, int, int], factor: int, shape) -> np.ndarray:
@@ -256,7 +255,8 @@ def run_zoom_in(
     of a window. A coarse stage only places the next window, so it solves the
     first ladder rung alone and the window covers its whole (pruned) reservoir,
     fragmented or not. The final window is solved at native resolution with
-    the full ladder and verified against the full-resolution model.
+    the full ladder and verified against the full-resolution grid (on the
+    window grown by one cell, which gives the same verdict).
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
@@ -318,10 +318,28 @@ def run_zoom_in(
 
     assert solution is not None
     # The last zoom factor is 1, so (roff, coff) places the native window.
+    violations = _window_violations(grid, spec, excluded_mask, solution, (roff, coff))
     full = solution.with_origin((roff, coff), grid.shape)
-    full_cands = candidate_sets(grid, spec.water_elevation, excluded_mask)
-    violations = verify_masks(grid, full_cands, spec, full)
     if violations:
         logger.warning("zoom-in final solution fails full-resolution checks: %s", violations)
         full = replace(full, valid=False)
     return _aggregate_totals(full, trace)
+
+
+def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.ndarray,
+                       solution: ReservoirSolution, origin: tuple[int, int]) -> list[str]:
+    """``verify_masks`` of a site whose masks cover the window at ``origin``,
+    as on the full grid, but run on that window grown by one cell.
+
+    The masks are zero outside the window. Every rule of ``verify_masks``
+    reads a cell and its 4-neighbors, which the grown window holds (or the
+    grid edge, where both grids end), so the candidate sets agree on the
+    window; and the storage is summed over the interior cells alone, in the
+    same order. So the violations are the same.
+    """
+    r0, c0 = origin
+    nr, nc = solution.reservoir_mask.shape
+    sub, (sr, sc) = clip(grid, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)], 1)
+    sub_excluded = excluded_mask[sr : sr + sub.nrows, sc : sc + sub.ncols]
+    cands = candidate_sets(sub, spec.water_elevation, sub_excluded)
+    return verify_masks(sub, cands, spec, solution.with_origin((r0 - sr, c0 - sc), sub.shape))

@@ -207,6 +207,16 @@ def bowl_window(**kwargs):
     return sub, spec, {"dist": dist, **kwargs}
 
 
+def bowl_basin_dem():
+    """(grid, spec): the main bowl of ``bowl_window`` on a 128x128 DEM whose
+    slope stands above the water level, so that the bowl is a natural basin."""
+    yy, xx = np.mgrid[0:128, 0:128].astype(float)
+    elev = 600.0 + 0.4 * xx + np.random.default_rng(11).uniform(0, 2, (128, 128))
+    elev -= 195.0 * np.exp(-((yy - 64) ** 2 + (xx - 48) ** 2) / (2 * 6.5**2))
+    elev[:, :8] = RIVER_ELEVATION
+    return river_grid(elev), ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+
+
 def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
     """Build at one defense level, solve with HiGHS, extract the solution."""
     sp = ps.build_siting_problem(grid, spec, level=level, **kwargs)

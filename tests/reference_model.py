@@ -19,11 +19,16 @@ programs to have the same MIP optimum and the same LP relaxation bound.
 Both builders give the tour ranks u the kind the package uses, continuous.
 ``build_reference_integer_ranks`` is the z/y model with the integer ranks the
 package used before; ``test_model`` requires the same MIP optimum from both.
+
+``all_ones_optimum`` is the level-0 certificate the package read off a built
+model; ``test_strategy`` requires the raster certificate to agree with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from phs_siting.costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from phs_siting.errors import InfeasibleProblemError
@@ -358,3 +363,39 @@ def build_reference_xyz(grid, spec, **kwargs) -> MipProblem:
 def build_reference_integer_ranks(grid, spec, **kwargs) -> MipProblem:
     """The siting MIP over z and y with integer tour ranks u."""
     return _build(grid, spec, False, rank_kind=VarKind.INTEGER, **kwargs)
+
+
+def all_ones_optimum(sp) -> tuple[np.ndarray, float] | None:
+    """The model-level level-0 certificate the package used before it decided
+    the same question from the candidate rasters (``certify_level_zero``).
+
+    Given a built level-0 model, it sets every ``z`` and ``y`` column to 1
+    and, if ``l`` columns are left, the kept ``l`` of lowest cost (the first
+    on ties) to 1. It returns that point and the bound ``objective_constant``
+    plus that lowest ``l`` cost, or the constant alone, when every cell's
+    ``z`` and ``y`` costs sum to 0 and ``MipProblem.violations`` finds no
+    bound, integrality or row broken at tolerance 0; else None. Such a point
+    attains a lower bound on every feasible point, so it is optimal.
+    """
+    if sp.level != 0:
+        return None
+    mip, sv = sp.mip, sp.variables
+    cost = mip.cost_vector()
+    net = np.zeros(sp.cands.shape)
+    for family in "zy":
+        cells = sv.cells[family]
+        net[cells[:, 0], cells[:, 1]] += cost[sv.ids(family)]
+    if net.any():
+        return None
+    x = np.zeros(mip.num_variables)
+    x[sv.ids("z")] = x[sv.ids("y")] = 1.0
+    bound = mip.objective_constant
+    links = sv.ids("l")
+    if len(links):
+        best = links[cost[links].argmin()]
+        x[best] = 1.0
+        bound += float(cost[best])
+    outside, fractional, _, violated = mip.violations(x, 0.0)
+    if outside.any() or fractional.any() or violated.any():
+        return None
+    return x, bound

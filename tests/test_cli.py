@@ -215,10 +215,18 @@ def test_run_batch_produces_artifacts(micro_config, tmp_path):
     rounded = int(cost_rows[0]["total_musd"])
     assert rounded == round(exact / 1e6)
 
+    # each row names how the rung that produced its site was solved; a
+    # certified rung builds no model, so its row reports none
     with open(out / "report_solver.csv") as fh:
         solver_rows = list(csv.DictReader(fh))
-    assert int(solver_rows[0]["n_variables"]) > 0
-    assert solver_rows[0]["backend"] == "highs"
+    trace_paths = [{line.split(" path=")[1].split()[0]
+                    for line in (out / f"trace_{k}.log").read_text().splitlines()} for k in (1, 2)]
+    for row, paths in zip(solver_rows, trace_paths):
+        assert row["path"] in paths, (row, paths)
+        if row["path"] == "highs":
+            assert int(row["n_variables"]) > 0, row
+        else:
+            assert row["path"] == "certified" and int(row["n_variables"]) == 0, row
 
 
 def test_run_batch_deterministic_reports(micro_config, tmp_path):
@@ -299,6 +307,10 @@ def test_demo_trace_marks_certified_rung(tmp_path):
     [line] = [line for line in (tmp_path / "trace_1.log").read_text().splitlines()
               if " level=0 " in line]
     assert " path=certified " in line and " status=optimal " in line and " nodes=0 " in line
+    assert " vars=0 rows=0 nnz=0 " in line and " build=0.000s " in line
+    with open(tmp_path / "report_solver.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert (row["case"], row["path"], row["n_variables"], row["n_constraints"]) == ("1", "certified", "0", "0")
 
 
 def test_trace_line_marks_a_rung_over_its_limit():

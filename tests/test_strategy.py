@@ -1,5 +1,6 @@
 """Escalation ladder and zoom-in heuristic behavior."""
 
+import dataclasses
 import importlib
 import math
 
@@ -8,12 +9,14 @@ import pytest
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
-from phs_siting.model import all_ones_optimum
+from phs_siting.model import certify_level_zero
+from reference_model import all_ones_optimum
 
 from conftest import (
     CELL,
     RIVER_ELEVATION,
     FailingHighs,
+    bowl_basin_dem,
     diagonal_blob_grid,
     diagonal_blob_spec,
     micro_case,
@@ -158,15 +161,30 @@ def test_trace_records_each_rungs_time_limit():
 # --------------------------------------------------------------------------- #
 
 
-def _all_ones_point(sp) -> np.ndarray:
-    """Every z and y at 1, and the kept l of lowest cost at 1."""
+def _all_ones_point(sp, link=None) -> np.ndarray:
+    """Every z and y of a level-0 model at 1, and one l at 1: that of
+    ``link`` if it has a column, else (no ``link``) the kept l of lowest cost."""
     sv, cost = sp.variables, sp.mip.cost_vector()
     x = np.zeros(sp.mip.num_variables)
     x[sv.ids("z")] = x[sv.ids("y")] = 1.0
     links = sv.ids("l")
-    if len(links):
+    if link is not None:
+        x[links[(sv.cells["l"] == link).all(axis=1)]] = 1.0
+    elif len(links):
         x[links[cost[links].argmin()]] = 1.0
     return x
+
+
+def _certify(grid, spec, *, excluded=None, dist=None, perimeter_min_neighbors=1):
+    """``certify_level_zero`` with the arguments ``run_ladder`` gives it."""
+    return certify_level_zero(grid, spec, ps.CostParams(),
+                              cands=ps.candidate_sets(grid, spec.water_elevation, excluded),
+                              dist=dist or ps.distance_field(grid),
+                              perimeter_min_neighbors=perimeter_min_neighbors)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a model was built")
 
 
 _LEVEL0_CASES = {
@@ -178,29 +196,72 @@ _LEVEL0_CASES = {
 }
 
 
-def test_certified_level_zero_agrees_with_highs():
-    certified = set()
+def _level0_instances(monkeypatch):
+    """(name, grid, spec, arguments) of each level-0 rung to compare: every
+    stage of a zoom run over the bowl basin, as ``run_ladder`` calls the
+    certificate, then the fixtures and micro seeds at both contact rules."""
+    import phs_siting.strategy as strategy
+
+    stages = []
+    original = strategy.certify_level_zero
+
+    def recording(grid, spec, params, **kwargs):
+        stages.append((f"bowl-stage{len(stages)}", grid, spec, kwargs))
+        return original(grid, spec, params, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy, "certify_level_zero", recording)
+        ps.run_zoom_in(*bowl_basin_dem(), config=StrategyConfig(zoom_factors=(8, 4, 2, 1)))
+    assert len(stages) == 4
+    yield from stages
     for name, make in _LEVEL0_CASES.items():
         case = make()
         if case is None:  # micro_case skips uninteresting seeds
             continue
         grid, spec = case
-        sp = ps.build_siting_problem(grid, spec, level=0)
-        found = all_ones_optimum(sp)
-        if found is None:
+        for m in (1, 3):
+            yield (f"{name}-m{m}", grid, spec,
+                   {"cands": ps.candidate_sets(grid, spec.water_elevation),
+                    "dist": ps.distance_field(grid), "perimeter_min_neighbors": m})
+
+
+def test_certified_level_zero_agrees_with_highs(monkeypatch):
+    """The raster certificate fires exactly where the model-level one of
+    ``reference_model`` fires on the built level-0 model, with the same
+    point and objective, and its site is that point's extraction."""
+    fired = set()
+    for name, grid, spec, kwargs in _level0_instances(monkeypatch):
+        sp = ps.build_siting_problem(grid, spec, level=0, **kwargs)
+        reference = all_ones_optimum(sp)
+        site = certify_level_zero(grid, spec, ps.CostParams(), **kwargs)
+        assert (site is None) == (reference is None), name
+        if site is None:
             continue
-        certified.add(name)
-        x, objective = found
+        fired.add(name)
+        x, bound = reference
+        point = _all_ones_point(sp, site.link_cell)
+        assert np.array_equal(point, x), name
+        outside, fractional, _, violated = sp.mip.violations(point, 0.0)
+        assert not (outside.any() or fractional.any() or violated.any()), name
+        assert site.objective_value == bound, name
+        assert (site.status, site.gap, site.level, site.n_variables, site.n_constraints) == (
+            "optimal", 0.0, 0, 0, 0), name
         highs = ps.solve(sp.mip)
         assert highs.status is ps.SolveStatus.OPTIMAL, name
-        assert objective == pytest.approx(highs.objective, rel=1e-9), name
-        assert ps.verify_solution(sp.mip, x) == [], name
-        [entry] = ps.run_ladder(grid, spec, config=StrategyConfig(ladder=(Level.NONE,))).trace
-        assert (entry.path, entry.status, entry.nodes, entry.gap) == ("certified", "optimal", 0, 0.0)
-        assert entry.bound == entry.objective == objective, name
-    assert {"pit", "midsize_grid"} <= certified
-    assert not certified & {"two_basin", "diagonal_blob"}
-    assert len(certified) >= 30  # of the 40 micro seeds, those micro_case keeps
+        assert site.objective_value == pytest.approx(highs.objective, rel=1e-9), name
+        extracted = ps.extract_solution(sp, x, objective_value=bound, gap=0.0)
+        for field in ("perimeter_mask", "interior_mask", "reservoir_mask"):
+            assert np.array_equal(getattr(site, field), getattr(extracted, field)), (name, field)
+        for field in ("link_cell", "costs", "storage_m3", "embankment_length_diag_m", "n_components"):
+            assert getattr(site, field) == getattr(extracted, field), (name, field)
+        if name.endswith("-m1") and not name.startswith("bowl"):
+            [entry] = ps.run_ladder(grid, spec, config=StrategyConfig(ladder=(Level.NONE,))).trace
+            assert (entry.path, entry.status, entry.nodes, entry.gap) == ("certified", "optimal", 0, 0.0)
+            assert entry.bound == entry.objective == bound, name
+    assert {f"bowl-stage{k}" for k in range(4)} | {"pit-m1", "midsize_grid-m1"} <= fired
+    assert not fired & {"two_basin-m1", "diagonal_blob-m1"}
+    assert not any(name.endswith("-m3") for name in fired)
+    assert sum(name.startswith("micro") for name in fired) >= 30  # of the 40 seeds
 
 
 class _NoHighs:
@@ -209,11 +270,16 @@ class _NoHighs:
 
 
 def test_certified_pit_runs_no_highs(monkeypatch):
+    import phs_siting.strategy as strategy
+
     monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_Highs", _NoHighs)
+    monkeypatch.setattr(strategy, "build_siting_problem", _no_build)
     sol = ps.run_ladder(pit_grid(), pit_spec())
     assert sol.level == 0 and sol.valid and sol.connected
     [entry] = sol.trace
     assert (entry.path, entry.status, entry.nodes) == ("certified", "optimal", 0)
+    assert (entry.n_variables, entry.n_constraints, entry.n_nonzeros, entry.build_s) == (0, 0, 0, 0.0)
+    assert (sol.n_variables, sol.n_constraints) == (0, 0)
     assert entry.bound == entry.objective == sol.objective_value
     cands = ps.candidate_sets(pit_grid(), pit_spec().water_elevation)
     assert ps.verify_masks(pit_grid(), cands, pit_spec(), sol) == []
@@ -222,6 +288,7 @@ def test_certified_pit_runs_no_highs(monkeypatch):
 def test_broken_contact_row_goes_to_highs():
     # three reservoir neighbours per perimeter cell: the all-ones plus shape has one
     grid, spec = pit_grid(), pit_spec()
+    assert _certify(grid, spec, perimeter_min_neighbors=3) is None
     sp = ps.build_siting_problem(grid, spec, level=0, perimeter_min_neighbors=3)
     assert all_ones_optimum(sp) is None
     issues = ps.verify_solution(sp.mip, _all_ones_point(sp))
@@ -230,6 +297,7 @@ def test_broken_contact_row_goes_to_highs():
         ps.run_ladder(grid, spec, config=StrategyConfig(perimeter_min_neighbors=3))
     [entry] = info.value.trace
     assert (entry.path, entry.status) == ("highs", "infeasible")
+    assert entry.n_variables == sp.mip.num_variables and entry.n_nonzeros == sp.mip.nnz
 
 
 def test_cheapest_link_blocked_by_linkx_goes_to_highs():
@@ -243,7 +311,9 @@ def test_cheapest_link_blocked_by_linkx_goes_to_highs():
     values = full.values.copy()
     values[2, 3] = 0.0
     dist = ps.DistanceField(values, full.cell_length, full.metric)
+    assert _certify(grid, spec) is not None
     assert all_ones_optimum(ps.build_siting_problem(grid, spec, level=0)) is not None
+    assert _certify(grid, spec, dist=dist) is None
     sp = ps.build_siting_problem(grid, spec, level=0, dist=dist)
     assert all_ones_optimum(sp) is None
     assert ps.verify_solution(sp.mip, _all_ones_point(sp)) == ["row linkx_2_3: 1.0 > 0.0"]
@@ -253,22 +323,69 @@ def test_cheapest_link_blocked_by_linkx_goes_to_highs():
     assert entry.objective == pytest.approx(ps.solve(sp.mip).objective, rel=1e-9)
 
 
-def test_costed_unpaired_z_goes_to_highs():
-    # a cost on a z without a y partner (the builder writes none: a wet cell
-    # is an interior candidate) keeps the all-ones point feasible, but it no
-    # longer attains the bound
-    sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
-    assert all_ones_optimum(sp) is not None
-    ys = {tuple(cell) for cell in sp.variables.cells["y"].tolist()}
-    zid = next(vid for cell, vid in zip(sp.variables.cells["z"].tolist(), sp.variables.ids("z"))
-               if tuple(cell) not in ys)
-    sp.mip.set_objective({**sp.mip.objective, int(zid): 1.0}, sp.mip.objective_constant)
-    assert ps.verify_solution(sp.mip, _all_ones_point(sp)) == []
+@pytest.mark.parametrize("where", ["grid_edge", "blocked_cell"])
+def test_interior_cell_without_four_candidates_goes_to_highs(where):
+    # a two-cell pit: one deep cell on the top edge of the grid, or next to
+    # an excluded cell, cannot be interior, so the pit needs a wet dam there
+    elev = np.full((5, 7), 600.0)
+    elev[:, 0] = RIVER_ELEVATION
+    excluded = None
+    if where == "grid_edge":
+        elev[0, 3] = elev[1, 3] = 500.0
+    else:
+        elev[2, 3] = elev[2, 4] = 500.0
+        excluded = [(2, 5)]
+    grid, spec = river_grid(elev), pit_spec()
+    assert _certify(grid, spec, excluded=excluded) is None
+    sp = ps.build_siting_problem(grid, spec, level=0, excluded=excluded)
     assert all_ones_optimum(sp) is None
-    # the two-basin shelf is turned away by its rows instead
-    sp = ps.build_siting_problem(two_basin_grid(), two_basin_spec(), level=0)
-    assert all_ones_optimum(sp) is None
-    assert any(v.startswith("row inter_") for v in ps.verify_solution(sp.mip, _all_ones_point(sp)))
+    issues = ps.verify_solution(sp.mip, _all_ones_point(sp))
+    assert issues == [{"grid_edge": "row inter_0_3_up: 1.0 > 0.0",
+                       "blocked_cell": "row inter_2_4_right: 1.0 > 0.0"}[where]]
+    sol = ps.run_ladder(grid, spec, excluded=excluded)
+    assert sol.valid and sol.costs.embankment > 0
+    [entry] = sol.trace
+    assert (entry.path, entry.status) == ("highs", "optimal")
+    assert entry.objective == pytest.approx(ps.solve(sp.mip).objective, rel=1e-9)
+
+
+def test_costed_unpaired_z_cannot_arise():
+    # The model-level certificate also turned a point away when a z without
+    # a y partner carried a cost. The builder writes no such cost: a wet
+    # perimeter candidate lies below the water level and is not blocked, so
+    # it is an interior candidate. Checked on the fixtures, the micro seeds
+    # and random terrains with NODATA and excluded cells.
+    rng = np.random.default_rng(18)
+    cases = [case for case in (make() for make in _LEVEL0_CASES.values()) if case is not None]
+    for _ in range(20):
+        elev = rng.uniform(520.0, 580.0, (8, 9))
+        elev[:, 0] = RIVER_ELEVATION
+        nodata = rng.random(elev.shape) < 0.1
+        nodata[:, 0] = False
+        elev[nodata] = np.nan
+        grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION)
+        cases.append((grid, spec_for_volume(10_000.0), rng.random(elev.shape) < 0.1))
+    checked = 0
+    for grid, spec, *excluded in cases:
+        excluded = excluded[0] if excluded else None
+        cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+        ground = np.where(cands.perimeter_ok, grid.elevations, spec.water_elevation)
+        embankment = ps.embankment_cell_cost(grid.cell_length, spec.water_elevation, ground)[0]
+        assert not (cands.perimeter_ok & (embankment != 0) & ~cands.interior_ok).any()
+        for m in (1, 3):
+            try:
+                sp = ps.build_siting_problem(grid, spec, level=0, excluded=excluded,
+                                             perimeter_min_neighbors=m)
+            except ps.InfeasibleProblemError:
+                continue
+            cost, sv = sp.mip.cost_vector(), sp.variables
+            net = np.zeros(grid.shape)
+            for family in "zy":
+                cells = sv.cells[family]
+                net[cells[:, 0], cells[:, 1]] += cost[sv.ids(family)]
+            assert not net.any()
+            checked += 1
+    assert checked >= 100
 
 
 # --------------------------------------------------------------------------- #
@@ -308,6 +425,54 @@ def test_zoom_masks_live_in_full_frame():
     assert zoomed.perimeter_mask.shape == grid.shape
     cands = ps.candidate_sets(grid, spec.water_elevation)
     assert ps.verify_masks(grid, cands, spec, zoomed) == []
+
+
+def test_window_check_equals_full_grid_check():
+    """``run_zoom_in`` checks the final site on its window grown by one cell;
+    on random sites and mutated ones, in windows inside the grid and at its
+    edges, that gives exactly the full-grid check's violations."""
+    import phs_siting.strategy as strategy
+
+    rng = np.random.default_rng(41)
+    elev = rng.uniform(520.0, 580.0, (14, 16))
+    elev[:, 0] = RIVER_ELEVATION
+    nodata = rng.random(elev.shape) < 0.05
+    nodata[:, 0] = False
+    elev[nodata] = np.nan
+    grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION)
+    excluded = rng.random(grid.shape) < 0.05
+    spec = spec_for_volume(20_000.0)
+    cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+    base = ps.run_ladder(pit_grid(), pit_spec())
+    seen = {"clean": 0, "faulty": 0, "grid_edge": 0, "window_edge": 0}
+    for _ in range(400):
+        r0, c0 = (int(rng.integers(0, n - 2)) for n in grid.shape)
+        nr = int(rng.integers(3, grid.nrows - r0 + 1))
+        nc = int(rng.integers(3, grid.ncols - c0 + 1))
+        window = (slice(r0, r0 + nr), slice(c0, c0 + nc))
+        # a site: interior candidates of the window that keep their four
+        # neighbors in it, the neighbors as perimeter, then mutated at random
+        y = cands.interior_ok[window] & (rng.random((nr, nc)) < 0.6)
+        y[[0, -1], :] = y[:, [0, -1]] = False
+        z = y.copy()
+        z[1:] |= y[:-1]
+        z[:-1] |= y[1:]
+        z[:, 1:] |= y[:, :-1]
+        z[:, :-1] |= y[:, 1:]
+        if rng.random() < 0.4:
+            flip = rng.random((nr, nc)) < 0.03
+            (y if rng.random() < 0.5 else z)[flip] ^= True
+        x = z & ~y if rng.random() < 0.95 else z.copy()
+        sites = np.argwhere(x) if x.any() else np.argwhere(np.ones((nr, nc)))
+        link = tuple(int(v) for v in sites[rng.integers(0, len(sites))])
+        site = dataclasses.replace(base, perimeter_mask=x, interior_mask=y, reservoir_mask=z,
+                                   link_cell=link)
+        full = ps.verify_masks(grid, cands, spec, site.with_origin((r0, c0), grid.shape))
+        assert strategy._window_violations(grid, spec, excluded, site, (r0, c0)) == full
+        seen["faulty" if full else "clean"] += 1
+        seen["grid_edge"] += r0 == 0 or c0 == 0 or r0 + nr == grid.nrows or c0 + nc == grid.ncols
+        seen["window_edge"] += bool(z[[0, -1], :].any() or z[:, [0, -1]].any())
+    assert min(seen.values()) >= 20, seen
 
 
 def test_zoom_adversarial_margin_documented_failure_mode():
@@ -360,11 +525,26 @@ def test_zoom_beats_or_ties_direct_under_tight_budget():
     assert zoomed.costs.total <= direct.costs.total * (1 + 1e-9)
 
 
-def test_zoom_trace_reports_windows_and_sizes():
-    grid = _zoomable_pit_grid()
+def _edge_pond(grid: ps.TerrainGrid, rows: slice, cols: slice) -> ps.TerrainGrid:
+    """``grid`` with a deep pond on its edge: an interior candidate there
+    cannot be interior, so no rung is certified and every rung reaches HiGHS."""
+    elev = grid.elevations.copy()
+    elev[rows, cols] = 500.0
+    return river_grid(elev, grid.cell_length)
+
+
+_PONDS = {"_zoomable_pit_grid": (slice(10, 12), slice(10, 12)),
+          "_coarse_split_grid": (slice(0, 2), slice(12, 14))}
+
+
+def test_zoom_trace_reports_windows_and_sizes(monkeypatch):
+    import phs_siting.strategy as strategy
+
+    grid = _edge_pond(_zoomable_pit_grid(), *_PONDS["_zoomable_pit_grid"])
     spec = spec_for_volume(100_000.0)
     zoomed = ps.run_zoom_in(grid, spec, config=StrategyConfig(zoom_factors=(2, 1)))
     assert all(t.window is not None for t in zoomed.trace)
+    assert all(t.path == "highs" for t in zoomed.trace)
     assert zoomed.n_variables == max(t.n_variables for t in zoomed.trace)
     assert zoomed.wall_time_s == pytest.approx(sum(t.wall_time_s for t in zoomed.trace))
     assert all(t.n_nonzeros > 0 and t.nodes >= 0 for t in zoomed.trace)
@@ -384,11 +564,23 @@ def test_zoom_trace_reports_windows_and_sizes():
     assert (native.n_variables, native.n_constraints, native.n_nonzeros) == (
         sp.mip.num_variables, sp.mip.num_constraints, sp.mip.matrix.nnz)
 
+    # without the pond every stage is certified: no model is built, and the
+    # entries report no model, with the same windows and the same site
+    monkeypatch.setattr(strategy, "build_siting_problem", _no_build)
+    certified = ps.run_zoom_in(_zoomable_pit_grid(), spec, config=StrategyConfig(zoom_factors=(2, 1)))
+    assert [t.window for t in certified.trace] == [t.window for t in zoomed.trace]
+    for t in certified.trace:
+        assert (t.path, t.status, t.gap, t.bound) == ("certified", "optimal", 0.0, t.objective)
+        assert (t.n_variables, t.n_constraints, t.n_nonzeros, t.nodes, t.build_s) == (0, 0, 0, 0, 0.0)
+    assert (certified.n_variables, certified.n_constraints) == (0, 0)
+    assert certified.costs.total == zoomed.costs.total
+    assert np.array_equal(certified.reservoir_mask, zoomed.reservoir_mask)
+
 
 @pytest.mark.parametrize("make", ["_zoomable_pit_grid", "_coarse_split_grid", "two_basin_grid"])
 def test_trace_nonzeros_are_each_models_matrix_nnz(monkeypatch, make):
-    """Zoom runs, and a ladder that escalates past level 0 (its plane rows
-    arrive unsorted)."""
+    """Zoom runs with an edge pond, so that every rung reaches HiGHS, and a
+    ladder that escalates past level 0 (its plane rows arrive unsorted)."""
     import phs_siting.strategy as strategy
 
     built = []
@@ -404,9 +596,9 @@ def test_trace_nonzeros_are_each_models_matrix_nnz(monkeypatch, make):
         solution = ps.run_ladder(grid, two_basin_spec())
         assert solution.level >= 1
     else:
-        solution = ps.run_zoom_in(grid, spec_for_volume(100_000.0),
+        solution = ps.run_zoom_in(_edge_pond(grid, *_PONDS[make]), spec_for_volume(100_000.0),
                                   config=StrategyConfig(zoom_factors=(2, 1)))
-    assert len(solution.trace) == len(built)
+    assert [t.path for t in solution.trace] == ["highs"] * len(built)
     for entry, sp in zip(solution.trace, built):
         assert entry.n_nonzeros == sp.mip.nnz == sp.mip.matrix.nnz
         assert entry.n_nonzeros == sum(len(row.coeffs) for row in sp.mip.rows)
