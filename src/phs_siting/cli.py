@@ -30,23 +30,25 @@ from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, load_mask, write_esri_ascii
+from .terrain import ByElevation, MaskFile, TerrainGrid, _grid_mask, load_grid, write_esri_ascii
 
 logger = logging.getLogger(__name__)
 
-_KNOWN_SECTIONS = {"dem", "project", "costs", "strategy", "solver", "output"}
-_DEM_KEYS = {
-    "path", "format", "lower_by_elevation", "lower_tolerance", "lower_mask_file",
-    "lower_elevation", "pad_nonsquare", "excluded_mask_file",
+#: The keys of each section and the type each value reads as; every
+#: ``[case.N]`` section takes the keys of ``case``.
+_KEYS: dict[str, dict[str, type]] = {
+    "dem": {"path": str, "format": str, "lower_by_elevation": float, "lower_tolerance": float,
+            "lower_mask_file": str, "lower_elevation": float, "pad_nonsquare": bool,
+            "excluded_mask_file": str},
+    "project": {"power_mw": float, "efficiency": float},
+    "costs": {name: float for name in CostParams.__dataclass_fields__},
+    "strategy": {"ladder": str, "zoom_factors": str, "clip_margin": int, "budget": str,
+                 "distance_metric": str, "perimeter_min_neighbors": int},
+    "solver": {"time_limit_s": float, "gap_target": float, "workers": int},
+    "output": {"directory": str},
+    "case": {"head_m": float, "operation_h": float, "zoom": bool, "power_mw": float},
 }
-_PROJECT_KEYS = {"power_mw", "efficiency"}
-_STRATEGY_KEYS = {
-    "ladder", "zoom_factors", "clip_margin", "budget", "distance_metric",
-    "perimeter_min_neighbors",
-}
-_SOLVER_KEYS = {"time_limit_s", "gap_target", "workers"}
-_OUTPUT_KEYS = {"directory"}
-_CASE_KEYS = {"head_m", "operation_h", "zoom", "power_mw"}
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
 
 
 @dataclass
@@ -75,8 +77,38 @@ class CaseConfig:
     cases: list[CaseSpec] = field(default_factory=list)
 
 
+def _read_value(value_type: type, raw: str):
+    """``raw`` read as ``value_type``; a value that does not read raises ValueError
+    with the diagnostic's text."""
+    if value_type is str:
+        return raw
+    if value_type is bool:
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"not a boolean ({raw!r})")
+        return _BOOLEANS[raw.lower()]
+    try:
+        value = float(raw)
+    except ValueError:
+        if value_type is float:
+            raise ValueError(f"not a number ({raw!r})") from None
+        value = math.nan
+    if value_type is int:
+        if not value.is_integer():
+            raise ValueError(f"not an integer ({raw})")
+        return int(value)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number ({raw})")
+    return value
+
+
 def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
-    """Parse and validate; returns (config or None, diagnostics)."""
+    """Parse and validate; returns (config or None, diagnostics).
+
+    Every value is read as its key's type (``_KEYS``) before any check; an
+    empty value other than a string reads as absent. An unknown section or
+    key and a value that does not read are reported, and a rejected value
+    gets no follow-up lines.
+    """
     diags: list[str] = []
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -88,55 +120,28 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         return None, [f"config: parse error: {exc}"]
 
     base = Path(path).parent
-
-    def check_keys(section: str, allowed: set[str]) -> None:
-        if not parser.has_section(section):
-            return
-        for key in parser[section]:
-            if key not in allowed:
-                diags.append(f"{section}.{key}: unknown key")
-
-    for section in parser.sections():
-        if section not in _KNOWN_SECTIONS and not section.startswith("case."):
-            diags.append(f"{section}: unknown section")
-    check_keys("dem", _DEM_KEYS)
-    check_keys("project", _PROJECT_KEYS)
-    check_keys("strategy", _STRATEGY_KEYS)
-    check_keys("solver", _SOLVER_KEYS)
-    check_keys("output", _OUTPUT_KEYS)
-
-    def get(section: str, key: str, fallback=None) -> str | None:
-        return parser.get(section, key, fallback=fallback)
-
+    values: dict[str, dict] = {}
     rejected: set[str] = set()  # keys already reported; no follow-up lines for them
+    for section in parser.sections():
+        kind = "case" if section.startswith("case.") else section
+        if kind not in _KEYS:
+            diags.append(f"{section}: unknown section")
+            continue
+        values[section] = read = {}
+        for key, raw in parser[section].items():
+            value_type = _KEYS[kind].get(key)
+            if value_type is None:
+                diags.append(f"{section}.{key}: "
+                             + ("unknown cost parameter" if kind == "costs" else "unknown key"))
+            elif value_type is str or raw:
+                try:
+                    read[key] = _read_value(value_type, raw)
+                except ValueError as exc:
+                    diags.append(f"{section}.{key}: {exc}")
+                    rejected.add(f"{section}.{key}")
 
-    def get_float(section: str, key: str, fallback=None):
-        raw = get(section, key)
-        if raw is None or raw.strip() == "":
-            return fallback
-        try:
-            value = float(raw)
-        except ValueError:
-            diags.append(f"{section}.{key}: not a number ({raw!r})")
-        else:
-            if math.isfinite(value):
-                return value
-            diags.append(f"{section}.{key}: not a finite number ({raw.strip()})")
-        rejected.add(f"{section}.{key}")
-        return fallback
-
-    def get_int(section: str, key: str, fallback=None):
-        raw = get(section, key)
-        if raw is None or raw.strip() == "":
-            return fallback
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not value.is_integer():
-            diags.append(f"{section}.{key}: not an integer ({raw.strip()})")
-            return fallback
-        return int(value)
+    def get(section: str, key: str, fallback=None):
+        return values.get(section, {}).get(key, fallback)
 
     if not parser.has_section("dem"):
         diags.append("dem: section is required")
@@ -152,12 +157,12 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         diags.append(f"dem.format: must be esri_ascii or csv, got {dem_format!r}")
 
     lower: ByElevation | MaskFile | None = None
-    by_elev = get_float("dem", "lower_by_elevation")
+    by_elev = get("dem", "lower_by_elevation")
     mask_file = get("dem", "lower_mask_file")
     if by_elev is not None and mask_file:
         diags.append("dem: give either lower_by_elevation or lower_mask_file, not both")
     elif by_elev is not None:
-        lower = ByElevation(by_elev, get_float("dem", "lower_tolerance", 0.5))
+        lower = ByElevation(by_elev, get("dem", "lower_tolerance", 0.5))
     elif mask_file:
         mask_path = base / mask_file
         if not mask_path.exists():
@@ -173,39 +178,29 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         if not excluded_path.exists():
             diags.append(f"dem.excluded_mask_file: file not found ({excluded_path})")
 
-    power_mw = get_float("project", "power_mw", None)
+    power_mw = get("project", "power_mw")
     if "project.power_mw" not in rejected and (power_mw is None or power_mw <= 0):
         diags.append("project.power_mw: required" if power_mw is None
                      else f"project.power_mw: must be positive, got {power_mw}")
         rejected.add("project.power_mw")  # the cases that inherit it report nothing more
-    efficiency = get_float("project", "efficiency", DEFAULT_EFFICIENCY)
-    if efficiency is not None and not 0 < efficiency <= 1:
+    efficiency = get("project", "efficiency", DEFAULT_EFFICIENCY)
+    if not 0 < efficiency <= 1:
         diags.append(f"project.efficiency: must be in (0, 1], got {efficiency}")
 
-    cost_kwargs = {}
-    if parser.has_section("costs"):
-        valid_fields = set(CostParams.__dataclass_fields__)
-        for key in parser["costs"]:
-            if key not in valid_fields:
-                diags.append(f"costs.{key}: unknown cost parameter")
-                continue
-            value = get_float("costs", key)
-            if value is not None:
-                cost_kwargs[key] = value
     try:
-        cost_params = CostParams(**cost_kwargs)
+        cost_params = CostParams(**values.get("costs", {}))
     except ValueError as exc:
         diags.append(f"costs: {exc}")
         cost_params = CostParams()
 
-    time_limit = get_float("solver", "time_limit_s", None)
+    time_limit = get("solver", "time_limit_s")
     if time_limit is not None and time_limit <= 0:
         diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
-    gap_target = get_float("solver", "gap_target", 0.0)
+    gap_target = get("solver", "gap_target", 0.0)
     if not 0 <= gap_target < 1:
         diags.append(f"solver.gap_target: must be in [0, 1), got {gap_target}")
         gap_target = 0.0
-    workers = get_int("solver", "workers", 1)
+    workers = get("solver", "workers", 1)
     if workers < 1:
         diags.append(f"solver.workers: must be >= 1, got {workers}")
 
@@ -221,22 +216,19 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     except ValueError:
         diags.append(f"strategy.zoom_factors: not integers ({zoom_raw!r})")
         zoom_factors = (8, 4, 2, 1)
-    clip_margin = get_int("strategy", "clip_margin", None)
     metric = get("strategy", "distance_metric", "horizontal")
     if metric not in ("horizontal", "slant"):
         diags.append(f"strategy.distance_metric: must be horizontal or slant, got {metric!r}")
-    min_nbrs = get_int("strategy", "perimeter_min_neighbors", 1)
-    budget = get("strategy", "budget", "per_level")
 
     try:
         strategy = StrategyConfig(
             ladder=ladder,
             zoom_factors=zoom_factors,
-            clip_margin=clip_margin,
+            clip_margin=get("strategy", "clip_margin"),
             time_limit_s=time_limit,
-            budget=budget,
+            budget=get("strategy", "budget", "per_level"),
             gap_target=gap_target,
-            perimeter_min_neighbors=min_nbrs,
+            perimeter_min_neighbors=get("strategy", "perimeter_min_neighbors", 1),
             distance_metric=metric if metric in ("horizontal", "slant") else "horizontal",
         )
     except ValueError as exc:
@@ -254,14 +246,9 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         except ValueError:
             diags.append(f"{section}: case sections are named case.<integer>")
             continue
-        for key in parser[section]:
-            if key not in _CASE_KEYS:
-                diags.append(f"{section}.{key}: unknown key")
-        head = get_float(section, "head_m")
-        hours = get_float(section, "operation_h")
-        case_power = get_float(section, "power_mw", power_mw)
-        own_power = (get(section, "power_mw") or "").strip()
-        zoom_flag = parser.getboolean(section, "zoom", fallback=False)
+        head, hours = get(section, "head_m"), get(section, "operation_h")
+        own_power = "power_mw" in values[section] or f"{section}.power_mw" in rejected
+        case_power = get(section, "power_mw", power_mw)
         for key, value in (("head_m", head), ("operation_h", hours), ("power_mw", case_power)):
             source = "project" if key == "power_mw" and not own_power else section
             if f"{source}.{key}" in rejected:
@@ -269,7 +256,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             if value is None or value <= 0:
                 diags.append(f"{section}.{key}: must be a positive number, got {value}")
         if head and hours and case_power and head > 0 and hours > 0 and case_power > 0:
-            cases.append(CaseSpec(index, head, hours, case_power, zoom_flag))
+            cases.append(CaseSpec(index, head, hours, case_power, get(section, "zoom", False)))
     if not any(name.startswith("case.") for name in parser.sections()):
         diags.append("cases: at least one [case.N] section is required")
     cases.sort(key=lambda c: c.index)
@@ -281,8 +268,8 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             dem_path=dem_path,
             dem_format=dem_format,
             lower=lower,
-            lower_elevation=get_float("dem", "lower_elevation", None),
-            pad_nonsquare=parser.getboolean("dem", "pad_nonsquare", fallback=False),
+            lower_elevation=get("dem", "lower_elevation"),
+            pad_nonsquare=get("dem", "pad_nonsquare", False),
             excluded_mask_file=excluded_path,
             power_mw=power_mw,
             efficiency=efficiency,
@@ -342,7 +329,7 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
     excluded = None
     if config.excluded_mask_file is not None:
         try:
-            excluded = load_mask(config.excluded_mask_file, grid.shape)
+            excluded = _grid_mask(config.excluded_mask_file, grid)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
     return grid, excluded

@@ -20,8 +20,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .model import CellNames, MipProblem, Sense, SitingVariables, VarKind, _Entries, _id_raster
+from .model import CellNames, MipProblem, Sense, SitingVariables, VarKind, _at, _id_raster, _RowFamilies
 from .terrain import EIGHT_NEIGHBORS, CandidateSets, count_components
+
+_EIGHT = np.array(EIGHT_NEIGHBORS).T
 
 
 class Level(IntEnum):
@@ -47,6 +49,7 @@ def parse_level(value) -> Level:
 
 def _add_band_constraints(
     prob: MipProblem,
+    families: _RowFamilies,
     tag: str,
     before_name: str,
     after_name: str,
@@ -60,24 +63,21 @@ def _add_band_constraints(
     forbidding any y in earlier slices and after_s = 1 forbidding any y in
     later slices (big-M switched). big M is the interior-candidate count, the
     tightest constant that still lets a fully flooded side of any slice switch
-    its constraint off.
+    its constraint off. The switches go into ``prob``, the rows into ``families``.
     """
     big_m = max(1.0, float(len(y)))
     s = np.arange(n)
     before = prob.add_variables(CellNames((f"{before_name}_{{}}",), s[:, None]))
     after = prob.add_variables(CellNames((f"{after_name}_{{}}",), s[:, None]))
-    block = _Entries()
-    block.add(3 * slice_of, y, 1.0)
-    block.add(3 * s, before, 1.0)
-    block.add(3 * s, after, 1.0)
-    k, earlier = np.nonzero(slice_of[:, None] < s)
-    block.add(3 * earlier + 1, y[k], 1.0)
-    block.add(3 * s + 1, before, big_m)
-    k, later = np.nonzero(slice_of[:, None] > s)
-    block.add(3 * later + 2, y[k], 1.0)
-    block.add(3 * s + 2, after, big_m)
+    k_e, earlier = np.nonzero(slice_of[:, None] < s)
+    k_l, later = np.nonzero(slice_of[:, None] > s)
     names = CellNames((f"{tag}gap_{{}}", f"{tag}pre_{{}}", f"{tag}post_{{}}"), s[:, None])
-    block.add_to(prob, names, (Sense.GE, Sense.LE, Sense.LE), (1.0, big_m, big_m))
+    families.add_terms(
+        names, (Sense.GE, Sense.LE, Sense.LE), (1.0, big_m, big_m),
+        (3 * slice_of, y, 1.0), (3 * s, before, 1.0), (3 * s, after, 1.0),
+        (3 * earlier + 1, y[k_e], 1.0), (3 * s + 1, before, big_m),
+        (3 * later + 2, y[k_l], 1.0), (3 * s + 2, after, big_m),
+    )
 
 
 def add_separating_planes(
@@ -90,14 +90,16 @@ def add_separating_planes(
     nr, nc = cands.shape
     y = sv.ids("y")
     i, j = sv.cells["y"].T
+    families = _RowFamilies()
     # "up" clears the rows above an empty row, "down" the rows below; the
     # column pair works the same way across columns.
-    _add_band_constraints(prob, "row", "up", "down", y, i, nr)
-    _add_band_constraints(prob, "col", "right", "left", y, j, nc)
+    _add_band_constraints(prob, families, "row", "up", "down", y, i, nr)
+    _add_band_constraints(prob, families, "col", "right", "left", y, j, nc)
     if include_diagonals:
         n_diag = nr + nc - 1
-        _add_band_constraints(prob, "adg", "adg_b", "adg_a", y, i + j, n_diag)
-        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", y, i - j + nc - 1, n_diag)
+        _add_band_constraints(prob, families, "adg", "adg_b", "adg_a", y, i + j, n_diag)
+        _add_band_constraints(prob, families, "mdg", "mdg_b", "mdg_a", y, i - j + nc - 1, n_diag)
+    families.add_to(prob)
 
 
 def add_tour_constraints(
@@ -140,39 +142,30 @@ def add_tour_constraints(
     s_bound = float(n)
 
     k = np.arange(n)
-    index = _id_raster(cands.shape, cells, k)  # perimeter index per cell, -1 elsewhere
-    nbr = np.stack([index[cells[:, 0] + 1 + di, cells[:, 1] + 1 + dj]
-                    for di, dj in EIGHT_NEIGHBORS], axis=1)
+    nbr = _at(_id_raster(cands.shape, cells, k), cells, _EIGHT)  # perimeter index, -1 elsewhere
     a, d = np.nonzero(nbr >= 0)
     b = nbr[a, d]
     arcs = np.column_stack([cells[a], cells[b]])
     w = prob.add_variables(CellNames(("w_{}_{}_{}_{}",), arcs))
     u = prob.add_variables(CellNames(("u_{}_{}",), cells), VarKind.CONTINUOUS,
                            0.0, s_bound - 1.0)
-    z, y = (_id_raster(cands.shape, sv.cells[f], sv.ids(f))[cells[:, 0] + 1, cells[:, 1] + 1]
-            for f in "zy")
+    z, y = (_at(_id_raster(cands.shape, sv.cells[f], sv.ids(f)), cells)[:, 0] for f in "zy")
     link = sv.ids("l")
 
-    block = _Entries()
-    block.add(4 * a, w, 1.0)
-    block.add(4 * b + 1, w, 1.0)
-    block.add_perimeter(4 * k, z, y, -1.0)
-    block.add_perimeter(4 * k + 1, z, y, -1.0)
-    block.add(4 * k + 2, u, 1.0)
-    block.add_perimeter(4 * k + 2, z, y, 1.0 - s_bound)
-    block.add(4 * k + 3, u, 1.0)
-    block.add(4 * k + 3, link, s_bound - 1.0)
+    families = _RowFamilies()
     patterns = ("deg_out_{}_{}", "deg_in_{}_{}", "rank_cap_{}_{}", "rank_root_{}_{}")
-    block.add_to(prob, CellNames(patterns, cells), (Sense.EQ, Sense.EQ, Sense.LE, Sense.LE),
-                 (0.0, 0.0, 0.0, s_bound - 1.0))
-
-    block = _Entries()
+    families.add_terms(
+        CellNames(patterns, cells), (Sense.EQ, Sense.EQ, Sense.LE, Sense.LE),
+        (0.0, 0.0, 0.0, s_bound - 1.0),
+        (4 * a, w, 1.0), (4 * b + 1, w, 1.0),
+        (4 * k, z, -1.0), (4 * k, y, 1.0), (4 * k + 1, z, -1.0), (4 * k + 1, y, 1.0),
+        (4 * k + 2, u, 1.0), (4 * k + 2, z, 1.0 - s_bound), (4 * k + 2, y, s_bound - 1.0),
+        (4 * k + 3, u, 1.0), (4 * k + 3, link, s_bound - 1.0),
+    )
     arc = np.arange(len(w))
-    block.add(arc, u[a], 1.0)
-    block.add(arc, u[b], -1.0)
-    block.add(arc, w, s_bound)
-    block.add(arc, link[b], -s_bound)
-    block.add_to(prob, CellNames(("mtz_{}_{}_{}_{}",), arcs), Sense.LE, s_bound - 1.0)
+    families.add_terms(CellNames(("mtz_{}_{}_{}_{}",), arcs), Sense.LE, s_bound - 1.0,
+                       (arc, u[a], 1.0), (arc, u[b], -1.0), (arc, w, s_bound), (arc, link[b], -s_bound))
+    families.add_to(prob)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .terrain import (
     DistanceField,
     TerrainGrid,
     _dilate4,
+    _four_sides,
     connected_components,
     count_components,
 )
@@ -563,24 +564,10 @@ def _id_raster(shape: tuple[int, int], cells: np.ndarray, ids: np.ndarray) -> np
     return raster
 
 
-class _Entries:
-    """COO triplets of one row block; entries on absent variables (-1) drop out."""
-
-    def __init__(self):
-        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, coef) -> None:
-        keep = cols >= 0
-        self.parts.append((rows[keep], cols[keep], np.full(cols.shape, coef, dtype=float)[keep]))
-
-    def add_perimeter(self, rows: np.ndarray, z: np.ndarray, y: np.ndarray, coef) -> None:
-        """``coef`` times the perimeter indicator x = z - y of the cells with ids ``z``, ``y``."""
-        self.add(rows, z, coef)
-        self.add(rows, y, -coef)
-
-    def add_to(self, prob: MipProblem, names, sense, rhs=0.0) -> None:
-        rows, cols, vals = (np.concatenate(p) for p in zip(*self.parts))
-        prob.add_rows(names, rows, cols, vals, sense, rhs)
+def _at(raster: np.ndarray, cells: np.ndarray, offsets: np.ndarray = _SELF) -> np.ndarray:
+    """Per cell of ``cells`` (rows) and offset (columns): the value of an
+    ``_id_raster`` at that cell shifted by the offset."""
+    return raster[cells[:, 0, None] + 1 + offsets[0], cells[:, 1, None] + 1 + offsets[1]]
 
 
 class _NameBlocks:
@@ -598,30 +585,44 @@ class _NameBlocks:
 
 class _RowFamilies:
     """Row families gathered in row order and added to a problem as one block,
-    which costs one ``add_rows`` call however many families there are."""
+    which costs one ``add_rows`` call however many families there are.
+
+    A family declares its names, its senses and its rhs (each one value, or
+    one per pattern of its names), and its entries come as terms or as a
+    fixed-width table of column ids. An entry on a negative id (no column)
+    drops out.
+    """
 
     def __init__(self):
         self.names: list = []
         self.parts: list[tuple[np.ndarray, ...]] = []
         self.n_rows = 0
 
-    def add(self, names, rows: np.ndarray, cols, vals, sense, rhs=0.0) -> None:
-        """A family as ``MipProblem.add_rows`` takes it: COO triplets over its own rows."""
+    def _add(self, names, sense, rhs, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
         n = len(names)
         self.names.append(names)
         self.parts.append((rows + self.n_rows, cols, vals, _codes(sense, n, Sense), _spread(rhs, n, float)))
         self.n_rows += n
 
-    def add_table(self, names, table: np.ndarray, coefs, sense, rhs=0.0,
+    def add_terms(self, names, sense, rhs, *terms: tuple[np.ndarray, np.ndarray, object]) -> None:
+        """A family whose entries are ``(rows, cols, coef)`` terms over its own
+        rows: coefficient ``coef`` (one value, or one per entry) on id
+        ``cols[k]`` in row ``rows[k]``."""
+        parts = []
+        for rows, cols, coef in terms:
+            keep = cols >= 0
+            parts.append((rows[keep], cols[keep], np.full(cols.shape, coef, dtype=float)[keep]))
+        self._add(names, sense, rhs, *(np.concatenate(p) for p in zip(*parts)))
+
+    def add_table(self, names, sense, rhs, table: np.ndarray, coefs,
                   keep: np.ndarray | None = None) -> None:
         """A family with one row per row of ``table``, a fixed-width table of
-        column ids: coefficient ``coefs[j]`` on id ``table[k, j]``, where that
-        id is not negative (no column). ``keep``, one flag per table row,
-        leaves out the rows it flags False."""
+        column ids: coefficient ``coefs[j]`` on id ``table[k, j]``. ``keep``,
+        one flag per table row, leaves out the rows it flags False."""
         if keep is not None:
             table = table[keep]
         rows, j = (table >= 0).nonzero()
-        self.add(names, rows, table[rows, j], np.asarray(coefs, dtype=float)[j], sense, rhs)
+        self._add(names, sense, rhs, rows, table[rows, j], np.asarray(coefs, dtype=float)[j])
 
     def add_to(self, prob: MipProblem) -> None:
         rows, cols, vals, senses, rhs = (np.concatenate(part) for part in zip(*self.parts))
@@ -640,14 +641,6 @@ class SitingProblem:
     cost_params: CostParams
     dist: DistanceField
     level: int
-
-
-def _four_sides(mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per cell, the value of ``mask`` at its up, down, left and right
-    neighbor; False where the neighbor is off the grid."""
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    return padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
 
 
 def _cell_volumes(grid: TerrainGrid, spec: SitingSpec, y_cells: np.ndarray) -> np.ndarray:
@@ -796,11 +789,6 @@ def build_siting_problem(
     Z, Y = (_id_raster(cands.shape, cells[f], ids[f]) for f in "zy")
     Z[1:-1, 1:-1][on] = _FIXED_ON  # no column, so entries on it drop out like absent ones
 
-    def at(raster: np.ndarray, c: np.ndarray, offsets: np.ndarray = _SELF) -> np.ndarray:
-        """Per cell of ``c`` (rows) and offset (columns): the raster's value
-        at that cell shifted by the offset."""
-        return raster[c[:, 0, None] + 1 + offsets[0], c[:, 1, None] + 1 + offsets[1]]
-
     def kept(keep: np.ndarray) -> np.ndarray | None:
         return None if keep.all() else keep
 
@@ -812,38 +800,36 @@ def build_siting_problem(
     # the (z, y) ids of each cell, and a row that holds a z fixed on is
     # satisfied and left out.
     families = _RowFamilies()
-    pz, py = at(Z, p_cells)[:, 0], at(Y, p_cells)[:, 0]
+    pz, py = _at(Z, p_cells)[:, 0], _at(Y, p_cells)[:, 0]
     on_perimeter = cands.perimeter_ok[y_cells[:, 0], y_cells[:, 1]]
     families.add_table(CellNames(("role_{}_{}",), y_cells),
-                       np.column_stack([at(Z, y_cells), ids["y"]]), (-1.0, 1.0),
-                       np.where(on_perimeter, int(Sense.LE), int(Sense.EQ)))
+                       np.where(on_perimeter, int(Sense.LE), int(Sense.EQ)), 0.0,
+                       np.column_stack([_at(Z, y_cells), ids["y"]]), (-1.0, 1.0))
 
     # The stencil's middle column is the cell's own z; a cell fixed on has a
     # neighbour fixed on too, so testing the whole stencil drops the same rows.
-    stencil = at(Z, p_cells, _STENCIL)
+    stencil = _at(Z, p_cells, _STENCIL)
     keep = kept((stencil != _FIXED_ON).all(axis=1))
     m = float(perimeter_min_neighbors)
-    families.add_table(CellNames(("contact_{}_{}",), p_cells, keep),
-                       np.column_stack([stencil, py]), (-1.0, -1.0, m, -1.0, -1.0, -m),
-                       Sense.LE, keep=keep)
+    families.add_table(CellNames(("contact_{}_{}",), p_cells, keep), Sense.LE, 0.0,
+                       np.column_stack([stencil, py]), (-1.0, -1.0, m, -1.0, -1.0, -m), keep=keep)
 
-    nbr = at(Z, y_cells, _FOUR).ravel()  # row 4k + d: cell k, direction d
+    nbr = _at(Z, y_cells, _FOUR).ravel()  # row 4k + d: cell k, direction d
     keep = kept(nbr != _FIXED_ON)
     inter = tuple(f"inter_{{}}_{{}}_{d}" for d in _DIRECTIONS)
-    families.add_table(CellNames(inter, y_cells, keep),
+    families.add_table(CellNames(inter, y_cells, keep), Sense.LE, 0.0,
                        np.column_stack([nbr, np.repeat(ids["y"], len(FOUR_NEIGHBORS))]),
-                       (-1.0, 1.0), Sense.LE, keep=keep)
+                       (-1.0, 1.0), keep=keep)
 
     ny = len(y_cells)
-    families.add(["volume"], np.zeros(ny, dtype=np.int64), ids["y"], volume, Sense.GE, spec.vol_min)
+    families.add_terms(["volume"], Sense.GE, spec.vol_min, (np.zeros(ny, dtype=np.int64), ids["y"], volume))
 
     off = keep_l & ~on_p  # linkx rows: the link cells off D
-    families.add_table(CellNames(("linkx_{}_{}",), p_cells[off]),
-                       np.column_stack([pz[off], py[off], ids["l"][off[keep_l]]]),
-                       (-1.0, 1.0, 1.0), Sense.LE)
+    families.add_table(CellNames(("linkx_{}_{}",), p_cells[off]), Sense.LE, 0.0,
+                       np.column_stack([pz[off], py[off], ids["l"][off[keep_l]]]), (-1.0, 1.0, 1.0))
     nl = len(ids["l"])
     if nl:
-        families.add(["link_sum"], np.zeros(nl, dtype=np.int64), ids["l"], np.ones(nl), Sense.EQ, 1.0)
+        families.add_terms(["link_sum"], Sense.EQ, 1.0, (np.zeros(nl, dtype=np.int64), ids["l"], 1.0))
     families.add_to(prob)
 
     # a wet perimeter cell's embankment sits on x = z - y; it lies below the

@@ -283,7 +283,8 @@ def verify_solution(problem: MipProblem, values: Mapping[str, float] | np.ndarra
             issues.append(f"{names[vid]}={v} not integral")
 
     rhs = problem.rhs
-    is_le, is_ge = problem.senses == Sense.LE, problem.senses == Sense.GE
+    senses = problem.senses
+    is_le, is_ge = senses == int(Sense.LE), senses == int(Sense.GE)
     row_names = problem.row_names() if violated.any() else []
     for rid in np.flatnonzero(violated).tolist():
         op = ">" if is_le[rid] else "<" if is_ge[rid] else "!="

@@ -112,8 +112,6 @@ class TraceEntry:
 
 def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
     """Report the largest problem solved and the summed wall time."""
-    if not trace:
-        return solution
     return replace(
         solution,
         wall_time_s=sum(t.wall_time_s for t in trace),
@@ -147,7 +145,6 @@ def run_ladder(
     excluded=None,
     time_budget_s: float | None = None,
     zoom_factor: int = 1,
-    trace_out: list[TraceEntry] | None = None,
 ) -> ReservoirSolution:
     """Escalate connectivity defenses until flood fill sees one reservoir.
 
@@ -163,7 +160,7 @@ def run_ladder(
         dist = distance_field(grid, config.distance_metric)
 
     total = time_budget_s if time_budget_s is not None else config.time_limit_s
-    trace: list[TraceEntry] = trace_out if trace_out is not None else []
+    trace: list[TraceEntry] = []
     best_fragmented: ReservoirSolution | None = None
 
     for level, budget in zip(config.ladder, _budgets(total, config.budget, len(config.ladder))):
@@ -181,7 +178,7 @@ def run_ladder(
             level.name, entry.status, entry.path, entry.objective, solution.n_components,
         )
         if solution.connected:
-            return _aggregate_totals(replace(solution, valid=True), trace)
+            return _aggregate_totals(solution, trace)
         if best_fragmented is None or (
             solution.objective_value is not None
             and solution.objective_value < best_fragmented.objective_value
@@ -189,7 +186,7 @@ def run_ladder(
             best_fragmented = solution
 
     if best_fragmented is not None:
-        return _aggregate_totals(replace(best_fragmented, valid=False), trace)
+        return _aggregate_totals(best_fragmented, trace)
     raise NoIncumbentError("every ladder level ended without an incumbent", trace)
 
 
@@ -229,16 +226,6 @@ def _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor):
     return solution, entry
 
 
-def _window_to_coarse(window: tuple[int, int, int, int], factor: int, shape) -> np.ndarray:
-    r0, c0, nr, nc = window
-    cr0, cc0 = r0 // factor, c0 // factor
-    cr1 = min(-(-(r0 + nr) // factor), shape[0])
-    cc1 = min(-(-(c0 + nc) // factor), shape[1])
-    mask = np.zeros(shape, dtype=bool)
-    mask[cr0:cr1, cc0:cc1] = True
-    return mask
-
-
 def run_zoom_in(
     grid: TerrainGrid,
     spec: SitingSpec,
@@ -264,7 +251,8 @@ def run_zoom_in(
     coarse_config = replace(config, ladder=config.ladder[:1])
 
     trace: list[TraceEntry] = []
-    window = (0, 0, grid.nrows, grid.ncols)
+    last = (grid.nrows - 1, grid.ncols - 1)
+    corners = np.array([(0, 0), last])  # the window's first and last fine cell
     solution: ReservoirSolution | None = None
 
     budgets = _budgets(config.time_limit_s, config.budget, len(config.zoom_factors))
@@ -276,7 +264,7 @@ def run_zoom_in(
                 "rule); use smaller zoom factors or a wider lower body"
             )
         coarse_dist = distance_field(coarse, config.distance_metric)
-        sub, (roff, coff) = clip(coarse, _window_to_coarse(window, factor, coarse.shape), 0)
+        sub, (roff, coff) = clip(coarse, corners // factor, 0)
         rows, cols = slice(roff, roff + sub.nrows), slice(coff, coff + sub.ncols)
         sub_dist = DistanceField(
             coarse_dist.values[rows, cols], sub.cell_length, coarse_dist.metric
@@ -289,32 +277,28 @@ def run_zoom_in(
             padded[: grid.nrows, : grid.ncols] = excluded_mask
             sub_excluded = padded.reshape(nr, factor, nc, factor).any(axis=(1, 3))[rows, cols]
 
-        stage_trace: list[TraceEntry] = []
-        failure: Exception | None = None
+        stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
         try:
             solution = run_ladder(
                 sub, spec, params, config if factor == 1 else coarse_config,
-                dist=sub_dist, excluded=sub_excluded,
-                time_budget_s=budget, zoom_factor=factor, trace_out=stage_trace,
+                dist=sub_dist, excluded=sub_excluded, time_budget_s=budget, zoom_factor=factor,
             )
         except (InfeasibleProblemError, NoIncumbentError) as exc:
-            failure = exc
-        stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
-        trace.extend(replace(t, stage="zoom", window=stage_window) for t in stage_trace)
-        if failure is not None:
+            # a NoIncumbentError carries the stage's trace; an
+            # InfeasibleProblemError is raised before its first entry
+            trace.extend(replace(t, stage="zoom", window=stage_window)
+                         for t in getattr(exc, "trace", ()))
             raise NoIncumbentError(
-                f"zoom level (factor {factor}) produced no incumbent: {failure}", trace
-            ) from failure
+                f"zoom level (factor {factor}) produced no incumbent: {exc}", trace
+            ) from exc
+        trace.extend(replace(t, stage="zoom", window=stage_window) for t in solution.trace)
 
         # The next window covers every cell of the incumbent's reservoir; the
         # extraction prune has already cleared the components it does not need.
-        cells = np.argwhere(solution.reservoir_mask)
+        cells = (np.argwhere(solution.reservoir_mask) + (roff, coff)) * factor
         margin = config.clip_margin if config.clip_margin is not None else default_clip_margin(factor)
-        r0 = max(0, int(cells[:, 0].min() + roff) * factor - margin)
-        c0 = max(0, int(cells[:, 1].min() + coff) * factor - margin)
-        r1 = min(grid.nrows, int(cells[:, 0].max() + roff + 1) * factor + margin)
-        c1 = min(grid.ncols, int(cells[:, 1].max() + coff + 1) * factor + margin)
-        window = (r0, c0, r1 - r0, c1 - c0)
+        corners = np.array([np.maximum(cells.min(axis=0) - margin, 0),
+                            np.minimum(cells.max(axis=0) + factor - 1 + margin, last)])
 
     assert solution is not None
     # The last zoom factor is 1, so (roff, coff) places the native window.

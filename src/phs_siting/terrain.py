@@ -74,6 +74,8 @@ class TerrainGrid:
     The grid is immutable, so it keeps what ``aggregate`` and
     ``distance_field`` derive from it: each coarse grid and each distance
     field is computed once per grid and lives as long as the grid.
+    ``load_grid`` notes there the shape of the file it read, which
+    ``_grid_mask`` reads back.
     """
 
     elevations: np.ndarray
@@ -345,6 +347,7 @@ def load_grid(
     nodata = np.zeros(values.shape, dtype=bool) if nodata_value is None else values == nodata_value
     values = np.where(nodata, np.nan, values)
 
+    file_shape = values.shape
     if values.shape[0] != values.shape[1]:
         if not pad_nonsquare:
             raise GridFormatError(
@@ -352,6 +355,7 @@ def load_grid(
                 "square input required (set pad_nonsquare to pad with NODATA)"
             )
         values, nodata = _pad_square(values, nodata)
+        yll -= (values.shape[0] - file_shape[0]) * cell_length  # rows go in at the bottom
 
     if isinstance(lower, ByElevation):
         with np.errstate(invalid="ignore"):
@@ -359,7 +363,7 @@ def load_grid(
         lower_mask &= ~nodata
         level = lower.level if lower_elevation is None else lower_elevation
     elif isinstance(lower, MaskFile):
-        lower_mask = load_mask(lower.path, values.shape)
+        lower_mask = _read_mask(lower.path, file_shape, values.shape)
         if np.any(lower_mask & nodata):
             raise GridFormatError("lower mask covers NODATA cells")
         if lower_elevation is not None:
@@ -375,27 +379,43 @@ def load_grid(
         raise InfeasibleProblemError(
             "lower-body mask is empty; the siting model requires an existing lower reservoir"
         )
-    return TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+    grid = TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+    grid._derived["file_shape"] = file_shape
+    return grid
 
 
 def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
     """Read a 0/1 ESRI ASCII raster of the DEM's shape as a bool mask; other values
     (the file's NODATA_value too) raise GridFormatError."""
+    return _read_mask(path, shape, shape)
+
+
+def _grid_mask(path: str | Path, grid: TerrainGrid) -> np.ndarray:
+    """``load_mask`` for a grid that ``load_grid`` read: a mask of the DEM
+    file's own shape is padded as ``pad_nonsquare`` padded the DEM."""
+    return _read_mask(path, grid._derived.get("file_shape", grid.shape), grid.shape)
+
+
+def _read_mask(path: str | Path, file_shape: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
+    """A 0/1 mask of ``shape``, read from a raster of that shape or of
+    ``file_shape``, the DEM file's shape before padding; the padding is False."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise GridFormatError(f"cannot read {path}: {exc}") from exc
     values, _ = _parse_esri_ascii(text, str(path))
-    if values.shape != tuple(shape):
+    if values.shape not in (tuple(file_shape), tuple(shape)):
         raise GridFormatError(
-            f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}"
+            f"mask shape {values.shape} does not match DEM {tuple(file_shape)} in {path}"
         )
     odd = (values != 0) & (values != 1)
     if odd.any():
         i, j = np.argwhere(odd)[0].tolist()
         raise GridFormatError(f"mask value {values[i, j]:g} at (row, col) ({i}, {j}) is not 0 or 1 in {path}")
-    return values == 1
+    mask = np.zeros(shape, dtype=bool)
+    mask[: values.shape[0], : values.shape[1]] = values == 1
+    return mask
 
 
 def write_esri_ascii(
@@ -534,13 +554,18 @@ def clip(
 # ---------------------------------------------------------------------------
 
 
+def _four_sides(mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per cell, the value of ``mask`` at its up, down, left and right
+    neighbor; False where the neighbor is off the grid."""
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    return padded[:-2, 1:-1], padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]
+
+
 def _dilate4(mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mask)
-    out[:-1, :] |= mask[1:, :]
-    out[1:, :] |= mask[:-1, :]
-    out[:, :-1] |= mask[:, 1:]
-    out[:, 1:] |= mask[:, :-1]
-    return out
+    """True where a 4-neighbor of the cell is True in ``mask``."""
+    up, down, left, right = _four_sides(mask)
+    return up | down | left | right
 
 
 def candidate_sets(

@@ -131,6 +131,75 @@ def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, ex
     assert validate_config(micro_config) == expected
 
 
+# Each value is read as its key's type before any check: a boolean or a
+# lower_elevation that does not read is reported once, never raised or ignored.
+@pytest.mark.parametrize(
+    "mutation,expected",
+    [
+        (("zoom = yes", "zoom = maybe"), "case.2.zoom: not a boolean ('maybe')"),
+        (("lower_tolerance = 0.5", "lower_tolerance = 0.5\npad_nonsquare = perhaps"),
+         "dem.pad_nonsquare: not a boolean ('perhaps')"),
+        (("lower_tolerance = 0.5", "lower_tolerance = 0.5\nlower_elevation = abc"),
+         "dem.lower_elevation: not a number ('abc')"),
+        (("lower_tolerance = 0.5", "lower_tolerance = 0.5\nlower_elevation = inf"),
+         "dem.lower_elevation: not a finite number (inf)"),
+    ],
+)
+def test_validate_reports_a_value_that_does_not_read(micro_config, capsys, mutation, expected):
+    micro_config.write_text(micro_config.read_text().replace(*mutation))
+    assert validate_config(micro_config) == [expected]
+    assert main(["validate", str(micro_config)]) == 1
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_booleans_and_lower_elevation_are_read(micro_config):
+    micro_config.write_text(micro_config.read_text()
+                            .replace("zoom = no", "zoom = on")
+                            .replace("lower_tolerance = 0.5",
+                                     "lower_tolerance = 0.5\npad_nonsquare = true\nlower_elevation = 385.25"))
+    config = load_case_config(micro_config)
+    assert [case.zoom for case in config.cases] == [True, True]
+    assert config.pad_nonsquare is True and config.lower_elevation == 385.25
+
+
+def _with_costs(config_path, lines):
+    config_path.write_text(config_path.read_text().replace("[strategy]", f"[costs]\n{lines}\n\n[strategy]"))
+
+
+@pytest.mark.parametrize(
+    "lines,expected",
+    [
+        ("foo = 1", ["costs.foo: unknown cost parameter"]),
+        ("em_b = -1", ["costs: em_b must be positive"]),
+        ("em_a = 3068\nslope_hv = 0", ["costs: slope_hv must be positive"]),
+        ("em_a = abc", ["costs.em_a: not a number ('abc')"]),
+    ],
+)
+def test_validate_reports_bad_cost_parameters(micro_config, lines, expected):
+    _with_costs(micro_config, lines)
+    assert validate_config(micro_config) == expected
+    assert main(["validate", str(micro_config)]) == 1
+
+
+def test_cost_override_changes_the_reported_total(micro_config, tmp_path):
+    totals = []
+    for lines in ("", "em_a = 6136"):
+        _with_costs(micro_config, lines)
+        config = dataclasses.replace(load_case_config(micro_config), output_dir=tmp_path / f"out{len(totals)}")
+        assert run_batch(config) == 0
+        with open(config.output_dir / "report_costs.csv") as fh:
+            totals.append(next(csv.DictReader(fh)))
+        micro_config.write_text(CONFIG)
+    default, doubled = totals
+    assert load_case_config(micro_config).cost_params == ps.CostParams()
+    assert float(doubled["equipment_usd"]) > float(default["equipment_usd"])
+    # the site is the same, so only the equipment line moves the total
+    for key in ("embankment_usd", "conveyance_excavation_usd", "conveyance_lining_usd"):
+        assert doubled[key] == default[key], key
+    assert float(doubled["total_usd"]) - float(default["total_usd"]) == pytest.approx(
+        float(doubled["equipment_usd"]) - float(default["equipment_usd"]), abs=0.02)
+
+
 def test_validate_rejects_stale_solver_keys(micro_config):
     micro_config.write_text(micro_config.read_text().replace(*STALE_SOLVER_KEYS))
     diags = validate_config(micro_config)
@@ -163,6 +232,26 @@ def test_excluded_mask_of_wrong_shape_is_reported(micro_config, tmp_path, capsys
     assert main(["run", str(micro_config)]) == 2
     assert "dem.excluded_mask_file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_nonsquare_dem_takes_masks_of_its_own_shape(micro_config, tmp_path):
+    # the top six rows of the micro DEM: pad_nonsquare adds two NODATA rows at
+    # the bottom, and the masks and the written rasters keep the file's top edge
+    dem = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0, 0.5))
+    ps.write_esri_ascii(tmp_path / "dem.asc", dem.elevations[:6], 34.0, value_format="{:.6g}")
+    micro_config.write_text(micro_config.read_text().replace(
+        "lower_tolerance = 0.5", "lower_tolerance = 0.5\npad_nonsquare = yes"))
+    _exclude(micro_config, (6, 8), (0, 7))
+    assert validate_config(micro_config) == []
+    config = load_case_config(micro_config)
+    grid, excluded = _load_terrain(config)
+    assert grid.shape == (8, 8) and grid.nodata[6:].all()
+    assert excluded.shape == (8, 8) and np.argwhere(excluded).tolist() == [[0, 7]]
+    assert grid.yllcorner + grid.nrows * grid.cell_length == 6 * 34.0
+    assert run_batch(config) == 0
+    for k in (1, 2):
+        mask = ps.load_grid(tmp_path / "out" / f"case_{k}_mask.asc", "esri_ascii", ps.ByElevation(0.0, 0.25))
+        assert mask.yllcorner + mask.nrows * mask.cell_length == 6 * 34.0
 
 
 def test_excluded_mask_with_nodata_is_reported(micro_config):

@@ -359,6 +359,21 @@ def test_structural_compare_reports_each_difference(change, needle):
     assert needle in diffs, diffs
 
 
+def test_structural_compare_reports_counts_and_objective_constant():
+    base = _two_row_problem()
+    wider = _two_row_problem()
+    add_variable(wider, "v")
+    assert ps.problems_structurally_equal(base, wider) == ["variable count 2 != 3"]
+    taller = _two_row_problem()
+    add_row(taller, "t", [(0, 1.0)], Sense.LE, 1.0)
+    add_variable(taller, "v")
+    # counts that differ are all that is reported
+    assert ps.problems_structurally_equal(base, taller) == ["variable count 2 != 3", "constraint count 2 != 3"]
+    shifted = _two_row_problem()
+    shifted.set_objective({0: 1.25}, constant=-42.0)
+    assert ps.problems_structurally_equal(base, shifted) == ["objective constant differs"]
+
+
 # The readers' malformed inputs: whole files of the two-row problem (u
 # continuous in the malformed-file cases), each with one fault, written out so
 # that they do not depend on the writers' layout.

@@ -427,6 +427,17 @@ def test_zoom_masks_live_in_full_frame():
     assert ps.verify_masks(grid, cands, spec, zoomed) == []
 
 
+def test_zoom_flags_a_site_that_fails_the_full_grid_check(monkeypatch, caplog):
+    import phs_siting.strategy as strategy
+
+    monkeypatch.setattr(strategy, "verify_masks", lambda *args: ["stub violation"])
+    with caplog.at_level("WARNING", logger="phs_siting.strategy"):
+        zoomed = ps.run_zoom_in(_zoomable_pit_grid(), spec_for_volume(100_000.0),
+                                config=StrategyConfig(zoom_factors=(2, 1)))
+    assert zoomed.connected and not zoomed.valid
+    assert "stub violation" in caplog.text
+
+
 def test_window_check_equals_full_grid_check():
     """``run_zoom_in`` checks the final site on its window grown by one cell;
     on random sites and mutated ones, in windows inside the grid and at its

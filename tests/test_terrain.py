@@ -79,6 +79,40 @@ def test_nonsquare_rejected_or_padded(tmp_path):
     assert grid.nodata[3, :].all()
 
 
+@pytest.mark.parametrize("file_shape", [(4, 6), (6, 4)])
+def test_nonsquare_padding_keeps_masks_and_georeference(tmp_path, file_shape):
+    # rows are padded at the bottom and columns at the right; a mask of the
+    # file's own shape is padded alike, and the top and left edges stay put
+    rows, cols = file_shape
+    elev = np.full(file_shape, 600.0)
+    elev[:, 0] = 385.0
+    ps.write_esri_ascii(tmp_path / "dem.asc", elev, 34.0, xllcorner=1000.0, yllcorner=2000.0)
+    lower = (elev == 385.0).astype(float)
+    ps.write_esri_ascii(tmp_path / "lower.asc", lower, 34.0, value_format="{:.0f}")
+    side = max(file_shape)
+    grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "lower.asc"),
+                        pad_nonsquare=True)
+    assert grid.shape == (side, side)
+    assert grid.lower_mask[:rows, 0].all() and grid.lower_mask.sum() == rows
+    assert grid.nodata[rows:, :].all() and grid.nodata[:, cols:].all()
+    assert grid.xllcorner == 1000.0
+    assert grid.yllcorner + grid.nrows * grid.cell_length == 2000.0 + rows * 34.0
+
+    # a hand-padded mask is still taken as it is; any other shape is refused
+    padded = np.zeros((side, side))
+    padded[:rows, :cols] = lower
+    ps.write_esri_ascii(tmp_path / "padded.asc", padded, 34.0, value_format="{:.0f}")
+    again = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "padded.asc"),
+                         pad_nonsquare=True)
+    assert np.array_equal(again.lower_mask, grid.lower_mask)
+    for shape in ((cols, rows), (side - 1, side)):
+        ps.write_esri_ascii(tmp_path / "odd.asc", np.zeros(shape), 34.0, value_format="{:.0f}")
+        with pytest.raises(ps.GridFormatError,
+                           match=rf"mask shape \({shape[0]}, {shape[1]}\) does not match DEM \({rows}, {cols}\)"):
+            ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "odd.asc"),
+                         pad_nonsquare=True)
+
+
 def test_csv_grid_with_sidecar(tmp_path):
     path = tmp_path / "grid.csv"
     path.write_text("385,385,500\n385,600,600\n385,600,600\n")
@@ -350,6 +384,17 @@ def test_clip_rectangular_box():
     sub, offset = ps.clip(grid, mask, 4)
     assert sub.shape == (18, 14)
     assert offset == (6, 8)
+
+
+@pytest.mark.parametrize("cell,offset", [((0, 0), (0, 0)), ((2, 2), (1, 1)), ((4, 4), (2, 2))])
+def test_clip_widens_a_window_below_the_minimum_side(cell, offset):
+    # one cell and no margin: the window grows a cell each way, stopping at
+    # the grid edge, until it has the minimum side of 3
+    elev = _square_grid(5)
+    grid = ps.TerrainGrid(elev, 10.0, elev == 300.0, np.zeros((5, 5), bool), 300.0)
+    sub, origin = ps.clip(grid, [cell], 0)
+    assert sub.shape == (3, 3) and origin == offset
+    assert np.array_equal(sub.elevations, elev[offset[0] : offset[0] + 3, offset[1] : offset[1] + 3])
 
 
 def test_clip_empty_mask_rejected():
