@@ -30,7 +30,7 @@ from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import ByElevation, MaskFile, TerrainGrid, _grid_mask, load_grid, write_esri_ascii
+from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, load_mask, write_esri_ascii
 
 logger = logging.getLogger(__name__)
 
@@ -329,7 +329,7 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
     excluded = None
     if config.excluded_mask_file is not None:
         try:
-            excluded = _grid_mask(config.excluded_mask_file, grid)
+            excluded = load_mask(config.excluded_mask_file, grid)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
     return grid, excluded

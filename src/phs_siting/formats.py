@@ -215,14 +215,15 @@ def _read_model(path: str, name: str) -> MipProblem:
     col_lower, col_upper = np.array(lp.col_lower_), np.array(lp.col_upper_)
     integer = var_types == _INTEGER if var_types.size else np.zeros(lp.num_col_, dtype=bool)
     binary = integer & (col_lower == 0.0) & (col_upper == 1.0)
-    kinds = np.where(binary, VarKind.BINARY, np.where(integer, VarKind.INTEGER, VarKind.CONTINUOUS))
+    kinds = np.where(binary, int(VarKind.BINARY),
+                     np.where(integer, int(VarKind.INTEGER), int(VarKind.CONTINUOUS)))
     # HiGHS reads lb > ub with a warning; add_variables raises first, naming the variable
     problem.add_variables(col_names, kinds, col_lower, col_upper)
     if status != HighsStatus.kOk:
         raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
                               "such as an entry on an undeclared row or a repeated column")
     a = lp.a_matrix_  # colwise
-    senses = np.where(le, Sense.LE, np.where(ge, Sense.GE, Sense.EQ))
+    senses = np.where(le, int(Sense.LE), np.where(ge, int(Sense.GE), int(Sense.EQ)))
     problem.add_rows(row_names, a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
                      a.value_, senses, np.where(le, upper, lower))
     cost = np.array(lp.col_cost_)

@@ -327,6 +327,19 @@ def oracle_enumerate(
     satisfy the volume target; with ``require_connected`` the subset must be
     one 4-connected component. Holes (ring reservoirs) are allowed. The link
     is placed on the cheapest-conveyance perimeter cell.
+
+    The enumeration is a bitset kernel. Subset s is the word whose bit k marks
+    candidate k (int32 up to 30 candidates, int64 above), and the kernel holds
+    all 2^m words at once, so its memory is a few arrays of 2^m words: 1 MB
+    each at the default ``max_cells``, 8 MB each at 21. The cells next to a
+    subset come from 64-entry tables, one per 6-bit chunk of the word. The
+    interior cells and both perimeter tests (every perimeter cell eligible and
+    next to the reservoir) are whole-word operations over every word; the
+    volume, the connectivity test (frontier growth), the embankment and the
+    link run on the words that pass. Sums run in the candidate order k, and
+    the winner is the first subset, in index order, whose cost beats the
+    running best by 1e-12, so the optimum, its ties and both counts are those
+    of a plain per-subset loop.
     """
     params = cost_params or CostParams()
     cands = candidate_sets(grid, spec.water_elevation, excluded)
@@ -345,7 +358,6 @@ def oracle_enumerate(
     y_ok = np.zeros(m, dtype=bool)
     req4_ok = np.zeros(m, dtype=bool)
     x_ok = np.zeros(m, dtype=bool)
-    req4_mask = np.zeros(m, dtype=np.int64)
     adj4_mask = np.zeros(m, dtype=np.int64)
     vol = np.zeros(m)
     emb = np.zeros(m)
@@ -361,7 +373,6 @@ def oracle_enumerate(
                 nbr_bits |= 1 << index[nbr]
                 nbr_count += 1
         adj4_mask[k] = nbr_bits
-        req4_mask[k] = nbr_bits
         req4_ok[k] = nbr_count == 4
         if y_ok[k]:
             vol[k] = (spec.water_elevation - float(grid.elevations[i, j])) * grid.cell_area
@@ -372,77 +383,94 @@ def oracle_enumerate(
     conv[x_ok] = excavation + lining
     equip = equipment_cost(spec.head_m, spec.power_mw, params)
 
+    # Word s is the subset of the cells k whose bit k is set; s = 0 is empty.
     n_subsets = (1 << m) - 1
-    subsets = np.arange(1, n_subsets + 1, dtype=np.int64)
+    word = np.int32 if m <= 30 else np.int64
+    subsets = np.arange(n_subsets + 1, dtype=word)
+    interior = np.flatnonzero(y_ok & req4_ok).tolist()
+    interior_bits = sum(1 << k for k in interior)
+    not_perimeter = sum(1 << k for k in np.flatnonzero(~x_ok).tolist())
+
+    # N(s), the cells 4-adjacent to a cell of s, is the OR over the 6-bit
+    # chunks of s of a lookup in that chunk's table of neighbour unions.
+    tables = []
+    for low in range(0, m, 6):
+        chunk = (np.arange(1 << min(6, m - low))[:, None] >> np.arange(min(6, m - low))) & 1
+        tables.append(np.bitwise_or.reduce(chunk * adj4_mask[low:low + 6], axis=1).astype(word))
+
+    def reach(words: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(words)
+        for c, table in enumerate(tables):
+            out |= table[(words >> 6 * c) & 63]
+        return out
+
+    def reach_all(parts: list[np.ndarray]) -> np.ndarray:
+        """Entry s is the OR of ``parts[c]`` at chunk c of s, for every word s."""
+        out = np.zeros(1, dtype=word)
+        for part in parts:
+            out = (part[:, None] | out).ravel()
+        return out
 
     # Interior assignment is greedy-maximal: it never hurts cost or volume.
-    y_bits = np.zeros_like(subsets)
-    for k in range(m):
-        if y_ok[k] and req4_ok[k]:
-            member = (subsets >> k) & 1
-            covered = (subsets & req4_mask[k]) == req4_mask[k]
-            y_bits |= (member & covered) << k
-    x_bits = subsets & ~y_bits
+    # A cell of s that may be interior is, unless it neighbours a cell outside
+    # s: one in N(~s), whose chunks index the tables from the end.
+    y_bits = ~reach_all([table[::-1] for table in tables])
+    y_bits &= subsets & interior_bits
+    x_bits = subsets ^ y_bits
 
-    feasible = np.ones(n_subsets, dtype=bool)
-    volume = np.zeros(n_subsets)
-    emb_total = np.zeros(n_subsets)
-    for k in range(m):
-        x_member = ((x_bits >> k) & 1).astype(bool)
-        if not x_ok[k]:
-            feasible &= ~x_member
-        else:
-            feasible &= ~(x_member & ((subsets & adj4_mask[k]) == 0))
-            emb_total += emb[k] * x_member
-        volume += vol[k] * ((y_bits >> k) & 1)
-    feasible &= x_bits != 0
-    feasible &= volume >= spec.vol_min * (1 - 1e-9)
+    # Every perimeter cell must be perimeter-eligible and touch the reservoir,
+    # so x lies in N(s) less the ineligible cells. x is empty only for s = 0:
+    # the topmost cell of s has no neighbour above it in s.
+    allowed = reach_all(tables) & ~not_perimeter
+    ok = (x_bits | allowed) == allowed
+    ok[0] = False
+    keep = np.flatnonzero(ok)
 
-    adj_bits = [int(v) for v in adj4_mask]
-
-    def connected(bits: int) -> bool:
-        start = bits & -bits
-        visited = start
-        frontier = start
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                lsb = f & -f
-                grow |= adj_bits[lsb.bit_length() - 1]
-                f ^= lsb
-            frontier = grow & bits & ~visited
+    # The float work runs on the survivors only, summing in the order k.
+    # Zero terms leave a sum as it is, so only interior cells add.
+    yb = y_bits[keep]
+    volume = np.zeros(len(keep))
+    for k in interior:
+        volume += vol[k] * ((yb >> k) & 1)
+    keep = keep[volume >= spec.vol_min * (1 - 1e-9)]
+    s, yb, xb = keep.astype(word), y_bits[keep], x_bits[keep]
+    if require_connected:
+        # Grow from the lowest cell; each pass adds the next ring of s.
+        visited = s & -s
+        frontier = visited
+        while frontier.any():
+            frontier = reach(frontier) & s & ~visited
             visited |= frontier
-        return visited == bits
+        connected = visited == s
+        s, yb, xb = s[connected], yb[connected], xb[connected]
+    n_feasible = len(s)
 
+    emb_total = np.zeros(n_feasible)
+    link_cost = np.full(n_feasible, np.inf)
+    link_k = np.full(n_feasible, -1)
+    for k in np.flatnonzero(x_ok).tolist():
+        x_member = ((xb >> k) & 1).astype(bool)
+        emb_total += emb[k] * x_member
+        cheaper = x_member & (conv[k] < link_cost)
+        link_cost[cheaper] = conv[k]
+        link_k[cheaper] = k
+    costs = emb_total + link_cost + equip
+
+    # The first subset, in index order, that beats the running best by 1e-12
+    # wins. Each such subset is cheaper than every subset before it, so only
+    # the running-minimum records need the sequential test.
+    earlier = np.minimum.accumulate(np.concatenate(([np.inf], costs)))[:-1]
     best_cost = math.inf
     best = None
-    n_feasible = 0
-    for idx in np.flatnonzero(feasible):
-        s = int(subsets[idx])
-        if require_connected and not connected(s):
-            continue
-        n_feasible += 1
-        xb = int(x_bits[idx])
-        link_k = None
-        link_cost = math.inf
-        b = xb
-        while b:
-            lsb = b & -b
-            k = lsb.bit_length() - 1
-            if conv[k] < link_cost:
-                link_cost = conv[k]
-                link_k = k
-            b ^= lsb
-        cost = float(emb_total[idx]) + link_cost + equip
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best = (s, int(y_bits[idx]), xb, link_k)
+    for r in np.flatnonzero(costs < earlier).tolist():
+        if costs[r] < best_cost - 1e-12:
+            best_cost = costs[r]
+            best = r
 
     if best is None:
         raise InfeasibleProblemError("oracle found no feasible configuration")
 
-    s, yb, xb, link_k = best
+    s, yb, xb, link_k = int(s[best]), int(yb[best]), int(xb[best]), int(link_k[best])
     shape = grid.shape
     x_mask = np.zeros(shape, dtype=bool)
     y_mask = np.zeros(shape, dtype=bool)

@@ -49,14 +49,20 @@ def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
         if arr.shape != tuple(shape):
             raise ValueError(f"mask shape {arr.shape} does not match the grid {tuple(shape)}")
         return arr.copy()
-    cells = arr.reshape(-1, 2).astype(int)
+    cells = _cell_array(arr, shape)
+    mask = np.zeros(shape, dtype=bool)
+    mask[cells[:, 0], cells[:, 1]] = True
+    return mask
+
+
+def _cell_array(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """(i, j) cells as an (n, 2) int array; a cell outside the grid raises ValueError."""
+    cells = cells.reshape(-1, 2).astype(int)
     outside = ((cells < 0) | (cells >= shape)).any(axis=1)
     if outside.any():
         i, j = cells[outside.argmax()].tolist()
         raise ValueError(f"cell ({i}, {j}) is outside the {shape[0]}x{shape[1]} grid")
-    mask = np.zeros(shape, dtype=bool)
-    mask[cells[:, 0], cells[:, 1]] = True
-    return mask
+    return cells
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class TerrainGrid:
     ``distance_field`` derive from it: each coarse grid and each distance
     field is computed once per grid and lives as long as the grid.
     ``load_grid`` notes there the shape of the file it read, which
-    ``_grid_mask`` reads back.
+    ``load_mask`` reads back.
     """
 
     elevations: np.ndarray
@@ -384,16 +390,18 @@ def load_grid(
     return grid
 
 
-def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
-    """Read a 0/1 ESRI ASCII raster of the DEM's shape as a bool mask; other values
-    (the file's NODATA_value too) raise GridFormatError."""
+def load_mask(path: str | Path, shape: TerrainGrid | tuple[int, int]) -> np.ndarray:
+    """Read a 0/1 ESRI ASCII raster as a bool mask for a DEM; other values
+    (the file's NODATA_value too) raise GridFormatError.
+
+    ``shape`` is the DEM's shape, which the raster must have, or the
+    ``TerrainGrid`` itself. A grid that ``load_grid`` padded also takes a
+    raster of the DEM file's own shape, padded with False as
+    ``pad_nonsquare`` padded the DEM.
+    """
+    if isinstance(shape, TerrainGrid):
+        return _read_mask(path, shape._derived.get("file_shape", shape.shape), shape.shape)
     return _read_mask(path, shape, shape)
-
-
-def _grid_mask(path: str | Path, grid: TerrainGrid) -> np.ndarray:
-    """``load_mask`` for a grid that ``load_grid`` read: a mask of the DEM
-    file's own shape is padded as ``pad_nonsquare`` padded the DEM."""
-    return _read_mask(path, grid._derived.get("file_shape", grid.shape), grid.shape)
 
 
 def _read_mask(path: str | Path, file_shape: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
@@ -519,18 +527,23 @@ def clip(
 
     Returns the sub-grid and the (row, col) offset of its top-left corner in
     the parent grid. The window is truncated at the grid boundary and widened
-    to the minimum legal grid side if needed.
+    to the minimum legal grid side if needed. ``cells`` is a bool mask or
+    (i, j) cells; the box of cells is their row and column extremes.
     """
-    mask = cells_to_mask(cells, grid.shape)
-    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    arr = np.asarray([] if cells is None else cells)
+    if arr.dtype == bool:
+        mask = cells_to_mask(arr, grid.shape)
+        rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    else:
+        rows, cols = _cell_array(arr, grid.shape).T
     if rows.size == 0:
         raise ValueError("cannot clip around an empty cell set")
     if margin_cells < 0:
         raise ValueError("margin_cells must be >= 0")
-    r0 = max(0, int(rows[0]) - margin_cells)
-    r1 = min(grid.nrows, int(rows[-1]) + 1 + margin_cells)
-    c0 = max(0, int(cols[0]) - margin_cells)
-    c1 = min(grid.ncols, int(cols[-1]) + 1 + margin_cells)
+    r0 = max(0, int(rows.min()) - margin_cells)
+    r1 = min(grid.nrows, int(rows.max()) + 1 + margin_cells)
+    c0 = max(0, int(cols.min()) - margin_cells)
+    c1 = min(grid.ncols, int(cols.max()) + 1 + margin_cells)
     # Grow degenerate windows until they satisfy the minimum-side invariant.
     while r1 - r0 < _MIN_SIDE and (r0 > 0 or r1 < grid.nrows):
         r0, r1 = max(0, r0 - 1), min(grid.nrows, r1 + 1)

@@ -22,10 +22,17 @@ package used before; ``test_model`` requires the same MIP optimum from both.
 
 ``all_ones_optimum`` is the level-0 certificate the package read off a built
 model; ``test_strategy`` requires the raster certificate to agree with it.
+
+``oracle_reference`` is the exhaustive oracle the package ran before it
+enumerated subsets as bit words with whole-word perimeter tests: a dozen
+numpy passes per candidate cell over every subset, then a per-subset Python
+loop for connectivity, the link and the winner. ``test_solve`` requires
+``oracle_enumerate`` to return exactly its result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +40,7 @@ import numpy as np
 from phs_siting.costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from phs_siting.errors import InfeasibleProblemError
 from phs_siting.model import MipProblem, Sense, VarKind
+from phs_siting.solve import OracleResult
 from phs_siting.terrain import EIGHT_NEIGHBORS, FOUR_NEIGHBORS, candidate_sets, distance_field
 
 from conftest import add_row, add_variable
@@ -399,3 +407,152 @@ def all_ones_optimum(sp) -> tuple[np.ndarray, float] | None:
     if outside.any() or fractional.any() or violated.any():
         return None
     return x, bound
+
+
+def oracle_reference(
+    grid,
+    spec,
+    cost_params=None,
+    *,
+    excluded=None,
+    max_cells: int = 18,
+    require_connected: bool = True,
+) -> OracleResult:
+    """``oracle_enumerate`` as the package ran it per subset: same arguments,
+    same ``OracleResult``, the first subset in index order whose cost beats
+    the running best by 1e-12 wins."""
+    params = cost_params or CostParams()
+    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    dist = distance_field(grid)
+
+    cells = cands.reservoir_cells()
+    m = len(cells)
+    if m == 0:
+        raise InfeasibleProblemError("no reservoir candidates to enumerate")
+    if m > max_cells:
+        raise ValueError(
+            f"search space too large: {m} candidate cells exceed max_cells={max_cells}"
+        )
+    index = {cell: k for k, cell in enumerate(cells)}
+
+    y_ok = np.zeros(m, dtype=bool)
+    req4_ok = np.zeros(m, dtype=bool)
+    x_ok = np.zeros(m, dtype=bool)
+    req4_mask = np.zeros(m, dtype=np.int64)
+    adj4_mask = np.zeros(m, dtype=np.int64)
+    vol = np.zeros(m)
+    emb = np.zeros(m)
+    conv = np.full(m, np.inf)
+    for k, (i, j) in enumerate(cells):
+        y_ok[k] = cands.interior_ok[i, j]
+        x_ok[k] = cands.perimeter_ok[i, j]
+        nbr_bits = 0
+        nbr_count = 0
+        for di, dj in FOUR_NEIGHBORS:
+            nbr = (i + di, j + dj)
+            if nbr in index:
+                nbr_bits |= 1 << index[nbr]
+                nbr_count += 1
+        adj4_mask[k] = nbr_bits
+        req4_mask[k] = nbr_bits
+        req4_ok[k] = nbr_count == 4
+        if y_ok[k]:
+            vol[k] = (spec.water_elevation - float(grid.elevations[i, j])) * grid.cell_area
+    i, j = np.array(cells).T
+    emb[x_ok] = embankment_cell_cost(grid.cell_length, spec.water_elevation,
+                                     grid.elevations[i, j][x_ok], params)[0]
+    excavation, lining = conveyance_cost(spec.flow, dist.values[i, j][x_ok], params)
+    conv[x_ok] = excavation + lining
+    equip = equipment_cost(spec.head_m, spec.power_mw, params)
+
+    n_subsets = (1 << m) - 1
+    subsets = np.arange(1, n_subsets + 1, dtype=np.int64)
+
+    # Interior assignment is greedy-maximal: it never hurts cost or volume.
+    y_bits = np.zeros_like(subsets)
+    for k in range(m):
+        if y_ok[k] and req4_ok[k]:
+            member = (subsets >> k) & 1
+            covered = (subsets & req4_mask[k]) == req4_mask[k]
+            y_bits |= (member & covered) << k
+    x_bits = subsets & ~y_bits
+
+    feasible = np.ones(n_subsets, dtype=bool)
+    volume = np.zeros(n_subsets)
+    emb_total = np.zeros(n_subsets)
+    for k in range(m):
+        x_member = ((x_bits >> k) & 1).astype(bool)
+        if not x_ok[k]:
+            feasible &= ~x_member
+        else:
+            feasible &= ~(x_member & ((subsets & adj4_mask[k]) == 0))
+            emb_total += emb[k] * x_member
+        volume += vol[k] * ((y_bits >> k) & 1)
+    feasible &= x_bits != 0
+    feasible &= volume >= spec.vol_min * (1 - 1e-9)
+
+    adj_bits = [int(v) for v in adj4_mask]
+
+    def connected(bits: int) -> bool:
+        start = bits & -bits
+        visited = start
+        frontier = start
+        while frontier:
+            grow = 0
+            f = frontier
+            while f:
+                lsb = f & -f
+                grow |= adj_bits[lsb.bit_length() - 1]
+                f ^= lsb
+            frontier = grow & bits & ~visited
+            visited |= frontier
+        return visited == bits
+
+    best_cost = math.inf
+    best = None
+    n_feasible = 0
+    for idx in np.flatnonzero(feasible):
+        s = int(subsets[idx])
+        if require_connected and not connected(s):
+            continue
+        n_feasible += 1
+        xb = int(x_bits[idx])
+        link_k = None
+        link_cost = math.inf
+        b = xb
+        while b:
+            lsb = b & -b
+            k = lsb.bit_length() - 1
+            if conv[k] < link_cost:
+                link_cost = conv[k]
+                link_k = k
+            b ^= lsb
+        cost = float(emb_total[idx]) + link_cost + equip
+        if cost < best_cost - 1e-12:
+            best_cost = cost
+            best = (s, int(y_bits[idx]), xb, link_k)
+
+    if best is None:
+        raise InfeasibleProblemError("oracle found no feasible configuration")
+
+    s, yb, xb, link_k = best
+    shape = grid.shape
+    x_mask = np.zeros(shape, dtype=bool)
+    y_mask = np.zeros(shape, dtype=bool)
+    z_mask = np.zeros(shape, dtype=bool)
+    for k, cell in enumerate(cells):
+        if (s >> k) & 1:
+            z_mask[cell] = True
+        if (yb >> k) & 1:
+            y_mask[cell] = True
+        if (xb >> k) & 1:
+            x_mask[cell] = True
+    return OracleResult(
+        cost=best_cost,
+        perimeter_mask=x_mask,
+        interior_mask=y_mask,
+        reservoir_mask=z_mask,
+        link_cell=cells[link_k],
+        n_enumerated=n_subsets,
+        n_feasible=n_feasible,
+    )

@@ -32,7 +32,10 @@ from conftest import (
     pit_spec,
     solve_at_level,
     spec_for_volume,
+    two_basin_grid,
+    two_basin_spec,
 )
+from reference_model import oracle_reference
 
 
 def test_highs_solves_pit_optimum():
@@ -779,3 +782,43 @@ def test_oracle_unrestricted_mode_never_worse():
         free = ps.oracle_enumerate(grid, spec, require_connected=False)
         connected = ps.oracle_enumerate(grid, spec, require_connected=True)
         assert free.cost <= connected.cost + 1e-9
+
+
+def _assert_same_oracle(grid, spec, **kwargs):
+    got = ps.oracle_enumerate(grid, spec, **kwargs)
+    want = oracle_reference(grid, spec, **kwargs)
+    assert got.cost.hex() == want.cost.hex()
+    for mask in ("perimeter_mask", "interior_mask", "reservoir_mask"):
+        assert np.array_equal(getattr(got, mask), getattr(want, mask)), mask
+    assert got.link_cell == want.link_cell
+    assert (got.n_enumerated, got.n_feasible) == (want.n_enumerated, want.n_feasible)
+    return got
+
+
+MICRO_SEEDS = [seed for seed in range(41) if micro_case(seed) is not None]
+
+
+@pytest.mark.parametrize("require_connected", [True, False])
+def test_oracle_equals_per_subset_reference_on_micro_instances(require_connected):
+    sizes = set()
+    for seed in MICRO_SEEDS:
+        grid, spec = micro_case(seed)
+        result = _assert_same_oracle(grid, spec, require_connected=require_connected)
+        sizes.add(result.n_enumerated.bit_length())
+    assert {16, 17, 18} <= sizes  # the largest searches the default max_cells allows
+
+
+def test_oracle_equals_per_subset_reference_with_an_excluded_cell():
+    grid, spec = micro_case(18)
+    free = _assert_same_oracle(grid, spec)
+    for cell in (free.link_cell, tuple(np.argwhere(free.interior_mask)[0])):
+        excluded = _assert_same_oracle(grid, spec, excluded=[cell])
+        assert excluded.n_enumerated < free.n_enumerated
+        assert not excluded.reservoir_mask[cell]
+
+
+def test_oracle_equals_per_subset_reference_on_two_basins():
+    grid, spec = two_basin_grid(), two_basin_spec()
+    for require_connected in (True, False):
+        result = _assert_same_oracle(grid, spec, max_cells=21, require_connected=require_connected)
+        assert result.n_enumerated == 2**21 - 1

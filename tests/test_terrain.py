@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phs_siting as ps
-from phs_siting.terrain import count_components
+from phs_siting.terrain import cells_to_mask, count_components
 
 from conftest import RIVER_ELEVATION, WATER, diagonal_blob_grid, pit_grid, river_grid, two_basin_grid
 
@@ -111,6 +111,37 @@ def test_nonsquare_padding_keeps_masks_and_georeference(tmp_path, file_shape):
                            match=rf"mask shape \({shape[0]}, {shape[1]}\) does not match DEM \({rows}, {cols}\)"):
             ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "odd.asc"),
                          pad_nonsquare=True)
+
+
+def test_load_mask_pads_a_mask_for_a_padded_grid(tmp_path):
+    # a 4x6 DEM is padded to 6x6; given the grid, load_mask takes a mask of
+    # the file's own shape and pads it with False, while given a shape it
+    # still wants that shape
+    elev = np.full((4, 6), 600.0)
+    elev[:, 0] = 385.0
+    ps.write_esri_ascii(tmp_path / "dem.asc", elev, 34.0)
+    grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0),
+                        pad_nonsquare=True)
+    mask = np.zeros((4, 6))
+    mask[1, 3] = mask[3, 5] = 1
+    ps.write_esri_ascii(tmp_path / "mask.asc", mask, 34.0, value_format="{:.0f}")
+    read = ps.load_mask(tmp_path / "mask.asc", grid)
+    assert read.shape == (6, 6) and read.dtype == bool
+    assert np.argwhere(read).tolist() == [[1, 3], [3, 5]]
+    with pytest.raises(ps.GridFormatError, match=r"mask shape \(4, 6\) does not match DEM \(6, 6\)"):
+        ps.load_mask(tmp_path / "mask.asc", grid.shape)
+    assert np.array_equal(ps.load_mask(tmp_path / "mask.asc", (4, 6)), mask == 1)
+
+    # a hand-padded mask is taken as it is; any other shape is refused
+    ps.write_esri_ascii(tmp_path / "padded.asc", read.astype(float), 34.0, value_format="{:.0f}")
+    assert np.array_equal(ps.load_mask(tmp_path / "padded.asc", grid), read)
+    ps.write_esri_ascii(tmp_path / "odd.asc", np.zeros((6, 4)), 34.0, value_format="{:.0f}")
+    with pytest.raises(ps.GridFormatError, match=r"mask shape \(6, 4\) does not match DEM \(4, 6\)"):
+        ps.load_mask(tmp_path / "odd.asc", grid)
+
+    # the padded mask bars its cells from the candidate sets of the grid
+    cands = ps.candidate_sets(grid, 650.0, excluded=read)
+    assert not cands.reservoir_ok[1, 3] and cands.reservoir_ok[1, 2]
 
 
 def test_csv_grid_with_sidecar(tmp_path):
@@ -401,6 +432,38 @@ def test_clip_empty_mask_rejected():
     grid = pit_grid()
     with pytest.raises(ValueError, match="empty"):
         ps.clip(grid, np.zeros(grid.shape, bool), 2)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 3])
+def test_clip_takes_the_box_of_cells_as_of_their_mask(margin):
+    # cells and the mask of the same cells give the same window and sub-grid
+    elev = _square_grid(12)
+    grid = ps.TerrainGrid(elev, 10.0, elev == 300.0, np.zeros((12, 12), bool), 300.0,
+                          xllcorner=100.0, yllcorner=200.0)
+    rng = np.random.default_rng(margin)
+    for n in (1, 2, 5):
+        cells = rng.integers(0, 12, (n, 2))
+        for given in (cells, [tuple(c) for c in cells.tolist()]):
+            sub, origin = ps.clip(grid, given, margin)
+            want, want_origin = ps.clip(grid, cells_to_mask(cells, grid.shape), margin)
+            assert origin == want_origin
+            for name in ("elevations", "lower_mask", "nodata"):
+                assert np.array_equal(getattr(sub, name), getattr(want, name))
+            assert (sub.cell_length, sub.lower_elevation, sub.xllcorner, sub.yllcorner) == \
+                (want.cell_length, want.lower_elevation, want.xllcorner, want.yllcorner)
+
+
+def test_clip_checks_cells_and_margin():
+    grid = pit_grid()
+    with pytest.raises(ValueError, match="empty"):
+        ps.clip(grid, [], 2)
+    with pytest.raises(ValueError, match="empty"):
+        ps.clip(grid, np.zeros((0, 2), int), 2)
+    with pytest.raises(ValueError, match=r"cell \(5, 0\) is outside the 5x6 grid"):
+        ps.clip(grid, [(1, 1), (5, 0)], 2)
+    for cells in ([(1, 1)], cells_to_mask([(1, 1)], grid.shape)):
+        with pytest.raises(ValueError, match="margin_cells must be >= 0"):
+            ps.clip(grid, cells, -1)
 
 
 def test_clip_georeference_shift():
