@@ -2,8 +2,11 @@
 
 Separating planes force the rows (columns, and optionally diagonals) occupied
 by interior cells to form a single contiguous band: for every empty slice, all
-occupied slices must lie entirely on one side of it. They are cheap but only
-necessary for a connected interior, hence the escalation ladder.
+occupied slices must lie entirely on one side of it. Only the slices strictly
+between the first and the last that hold an interior candidate need the rule:
+no other slice has candidates on both sides, so one of its switches is free.
+They are cheap but only necessary for a connected interior, hence the
+escalation ladder.
 
 The tour constraints make the active perimeter cells a single closed walk over
 the 8-neighborhood, ordering cells with continuous ranks as in Miller-Tucker-
@@ -55,28 +58,36 @@ def _add_band_constraints(
     after_name: str,
     y: np.ndarray,
     slice_of: np.ndarray,
-    n: int,
 ) -> None:
-    """One contiguity band over ``n`` ordered slices; ``y[k]`` lies in slice ``slice_of[k]``.
+    """One contiguity band over ordered slices; ``y[k]`` lies in slice ``slice_of[k]``.
 
     Per slice s: (1 - sum_s y) <= before_s + after_s, with before_s = 1
     forbidding any y in earlier slices and after_s = 1 forbidding any y in
     later slices (big-M switched). big M is the interior-candidate count, the
     tightest constant that still lets a fully flooded side of any slice switch
     its constraint off. The switches go into ``prob``, the rows into ``families``.
+
+    Only the slices strictly between the first and the last that hold a y get
+    switches and rows. A slice with no y before it satisfies its three rows
+    with before_s = 1 whatever the y are (one with no y after it, with
+    after_s = 1), and its switches appear in no other row and cost nothing; so
+    leaving them out keeps the MIP optimum and the LP relaxation.
     """
     big_m = max(1.0, float(len(y)))
-    s = np.arange(n)
+    first, last = (int(slice_of.min()), int(slice_of.max())) if len(y) else (0, 0)
+    s = np.arange(first + 1, last)  # the slices strictly inside the span
+    at = np.arange(len(s))  # their positions among the band's slices
     before = prob.add_variables(CellNames((f"{before_name}_{{}}",), s[:, None]))
     after = prob.add_variables(CellNames((f"{after_name}_{{}}",), s[:, None]))
+    inside = np.flatnonzero((slice_of > first) & (slice_of < last))
     k_e, earlier = np.nonzero(slice_of[:, None] < s)
     k_l, later = np.nonzero(slice_of[:, None] > s)
     names = CellNames((f"{tag}gap_{{}}", f"{tag}pre_{{}}", f"{tag}post_{{}}"), s[:, None])
     families.add_terms(
         names, (Sense.GE, Sense.LE, Sense.LE), (1.0, big_m, big_m),
-        (3 * slice_of, y, 1.0), (3 * s, before, 1.0), (3 * s, after, 1.0),
-        (3 * earlier + 1, y[k_e], 1.0), (3 * s + 1, before, big_m),
-        (3 * later + 2, y[k_l], 1.0), (3 * s + 2, after, big_m),
+        (3 * (slice_of[inside] - first - 1), y[inside], 1.0), (3 * at, before, 1.0), (3 * at, after, 1.0),
+        (3 * earlier + 1, y[k_e], 1.0), (3 * at + 1, before, big_m),
+        (3 * later + 2, y[k_l], 1.0), (3 * at + 2, after, big_m),
     )
 
 
@@ -87,18 +98,17 @@ def add_separating_planes(
     include_diagonals: bool = False,
 ) -> None:
     """Row/column (and optionally diagonal) contiguity bands on interior cells."""
-    nr, nc = cands.shape
+    nc = cands.shape[1]
     y = sv.ids("y")
     i, j = sv.cells["y"].T
     families = _RowFamilies()
     # "up" clears the rows above an empty row, "down" the rows below; the
     # column pair works the same way across columns.
-    _add_band_constraints(prob, families, "row", "up", "down", y, i, nr)
-    _add_band_constraints(prob, families, "col", "right", "left", y, j, nc)
+    _add_band_constraints(prob, families, "row", "up", "down", y, i)
+    _add_band_constraints(prob, families, "col", "right", "left", y, j)
     if include_diagonals:
-        n_diag = nr + nc - 1
-        _add_band_constraints(prob, families, "adg", "adg_b", "adg_a", y, i + j, n_diag)
-        _add_band_constraints(prob, families, "mdg", "mdg_b", "mdg_a", y, i - j + nc - 1, n_diag)
+        _add_band_constraints(prob, families, "adg", "adg_b", "adg_a", y, i + j)
+        _add_band_constraints(prob, families, "mdg", "mdg_b", "mdg_a", y, i - j + nc - 1)
     families.add_to(prob)
 
 

@@ -3,9 +3,12 @@
 A writer loads the problem with the solve's own ``_pass_model``, sets the
 objective constant as HiGHS's offset and the names in one more load, and
 returns the text of HiGHS's ``writeModel``: byte-identical for the same
-problem. Free-form MPS and LP files carry the stored row names and the
-``z_i_j``, ``y_i_j`` and ``l_i_j`` variable names (the model has no perimeter
-column: see ``model``). Fixed-form MPS names columns and rows
+problem. Every write and read of a thread goes through one HiGHS object, made
+on that thread's first file call in each process; each call loads or reads a
+whole model into it, which replaces the one before. Free-form MPS and LP
+files carry the stored row names and the ``z_i_j``, ``y_i_j`` and ``l_i_j``
+variable names (the model has no perimeter column: see ``model``).
+Fixed-form MPS names columns and rows
 ``V0000000``/``C0000000`` in order, in HiGHS's fixed layout, so structural
 round trips compare it by position. Numbers carry about 15 significant digits
 and can overrun a fixed field, so neither form suits a reader that cuts lines
@@ -13,11 +16,11 @@ at column positions; readers that split on whitespace, HiGHS's among them,
 read both. No file carries the problem name.
 
 Every file is read by the HiGHS reader of the solver's binding, and the
-problem is rebuilt from the arrays HiGHS holds; kinds and senses go in as
-code arrays, whose codes the ``VarKind`` and ``Sense`` members are. So a
-problem read back takes
-its name from the caller or the file stem, an integer column bounded [0, 1]
-reads back as binary, and an explicit zero matrix coefficient is dropped.
+problem is rebuilt from the arrays HiGHS holds, its matrix taken once and
+row-wise; kinds and senses go in as code arrays, whose codes the ``VarKind``
+and ``Sense`` members are. So a problem read back takes its name from the
+caller or the file stem, an integer column bounded [0, 1] reads back as
+binary, and an explicit zero matrix coefficient is dropped.
 
 HiGHS reads and writes only files. Text passes through a file with a fresh
 name in a private directory of this process (``tempfile.mkdtemp``, made on
@@ -32,12 +35,12 @@ import itertools
 import os
 import shutil
 import tempfile
+import threading
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
@@ -52,6 +55,18 @@ from .solve import _pass_model
 #: forked child makes, and removes, its own.
 _STAGING: dict[int, str] = {}
 _SERIAL = itertools.count()  # next() is atomic, so threads never share a name
+#: This thread's HiGHS object for file calls, and the process that made it.
+_LOCAL = threading.local()
+
+
+def _file_highs() -> _Highs:
+    """This thread's HiGHS object for file calls; a forked child makes its own."""
+    pid = os.getpid()
+    if getattr(_LOCAL, "pid", None) != pid:
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        _LOCAL.highs, _LOCAL.pid = highs, pid
+    return _LOCAL.highs
 
 
 @contextmanager
@@ -106,10 +121,10 @@ def write_lp(problem: MipProblem) -> str:
 def _write_model(problem: MipProblem, var_names: list[str], row_names: list[str],
                  suffix: str) -> str:
     """HiGHS's ``writeModel`` text of ``problem`` under these names; RuntimeError if refused."""
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
+    highs = _file_highs()
     loaded = _pass_model(highs, problem)
-    # a second load sets the offset and all the names in one call; passColName takes one name
+    # a second load sets the offset and all the names in one call: cheaper than
+    # passColName per name, or a HighsLp filled in from Python and loaded once
     lp = highs.getLp()
     lp.offset_ = problem.objective_constant
     lp.col_names_ = var_names
@@ -178,11 +193,11 @@ _SEMI_INTEGER = int(HighsVarType.kSemiInteger)
 
 def _read_model(path: str, name: str) -> MipProblem:
     """The problem HiGHS reads from ``path``, rebuilt as a ``MipProblem`` called ``name``."""
-    highs = _Highs()
-    highs.setOptionValue("output_flag", False)
+    highs = _file_highs()
     status = highs.readModel(path)
     if status == HighsStatus.kError:
         raise GridFormatError(f"HiGHS cannot read model {name!r}")
+    highs.ensureRowwise()
     lp = highs.getLp()
     if lp.sense_ != ObjSense.kMinimize:
         raise GridFormatError(f"model {name!r} maximizes; only minimization is supported")
@@ -222,13 +237,15 @@ def _read_model(path: str, name: str) -> MipProblem:
     if status != HighsStatus.kOk:
         raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
                               "such as an entry on an undeclared row or a repeated column")
-    a = lp.a_matrix_  # colwise
+    a = lp.a_matrix_  # row-wise, columns ascending in each row: no sort is left to do
+    start = a.start_
     senses = np.where(le, int(Sense.LE), np.where(ge, int(Sense.GE), int(Sense.EQ)))
-    problem.add_rows(row_names, a.index_, np.repeat(np.arange(lp.num_col_), np.diff(a.start_)),
-                     a.value_, senses, np.where(le, upper, lower))
+    problem.add_rows(row_names, np.repeat(np.arange(lp.num_row_), np.diff(start)),
+                     np.fromiter(a.index_, np.int64, start[-1]), np.fromiter(a.value_, float, start[-1]),
+                     senses, np.where(le, upper, lower))
     cost = np.array(lp.col_cost_)
     ids = np.flatnonzero(cost)
-    problem.set_objective(dict(zip(ids.tolist(), cost[ids].tolist())), lp.offset_)
+    problem.set_objective((ids, cost[ids]), lp.offset_)
     return problem
 
 
@@ -258,8 +275,7 @@ def problems_structurally_equal(
 
     def close(u, v):
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        with np.errstate(invalid="ignore"):
-            return (u == v) | (np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v))))
+        return (u == v) | (np.abs(u - v) <= tol * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v))))
 
     diffs: list[str] = []
     if a.num_variables != b.num_variables:
@@ -277,15 +293,23 @@ def problems_structurally_equal(
     by_name = same_order or set(a_names) == set(b_names)
     var_map = None
     if not same_order and by_name:
-        var_map = np.array(list(map(a.variable_id, b_names)), dtype=np.int64)
+        var_map = _positions(b_names, a_names)
     a_rows, b_rows = a.row_names(), b.row_names()
     row_map = None
     if by_name and a_rows != b_rows and set(a_rows) == set(b_rows):
-        a_row_id = {name: rid for rid, name in enumerate(a_rows)}
-        row_map = np.array([a_row_id[n] for n in b_rows], dtype=np.int64)
+        row_map = _positions(b_rows, a_rows)
 
-    kind_bad = _take(a.kinds, var_map) != b.kinds
-    bound_bad = ~(close(_take(a.lb, var_map), b.lb) & close(_take(a.ub, var_map), b.ub))
+    with np.errstate(invalid="ignore"):  # inf - inf, where u == v already holds
+        kind_bad = _take(a.kinds, var_map) != b.kinds
+        bound_bad = ~(close(_take(a.lb, var_map), b.lb) & close(_take(a.ub, var_map), b.ub))
+        a_rhs, b_rhs = _take(a.rhs, row_map), b.rhs
+        sense_bad = _take(a.senses, row_map) != b.senses
+        rhs_bad = ~close(a_rhs, b_rhs)
+        coef_bad = _rows_differ(a.csr, b.csr, row_map, var_map, close)
+        a_cost, b_cost = _take(a.cost_vector(), var_map), b.cost_vector()
+        cost_bad = np.any(((a_cost != 0.0) != (b_cost != 0.0)) | ~close(a_cost, b_cost))
+        constant_bad = not close(a.objective_constant, b.objective_constant)
+
     for vid in np.flatnonzero(kind_bad | bound_bad).tolist():
         avid = vid if var_map is None else int(var_map[vid])
         label = a_names[avid] if by_name else f"#{avid}"
@@ -294,11 +318,6 @@ def problems_structurally_equal(
                          f"{VarKind(b.kinds[vid]).name.lower()}")
         if bound_bad[vid]:
             diffs.append(f"variable {label} bounds differ")
-
-    a_rhs, b_rhs = _take(a.rhs, row_map), b.rhs
-    sense_bad = _take(a.senses, row_map) != b.senses
-    rhs_bad = ~close(a_rhs, b_rhs)
-    coef_bad = _rows_differ(_take(a.matrix, row_map), b.matrix, var_map, close)
     for rid in np.flatnonzero(sense_bad | rhs_bad | coef_bad).tolist():
         label = a_rows[rid if row_map is None else row_map[rid]]
         if sense_bad[rid]:
@@ -307,13 +326,17 @@ def problems_structurally_equal(
             diffs.append(f"row {label} rhs {a_rhs[rid]} != {b_rhs[rid]}")
         if coef_bad[rid]:
             diffs.append(f"row {label} coefficients differ")
-
-    a_cost, b_cost = _take(a.cost_vector(), var_map), b.cost_vector()
-    if np.any(((a_cost != 0.0) != (b_cost != 0.0)) | ~close(a_cost, b_cost)):
+    if cost_bad:
         diffs.append("objective coefficients differ")
-    if not close(a.objective_constant, b.objective_constant):
+    if constant_bad:
         diffs.append("objective constant differs")
     return diffs
+
+
+def _positions(names: list[str], among: list[str]) -> np.ndarray:
+    """The position in ``among`` of each of ``names``, all of which it holds."""
+    at = dict(zip(among, itertools.count()))
+    return np.fromiter(map(at.__getitem__, names), np.int64, len(names))
 
 
 def _take(values, index: np.ndarray | None):
@@ -321,22 +344,27 @@ def _take(values, index: np.ndarray | None):
     return values if index is None else values[index]
 
 
-def _rows_differ(a_matrix, b_matrix, var_map: np.ndarray | None, close) -> np.ndarray:
-    """Per row: whether the entries of ``b_matrix``, its columns mapped through
-    ``var_map``, differ from those of ``a_matrix`` in position or value."""
-    if var_map is not None:
-        b_matrix = sparse.csr_array((b_matrix.data, var_map[b_matrix.indices], b_matrix.indptr),
-                                    shape=b_matrix.shape, copy=True)
-    for m in (a_matrix, b_matrix):
-        m.sort_indices()
-    counts_a, counts_b = np.diff(a_matrix.indptr), np.diff(b_matrix.indptr)
+def _rows_differ(a_csr, b_csr, row_map: np.ndarray | None, var_map: np.ndarray | None,
+                 close) -> np.ndarray:
+    """Per row of the canonical CSR ``b_csr``: whether its entries, columns
+    mapped through ``var_map``, differ in position or value from those of row
+    ``row_map[r]`` of the canonical CSR ``a_csr``."""
+    (a_ptr, a_cols, a_vals), (b_ptr, b_cols, b_vals) = a_csr, b_csr
+    counts_a, counts_b = np.diff(a_ptr), np.diff(b_ptr)
+    if row_map is not None:
+        counts_a = counts_a[row_map]
+        gather = np.repeat(a_ptr[:-1][row_map] - (np.cumsum(counts_a) - counts_a), counts_a)
+        gather += np.arange(len(gather))
+        a_cols, a_vals = a_cols[gather], a_vals[gather]
+    b_rows = np.repeat(np.arange(len(counts_b)), counts_b)
+    if var_map is not None:  # sorted again by (row, mapped column)
+        b_cols = var_map[b_cols]
+        order = np.lexsort((b_cols, b_rows))
+        b_cols, b_vals = b_cols[order], b_vals[order]
     bad = counts_a != counts_b
     # Rows with equal counts hold aligned entries once the others are dropped.
     keep_a = np.repeat(~bad, counts_a)
     keep_b = np.repeat(~bad, counts_b)
-    row_of = np.repeat(np.arange(len(bad)), counts_a)[keep_a]
-    entry_bad = (a_matrix.indices[keep_a] != b_matrix.indices[keep_b]) | ~close(
-        a_matrix.data[keep_a], b_matrix.data[keep_b]
-    )
-    bad[row_of[entry_bad]] = True
+    entry_bad = (a_cols[keep_a] != b_cols[keep_b]) | ~close(a_vals[keep_a], b_vals[keep_b])
+    bad[b_rows[keep_b][entry_bad]] = True
     return bad

@@ -37,6 +37,7 @@ from .terrain import (
     cells_to_mask,
     clip,
     distance_field,
+    _unchecked,
 )
 
 logger = logging.getLogger(__name__)
@@ -266,9 +267,8 @@ def run_zoom_in(
         coarse_dist = distance_field(coarse, config.distance_metric)
         sub, (roff, coff) = clip(coarse, corners // factor, 0)
         rows, cols = slice(roff, roff + sub.nrows), slice(coff, coff + sub.ncols)
-        sub_dist = DistanceField(
-            coarse_dist.values[rows, cols], sub.cell_length, coarse_dist.metric
-        )
+        sub_dist = _unchecked(DistanceField, values=coarse_dist.values[rows, cols],
+                              cell_length=sub.cell_length, metric=coarse_dist.metric)
         sub_excluded = None
         if excluded_mask.any():
             # A super-cell is off limits as soon as any child is.

@@ -36,6 +36,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given: no check runs and no array is
+    copied. For a window of an instance already checked, whose arrays are
+    read-only views of that instance's read-only arrays."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
     """Normalize a cell collection (bool mask or iterable of (i, j)) to a bool mask.
 
@@ -527,7 +536,8 @@ def clip(
 
     Returns the sub-grid and the (row, col) offset of its top-left corner in
     the parent grid. The window is truncated at the grid boundary and widened
-    to the minimum legal grid side if needed. ``cells`` is a bool mask or
+    to the minimum legal grid side if needed. Its arrays are read-only views
+    of the parent's, and it is not checked again. ``cells`` is a bool mask or
     (i, j) cells; the box of cells is their row and column extremes.
     """
     arr = np.asarray([] if cells is None else cells)
@@ -550,14 +560,17 @@ def clip(
     while c1 - c0 < _MIN_SIDE and (c0 > 0 or c1 < grid.ncols):
         c0, c1 = max(0, c0 - 1), min(grid.ncols, c1 + 1)
 
-    sub = TerrainGrid(
-        grid.elevations[r0:r1, c0:c1],
-        grid.cell_length,
-        grid.lower_mask[r0:r1, c0:c1],
-        grid.nodata[r0:r1, c0:c1],
-        grid.lower_elevation,
-        grid.xllcorner + c0 * grid.cell_length,
-        grid.yllcorner + (grid.nrows - r1) * grid.cell_length,
+    # a window of a valid grid, at least 3 cells a side, is valid
+    sub = _unchecked(
+        TerrainGrid,
+        elevations=grid.elevations[r0:r1, c0:c1],
+        cell_length=grid.cell_length,
+        lower_mask=grid.lower_mask[r0:r1, c0:c1],
+        nodata=grid.nodata[r0:r1, c0:c1],
+        lower_elevation=grid.lower_elevation,
+        xllcorner=grid.xllcorner + c0 * grid.cell_length,
+        yllcorner=grid.yllcorner + (grid.nrows - r1) * grid.cell_length,
+        _derived={},
     )
     return sub, (r0, c0)
 

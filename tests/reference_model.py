@@ -8,13 +8,18 @@ perimeter indicator is the expression x = z - y. Below level 3, with
 ``perimeter_min_neighbors`` 1, it applies the builder's column fixing one cell
 at a time: z = 1 on the dry perimeter candidates that back each other, the
 link only on the cheapest of those and on cheaper cells, and the rows these
-fixings satisfy left out. ``test_model`` requires the array build to produce
-exactly the same problem.
+fixings satisfy left out, and it writes band rows only for the slices
+strictly between the first and the last that hold an interior candidate.
+``test_model`` requires the array build to produce exactly the same problem.
+With ``full_bands=True`` every slice of the grid gets its band switches and
+rows, as the package wrote them before; ``test_model`` requires the same MIP
+optimum and LP relaxation bound from both forms.
 
 ``build_reference_xyz`` builds the paper's own program with a perimeter column
 x per perimeter candidate, the cover rows z <= x + z_neighbor and the role
-rows z = x + y, and keeps every column. ``test_model`` requires both
-programs to have the same MIP optimum and the same LP relaxation bound.
+rows z = x + y, keeps every column and writes every band slice.
+``test_model`` requires both programs to have the same MIP optimum and the
+same LP relaxation bound.
 
 Both builders give the tour ranks u the kind the package uses, continuous.
 ``build_reference_integer_ranks`` is the z/y model with the integer ranks the
@@ -210,22 +215,25 @@ def _add_band_constraints(
     after_name: str,
     slices: list[list[int]],
     big_m: float,
+    full: bool,
 ) -> None:
     """One contiguity band over an ordered family of slices of y-variables.
 
     Per slice s: (1 - sum_s y) <= before_s + after_s, with before_s = 1
     forbidding any y in earlier slices and after_s = 1 forbidding any y in
-    later slices (big-M switched).
+    later slices (big-M switched). Only the slices strictly between the first
+    and the last non-empty one get switches and rows, unless ``full``.
     """
-    n = len(slices)
-    before = [add_variable(prob, f"{before_name}_{s}") for s in range(n)]
-    after = [add_variable(prob, f"{after_name}_{s}") for s in range(n)]
+    occupied = [s for s, members in enumerate(slices) if members] or [0]
+    span = range(len(slices)) if full else range(occupied[0] + 1, occupied[-1])
+    before = {s: add_variable(prob, f"{before_name}_{s}") for s in span}
+    after = {s: add_variable(prob, f"{after_name}_{s}") for s in span}
     flat: list[int] = []
     offsets: list[int] = []
     for members in slices:
         offsets.append(len(flat))
         flat.extend(members)
-    for s in range(n):
+    for s in span:
         coeffs = [(vid, 1.0) for vid in slices[s]]
         coeffs += [(before[s], 1.0), (after[s], 1.0)]
         add_row(prob, f"{tag}gap_{s}", coeffs, Sense.GE, 1.0)
@@ -247,8 +255,9 @@ def _add_band_constraints(
         )
 
 
-def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> None:
-    """Row/column (and optionally diagonal) contiguity bands on interior cells."""
+def add_separating_planes(prob, sv, cands, include_diagonals: bool = False, full: bool = False) -> None:
+    """Row/column (and optionally diagonal) contiguity bands on interior cells;
+    ``full`` gives every slice of the grid its switches and rows."""
     nr, nc = cands.shape
     big_m = max(1.0, float(len(sv.y)))
 
@@ -257,8 +266,8 @@ def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> N
     for (i, j), vid in sv.y.items():
         rows[i].append(vid)
         cols[j].append(vid)
-    _add_band_constraints(prob, "row", "up", "down", rows, big_m)
-    _add_band_constraints(prob, "col", "right", "left", cols, big_m)
+    _add_band_constraints(prob, "row", "up", "down", rows, big_m, full)
+    _add_band_constraints(prob, "col", "right", "left", cols, big_m, full)
 
     if include_diagonals:
         anti: list[list[int]] = [[] for _ in range(nr + nc - 1)]
@@ -266,8 +275,8 @@ def add_separating_planes(prob, sv, cands, include_diagonals: bool = False) -> N
         for (i, j), vid in sv.y.items():
             anti[i + j].append(vid)
             main[i - j + nc - 1].append(vid)
-        _add_band_constraints(prob, "adg", "adg_b", "adg_a", anti, big_m)
-        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", main, big_m)
+        _add_band_constraints(prob, "adg", "adg_b", "adg_a", anti, big_m, full)
+        _add_band_constraints(prob, "mdg", "mdg_b", "mdg_a", main, big_m, full)
 
 
 def add_tour_constraints(prob, sv, cands, rank_kind=VarKind.CONTINUOUS) -> None:
@@ -334,7 +343,7 @@ def add_tour_constraints(prob, sv, cands, rank_kind=VarKind.CONTINUOUS) -> None:
 
 def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
            excluded=None, perimeter_min_neighbors=1,
-           rank_kind=VarKind.CONTINUOUS) -> MipProblem:
+           rank_kind=VarKind.CONTINUOUS, full_bands=False) -> MipProblem:
     params = cost_params or CostParams()
     if cands is None:
         cands = candidate_sets(grid, spec.water_elevation, excluded)
@@ -351,7 +360,8 @@ def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
     _add_link_constraints(prob, sv)
     _set_siting_objective(prob, sv, grid, spec, params, dist)
     if level >= 1:
-        add_separating_planes(prob, sv, cands, include_diagonals=level >= 2)
+        add_separating_planes(prob, sv, cands, include_diagonals=level >= 2,
+                              full=full_bands)
     if level >= 3:
         add_tour_constraints(prob, sv, cands, rank_kind)
     return prob
@@ -364,8 +374,9 @@ def build_reference(grid, spec, **kwargs) -> MipProblem:
 
 
 def build_reference_xyz(grid, spec, **kwargs) -> MipProblem:
-    """The paper's program: perimeter columns x, cover rows and z = x + y."""
-    return _build(grid, spec, True, **kwargs)
+    """The paper's program: perimeter columns x, cover rows and z = x + y, and
+    switches and rows for every slice of every band."""
+    return _build(grid, spec, True, full_bands=True, **kwargs)
 
 
 def build_reference_integer_ranks(grid, spec, **kwargs) -> MipProblem:

@@ -617,6 +617,42 @@ def test_model_matches_paper_program_optima(case):
             assert (a is None and b is None) or math.isclose(a, b, rel_tol=1e-9), (level, new, paper)
 
 
+_FULL_BAND_CASES = {
+    **{f"two_basin-l{lv}": (lambda lv=lv: (two_basin_grid(), two_basin_spec(), lv)) for lv in (1, 2, 3)},
+    **{f"diagonal_blob-l{lv}": (lambda lv=lv: (diagonal_blob_grid(), diagonal_blob_spec(), lv))
+       for lv in (1, 2, 3)},
+    **{f"midsize-l{lv}": (lambda lv=lv: (midsize_grid(), midsize_spec(), lv)) for lv in (1, 2)},
+    **{f"micro{seed}-l3": (lambda seed=seed: (*micro_case(seed), 3)) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("case", list(_FULL_BAND_CASES))
+def test_span_bands_match_full_bands_optima(case):
+    """Band rows only inside the span of interior candidates give the MIP
+    optimum and the LP-relaxation bound of bands over every slice."""
+    grid, spec, level = _FULL_BAND_CASES[case]()
+    trimmed = ps.build_siting_problem(grid, spec, level=level).mip
+    full = build_reference(grid, spec, level=level, full_bands=True)
+    assert full.num_variables > trimmed.num_variables and full.nnz > trimmed.nnz
+    new, old = _optima(trimmed), _optima(full)
+    assert new[0] is old[0] is ps.SolveStatus.OPTIMAL, (new, old)
+    for a, b in zip(new[1:], old[1:]):
+        assert math.isclose(a, b, rel_tol=1e-9), (new, old)
+
+
+#: (variables, rows, nonzeros) of the midsize model per level, band rows only
+#: inside the span of interior candidates; bands over every slice give
+#: (852, 1945, 40400), (1328, 2659, 112038) and (5133, 7923, 135390) at levels 1-3.
+_MIDSIZE_SIZES = {0: (612, 1585, 4280), 1: (782, 1840, 29865), 2: (1008, 2179, 63878),
+                  3: (4813, 7443, 87230)}
+
+
+@pytest.mark.parametrize("level", sorted(_MIDSIZE_SIZES))
+def test_midsize_model_size(level):
+    mip = ps.build_siting_problem(midsize_grid(), midsize_spec(), level=level).mip
+    assert (mip.num_variables, mip.num_constraints, mip.nnz) == _MIDSIZE_SIZES[level]
+
+
 _TOUR_CASES = {
     **{f"micro{seed}": lambda seed=seed: (*micro_case(seed), {}) for seed in _micro_seeds(40)},
     "pit": lambda: (pit_grid(), pit_spec(), {}),

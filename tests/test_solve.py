@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -676,6 +677,7 @@ def test_staged_files_are_removed(monkeypatch):
             return core.HighsStatus.kError
 
     monkeypatch.setattr(formats, "_Highs", WritesThenFails)
+    monkeypatch.setattr(formats, "_LOCAL", threading.local())  # no HiGHS object made yet
     with pytest.raises(RuntimeError, match="HiGHS cannot write model"):
         ps.write_lp(prob)
     monkeypatch.undo()
@@ -706,6 +708,26 @@ def test_threads_round_trip_through_their_own_files():
         sys.setswitchinterval(interval)
     assert len(diffs) == 8 and diffs == [[]] * 8
     assert os.listdir(formats._staging_dir()) == []
+
+
+def test_file_calls_reuse_one_highs_per_thread():
+    """Each thread writes and reads through one HiGHS object of its own."""
+    prob = _kinds_problem([(VarKind.BINARY, 0.0, 1.0), (VarKind.INTEGER, 0.0, 17.0)])
+
+    def objects():
+        seen = []
+        for write, read in _TEXT_FORMATS.values():
+            text = write(prob)
+            seen.append(formats._file_highs())
+            assert ps.problems_structurally_equal(prob, read(text)) == []
+            seen.append(formats._file_highs())
+        return seen
+
+    here = objects()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        there = pool.submit(objects).result(timeout=60)
+    assert all(h is here[0] for h in here) and all(h is there[0] for h in there)
+    assert there[0] is not here[0]
 
 
 _EXIT_SCRIPT = """

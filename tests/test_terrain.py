@@ -350,6 +350,19 @@ def test_clip_window_keeps_its_own_entries():
     assert ps.distance_field(grid) is full
 
 
+def test_clip_window_is_a_read_only_view_of_the_checked_grid():
+    grid = _ridge_grid()
+    sub, (r0, c0) = ps.clip(grid, [(4, 2), (8, 6)], 1)
+    checked = _rebuilt(sub)  # the same window, checked and copied
+    for name in ("elevations", "lower_mask", "nodata"):
+        view, whole = getattr(sub, name), getattr(grid, name)
+        assert np.shares_memory(view, whole) and not view.flags.writeable
+        assert np.array_equal(view, whole[r0 : r0 + sub.nrows, c0 : c0 + sub.ncols])
+        assert np.array_equal(view, getattr(checked, name))
+    scalars = ("cell_length", "lower_elevation", "xllcorner", "yllcorner", "_derived")
+    assert [getattr(sub, k) for k in scalars] == [getattr(checked, k) for k in scalars]
+
+
 def test_threads_sharing_a_grid_get_one_entry_per_key():
     grid = _ridge_grid()
     results, errors = [], []
