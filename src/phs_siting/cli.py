@@ -42,8 +42,8 @@ _KEYS: dict[str, dict[str, type]] = {
             "excluded_mask_file": str},
     "project": {"power_mw": float, "efficiency": float},
     "costs": {name: float for name in CostParams.__dataclass_fields__},
-    "strategy": {"ladder": str, "zoom_factors": str, "clip_margin": int, "budget": str,
-                 "distance_metric": str, "perimeter_min_neighbors": int},
+    "strategy": {"ladder": str, "zoom_factors": str, "clip_margin": int, "distance_metric": str,
+                 "perimeter_min_neighbors": int},
     "solver": {"time_limit_s": float, "gap_target": float, "workers": int},
     "output": {"directory": str},
     "case": {"head_m": float, "operation_h": float, "zoom": bool, "power_mw": float},
@@ -196,6 +196,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     time_limit = get("solver", "time_limit_s")
     if time_limit is not None and time_limit <= 0:
         diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
+        time_limit = None
     gap_target = get("solver", "gap_target", 0.0)
     if not 0 <= gap_target < 1:
         diags.append(f"solver.gap_target: must be in [0, 1), got {gap_target}")
@@ -216,9 +217,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     except ValueError:
         diags.append(f"strategy.zoom_factors: not integers ({zoom_raw!r})")
         zoom_factors = (8, 4, 2, 1)
-    metric = get("strategy", "distance_metric", "horizontal")
-    if metric not in ("horizontal", "slant"):
-        diags.append(f"strategy.distance_metric: must be horizontal or slant, got {metric!r}")
 
     try:
         strategy = StrategyConfig(
@@ -226,13 +224,12 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             zoom_factors=zoom_factors,
             clip_margin=get("strategy", "clip_margin"),
             time_limit_s=time_limit,
-            budget=get("strategy", "budget", "per_level"),
             gap_target=gap_target,
             perimeter_min_neighbors=get("strategy", "perimeter_min_neighbors", 1),
-            distance_metric=metric if metric in ("horizontal", "slant") else "horizontal",
+            distance_metric=get("strategy", "distance_metric", "horizontal"),
         )
     except ValueError as exc:
-        diags.append(f"strategy: {exc}")
+        diags.extend(f"strategy: {line}" for line in str(exc).splitlines())
         strategy = StrategyConfig()
 
     output_dir = base / get("output", "directory", "out")

@@ -25,9 +25,9 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
-from .model import INTEGRALITY_TOL, MipProblem, Sense, SolutionValues
+from .model import INTEGRALITY_TOL, MipProblem, Sense, SolutionValues, _FOUR, _at, _id_raster
 from .sizing import SitingSpec
-from .terrain import FOUR_NEIGHBORS, TerrainGrid, candidate_sets, distance_field
+from .terrain import TerrainGrid, candidate_sets, distance_field
 
 
 class SolveStatus(Enum):
@@ -84,10 +84,13 @@ class SolveLimits:
     gap_target: float = 0.0
 
     def __post_init__(self):
-        if self.time_limit_s is not None and not self.time_limit_s > 0:
-            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
-        if not 0.0 <= self.gap_target < 1.0:
-            raise ValueError(f"gap_target must be in [0, 1), got {self.gap_target}")
+        failed = [message for bad, message in (
+            (self.time_limit_s is not None and not self.time_limit_s > 0,
+             f"time_limit_s must be > 0, got {self.time_limit_s}"),
+            (not 0.0 <= self.gap_target < 1.0, f"gap_target must be in [0, 1), got {self.gap_target}"),
+        ) if bad]
+        if failed:
+            raise ValueError("\n".join(failed))
 
 
 @dataclass
@@ -345,7 +348,7 @@ def oracle_enumerate(
     cands = candidate_sets(grid, spec.water_elevation, excluded)
     dist = distance_field(grid)
 
-    cells = cands.reservoir_cells()
+    cells = np.argwhere(cands.reservoir_ok)
     m = len(cells)
     if m == 0:
         raise InfeasibleProblemError("no reservoir candidates to enumerate")
@@ -353,30 +356,17 @@ def oracle_enumerate(
         raise ValueError(
             f"search space too large: {m} candidate cells exceed max_cells={max_cells}"
         )
-    index = {cell: k for k, cell in enumerate(cells)}
 
-    y_ok = np.zeros(m, dtype=bool)
-    req4_ok = np.zeros(m, dtype=bool)
-    x_ok = np.zeros(m, dtype=bool)
-    adj4_mask = np.zeros(m, dtype=np.int64)
-    vol = np.zeros(m)
+    # Candidate k's four neighbours, by candidate index (-1 for a non-candidate).
+    i, j = cells.T
+    nbr = _at(_id_raster(grid.shape, cells, np.arange(m)), cells, _FOUR)
+    adj4_mask = np.bitwise_or.reduce(np.where(nbr >= 0, np.left_shift(1, nbr.clip(0)), 0), axis=1)
+    y_ok = cands.interior_ok[i, j]
+    x_ok = cands.perimeter_ok[i, j]
+    req4_ok = (nbr >= 0).all(axis=1)
+    vol = (spec.water_elevation - grid.elevations[i, j]) * grid.cell_area  # read where y_ok
     emb = np.zeros(m)
     conv = np.full(m, np.inf)
-    for k, (i, j) in enumerate(cells):
-        y_ok[k] = cands.interior_ok[i, j]
-        x_ok[k] = cands.perimeter_ok[i, j]
-        nbr_bits = 0
-        nbr_count = 0
-        for di, dj in FOUR_NEIGHBORS:
-            nbr = (i + di, j + dj)
-            if nbr in index:
-                nbr_bits |= 1 << index[nbr]
-                nbr_count += 1
-        adj4_mask[k] = nbr_bits
-        req4_ok[k] = nbr_count == 4
-        if y_ok[k]:
-            vol[k] = (spec.water_elevation - float(grid.elevations[i, j])) * grid.cell_area
-    i, j = np.array(cells).T
     emb[x_ok] = embankment_cell_cost(grid.cell_length, spec.water_elevation,
                                      grid.elevations[i, j][x_ok], params)[0]
     excavation, lining = conveyance_cost(spec.flow, dist.values[i, j][x_ok], params)
@@ -470,24 +460,17 @@ def oracle_enumerate(
     if best is None:
         raise InfeasibleProblemError("oracle found no feasible configuration")
 
-    s, yb, xb, link_k = int(s[best]), int(yb[best]), int(xb[best]), int(link_k[best])
-    shape = grid.shape
-    x_mask = np.zeros(shape, dtype=bool)
-    y_mask = np.zeros(shape, dtype=bool)
-    z_mask = np.zeros(shape, dtype=bool)
-    for k, cell in enumerate(cells):
-        if (s >> k) & 1:
-            z_mask[cell] = True
-        if (yb >> k) & 1:
-            y_mask[cell] = True
-        if (xb >> k) & 1:
-            x_mask[cell] = True
+    def mask(word) -> np.ndarray:
+        out = np.zeros(grid.shape, dtype=bool)
+        out[i, j] = (int(word) >> np.arange(m)) & 1
+        return out
+
     return OracleResult(
         cost=best_cost,
-        perimeter_mask=x_mask,
-        interior_mask=y_mask,
-        reservoir_mask=z_mask,
-        link_cell=cells[link_k],
+        perimeter_mask=mask(xb[best]),
+        interior_mask=mask(yb[best]),
+        reservoir_mask=mask(s[best]),
+        link_cell=(int(i[link_k[best]]), int(j[link_k[best]])),
         n_enumerated=n_subsets,
         n_feasible=n_feasible,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .terrain import (
     cells_to_mask,
     clip,
     distance_field,
+    _blocks,
     _unchecked,
 )
 
@@ -53,32 +54,38 @@ class StrategyConfig:
     ladder: tuple[Level, ...] = (Level.NONE, Level.HV_PLANES, Level.HV_DIAG_PLANES, Level.TSP)
     zoom_factors: tuple[int, ...] = (8, 4, 2, 1)
     clip_margin: int | None = None  # None -> default_clip_margin(factor)
+    # The case's one time budget: its deadline falls this many seconds after
+    # run_ladder or run_zoom_in is called. A zoom stage gets an even share of the
+    # time left before it among the stages still to run, and a rung an even share
+    # of the time left before its stage's deadline (the case's, for a direct case)
+    # among the rungs still to run; no limit is below 1 ms. None: no limits.
     time_limit_s: float | None = None
-    budget: str = "per_level"  # "per_level" splits the cap per stage and rung; "total" counts down
     gap_target: float = 0.0
     perimeter_min_neighbors: int = 1
     distance_metric: str = "horizontal"
 
     def __post_init__(self):
-        if not self.ladder:
-            raise ValueError("ladder must name at least one defense level")
-        object.__setattr__(self, "ladder", tuple(parse_level(lv) for lv in self.ladder))
-        if list(self.ladder) != sorted(set(self.ladder)):
-            raise ValueError("ladder levels must be strictly escalating")
+        """Raise one ValueError that names every failed check, one per line."""
+        ladder = tuple(parse_level(lv) for lv in self.ladder)
         zf = tuple(int(f) for f in self.zoom_factors)
-        if not zf or zf[-1] != 1 or any(a <= b for a, b in zip(zf, zf[1:])):
-            raise ValueError("zoom_factors must be strictly decreasing and end at 1")
+        object.__setattr__(self, "ladder", ladder)
         object.__setattr__(self, "zoom_factors", zf)
-        if self.budget not in ("per_level", "total"):
-            raise ValueError("budget must be 'per_level' or 'total'")
-        if self.perimeter_min_neighbors not in (1, 3):
-            raise ValueError("perimeter_min_neighbors must be 1 or 3")
-        if self.clip_margin is not None and self.clip_margin < 0:
-            raise ValueError("clip_margin must be >= 0")
-        if self.distance_metric not in ("horizontal", "slant"):
-            raise ValueError(f"distance_metric must be 'horizontal' or 'slant', "
-                             f"got {self.distance_metric!r}")
-        SolveLimits(self.time_limit_s, self.gap_target)  # the same checks as each solve's
+        failed = [message for bad, message in (
+            (not ladder, "ladder must name at least one defense level"),
+            (list(ladder) != sorted(set(ladder)), "ladder levels must be strictly escalating"),
+            (not zf or zf[-1] != 1 or any(a <= b for a, b in zip(zf, zf[1:])),
+             "zoom_factors must be strictly decreasing and end at 1"),
+            (self.perimeter_min_neighbors not in (1, 3), "perimeter_min_neighbors must be 1 or 3"),
+            (self.clip_margin is not None and self.clip_margin < 0, "clip_margin must be >= 0"),
+            (self.distance_metric not in ("horizontal", "slant"),
+             f"distance_metric must be 'horizontal' or 'slant', got {self.distance_metric!r}"),
+        ) if bad]
+        try:
+            SolveLimits(self.time_limit_s, self.gap_target)  # the same checks as each solve's
+        except ValueError as exc:
+            failed.append(str(exc))
+        if failed:
+            raise ValueError("\n".join(failed))
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ class TraceEntry:
     wall_time_s: float
     window: tuple[int, int, int, int] | None = None  # fine coords: r0, c0, nrows, ncols
     note: str = ""
-    time_limit_s: float | None = None  # the rung's budget; None when unlimited
+    time_limit_s: float | None = None  # the rung's time limit; None when unlimited
     n_nonzeros: int = 0  # constraint-matrix nonzeros of the model solved
     nodes: int = 0  # branch-and-bound nodes HiGHS explored
     bound: float | None = None  # the dual bound plus the objective constant, if any
@@ -122,18 +129,18 @@ def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) 
     )
 
 
-def _budgets(total: float | None, mode: str, n: int) -> Iterator[float | None]:
-    """Time limits for n consecutive solves sharing ``total`` seconds.
+def _share(deadline: float | None, n_left: int) -> float | None:
+    """The time limit of the next of ``n_left`` solves still to run before
+    ``deadline``: an even share of the time left, and at least 1 ms. None
+    without a deadline."""
+    if deadline is None:
+        return None
+    return max((deadline - time.perf_counter()) / n_left, 1e-3)
 
-    "per_level" gives each solve an equal share; "total" gives each the time
-    left before the shared deadline, which starts at the first solve.
-    """
-    if total is None or mode == "per_level":
-        yield from [None if total is None else total / n] * n
-        return
-    deadline = time.perf_counter() + total
-    for _ in range(n):
-        yield max(deadline - time.perf_counter(), 1e-3)
+
+def _deadline(limit_s: float | None) -> float | None:
+    """The clock reading ``limit_s`` seconds from now; None without a limit."""
+    return None if limit_s is None else time.perf_counter() + limit_s
 
 
 def run_ladder(
@@ -144,28 +151,33 @@ def run_ladder(
     *,
     dist: DistanceField | None = None,
     excluded=None,
-    time_budget_s: float | None = None,
-    zoom_factor: int = 1,
 ) -> ReservoirSolution:
     """Escalate connectivity defenses until flood fill sees one reservoir.
 
     Returns the first connected incumbent, annotated with the level that
     produced it. When every ladder level still fragments, the best fragmented
     incumbent comes back flagged invalid; when no level yields an incumbent at
-    all, NoIncumbentError carries the trace.
+    all, NoIncumbentError carries the trace. Each rung gets an even share of
+    the time left before the case's deadline (``StrategyConfig.time_limit_s``).
     """
     config = config or StrategyConfig()
-    params = cost_params or CostParams()
-    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    deadline = _deadline(config.time_limit_s)
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
+    return _run_stage(grid, spec, cost_params or CostParams(), config, config.ladder, deadline,
+                      dist, excluded)
 
-    total = time_budget_s if time_budget_s is not None else config.time_limit_s
+
+def _run_stage(grid, spec, params, config, levels, deadline, dist, excluded) -> ReservoirSolution:
+    """The rungs ``levels`` in turn, each with an even share of the time left
+    before ``deadline``, until one yields a connected incumbent."""
+    cands = candidate_sets(grid, spec.water_elevation, excluded)
     trace: list[TraceEntry] = []
     best_fragmented: ReservoirSolution | None = None
 
-    for level, budget in zip(config.ladder, _budgets(total, config.budget, len(config.ladder))):
-        solution, entry = _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor)
+    for k, level in enumerate(levels):
+        limit = _share(deadline, len(levels) - k)
+        solution, entry = _rung(grid, spec, params, config, cands, dist, level, limit)
         trace.append(entry)
         if solution is None:
             logger.info("level %s: no incumbent (%s)", level.name, entry.status)
@@ -191,8 +203,9 @@ def run_ladder(
     raise NoIncumbentError("every ladder level ended without an incumbent", trace)
 
 
-def _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor):
-    """One ladder rung: (its solution or None, its trace entry).
+def _rung(grid, spec, params, config, cands, dist, level, limit):
+    """One ladder rung: (its solution or None, its trace entry, whose stage
+    and zoom factor ``run_zoom_in`` sets for a zoom stage).
 
     Level 0 is first given to ``certify_level_zero``; a rung it does not
     settle is built and solved with HiGHS.
@@ -202,26 +215,26 @@ def _rung(grid, spec, params, config, cands, dist, level, budget, zoom_factor):
                                   perimeter_min_neighbors=config.perimeter_min_neighbors)
         if site is not None:
             return site, TraceEntry(
-                "ladder", zoom_factor, 0, site.status, site.objective_value, site.gap,
-                site.connected, site.n_components, 0, 0, site.wall_time_s, time_limit_s=budget,
+                "ladder", 1, 0, site.status, site.objective_value, site.gap,
+                site.connected, site.n_components, 0, 0, site.wall_time_s, time_limit_s=limit,
                 bound=site.objective_value, path="certified",
             )
     start = time.perf_counter()
     sp = build_siting_problem(grid, spec, params, cands=cands, dist=dist, level=int(level),
                               perimeter_min_neighbors=config.perimeter_min_neighbors)
     build_s = time.perf_counter() - start
-    result = solve(sp.mip, limits=SolveLimits(time_limit_s=budget, gap_target=config.gap_target))
+    result = solve(sp.mip, limits=SolveLimits(time_limit_s=limit, gap_target=config.gap_target))
     solution = None
     if result.has_incumbent:
         solution = extract_solution(sp, result.x, status=result.status.value,
                                     objective_value=result.objective, gap=result.gap,
                                     wall_time_s=result.wall_time_s)
     entry = TraceEntry(
-        "ladder", zoom_factor, int(level), result.status.value, result.objective, result.gap,
+        "ladder", 1, int(level), result.status.value, result.objective, result.gap,
         None if solution is None else solution.connected,
         None if solution is None else solution.n_components,
         sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
-        note=result.message if solution is None else "", time_limit_s=budget,
+        note=result.message if solution is None else "", time_limit_s=limit,
         n_nonzeros=sp.mip.nnz, nodes=result.nodes, bound=result.bound, build_s=build_s,
     )
     return solution, entry
@@ -245,19 +258,22 @@ def run_zoom_in(
     fragmented or not. The final window is solved at native resolution with
     the full ladder and verified against the full-resolution grid (on the
     window grown by one cell, which gives the same verdict).
+
+    Each stage gets an even share of the time left before the case's
+    deadline, and splits it among its rungs (``StrategyConfig.time_limit_s``).
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
     excluded_mask = cells_to_mask(excluded, grid.shape)
-    coarse_config = replace(config, ladder=config.ladder[:1])
 
     trace: list[TraceEntry] = []
     last = (grid.nrows - 1, grid.ncols - 1)
     corners = np.array([(0, 0), last])  # the window's first and last fine cell
     solution: ReservoirSolution | None = None
 
-    budgets = _budgets(config.time_limit_s, config.budget, len(config.zoom_factors))
-    for factor, budget in zip(config.zoom_factors, budgets):
+    deadline = _deadline(config.time_limit_s)
+    for k, factor in enumerate(config.zoom_factors):
+        stage_deadline = _deadline(_share(deadline, len(config.zoom_factors) - k))
         coarse = aggregate(grid, factor)
         if not coarse.lower_mask.any():
             raise InfeasibleProblemError(
@@ -272,26 +288,24 @@ def run_zoom_in(
         sub_excluded = None
         if excluded_mask.any():
             # A super-cell is off limits as soon as any child is.
-            nr, nc = coarse.shape
-            padded = np.zeros((nr * factor, nc * factor), dtype=bool)
-            padded[: grid.nrows, : grid.ncols] = excluded_mask
-            sub_excluded = padded.reshape(nr, factor, nc, factor).any(axis=(1, 3))[rows, cols]
+            sub_excluded = _blocks(excluded_mask, factor, False).any(axis=(1, 3))[rows, cols]
 
         stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
+        levels = config.ladder if factor == 1 else config.ladder[:1]
         try:
-            solution = run_ladder(
-                sub, spec, params, config if factor == 1 else coarse_config,
-                dist=sub_dist, excluded=sub_excluded, time_budget_s=budget, zoom_factor=factor,
-            )
+            solution = _run_stage(sub, spec, params, config, levels, stage_deadline,
+                                  sub_dist, sub_excluded)
+            stage_trace, failure = solution.trace, None
         except (InfeasibleProblemError, NoIncumbentError) as exc:
             # a NoIncumbentError carries the stage's trace; an
             # InfeasibleProblemError is raised before its first entry
-            trace.extend(replace(t, stage="zoom", window=stage_window)
-                         for t in getattr(exc, "trace", ()))
+            stage_trace, failure = getattr(exc, "trace", ()), exc
+        trace.extend(replace(t, stage="zoom", zoom_factor=factor, window=stage_window)
+                     for t in stage_trace)
+        if failure is not None:
             raise NoIncumbentError(
-                f"zoom level (factor {factor}) produced no incumbent: {exc}", trace
-            ) from exc
-        trace.extend(replace(t, stage="zoom", window=stage_window) for t in solution.trace)
+                f"zoom level (factor {factor}) produced no incumbent: {failure}", trace
+            ) from failure
 
         # The next window covers every cell of the incumbent's reservoir; the
         # extraction prune has already cleared the components it does not need.

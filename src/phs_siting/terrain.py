@@ -496,22 +496,25 @@ def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
     return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor))
 
 
+def _blocks(values: np.ndarray, factor: int, fill) -> np.ndarray:
+    """The super-cells of ``values``: padded with ``fill`` at the bottom and
+    right to whole factor x factor blocks, as an (rows, factor, cols, factor)
+    array whose entry [i, :, j, :] holds the children of super-cell (i, j)."""
+    nr, nc = values.shape
+    padded = np.pad(values, ((0, -nr % factor), (0, -nc % factor)), constant_values=fill)
+    return padded.reshape(padded.shape[0] // factor, factor, padded.shape[1] // factor, factor)
+
+
 def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
     nr, nc = grid.shape
     nr2, nc2 = -(-nr // factor), -(-nc // factor)
     if min(nr2, nc2) < _MIN_SIDE:
         raise ValueError(f"factor {factor} collapses the grid below {_MIN_SIDE} cells per side")
 
-    pad_r, pad_c = nr2 * factor - nr, nc2 * factor - nc
-    elev = np.pad(grid.elevations, ((0, pad_r), (0, pad_c)), constant_values=np.nan)
-    nodata = np.pad(grid.nodata, ((0, pad_r), (0, pad_c)), constant_values=True)
-    lower = np.pad(grid.lower_mask, ((0, pad_r), (0, pad_c)), constant_values=False)
-
-    valid = ~nodata
-    blocks = lambda a: a.reshape(nr2, factor, nc2, factor)
-    counts = blocks(valid.astype(int)).sum(axis=(1, 3))
-    sums = blocks(np.where(valid, elev, 0.0)).sum(axis=(1, 3))
-    lower_counts = blocks(lower.astype(int)).sum(axis=(1, 3))
+    valid = ~_blocks(grid.nodata, factor, True)
+    counts = valid.sum(axis=(1, 3))
+    sums = np.where(valid, _blocks(grid.elevations, factor, np.nan), 0.0).sum(axis=(1, 3))
+    lower_counts = _blocks(grid.lower_mask, factor, False).sum(axis=(1, 3))
 
     new_nodata = counts == 0
     with np.errstate(invalid="ignore"):
@@ -525,7 +528,7 @@ def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
         new_nodata,
         grid.lower_elevation,
         grid.xllcorner,
-        grid.yllcorner - pad_r * grid.cell_length,
+        grid.yllcorner - (nr2 * factor - nr) * grid.cell_length,
     )
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
+from phs_siting.cli import _parse_config
 
 from conftest import (
     highs_file_optimum,
@@ -167,10 +168,8 @@ def test_criterion_8_zoom_soundness():
     # mid-size directional check under a tight shared budget
     grid, spec = midsize_grid(), midsize_spec()
     budget = 0.5
-    direct_cfg = StrategyConfig(ladder=(Level.NONE,), time_limit_s=budget, budget="total")
-    zoom_cfg = StrategyConfig(
-        ladder=(Level.NONE,), time_limit_s=budget, budget="per_level", zoom_factors=(4, 2, 1)
-    )
+    direct_cfg = StrategyConfig(ladder=(Level.NONE,), time_limit_s=budget)
+    zoom_cfg = StrategyConfig(ladder=(Level.NONE,), time_limit_s=budget, zoom_factors=(4, 2, 1))
     zoomed_mid = ps.run_zoom_in(grid, spec, config=zoom_cfg)
     assert zoomed_mid.valid and zoomed_mid.connected
     try:
@@ -198,13 +197,19 @@ def test_criterion_9_export_round_trip(tmp_path):
                "every exported file to the internal optimum")
 
 
-def test_criterion_10_case_study_configuration():
+def test_criterion_10_case_study_configuration(tmp_path):
     assert SOBRADINHO_CONFIG.exists(), "the shipped case-study config is part of the repo"
     text = SOBRADINHO_CONFIG.read_text()
     for needle in ("head_m = 150", "head_m = 175", "head_m = 200",
                    "power_mw = 500", "time_limit_s = 3600"):
         assert needle in text
     assert text.count("[case.") == 9
+    # drift guard: away from its DEM, the file's one diagnostic is the DEM path
+    copy = tmp_path / "cases" / SOBRADINHO_CONFIG.name
+    copy.parent.mkdir()
+    copy.write_text(text)
+    assert _parse_config(copy)[1] == [
+        f"dem.path: file not found ({copy.parent / '../data/sobradinho.asc'})"]
     if not SOBRADINHO_DEM.exists():
         _report(10, "case-study config ships with the repo (9 cases, 1 h budget); "
                     "full reproduction SKIPPED: DEM not present under data/")
@@ -213,8 +218,6 @@ def test_criterion_10_case_study_configuration():
     # Full-scale assertions, only with the real DEM present: the zoom cases
     # terminate optimal with storage at or above their targets, and a direct
     # full-resolution solve still carries a nonzero gap at the limit.
-    from phs_siting.cli import load_case_config
-
     from phs_siting.cli import _load_terrain, load_case_config
 
     config = load_case_config(SOBRADINHO_CONFIG)

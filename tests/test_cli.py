@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting.cli import _load_terrain, _trace_line, load_case_config, main, run_batch, validate_config
+from phs_siting.cli import (
+    _load_terrain,
+    _parse_config,
+    _trace_line,
+    load_case_config,
+    main,
+    run_batch,
+    validate_config,
+)
 
 from conftest import RIVER_ELEVATION
 
@@ -123,12 +131,25 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
         (("power_mw = 1.2\n", ""), ["project.power_mw: required"]),
         (("power_mw = 1.2", "power_mw = -1"), ["project.power_mw: must be positive, got -1.0"]),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\ndistance_metric = euclid"),
-         ["strategy.distance_metric: must be horizontal or slant, got 'euclid'"]),
+         ["strategy: distance_metric must be 'horizontal' or 'slant', got 'euclid'"]),
+        (("time_limit_s = 60", "time_limit_s = -1"), ["solver.time_limit_s: must be positive, got -1.0"]),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -3\nperimeter_min_neighbors = 2"),
+         ["strategy: perimeter_min_neighbors must be 1 or 3", "strategy: clip_margin must be >= 0"]),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nbudget = total"), ["strategy.budget: unknown key"]),
     ],
 )
 def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, expected):
     micro_config.write_text(micro_config.read_text().replace(*mutation))
     assert validate_config(micro_config) == expected
+
+
+def test_readme_case_file_example_reads(tmp_path):
+    # Drift guard: the README's example names only keys the reader knows, so
+    # its one diagnostic is the DEM file it names, which does not ship.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = tmp_path / "cases.ini"
+    example.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert _parse_config(example)[1] == [f"dem.path: file not found ({tmp_path / 'river.asc'})"]
 
 
 # Each value is read as its key's type before any check: a boolean or a
@@ -272,15 +293,17 @@ def test_run_batch_produces_artifacts(micro_config, tmp_path):
                  "case_1_mask.asc", "case_2_mask.asc", "trace_1.log", "trace_2.log"):
         assert (out / name).exists(), name
     # 60 s split over the four rungs of the direct case; the zoom case gives
-    # each of its two stages 30 s, all to the coarse rung, a quarter per native rung
+    # its coarse stage half, all to its one rung, and the native stage what is
+    # left, a quarter of it to its first rung
     assert "limit=15.00s" in (out / "trace_1.log").read_text().splitlines()[0]
     assert all(" nnz=" in line and " nodes=" in line
                for line in (out / "trace_1.log").read_text().splitlines())
     assert all(" bound=" in line and " build=" in line
                for line in (out / "trace_1.log").read_text().splitlines())
-    zoom_limits = [line.split(" limit=")[1].split()[0]
+    zoom_limits = [float(line.split(" limit=")[1].split("s")[0])
                    for line in (out / "trace_2.log").read_text().splitlines()]
-    assert zoom_limits[:2] == ["30.00s", "7.50s"]
+    assert zoom_limits[0] == pytest.approx(30.0, abs=0.01)
+    assert zoom_limits[1] == pytest.approx(15.0, abs=0.1)
 
     with open(out / "report_physical.csv") as fh:
         rows = list(csv.DictReader(fh))

@@ -38,8 +38,6 @@ def test_config_validation():
         StrategyConfig(ladder=(Level.TSP, Level.NONE))
     with pytest.raises(ValueError, match="end at 1"):
         StrategyConfig(zoom_factors=(8, 4, 2))
-    with pytest.raises(ValueError, match="per_level"):
-        StrategyConfig(budget="sometimes")
     with pytest.raises(ValueError, match="1 or 3"):
         StrategyConfig(perimeter_min_neighbors=2)
     with pytest.raises(ValueError, match="clip_margin"):
@@ -52,6 +50,12 @@ def test_config_validation():
     for limit in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="time_limit_s"):
             StrategyConfig(time_limit_s=limit)
+    # every failed check is named, one per line
+    with pytest.raises(ValueError) as info:
+        StrategyConfig(clip_margin=-3, perimeter_min_neighbors=2, time_limit_s=-1.0, gap_target=2.0)
+    assert str(info.value).splitlines() == [
+        "perimeter_min_neighbors must be 1 or 3", "clip_margin must be >= 0",
+        "time_limit_s must be > 0, got -1.0", "gap_target must be in [0, 1), got 2.0"]
 
 
 def test_ladder_stops_at_level_zero_on_pit():
@@ -141,18 +145,17 @@ def test_ladder_aggregates_problem_size_and_time(two_basin_levels):
 
 
 def test_trace_records_each_rungs_time_limit():
-    # "per_level" hands each of the four rungs a quarter of the cap; "total"
-    # hands each the time left, so the limits never grow. The pit stops at
-    # level 0, the two-basin shelf escalates once.
+    # The first rung gets a quarter of the 40 s and the next a third of what
+    # is left, which the first rung's fraction of a second barely dents. The
+    # pit stops at level 0, the two-basin shelf escalates once.
     for grid, spec in ((pit_grid(), pit_spec()), (two_basin_grid(), two_basin_spec())):
-        per_level = ps.run_ladder(grid, spec, config=StrategyConfig(time_limit_s=40.0))
-        assert [t.time_limit_s for t in per_level.trace] == [10.0] * len(per_level.trace)
-        total = ps.run_ladder(grid, spec,
-                              config=StrategyConfig(time_limit_s=40.0, budget="total"))
-        limits = [t.time_limit_s for t in total.trace]
-        assert 0.0 < limits[-1] and limits[0] <= 40.0
-        assert limits == sorted(limits, reverse=True)
-    assert len(total.trace) == 2
+        solution = ps.run_ladder(grid, spec, config=StrategyConfig(time_limit_s=40.0))
+        limits = [t.time_limit_s for t in solution.trace]
+        assert limits[0] == pytest.approx(10.0, abs=0.05)
+        for k, limit in enumerate(limits[1:], 1):
+            spent = sum(t.wall_time_s for t in solution.trace[:k])
+            assert limit == pytest.approx((40.0 - spent) / (4 - k), abs=0.05)
+    assert len(solution.trace) == 2
     assert ps.run_ladder(pit_grid(), pit_spec()).trace[0].time_limit_s is None
 
 
@@ -523,13 +526,10 @@ def test_zoom_rejects_vanishing_lower_body():
 def test_zoom_beats_or_ties_direct_under_tight_budget():
     grid, spec = midsize_grid(), midsize_spec()
     budget = 0.5
-    config = StrategyConfig(
-        ladder=(Level.NONE,), time_limit_s=budget, budget="total"
-    )
+    config = StrategyConfig(ladder=(Level.NONE,), time_limit_s=budget)
     direct = ps.run_ladder(grid, spec, config=config)
     zoom_config = StrategyConfig(
-        ladder=(Level.NONE,), time_limit_s=budget, budget="per_level",
-        zoom_factors=(4, 2, 1),
+        ladder=(Level.NONE,), time_limit_s=budget, zoom_factors=(4, 2, 1),
     )
     zoomed = ps.run_zoom_in(grid, spec, config=zoom_config)
     assert zoomed.valid and zoomed.connected
@@ -615,17 +615,49 @@ def test_trace_nonzeros_are_each_models_matrix_nnz(monkeypatch, make):
         assert entry.n_nonzeros == sum(len(row.coeffs) for row in sp.mip.rows)
 
 
-def test_total_budget_after_an_overrun(monkeypatch):
+def _scripted_rungs(monkeypatch, durations, run_rung=True):
+    """Run each rung on a fake clock that stands still, except that rung k
+    takes ``durations[k]`` seconds; returns the list of the limits handed out.
+    Without ``run_rung``, a rung builds nothing and ends on its time limit."""
     import phs_siting.strategy as strategy
 
-    # four solves share 8 s; the first takes 5 s, well over its 2 s share,
-    # and the third ends after the deadline
-    clock = iter([100.0, 100.0, 105.0, 106.5, 110.0])
-    monkeypatch.setattr(strategy.time, "perf_counter", lambda: next(clock))
-    assert list(strategy._budgets(8.0, "total", 4)) == [8.0, 3.0, 1.5, 1e-3]
-    # per_level hands out equal shares whatever the clock says
-    assert list(strategy._budgets(8.0, "per_level", 4)) == [2.0] * 4
-    assert next(clock, None) is None
+    clock, limits = [100.0], []
+    original = strategy._rung
+
+    def scripted(*args):
+        limits.append(args[-1])
+        if run_rung:
+            result = original(*args)
+        else:
+            result = None, strategy.TraceEntry("ladder", 1, 0, "time_limit", None, None, None,
+                                               None, 0, 0, 0.0, time_limit_s=args[-1])
+        clock[0] += durations[len(limits) - 1]
+        return result
+
+    monkeypatch.setattr(strategy.time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(strategy, "_rung", scripted)
+    return limits
+
+
+def test_time_shares_after_an_overrun(monkeypatch):
+    # A direct case: four rungs share 8 s. The first takes 5 s, well over its
+    # 2 s share, so the next three split the 3 s left; the third rung ends
+    # after the deadline, and the last gets the 1 ms floor.
+    limits = _scripted_rungs(monkeypatch, [5.0, 1.5, 3.5, 1.0], run_rung=False)
+    with pytest.raises(ps.NoIncumbentError) as info:
+        ps.run_ladder(pit_grid(), pit_spec(), config=StrategyConfig(time_limit_s=8.0))
+    assert limits == [2.0, 1.0, 0.75, 1e-3]
+    assert [t.time_limit_s for t in info.value.trace] == limits
+
+    # A zoom case: two stages share 12 s, and the coarse stage's one rung
+    # gets its stage's 6 s. It takes 9 s, so the native stage has 3 s left,
+    # a quarter of it for its first rung.
+    monkeypatch.undo()
+    limits = _scripted_rungs(monkeypatch, [9.0, 1.0])
+    zoomed = ps.run_zoom_in(_zoomable_pit_grid(), spec_for_volume(100_000.0),
+                            config=StrategyConfig(zoom_factors=(2, 1), time_limit_s=12.0))
+    assert limits == [6.0, 0.75]
+    assert [(t.zoom_factor, t.time_limit_s) for t in zoomed.trace] == [(2, 6.0), (1, 0.75)]
 
 
 def _coarse_split_grid():
@@ -651,14 +683,14 @@ def test_zoom_coarse_stage_solves_first_rung_only(monkeypatch):
     grid, spec = _coarse_split_grid(), spec_for_volume(100_000.0)
     config = StrategyConfig(zoom_factors=(2, 1), clip_margin=0)
     stages = []
-    original = strategy.run_ladder
+    original = strategy._run_stage
 
-    def recording(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        stages.append((kwargs["zoom_factor"], sol))
+    def recording(*args):
+        sol = original(*args)
+        stages.append((round(args[0].cell_length / grid.cell_length), sol))
         return sol
 
-    monkeypatch.setattr(strategy, "run_ladder", recording)
+    monkeypatch.setattr(strategy, "_run_stage", recording)
     zoomed = ps.run_zoom_in(grid, spec, config=config)
 
     coarse = [t for t in zoomed.trace if t.zoom_factor > 1]
@@ -717,14 +749,14 @@ def test_zoom_keeps_excluded_cells_dry_at_every_stage(monkeypatch):
     grid, spec = river_grid(elev), spec_for_volume(200_000.0)
     config = StrategyConfig(zoom_factors=(2, 1))
     stages = []
-    original = strategy.run_ladder
+    original = strategy._run_stage
 
-    def recording(*args, **kwargs):
-        sol = original(*args, **kwargs)
-        stages.append((kwargs["zoom_factor"], sol))
+    def recording(*args):
+        sol = original(*args)
+        stages.append((round(args[0].cell_length / grid.cell_length), sol))
         return sol
 
-    monkeypatch.setattr(strategy, "run_ladder", recording)
+    monkeypatch.setattr(strategy, "_run_stage", recording)
     cell = (1, 4)
     free = ps.run_zoom_in(grid, spec, config=config)
     assert free.reservoir_mask[cell]
