@@ -30,25 +30,39 @@ from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import ByElevation, MaskFile, TerrainGrid, load_grid, load_mask, write_esri_ascii
+from .terrain import (ByElevation, MaskFile, TerrainGrid, aggregate, load_grid, load_mask,
+                      write_esri_ascii)
 
 logger = logging.getLogger(__name__)
 
-#: The keys of each section and the type each value reads as; every
-#: ``[case.N]`` section takes the keys of ``case``.
-_KEYS: dict[str, dict[str, type]] = {
+
+def _levels(raw: str) -> tuple[Level, ...]:
+    return tuple(parse_level(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+def _factors(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"not integers ({raw!r})") from None
+
+
+#: The keys of each section and the type (or comma-list reader) each value
+#: reads as; every ``[case.N]`` section takes the keys of ``case``.
+_KEYS: dict[str, dict] = {
     "dem": {"path": str, "format": str, "lower_by_elevation": float, "lower_tolerance": float,
             "lower_mask_file": str, "lower_elevation": float, "pad_nonsquare": bool,
             "excluded_mask_file": str},
     "project": {"power_mw": float, "efficiency": float},
     "costs": {name: float for name in CostParams.__dataclass_fields__},
-    "strategy": {"ladder": str, "zoom_factors": str, "clip_margin": int, "distance_metric": str,
-                 "perimeter_min_neighbors": int},
+    "strategy": {"ladder": _levels, "zoom_factors": _factors, "clip_margin": int,
+                 "distance_metric": str, "perimeter_min_neighbors": int},
     "solver": {"time_limit_s": float, "gap_target": float, "workers": int},
     "output": {"directory": str},
     "case": {"head_m": float, "operation_h": float, "zoom": bool, "power_mw": float},
 }
 _BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_SCALARS = (bool, int, float)  # an empty value of these reads as absent
 
 
 @dataclass
@@ -68,7 +82,6 @@ class CaseConfig:
     lower_elevation: float | None
     pad_nonsquare: bool
     excluded_mask_file: Path | None
-    power_mw: float
     efficiency: float
     cost_params: CostParams
     strategy: StrategyConfig
@@ -77,11 +90,11 @@ class CaseConfig:
     cases: list[CaseSpec] = field(default_factory=list)
 
 
-def _read_value(value_type: type, raw: str):
+def _read_value(value_type, raw: str):
     """``raw`` read as ``value_type``; a value that does not read raises ValueError
     with the diagnostic's text."""
-    if value_type is str:
-        return raw
+    if value_type not in _SCALARS:
+        return value_type(raw)
     if value_type is bool:
         if raw.lower() not in _BOOLEANS:
             raise ValueError(f"not a boolean ({raw!r})")
@@ -101,13 +114,26 @@ def _read_value(value_type: type, raw: str):
     return value
 
 
+def _field_lines(exc: ValueError, *sections: str) -> list[str]:
+    """A constructor's ValueError as diagnostics: each line, one failed check
+    that begins with its field's name, reads ``<section>.<key>: <rest>``, the
+    section being the first of ``sections`` that has the key."""
+    lines = []
+    for line in str(exc).splitlines():
+        key, _, rest = line.partition(" ")
+        section = next(s for s in sections if key in _KEYS[s])
+        lines.append(f"{section}.{key}: {rest}")
+    return lines
+
+
 def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     """Parse and validate; returns (config or None, diagnostics).
 
     Every value is read as its key's type (``_KEYS``) before any check; an
-    empty value other than a string reads as absent. An unknown section or
-    key and a value that does not read are reported, and a rejected value
-    gets no follow-up lines.
+    empty number or boolean reads as absent. An unknown section or key and a
+    value that does not read are reported, and a rejected value gets no
+    follow-up lines. The library objects get only the keys the file gives,
+    and check them themselves.
     """
     diags: list[str] = []
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -133,7 +159,7 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             if value_type is None:
                 diags.append(f"{section}.{key}: "
                              + ("unknown cost parameter" if kind == "costs" else "unknown key"))
-            elif value_type is str or raw:
+            elif raw or value_type not in _SCALARS:
                 try:
                     read[key] = _read_value(value_type, raw)
                 except ValueError as exc:
@@ -162,7 +188,8 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     if by_elev is not None and mask_file:
         diags.append("dem: give either lower_by_elevation or lower_mask_file, not both")
     elif by_elev is not None:
-        lower = ByElevation(by_elev, get("dem", "lower_tolerance", 0.5))
+        tolerance = get("dem", "lower_tolerance")
+        lower = ByElevation(by_elev) if tolerance is None else ByElevation(by_elev, tolerance)
     elif mask_file:
         mask_path = base / mask_file
         if not mask_path.exists():
@@ -190,51 +217,24 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     try:
         cost_params = CostParams(**values.get("costs", {}))
     except ValueError as exc:
-        diags.append(f"costs: {exc}")
+        diags.extend(_field_lines(exc, "costs"))
         cost_params = CostParams()
 
-    time_limit = get("solver", "time_limit_s")
-    if time_limit is not None and time_limit <= 0:
-        diags.append(f"solver.time_limit_s: must be positive, got {time_limit}")
-        time_limit = None
-    gap_target = get("solver", "gap_target", 0.0)
-    if not 0 <= gap_target < 1:
-        diags.append(f"solver.gap_target: must be in [0, 1), got {gap_target}")
-        gap_target = 0.0
-    workers = get("solver", "workers", 1)
+    solver = dict(values.get("solver", {}))
+    workers = solver.pop("workers", 1)  # the other solver keys are StrategyConfig's
     if workers < 1:
         diags.append(f"solver.workers: must be >= 1, got {workers}")
 
-    ladder_raw = get("strategy", "ladder", "none, hv_planes, hv_diag_planes, tsp")
     try:
-        ladder = tuple(parse_level(tok.strip()) for tok in ladder_raw.split(",") if tok.strip())
+        strategy = StrategyConfig(**values.get("strategy", {}), **solver)
     except ValueError as exc:
-        diags.append(f"strategy.ladder: {exc}")
-        ladder = (Level.NONE,)
-    zoom_raw = get("strategy", "zoom_factors", "8, 4, 2, 1")
-    try:
-        zoom_factors = tuple(int(tok) for tok in zoom_raw.split(",") if tok.strip())
-    except ValueError:
-        diags.append(f"strategy.zoom_factors: not integers ({zoom_raw!r})")
-        zoom_factors = (8, 4, 2, 1)
-
-    try:
-        strategy = StrategyConfig(
-            ladder=ladder,
-            zoom_factors=zoom_factors,
-            clip_margin=get("strategy", "clip_margin"),
-            time_limit_s=time_limit,
-            gap_target=gap_target,
-            perimeter_min_neighbors=get("strategy", "perimeter_min_neighbors", 1),
-            distance_metric=get("strategy", "distance_metric", "horizontal"),
-        )
-    except ValueError as exc:
-        diags.extend(f"strategy: {line}" for line in str(exc).splitlines())
+        diags.extend(_field_lines(exc, "strategy", "solver"))
         strategy = StrategyConfig()
 
     output_dir = base / get("output", "directory", "out")
 
     cases: list[CaseSpec] = []
+    named: dict[int, str] = {}  # case index -> the section that first gave it
     for section in parser.sections():
         if not section.startswith("case."):
             continue
@@ -243,6 +243,10 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
         except ValueError:
             diags.append(f"{section}: case sections are named case.<integer>")
             continue
+        if index in named:
+            diags.append(f"{section}: repeats the case index of [{named[index]}]")
+            continue
+        named[index] = section
         head, hours = get(section, "head_m"), get(section, "operation_h")
         own_power = "power_mw" in values[section] or f"{section}.power_mw" in rejected
         case_power = get(section, "power_mw", power_mw)
@@ -268,7 +272,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             lower_elevation=get("dem", "lower_elevation"),
             pad_nonsquare=get("dem", "pad_nonsquare", False),
             excluded_mask_file=excluded_path,
-            power_mw=power_mw,
             efficiency=efficiency,
             cost_params=cost_params,
             strategy=strategy,
@@ -329,6 +332,13 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
             excluded = load_mask(config.excluded_mask_file, grid)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
+    if any(case.zoom for case in config.cases):
+        # the zoom-in coarsens the whole grid at each factor; this warms that cache
+        for factor in config.strategy.zoom_factors:
+            try:
+                aggregate(grid, factor)
+            except ValueError as exc:
+                raise SitingError(f"strategy.zoom_factors: {exc}") from exc
     return grid, excluded
 
 

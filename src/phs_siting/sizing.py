@@ -7,8 +7,7 @@ P = rho * g * eta * Q * head.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 WATER_DENSITY = 1000.0  # kg/m^3
 GRAVITY = 9.81  # m/s^2
@@ -52,36 +51,24 @@ class SitingSpec:
 
     ``water_elevation`` is the absolute upper water level compared against
     cell elevations; ``head_m`` is the level difference driving the energy
-    balance. Build instances with :meth:`from_engineering`.
+    balance. ``energy_constant``, ``vol_min`` and ``flow`` derive from the five
+    inputs, so every spec satisfies the energy balance and Q = VolMin / dt.
     """
 
     power_mw: float
     head_m: float
     water_elevation: float
     hours: float
-    efficiency: float
-    energy_constant: float  # rho * g * eta, W*s/m^4
-    vol_min: float  # m^3
-    flow: float  # m^3/s
+    efficiency: float = DEFAULT_EFFICIENCY
+    energy_constant: float = field(init=False)  # rho * g * eta, W*s/m^4
+    vol_min: float = field(init=False)  # m^3
+    flow: float = field(init=False)  # m^3/s
 
     def __post_init__(self):
-        _require_positive(
-            power_mw=self.power_mw,
-            head_m=self.head_m,
-            hours=self.hours,
-            efficiency=self.efficiency,
-            vol_min=self.vol_min,
-            flow=self.flow,
-        )
-        if self.efficiency > 1:
-            raise ValueError(f"efficiency must be <= 1, got {self.efficiency}")
-        # Energy balance VolMin * head * k = P * dt and Q = VolMin / dt must hold.
-        energy = self.vol_min * self.head_m * self.energy_constant
-        target = self.power_mw * 1e6 * self.hours * SECONDS_PER_HOUR
-        if not math.isclose(energy, target, rel_tol=1e-9):
-            raise ValueError("vol_min, head and energy_constant violate the energy balance")
-        if not math.isclose(self.flow, self.vol_min / (self.hours * SECONDS_PER_HOUR), rel_tol=1e-9):
-            raise ValueError("flow is inconsistent with vol_min / duration")
+        vol_min = required_volume(self.power_mw, self.head_m, self.hours, self.efficiency)
+        object.__setattr__(self, "energy_constant", WATER_DENSITY * GRAVITY * self.efficiency)
+        object.__setattr__(self, "vol_min", vol_min)
+        object.__setattr__(self, "flow", design_flow(vol_min, self.hours))
 
     @classmethod
     def from_engineering(
@@ -92,14 +79,4 @@ class SitingSpec:
         lower_elevation: float,
         efficiency: float = DEFAULT_EFFICIENCY,
     ) -> "SitingSpec":
-        vol_min = required_volume(power_mw, head_m, hours, efficiency)
-        return cls(
-            power_mw=power_mw,
-            head_m=head_m,
-            water_elevation=lower_elevation + head_m,
-            hours=hours,
-            efficiency=efficiency,
-            energy_constant=WATER_DENSITY * GRAVITY * efficiency,
-            vol_min=vol_min,
-            flow=design_flow(vol_min, hours),
-        )
+        return cls(power_mw, head_m, lower_elevation + head_m, hours, efficiency)

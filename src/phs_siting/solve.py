@@ -68,6 +68,8 @@ _STATUS = {
 #: run in the process makes ``run()`` fail. ``random_seed`` is HiGHS's fixed 0.
 _OPTIONS = {"output_flag": False, "mip_heuristic_run_feasibility_jump": False}
 
+_ORACLE_CEILING = 24  # the most candidates oracle_enumerate takes: 64 MB per array
+
 
 @dataclass(frozen=True)
 class SolveLimits:
@@ -331,18 +333,20 @@ def oracle_enumerate(
     one 4-connected component. Holes (ring reservoirs) are allowed. The link
     is placed on the cheapest-conveyance perimeter cell.
 
-    The enumeration is a bitset kernel. Subset s is the word whose bit k marks
-    candidate k (int32 up to 30 candidates, int64 above), and the kernel holds
-    all 2^m words at once, so its memory is a few arrays of 2^m words: 1 MB
-    each at the default ``max_cells``, 8 MB each at 21. The cells next to a
-    subset come from 64-entry tables, one per 6-bit chunk of the word. The
-    interior cells and both perimeter tests (every perimeter cell eligible and
-    next to the reservoir) are whole-word operations over every word; the
-    volume, the connectivity test (frontier growth), the embankment and the
-    link run on the words that pass. Sums run in the candidate order k, and
-    the winner is the first subset, in index order, whose cost beats the
-    running best by 1e-12, so the optimum, its ties and both counts are those
-    of a plain per-subset loop.
+    The enumeration is a bitset kernel. Subset s is the int32 word whose bit k
+    marks candidate k, and the kernel holds all 2^m words at once, so its
+    memory is a few arrays of 2^m words: 1 MB each at the default
+    ``max_cells``, 8 MB each at 21. Above ``_ORACLE_CEILING`` (24) candidates
+    it raises ValueError whatever ``max_cells`` says, before it allocates: at
+    24 each array takes 64 MB, and the search peaked at 496 MB resident on a
+    2-vCPU x86-64 VM. The cells next to a subset come from 64-entry tables,
+    one per 6-bit chunk of the word. The interior cells and both perimeter
+    tests (every perimeter cell eligible and next to the reservoir) are
+    whole-word operations over every word; the volume, the connectivity test
+    (frontier growth), the embankment and the link run on the words that pass.
+    Sums run in the candidate order k, and the winner is the first subset, in
+    index order, whose cost beats the running best by 1e-12, so the optimum,
+    its ties and both counts are those of a plain per-subset loop.
     """
     params = cost_params or CostParams()
     cands = candidate_sets(grid, spec.water_elevation, excluded)
@@ -352,10 +356,10 @@ def oracle_enumerate(
     m = len(cells)
     if m == 0:
         raise InfeasibleProblemError("no reservoir candidates to enumerate")
-    if m > max_cells:
-        raise ValueError(
-            f"search space too large: {m} candidate cells exceed max_cells={max_cells}"
-        )
+    if m > min(max_cells, _ORACLE_CEILING):
+        raise ValueError(f"search space too large: {m} candidate cells exceed "
+                         + (f"max_cells={max_cells}" if max_cells < _ORACLE_CEILING
+                            else f"the oracle's ceiling of {_ORACLE_CEILING}"))
 
     # Candidate k's four neighbours, by candidate index (-1 for a non-candidate).
     i, j = cells.T
@@ -375,8 +379,7 @@ def oracle_enumerate(
 
     # Word s is the subset of the cells k whose bit k is set; s = 0 is empty.
     n_subsets = (1 << m) - 1
-    word = np.int32 if m <= 30 else np.int64
-    subsets = np.arange(n_subsets + 1, dtype=word)
+    subsets = np.arange(n_subsets + 1, dtype=np.int32)
     interior = np.flatnonzero(y_ok & req4_ok).tolist()
     interior_bits = sum(1 << k for k in interior)
     not_perimeter = sum(1 << k for k in np.flatnonzero(~x_ok).tolist())
@@ -386,7 +389,7 @@ def oracle_enumerate(
     tables = []
     for low in range(0, m, 6):
         chunk = (np.arange(1 << min(6, m - low))[:, None] >> np.arange(min(6, m - low))) & 1
-        tables.append(np.bitwise_or.reduce(chunk * adj4_mask[low:low + 6], axis=1).astype(word))
+        tables.append(np.bitwise_or.reduce(chunk * adj4_mask[low:low + 6], axis=1).astype(np.int32))
 
     def reach(words: np.ndarray) -> np.ndarray:
         out = np.zeros_like(words)
@@ -396,7 +399,7 @@ def oracle_enumerate(
 
     def reach_all(parts: list[np.ndarray]) -> np.ndarray:
         """Entry s is the OR of ``parts[c]`` at chunk c of s, for every word s."""
-        out = np.zeros(1, dtype=word)
+        out = np.zeros(1, dtype=np.int32)
         for part in parts:
             out = (part[:, None] | out).ravel()
         return out
@@ -423,7 +426,7 @@ def oracle_enumerate(
     for k in interior:
         volume += vol[k] * ((yb >> k) & 1)
     keep = keep[volume >= spec.vol_min * (1 - 1e-9)]
-    s, yb, xb = keep.astype(word), y_bits[keep], x_bits[keep]
+    s, yb, xb = keep.astype(np.int32), y_bits[keep], x_bits[keep]
     if require_connected:
         # Grow from the lowest cell; each pass adds the next ring of s.
         visited = s & -s

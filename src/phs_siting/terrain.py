@@ -324,6 +324,9 @@ def load_grid(
         lower_elevation: explicit water level of the lower body. Required
             semantics: for ByElevation the level itself is used; for MaskFile
             the median elevation over mask cells is used unless given here.
+
+    A grid that fails a ``TerrainGrid`` check (side, cell length, finite
+    values) raises GridFormatError naming the file and the check.
     """
     path = Path(path)
     if lower is None:
@@ -394,7 +397,10 @@ def load_grid(
         raise InfeasibleProblemError(
             "lower-body mask is empty; the siting model requires an existing lower reservoir"
         )
-    grid = TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+    try:
+        grid = TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: {exc}") from exc
     grid._derived["file_shape"] = file_shape
     return grid
 

@@ -91,10 +91,11 @@ def test_validate_clean_config(micro_config):
         (("path = dem.asc", "path = missing.asc"), "dem.path"),
         (("lower_by_elevation = 385", "oops_key = 1"), "dem.oops_key"),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 2"),
-         "strategy: perimeter_min_neighbors"),
-        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -1"), "strategy: clip_margin"),
+         "strategy.perimeter_min_neighbors: must be 1 or 3"),
+        (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -1"),
+         "strategy.clip_margin: must be >= 0"),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nperimeter_min_neighbors = 0"),
-         "strategy: perimeter_min_neighbors"),
+         "strategy.perimeter_min_neighbors: must be 1 or 3"),
         (("time_limit_s = 60", "time_limit_s = 60\nworkers = 0"), "solver.workers"),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = 2.7"),
          "strategy.clip_margin: not an integer (2.7)"),
@@ -131,10 +132,10 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
         (("power_mw = 1.2\n", ""), ["project.power_mw: required"]),
         (("power_mw = 1.2", "power_mw = -1"), ["project.power_mw: must be positive, got -1.0"]),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\ndistance_metric = euclid"),
-         ["strategy: distance_metric must be 'horizontal' or 'slant', got 'euclid'"]),
-        (("time_limit_s = 60", "time_limit_s = -1"), ["solver.time_limit_s: must be positive, got -1.0"]),
+         ["strategy.distance_metric: must be 'horizontal' or 'slant', got 'euclid'"]),
+        (("time_limit_s = 60", "time_limit_s = -1"), ["solver.time_limit_s: must be > 0, got -1.0"]),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -3\nperimeter_min_neighbors = 2"),
-         ["strategy: perimeter_min_neighbors must be 1 or 3", "strategy: clip_margin must be >= 0"]),
+         ["strategy.perimeter_min_neighbors: must be 1 or 3", "strategy.clip_margin: must be >= 0"]),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nbudget = total"), ["strategy.budget: unknown key"]),
     ],
 )
@@ -173,6 +174,79 @@ def test_validate_reports_a_value_that_does_not_read(micro_config, capsys, mutat
     assert capsys.readouterr().out == expected + "\n"
 
 
+# A list value is read even when empty, as text is; it never falls back to a default.
+@pytest.mark.parametrize(
+    "mutation,expected",
+    [
+        (("ladder = none, hv_planes, hv_diag_planes, tsp", "ladder ="),
+         "strategy.ladder: must name at least one defense level"),
+        (("zoom_factors = 2, 1", "zoom_factors ="),
+         "strategy.zoom_factors: must be strictly decreasing and end at 1"),
+    ],
+)
+def test_an_empty_list_value_is_given(micro_config, mutation, expected):
+    micro_config.write_text(micro_config.read_text().replace(*mutation))
+    assert validate_config(micro_config) == [expected]
+
+
+def test_a_repeated_case_index_is_reported(micro_config):
+    # case.1 and case.01 would write one trace and one mask, the second's
+    micro_config.write_text(micro_config.read_text().replace("[case.2]", "[case.01]"))
+    assert validate_config(micro_config) == ["case.01: repeats the case index of [case.1]"]
+
+
+def _csv_dem(config_path, meta):
+    """Point the case file at the micro DEM as a CSV grid with sidecar ``meta``."""
+    dem = ps.load_grid(config_path.parent / "dem.asc", "esri_ascii", ps.ByElevation(385.0, 0.5))
+    np.savetxt(config_path.parent / "dem.csv", dem.elevations, fmt="%g", delimiter=",")
+    (config_path.parent / "dem.csv.meta").write_text(meta)
+    config_path.write_text(config_path.read_text().replace(
+        "path = dem.asc\nformat = esri_ascii", "path = dem.csv\nformat = csv"))
+    return config_path.parent / "dem.csv"
+
+
+# A DEM that reads but fails a grid check is a diagnostic naming the file, not a traceback.
+@pytest.mark.parametrize(
+    "edit,check",
+    [
+        (lambda text: text.replace("cellsize 34.000000", "cellsize 0"), "cell_length must be positive, got 0.0"),
+        (lambda text: text.replace("cellsize 34.000000", "cellsize -34"),
+         "cell_length must be positive, got -34.0"),
+        (lambda text: text.replace("385 385 600", "385 385 nan", 1), "non-NODATA elevations must be finite"),
+        (lambda text: "ncols 2\nnrows 2\ncellsize 34\n385 600\n385 600\n", "grid side must be >= 3, got (2, 2)"),
+        (None, "cell_length must be positive, got 0.0"),
+    ],
+    ids=["cellsize-0", "cellsize-negative", "nan-value", "side-2", "csv-cell_length-0"],
+)
+def test_a_dem_failing_a_grid_check_is_reported(micro_config, tmp_path, capsys, edit, check):
+    if edit is None:
+        dem = _csv_dem(micro_config, "cell_length=0\n")
+    else:
+        dem = tmp_path / "dem.asc"
+        dem.write_text(edit(dem.read_text()))
+    assert validate_config(micro_config) == [f"{dem}: {check}"]
+    assert main(["run", str(micro_config)]) == 2
+    assert capsys.readouterr().err == f"error: {dem}: {check}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_csv_dem_reads(micro_config):
+    _csv_dem(micro_config, "cell_length=34\n")
+    assert validate_config(micro_config) == []
+
+
+def test_a_zoom_factor_too_coarse_for_the_dem_is_reported(micro_config, tmp_path, capsys):
+    # factor 4 makes the 8x8 DEM 2x2; only a case that zooms uses the factors
+    micro_config.write_text(micro_config.read_text().replace("zoom_factors = 2, 1", "zoom_factors = 4, 1"))
+    expected = "strategy.zoom_factors: factor 4 collapses the grid below 3 cells per side"
+    assert validate_config(micro_config) == [expected]
+    assert main(["run", str(micro_config)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+    micro_config.write_text(micro_config.read_text().replace("zoom = yes", "zoom = no"))
+    assert validate_config(micro_config) == []
+
+
 def test_booleans_and_lower_elevation_are_read(micro_config):
     micro_config.write_text(micro_config.read_text()
                             .replace("zoom = no", "zoom = on")
@@ -191,8 +265,8 @@ def _with_costs(config_path, lines):
     "lines,expected",
     [
         ("foo = 1", ["costs.foo: unknown cost parameter"]),
-        ("em_b = -1", ["costs: em_b must be positive"]),
-        ("em_a = 3068\nslope_hv = 0", ["costs: slope_hv must be positive"]),
+        ("em_b = -1", ["costs.em_b: must be positive"]),
+        ("em_a = 3068\nslope_hv = 0", ["costs.slope_hv: must be positive"]),
         ("em_a = abc", ["costs.em_a: not a number ('abc')"]),
     ],
 )
@@ -379,6 +453,14 @@ def test_oracle_subcommand(micro_config, capsys):
     assert main(["oracle", str(micro_config), "--case", "1"]) == 0
     out = capsys.readouterr().out
     assert "optimal cost" in out
+
+
+def test_oracle_refuses_a_search_over_its_ceiling(capsys):
+    # the demo's 54 candidates once asked for 2^54-word arrays and died on the allocation
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.ini"
+    assert main(["oracle", str(demo), "--case", "1", "--max-cells", "60"]) == 2
+    assert capsys.readouterr().err == (
+        "error: search space too large: 54 candidate cells exceed the oracle's ceiling of 24\n")
 
 
 def test_unknown_case_is_reported(micro_config):

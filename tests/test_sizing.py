@@ -1,5 +1,7 @@
 """Volume target and design-flow arithmetic against the study-case table."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,15 +95,13 @@ def test_siting_spec_from_engineering():
 
 
 def test_siting_spec_rejects_inconsistent_fields():
-    spec = SitingSpec.from_engineering(500.0, 150.0, 3.0, 385.0)
-    with pytest.raises(ValueError, match="energy balance"):
-        SitingSpec(
-            power_mw=spec.power_mw,
-            head_m=spec.head_m,
-            water_elevation=spec.water_elevation,
-            hours=spec.hours,
-            efficiency=spec.efficiency,
-            energy_constant=spec.energy_constant,
-            vol_min=spec.vol_min * 1.5,
-            flow=spec.flow,
-        )
+    # the volume target, flow and energy constant are derived, never given
+    for derived in ("vol_min", "flow", "energy_constant"):
+        with pytest.raises(TypeError, match=derived):
+            SitingSpec(500.0, 150.0, 535.0, 3.0, 0.667, **{derived: 1.0})
+    for power, head, hours, lower, eta in ((500.0, 150.0, 3.0, 385.0, 0.667),
+                                           (1.2, 165.0, 12.0, -3.5, 0.9), (7.5, 0.3, 0.25, 0.0, 1.0)):
+        spec = SitingSpec(power, head, lower + head, hours, eta)
+        built = SitingSpec.from_engineering(power, head, hours, lower, eta)
+        assert [getattr(spec, f.name).hex() for f in dataclasses.fields(spec)] == [
+            getattr(built, f.name).hex() for f in dataclasses.fields(built)]

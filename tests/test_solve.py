@@ -19,6 +19,7 @@ from phs_siting import formats
 from phs_siting.model import MipProblem, Sense, VarKind
 
 from conftest import (
+    RIVER_ELEVATION,
     FailingHighs,
     add_row,
     add_variable,
@@ -31,6 +32,7 @@ from conftest import (
     midsize_spec,
     pit_grid,
     pit_spec,
+    river_grid,
     solve_at_level,
     spec_for_volume,
     two_basin_grid,
@@ -837,6 +839,14 @@ def test_oracle_equals_per_subset_reference_with_an_excluded_cell():
         excluded = _assert_same_oracle(grid, spec, excluded=[cell])
         assert excluded.n_enumerated < free.n_enumerated
         assert not excluded.reservoir_mask[cell]
+
+
+def test_oracle_refuses_more_candidates_than_its_ceiling():
+    # 40 candidates: refused before any 2^m-word array, whatever max_cells says
+    elev = np.full((6, 8), 540.0)
+    elev[5, :] = RIVER_ELEVATION
+    with pytest.raises(ValueError, match="40 candidate cells exceed the oracle's ceiling of 24"):
+        ps.oracle_enumerate(river_grid(elev), two_basin_spec(), max_cells=64)
 
 
 def test_oracle_equals_per_subset_reference_on_two_basins():
