@@ -27,7 +27,7 @@ from .costing import CostParams
 from .errors import GridFormatError, NoIncumbentError, SitingError
 from .formats import export_problem
 from .model import ReservoirSolution, build_siting_problem
-from .sizing import DEFAULT_EFFICIENCY, SitingSpec
+from .sizing import DEFAULT_EFFICIENCY, SitingSpec, _input_errors
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
 from .terrain import (ByElevation, MaskFile, TerrainGrid, aggregate, load_grid, load_mask,
@@ -126,6 +126,12 @@ def _field_lines(exc: ValueError, *sections: str) -> list[str]:
     return lines
 
 
+def _sizing_lines(section: str, given: dict) -> list[str]:
+    """``sizing``'s range checks on the values a section gives, as diagnostics."""
+    return [f"{section}.{key}: {rest}"
+            for key, _, rest in (line.partition(" ") for line in _input_errors(**given))]
+
+
 def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     """Parse and validate; returns (config or None, diagnostics).
 
@@ -206,13 +212,10 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             diags.append(f"dem.excluded_mask_file: file not found ({excluded_path})")
 
     power_mw = get("project", "power_mw")
-    if "project.power_mw" not in rejected and (power_mw is None or power_mw <= 0):
-        diags.append("project.power_mw: required" if power_mw is None
-                     else f"project.power_mw: must be positive, got {power_mw}")
-        rejected.add("project.power_mw")  # the cases that inherit it report nothing more
+    if power_mw is None and "project.power_mw" not in rejected:
+        diags.append("project.power_mw: required")
     efficiency = get("project", "efficiency", DEFAULT_EFFICIENCY)
-    if not 0 < efficiency <= 1:
-        diags.append(f"project.efficiency: must be in (0, 1], got {efficiency}")
+    diags.extend(_sizing_lines("project", values.get("project", {})))
 
     try:
         cost_params = CostParams(**values.get("costs", {}))
@@ -247,17 +250,15 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             diags.append(f"{section}: repeats the case index of [{named[index]}]")
             continue
         named[index] = section
-        head, hours = get(section, "head_m"), get(section, "operation_h")
-        own_power = "power_mw" in values[section] or f"{section}.power_mw" in rejected
-        case_power = get(section, "power_mw", power_mw)
-        for key, value in (("head_m", head), ("operation_h", hours), ("power_mw", case_power)):
-            source = "project" if key == "power_mw" and not own_power else section
-            if f"{source}.{key}" in rejected:
-                continue
-            if value is None or value <= 0:
-                diags.append(f"{section}.{key}: must be a positive number, got {value}")
-        if head and hours and case_power and head > 0 and hours > 0 and case_power > 0:
-            cases.append(CaseSpec(index, head, hours, case_power, get(section, "zoom", False)))
+        given = values[section]
+        for key in ("head_m", "operation_h"):
+            if key not in given and f"{section}.{key}" not in rejected:
+                diags.append(f"{section}.{key}: required")
+        # an inherited power_mw is checked once, under project
+        diags.extend(_sizing_lines(section, {key: value for key, value in given.items()
+                                             if key != "zoom"}))
+        cases.append(CaseSpec(index, given.get("head_m"), given.get("operation_h"),
+                              given.get("power_mw", power_mw), given.get("zoom", False)))
     if not any(name.startswith("case.") for name in parser.sections()):
         diags.append("cases: at least one [case.N] section is required")
     cases.sort(key=lambda c: c.index)

@@ -470,35 +470,6 @@ class MipProblem:
         """Objective entries as {variable id: coefficient}, ascending ids."""
         return dict(zip(self._obj_ids.tolist(), self._obj_vals.tolist()))
 
-    def variable_id(self, name: str) -> int:
-        return self._index()[name]
-
-    def _index(self) -> dict[str, int]:
-        if "var_index" not in self._views:
-            self._views["var_index"] = {name: vid for vid, name in enumerate(self.variable_names())}
-        return self._views["var_index"]
-
-    def values_vector(self, values) -> np.ndarray:
-        """Values in the internal variable order.
-
-        Accepts a vector (returned as is), a :class:`SolutionValues` of this
-        problem, or a name -> value mapping, in which missing names read 0.
-        A mapping that names a variable the problem does not have (such as
-        one the builder fixed out) raises ValueError naming the first one.
-        """
-        if isinstance(values, np.ndarray):
-            return values
-        if isinstance(values, SolutionValues) and values.problem is self:
-            return values.vector
-        vec = np.zeros(self.num_variables)
-        index = self._index()
-        for name, value in values.items():
-            vid = index.get(name)
-            if vid is None:
-                raise ValueError(f"problem {self.name!r} has no variable {name!r}")
-            vec[vid] = value
-        return vec
-
 
 class _RowView(Sequence):
     def __init__(self, problem: MipProblem):
@@ -518,23 +489,6 @@ class _RowView(Sequence):
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self._problem._rows(0, len(self)))
-
-
-class SolutionValues(Mapping):
-    """Name -> value view of a solution vector; names resolve on demand."""
-
-    def __init__(self, problem: MipProblem, vector: np.ndarray):
-        self.problem = problem
-        self.vector = vector
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.vector[self.problem.variable_id(name)])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.problem.variable_names()[: len(self.vector)])
-
-    def __len__(self) -> int:
-        return len(self.vector)
 
 
 @dataclass
@@ -977,6 +931,15 @@ class ReservoirSolution:
         )
 
 
+def _column_vector(problem: MipProblem, x) -> np.ndarray:
+    """``x`` as floats in column order; ValueError unless it holds one value per column."""
+    vec = np.asarray(x, dtype=float)
+    if vec.shape != (problem.num_variables,):
+        raise ValueError(f"problem {problem.name!r} has {problem.num_variables} variables, "
+                         f"got a vector of shape {vec.shape}")
+    return vec
+
+
 def _round_binaries(sv: SitingVariables, family: str, vec: np.ndarray) -> np.ndarray:
     """The cells of ``family`` whose variable is 1; a value off 0 and 1 by more
     than ``INTEGRALITY_TOL`` raises."""
@@ -1054,22 +1017,22 @@ def _drop_spare_components(
 
 def extract_solution(
     sp: SitingProblem,
-    values: Mapping[str, float] | np.ndarray,
+    x: np.ndarray,
     *,
     status: str = "optimal",
     objective_value: float | None = None,
     gap: float | None = None,
     wall_time_s: float = 0.0,
 ) -> ReservoirSolution:
-    """Turn solver values into masks and physically recomputed metrics.
+    """Turn a solution vector into masks and physically recomputed metrics.
 
-    ``values`` is the solution vector, or a name -> value mapping (see
-    ``MipProblem.values_vector``); the cells the builder fixed on join the
-    masks and the link. A binary within ``INTEGRALITY_TOL`` of 0 or 1 reads as
-    that value; any other raises IntegralityError. The masks then go to
+    ``x`` holds one value per column of ``sp.mip``, in column order; any other
+    length raises ValueError. The cells the builder fixed on join the masks
+    and the link. A binary within ``INTEGRALITY_TOL`` of 0 or 1 reads as that
+    value; any other raises IntegralityError. The masks then go to
     ``_site_solution``.
     """
-    vec = sp.mip.values_vector(values)
+    vec = _column_vector(sp.mip, x)
     fixed = sp.variables.fixed
     y_mask, z_mask = (np.zeros(sp.grid.shape, dtype=bool) for _ in range(2))
     for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec)),

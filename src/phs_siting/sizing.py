@@ -19,10 +19,23 @@ DEFAULT_EFFICIENCY = 0.667
 SECONDS_PER_HOUR = 3600.0
 
 
-def _require_positive(**values: float) -> None:
+def _input_errors(**values: float) -> list[str]:
+    """One line per value out of range, each beginning with its keyword:
+    ``efficiency`` must be in (0, 1] and every other value positive. The
+    case-file reader reports these lines, under the keys the file uses."""
+    errors = []
     for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if name == "efficiency" and not 0 < value <= 1:
+            errors.append(f"efficiency must be in (0, 1], got {value}")
+        elif name != "efficiency" and not value > 0:
+            errors.append(f"{name} must be positive, got {value}")
+    return errors
+
+
+def _require(**values: float) -> None:
+    errors = _input_errors(**values)
+    if errors:
+        raise ValueError("\n".join(errors))
 
 
 def required_volume(
@@ -32,16 +45,14 @@ def required_volume(
 
     VolMin = (P * dt) / (rho * g * eta * head), all in SI.
     """
-    _require_positive(power_mw=power_mw, head_m=head_m, hours=hours, efficiency=efficiency)
-    if efficiency > 1:
-        raise ValueError(f"efficiency must be <= 1, got {efficiency}")
+    _require(power_mw=power_mw, head_m=head_m, hours=hours, efficiency=efficiency)
     energy_j = power_mw * 1e6 * hours * SECONDS_PER_HOUR
     return energy_j / (WATER_DENSITY * GRAVITY * efficiency * head_m)
 
 
 def design_flow(volume_m3: float, hours: float) -> float:
     """Flow (m^3/s) that drains ``volume_m3`` in ``hours``: Q = VolMin / dt."""
-    _require_positive(volume_m3=volume_m3, hours=hours)
+    _require(volume_m3=volume_m3, hours=hours)
     return volume_m3 / (hours * SECONDS_PER_HOUR)
 
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -25,7 +23,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
-from .model import INTEGRALITY_TOL, MipProblem, Sense, SolutionValues, _FOUR, _at, _id_raster
+from .model import INTEGRALITY_TOL, MipProblem, Sense, _FOUR, _at, _column_vector, _id_raster
 from .sizing import SitingSpec
 from .terrain import TerrainGrid, candidate_sets, distance_field
 
@@ -113,18 +111,15 @@ class SolveResult:
     wall_time_s: float
     message: str = ""
     nodes: int = 0  # branch-and-bound nodes HiGHS explored
-    problem: MipProblem | None = field(default=None, repr=False)
 
     @property
     def has_incumbent(self) -> bool:
         return self.x is not None
 
     @property
-    def values(self) -> SolutionValues | None:
-        """The incumbent as a name -> value mapping, names resolved on demand; ``perfbench`` reads it."""
-        if self.x is None:
-            return None
-        return SolutionValues(self.problem, self.x)
+    def values(self) -> np.ndarray | None:
+        """``x`` under the name ``perfbench`` reads."""
+        return self.x
 
 
 def _relative_gap(objective: float | None, bound: float | None) -> float | None:
@@ -232,50 +227,30 @@ class HighsBackend:
             wall_time_s=elapsed,
             message=run.message,
             nodes=run.mip_node_count,
-            problem=problem,
         )
 
 
-def solve(
-    problem: MipProblem,
-    backend: str = "highs",
-    limits: SolveLimits | None = None,
-    log_path: str | Path | None = None,
-) -> SolveResult:
-    """Solve a problem with HiGHS and optionally persist a one-page run log.
+def solve(problem: MipProblem, backend: str = "highs", limits: SolveLimits | None = None) -> SolveResult:
+    """Solve a problem with HiGHS.
 
     ``backend`` names the solver for callers that pass it, ``perfbench``
     among them; only ``"highs"`` is accepted.
     """
     if backend.lower() != "highs":
         raise ValueError(f"unknown backend {backend!r}; the only solver is 'highs'")
-    result = HighsBackend().solve(problem, limits)
-    if log_path is not None:
-        lines = [
-            f"problem: {problem.name}",
-            "backend: highs",
-            f"variables: {problem.num_variables}",
-            f"constraints: {problem.num_constraints}",
-            f"status: {result.status.value}",
-            f"objective: {result.objective}",
-            f"bound: {result.bound}",
-            f"gap: {result.gap}",
-            f"nodes: {result.nodes}",
-            f"wall_time_s: {result.wall_time_s:.3f}",
-            f"message: {result.message}",
-        ]
-        Path(log_path).write_text("\n".join(lines) + "\n")
-    return result
+    return HighsBackend().solve(problem, limits)
 
 
-def verify_solution(problem: MipProblem, values: Mapping[str, float] | np.ndarray) -> list[str]:
-    """Re-check an incumbent against the stored rows, bounds and integrality.
+def verify_solution(problem: MipProblem, x: np.ndarray) -> list[str]:
+    """Re-check a solution vector against the stored rows, bounds and integrality.
 
-    Independent of the solver: ``MipProblem.violations`` with tolerance
-    ``INTEGRALITY_TOL`` (row activities ``A @ x`` against the row bounds),
-    spelled out by name. Returns violation descriptions (empty = clean).
+    ``x`` holds one value per column, in column order; any other length
+    raises ValueError. Independent of the solver: ``MipProblem.violations``
+    with tolerance ``INTEGRALITY_TOL`` (row activities ``A @ x`` against the
+    row bounds), spelled out by name. Returns violation descriptions (empty =
+    clean).
     """
-    vec = problem.values_vector(values)
+    vec = _column_vector(problem, x)
     outside, fractional, activity, violated = problem.violations(vec, INTEGRALITY_TOL)
     lb, ub = problem.lb, problem.ub
     issues: list[str] = []

@@ -40,6 +40,16 @@ def cell_ids(sv, family: str) -> dict[tuple[int, int], int]:
     return dict(zip(map(tuple, sv.cells[family].tolist()), sv.ids(family).tolist()))
 
 
+def named_vector(prob: ps.MipProblem, values) -> np.ndarray:
+    """A name -> value mapping as a solution vector in ``prob``'s column
+    order; names not given read 0, and a name ``prob`` lacks raises KeyError."""
+    position = {name: vid for vid, name in enumerate(prob.variable_names())}
+    vec = np.zeros(prob.num_variables)
+    for name, value in values.items():
+        vec[position[name]] = value
+    return vec
+
+
 def river_grid(elev: np.ndarray, cell_length: float = CELL) -> ps.TerrainGrid:
     elev = np.asarray(elev, dtype=float)
     return ps.TerrainGrid(
@@ -225,7 +235,7 @@ def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
         return sp, res, None
     sol = ps.extract_solution(
         sp,
-        res.values,
+        res.x,
         status=res.status.value,
         objective_value=res.objective,
         gap=res.gap,

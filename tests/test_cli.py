@@ -137,6 +137,14 @@ def test_validate_reports_field_paths(micro_config, mutation, needle):
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nclip_margin = -3\nperimeter_min_neighbors = 2"),
          ["strategy.perimeter_min_neighbors: must be 1 or 3", "strategy.clip_margin: must be >= 0"]),
         (("zoom_factors = 2, 1", "zoom_factors = 2, 1\nbudget = total"), ["strategy.budget: unknown key"]),
+        (("efficiency = 0.667", "efficiency = 1.5"), ["project.efficiency: must be in (0, 1], got 1.5"]),
+        (("head_m = 165", "head_m = -20"),
+         [f"case.{k}.head_m: must be positive, got -20.0" for k in (1, 2)]),
+        (("operation_h = 3\nzoom = no", "operation_h = 0\nzoom = no"),
+         ["case.1.operation_h: must be positive, got 0.0"]),
+        (("zoom = no", "zoom = no\npower_mw = -5"), ["case.1.power_mw: must be positive, got -5.0"]),
+        (("head_m = 165\noperation_h = 3\nzoom = no", "operation_h = 3\nzoom = no"),
+         ["case.1.head_m: required"]),
     ],
 )
 def test_validate_reports_one_line_per_rejected_value(micro_config, mutation, expected):

@@ -11,6 +11,7 @@ from conftest import (
     RIVER_ELEVATION,
     add_row,
     cell_ids,
+    named_vector,
     pit_grid,
     pit_spec,
     river_grid,
@@ -100,13 +101,13 @@ def test_tour_single_cycle_on_pit():
     sp, res, sol = solve_at_level(grid, spec, 3)
     assert res.status is ps.SolveStatus.OPTIMAL
     # walk the active arcs: they must form one directed cycle over all x = z - y = 1
+    values = dict(zip(sp.mip.variable_names(), res.x))
     succ = {}
-    for name, value in res.values.items():
+    for name, value in values.items():
         if name.startswith("w_") and value > 0.5:
             i, j, h, k = map(int, name[2:].split("_"))
             assert (i, j) not in succ
             succ[(i, j)] = (h, k)
-    values = res.values
     active = {(i, j) for i, j in cell_ids(sp.variables, "l")
               if values[f"z_{i}_{j}"] - values.get(f"y_{i}_{j}", 0.0) > 0.5}
     assert set(succ) == active
@@ -178,7 +179,7 @@ def test_tour_constraints_hold_for_all_zero():
     sp = ps.build_siting_problem(grid, spec, level=3)
     zeros = dict.fromkeys(sp.mip.variable_names(), 0.0)
     tsp_rows = [r for r in sp.mip.rows if r.name.startswith(("deg_", "rank_", "mtz_"))]
-    vec = sp.mip.values_vector(zeros)
+    vec = named_vector(sp.mip, zeros)
     for row in tsp_rows:
         activity = sum(c * vec[vid] for vid, c in row.coeffs)
         if row.sense is Sense.LE:

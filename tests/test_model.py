@@ -24,6 +24,7 @@ from conftest import (
     micro_case,
     midsize_grid,
     midsize_spec,
+    named_vector,
     pit_grid,
     pit_spec,
     river_grid,
@@ -127,16 +128,16 @@ def test_volume_coefficient_and_fail_fast():
 def test_link_cardinality_and_dominance():
     grid, spec = pit_grid(), pit_spec()
     sp, res, sol = solve_at_level(grid, spec, 0)
-    values = dict(res.values)
+    values = dict(zip(sp.mip.variable_names(), res.x))
     # duplicate link -> cardinality row violated
     other = next(name for name in values if name.startswith("l_") and values[name] < 0.5)
     values[other] = 1.0
-    assert any("link_sum" in v for v in ps.verify_solution(sp.mip, values))
+    assert any("link_sum" in v for v in ps.verify_solution(sp.mip, named_vector(sp.mip, values)))
     # link kept on a cell whose perimeter indicator z - y is forced off -> dominance row
-    values = dict(res.values)
+    values = dict(zip(sp.mip.variable_names(), res.x))
     chosen = next(name for name in values if name.startswith("l_") and values[name] > 0.5)
     values["z_" + chosen[2:]] = 0.0
-    assert any("linkx" in v for v in ps.verify_solution(sp.mip, values))
+    assert any("linkx" in v for v in ps.verify_solution(sp.mip, named_vector(sp.mip, values)))
 
 
 def test_optimal_link_minimizes_conveyance():
@@ -172,19 +173,19 @@ def test_objective_reconstruction_from_masks():
 def test_extract_rejects_fractional_values():
     grid, spec = pit_grid(), pit_spec()
     sp, res, _ = solve_at_level(grid, spec, 0)
-    values = dict(res.values)
+    values = dict(zip(sp.mip.variable_names(), res.x))
     name = next(n for n in values if n.startswith("y_"))
     values[name] = 0.4
     with pytest.raises(ps.IntegralityError, match="fractional"):
-        ps.extract_solution(sp, values)
+        ps.extract_solution(sp, named_vector(sp.mip, values))
 
 
 def test_extract_rejects_empty_reservoir():
     grid, spec = pit_grid(), pit_spec()
     sp, res, _ = solve_at_level(grid, spec, 0)
-    values = {name: 0.0 for name in res.values}
+    values = {name: 0.0 for name in sp.mip.variable_names()}
     with pytest.raises(ps.InfeasibleProblemError, match="floods no interior"):
-        ps.extract_solution(sp, values)
+        ps.extract_solution(sp, named_vector(sp.mip, values))
 
 
 def test_extract_physical_metrics():
@@ -265,7 +266,8 @@ def _three_basin_grid():
 
 def _hand_values(sp, perimeter, interior, link):
     """Name -> value of a hand-made site; a cell whose ``z`` or ``l`` the
-    builder fixed on has no column, so its name is left out."""
+    builder fixed on has no column, so its name is left out. ``named_vector``
+    turns it into the solution vector."""
     fixed_on = {(family, tuple(cell)) for family, cells in sp.variables.fixed.items()
                 for cell in cells.tolist()}
     values = dict.fromkeys(sp.mip.variable_names(), 0.0)
@@ -284,10 +286,10 @@ def _hand_values(sp, perimeter, interior, link):
 def test_extract_drops_spare_component(spare_perimeter, spare_interior):
     grid, spec = _three_basin_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=0)
-    site = ps.extract_solution(sp, _hand_values(sp, PIT_A_RING, PIT_A, (2, 2)))
-    padded = ps.extract_solution(
-        sp, _hand_values(sp, PIT_A_RING + spare_perimeter, PIT_A + spare_interior, (2, 2))
-    )
+    site = ps.extract_solution(sp, named_vector(sp.mip, _hand_values(sp, PIT_A_RING, PIT_A, (2, 2))))
+    padded = ps.extract_solution(sp, named_vector(
+        sp.mip, _hand_values(sp, PIT_A_RING + spare_perimeter, PIT_A + spare_interior, (2, 2))
+    ))
     assert padded.costs.total == site.costs.total
     assert padded.connected and padded.n_components == 1
     for mask in ("perimeter_mask", "interior_mask", "reservoir_mask"):
@@ -301,9 +303,9 @@ def test_extract_keeps_component_the_volume_needs():
     # larger of the two other basins, and then C (23,120 m^3) is spare
     grid, spec = _three_basin_grid(), spec_for_volume(100_000.0)
     sp = ps.build_siting_problem(grid, spec, level=0)
-    sol = ps.extract_solution(sp, _hand_values(
+    sol = ps.extract_solution(sp, named_vector(sp.mip, _hand_values(
         sp, PIT_A_RING + BASIN_B_RING + BASIN_C_RING, PIT_A + BASIN_B + BASIN_C, (2, 2)
-    ))
+    )))
     assert not sol.connected and sol.n_components == 2
     assert sol.storage_m3 == pytest.approx((50.0 + 2 * 30.0) * CELL_M3)
     assert sol.reservoir_mask[BASIN_B[0]] and not sol.reservoir_mask[BASIN_C[0]]
@@ -316,7 +318,9 @@ def test_extract_keeps_dry_link_component():
     # Below level 3 the builder fixes l = 0 on the clump, so build the tour rung
     grid, spec = _three_basin_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=3)
-    sol = ps.extract_solution(sp, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
+    sol = ps.extract_solution(
+        sp, named_vector(sp.mip, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
+    )
     assert not sol.connected and sol.n_components == 2
     assert sol.link_cell == (8, 3)
     assert sol.perimeter_mask[8, 3] and sol.perimeter_mask[8, 4]
@@ -325,16 +329,20 @@ def test_extract_keeps_dry_link_component():
 
 def test_extract_rejects_a_value_for_a_column_fixed_out():
     # level 0 fixes l = 0 on the dry clump and leaves l_8_3 out of the model:
-    # a hand solution that sets it names a column the problem does not have
+    # a hand solution that sets it has one value more than the problem has
+    # columns, and a vector of any length but the column count is refused
     grid, spec = _three_basin_grid(), pit_spec()
     sp = ps.build_siting_problem(grid, spec, level=0)
     assert "l_8_3" not in sp.mip.variable_names()
-    with pytest.raises(ValueError, match="l_8_3"):
-        ps.extract_solution(sp, _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3)))
-    values = {name: 0.0 for name in sp.mip.variable_names()}
-    with pytest.raises(ValueError, match="l_8_3"):
-        sp.mip.values_vector({**values, "l_8_3": 1.0})
-    assert not sp.mip.values_vector({}).any()  # a missing name still reads 0
+    values = _hand_values(sp, PIT_A_RING + DRY_CLUMP, PIT_A, (8, 3))
+    link = values.pop("l_8_3")
+    n = sp.mip.num_variables
+    for x in (np.append(named_vector(sp.mip, values), link), np.zeros(n - 1)):
+        wrong_length = rf"has {n} variables, got a vector of shape \({len(x)},\)"
+        with pytest.raises(ValueError, match=wrong_length):
+            ps.extract_solution(sp, x)
+        with pytest.raises(ValueError, match=wrong_length):
+            ps.verify_solution(sp.mip, x)
 
 
 def test_direct_level_zero_midsize_solve_is_connected():
@@ -516,7 +524,7 @@ def test_perimeter_min_neighbors_three_restricts():
 def test_solver_incumbent_verifies_cleanly():
     grid, spec = pit_grid(), pit_spec()
     sp, res, _ = solve_at_level(grid, spec, 3)
-    assert ps.verify_solution(sp.mip, res.values) == []
+    assert ps.verify_solution(sp.mip, res.x) == []
 
 
 _REFERENCE_CASES = {
@@ -583,17 +591,21 @@ def _micro_seeds(n: int) -> list[int]:
     return seeds
 
 
-def _optima(problem):
-    """(MIP status, MIP optimum, LP-relaxation optimum) of ``problem``."""
-    mip = ps.solve(problem)
+def _lp_optimum(problem):
+    """The LP-relaxation optimum of ``problem``, or None if it has none."""
     highs = _configured(ps.SolveLimits())
     assert highs.setOptionValue("solve_relaxation", True) == core.HighsStatus.kOk
     assert _pass_model(highs, problem) == core.HighsStatus.kOk
     assert highs.run() == core.HighsStatus.kOk
-    lp = None
-    if highs.getModelStatus() == core.HighsModelStatus.kOptimal:
-        lp = highs.getInfo().objective_function_value + problem.objective_constant
-    return mip.status, mip.objective, lp
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        return None
+    return highs.getInfo().objective_function_value + problem.objective_constant
+
+
+def _optima(problem):
+    """(MIP status, MIP optimum, LP-relaxation optimum) of ``problem``."""
+    mip = ps.solve(problem)
+    return mip.status, mip.objective, _lp_optimum(problem)
 
 
 _EQUIVALENCE_CASES = {
@@ -626,6 +638,11 @@ _FULL_BAND_CASES = {
 }
 
 
+#: Cases whose two branch-and-bound solves take tens of seconds: their MIP
+#: optima are left to the structural test, which proves them equal.
+_LP_ONLY = {"diagonal_blob-l3"}
+
+
 @pytest.mark.parametrize("case", list(_FULL_BAND_CASES))
 def test_span_bands_match_full_bands_optima(case):
     """Band rows only inside the span of interior candidates give the MIP
@@ -634,10 +651,70 @@ def test_span_bands_match_full_bands_optima(case):
     trimmed = ps.build_siting_problem(grid, spec, level=level).mip
     full = build_reference(grid, spec, level=level, full_bands=True)
     assert full.num_variables > trimmed.num_variables and full.nnz > trimmed.nnz
+    if case in _LP_ONLY:
+        new, old = _lp_optimum(trimmed), _lp_optimum(full)
+        assert new is not None and math.isclose(new, old, rel_tol=1e-9), (new, old)
+        return
     new, old = _optima(trimmed), _optima(full)
     assert new[0] is old[0] is ps.SolveStatus.OPTIMAL, (new, old)
     for a, b in zip(new[1:], old[1:]):
         assert math.isclose(a, b, rel_tol=1e-9), (new, old)
+
+
+def _named_rows(problem):
+    """Row name -> (sorted (column name, coefficient) pairs, sense, rhs)."""
+    names = problem.variable_names()
+    return {row.name: (tuple(sorted((names[vid], c) for vid, c in row.coeffs)), row.sense, row.rhs)
+            for row in problem.rows}
+
+
+@pytest.mark.parametrize("case", list(_FULL_BAND_CASES))
+def test_span_bands_are_full_bands_with_outer_switches_fixed(case):
+    """The trimmed model is the full-band model with the switches outside the
+    span fixed, so both have the same MIP optimum and LP bound.
+
+    (a) Every column and row of the trimmed model is one of the full-band
+    model, with the same kind, bounds and cost, and the same name,
+    coefficients, sense and rhs; the other columns cost nothing. (b) Fix each
+    other column at 1 when some other row reads it alone (a switch whose
+    slices hold no interior candidate) and at 0 otherwise: then every other
+    row holds over the whole box of the trimmed columns, by interval
+    arithmetic. So every point of the trimmed model, integral or not, is a
+    point of the full-band model at the same cost, and by (a) the converse.
+    """
+    grid, spec, level = _FULL_BAND_CASES[case]()
+    trimmed = ps.build_siting_problem(grid, spec, level=level).mip
+    full = build_reference(grid, spec, level=level, full_bands=True)
+
+    # (a) columns, objective and rows
+    names, full_names = trimmed.variable_names(), full.variable_names()
+    at = {name: vid for vid, name in enumerate(full_names)}
+    shared = np.array([at[name] for name in names])
+    for mine, theirs in ((trimmed.kinds, full.kinds), (trimmed.lb, full.lb), (trimmed.ub, full.ub),
+                         (trimmed.cost_vector(), full.cost_vector())):
+        assert np.array_equal(mine, theirs[shared])
+    extra = np.setdiff1d(np.arange(full.num_variables), shared)
+    assert len(extra) and not full.cost_vector()[extra].any()
+    assert trimmed.objective_constant == full.objective_constant
+    rows, full_rows = _named_rows(trimmed), _named_rows(full)
+    assert all(full_rows.get(name) == row for name, row in rows.items())
+    other = [row for name, row in full_rows.items() if name not in rows]
+    assert other
+
+    # (b) the interval check, the other columns fixed
+    lo, hi = dict(zip(full_names, full.lb.tolist())), dict(zip(full_names, full.ub.tolist()))
+    alone = {coeffs[0][0] for coeffs, _, _ in other if len(coeffs) == 1}
+    for vid in extra.tolist():
+        lo[full_names[vid]] = hi[full_names[vid]] = float(full_names[vid] in alone)
+    for coeffs, sense, rhs in other:
+        low = sum(min(c * lo[name], c * hi[name]) for name, c in coeffs)
+        high = sum(max(c * lo[name], c * hi[name]) for name, c in coeffs)
+        if sense is Sense.LE:
+            assert high <= rhs, (coeffs, sense, rhs)
+        elif sense is Sense.GE:
+            assert low >= rhs, (coeffs, sense, rhs)
+        else:
+            assert low == high == rhs, (coeffs, sense, rhs)
 
 
 #: (variables, rows, nonzeros) of the midsize model per level, band rows only
