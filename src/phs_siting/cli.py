@@ -30,8 +30,8 @@ from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec, _input_errors
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import (ByElevation, MaskFile, TerrainGrid, aggregate, load_grid, load_mask,
-                      write_esri_ascii)
+from .terrain import (ByElevation, MaskFile, TerrainGrid, aggregate, distance_field, load_grid,
+                      load_mask, write_esri_ascii)
 
 logger = logging.getLogger(__name__)
 
@@ -333,13 +333,16 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
             excluded = load_mask(config.excluded_mask_file, grid)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
-    if any(case.zoom for case in config.cases):
-        # the zoom-in coarsens the whole grid at each factor; this warms that cache
-        for factor in config.strategy.zoom_factors:
-            try:
-                aggregate(grid, factor)
-            except ValueError as exc:
-                raise SitingError(f"strategy.zoom_factors: {exc}") from exc
+    # Every grid a case solves on (the zoom's coarse grids too) and its distance
+    # field are built here, once, before the cases run in parallel.
+    factors = config.strategy.zoom_factors if any(case.zoom for case in config.cases) else (1,)
+    for factor in factors:
+        try:
+            coarse = aggregate(grid, factor)
+        except ValueError as exc:
+            raise SitingError(f"strategy.zoom_factors: {exc}") from exc
+        if coarse.lower_mask.any():  # else the zoom case reports the vanished lower body
+            distance_field(coarse, config.strategy.distance_metric)
     return grid, excluded
 
 

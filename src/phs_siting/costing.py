@@ -30,9 +30,11 @@ class CostParams:
     em_b: float = 8608.0  # $/kW per 1/P
 
     def __post_init__(self):
-        for f in fields(self):
-            if not getattr(self, f.name) > 0:
-                raise ValueError(f"{f.name} must be positive")
+        """Raise one ValueError that names every field that is not positive, one per line."""
+        failed = [f"{f.name} must be positive, got {value}"
+                  for f in fields(self) if not (value := getattr(self, f.name)) > 0]
+        if failed:
+            raise ValueError("\n".join(failed))
 
     def excavation_coefficient(self) -> float:
         """$ per (m^3/s of flow * m of length): unit cost x section per unit flow."""

@@ -37,7 +37,7 @@ from .terrain import (
     cells_to_mask,
     clip,
     distance_field,
-    _blocks,
+    _block_counts,
     _unchecked,
 )
 
@@ -288,7 +288,9 @@ def run_zoom_in(
         sub_excluded = None
         if excluded_mask.any():
             # A super-cell is off limits as soon as any child is.
-            sub_excluded = _blocks(excluded_mask, factor, False).any(axis=(1, 3))[rows, cols]
+            fine = excluded_mask[roff * factor : (roff + sub.nrows) * factor,
+                                 coff * factor : (coff + sub.ncols) * factor]
+            sub_excluded = _block_counts(fine, factor) > 0
 
         stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
         levels = config.ladder if factor == 1 else config.ladder[:1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Literal
 
@@ -502,13 +503,55 @@ def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
     return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor))
 
 
-def _blocks(values: np.ndarray, factor: int, fill) -> np.ndarray:
-    """The super-cells of ``values``: padded with ``fill`` at the bottom and
-    right to whole factor x factor blocks, as an (rows, factor, cols, factor)
-    array whose entry [i, :, j, :] holds the children of super-cell (i, j)."""
+def _block_counts(mask: np.ndarray, factor: int) -> np.ndarray:
+    """The True cells of a bool mask in each factor x factor block; where
+    ``factor`` does not divide a side, the last blocks are cut short.
+
+    Integer sums are exact in any order, so each stage adds ``factor`` strided
+    slices: the block rows first, over whole rows, then the block columns.
+    """
+    nr, nc = mask.shape
+    rows = np.zeros((-(-nr // factor), nc), np.intp)
+    for a in range(min(factor, nr)):
+        part = mask[a::factor]
+        rows[: len(part)] += part
+    counts = np.zeros((rows.shape[0], -(-nc // factor)), np.intp)
+    for b in range(min(factor, nc)):
+        part = rows[:, b::factor]
+        counts[:, : part.shape[1]] += part
+    return counts
+
+
+def _block_sums(values: np.ndarray, factor: int) -> np.ndarray:
+    """The float sum of each factor x factor block of ``values``, padded with
+    0.0 at the bottom and right to whole blocks, bit for bit as numpy's
+    ``sum(axis=(1, 3))`` of the (rows, factor, cols, factor) block array adds
+    it: a pairwise sum over the children of each block row, then the block
+    rows added in order from 0.0 (numpy's ``sum(axis=1)`` adds them so)."""
     nr, nc = values.shape
-    padded = np.pad(values, ((0, -nr % factor), (0, -nc % factor)), constant_values=fill)
-    return padded.reshape(padded.shape[0] // factor, factor, padded.shape[1] // factor, factor)
+    if nr % factor or nc % factor:
+        values = np.pad(values, ((0, -nr % factor), (0, -nc % factor)))
+    blocks = values.reshape(values.shape[0] // factor, factor, values.shape[1] // factor, factor)
+    return _pairwise_sum([blocks[..., b] for b in range(factor)]).sum(axis=1)
+
+
+def _pairwise_sum(parts: list[np.ndarray]) -> np.ndarray:
+    """numpy's pairwise float sum (``pairwise_sum`` in its add loop), term by
+    term over arrays. Fewer than 8 terms add in order; numpy starts that sum
+    at 0.0, which changes only the sign of a zero partial, and the block-row
+    sum that takes every partial starts at 0.0 too. Up to 128 terms, eight
+    running sums over every eighth term meet in a fixed tree and the rest
+    adds in order; above, the two halves, cut at a multiple of 8, add so."""
+    n = len(parts)
+    if n < 8:
+        return reduce(np.add, parts)
+    if n <= 128:
+        whole = n - n % 8
+        r = [reduce(np.add, parts[j:whole:8]) for j in range(8)]
+        tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(np.add, parts[whole:], tree)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
 
 
 def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
@@ -517,10 +560,9 @@ def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
     if min(nr2, nc2) < _MIN_SIDE:
         raise ValueError(f"factor {factor} collapses the grid below {_MIN_SIDE} cells per side")
 
-    valid = ~_blocks(grid.nodata, factor, True)
-    counts = valid.sum(axis=(1, 3))
-    sums = np.where(valid, _blocks(grid.elevations, factor, np.nan), 0.0).sum(axis=(1, 3))
-    lower_counts = _blocks(grid.lower_mask, factor, False).sum(axis=(1, 3))
+    counts = _block_counts(~grid.nodata, factor)
+    sums = _block_sums(np.where(grid.nodata, 0.0, grid.elevations), factor)
+    lower_counts = _block_counts(grid.lower_mask, factor)
 
     new_nodata = counts == 0
     with np.errstate(invalid="ignore"):
@@ -642,9 +684,19 @@ def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal") -> 
 def _distance_field(grid: TerrainGrid, metric: DistanceMetric) -> DistanceField:
     if not np.any(grid.lower_mask):
         raise InfeasibleProblemError("distance field needs a non-empty lower-body mask")
-    horizontal = ndimage.distance_transform_edt(
-        ~grid.lower_mask, sampling=(grid.cell_length, grid.cell_length)
-    )
+    # scipy's distance transform in fewer passes: its feature transform (the
+    # same sampling, so that ties pick the same lower cell), then its formula
+    # in place: the offsets to the nearest lower cell, scaled, squared, summed
+    length = grid.cell_length
+    offsets = ndimage.distance_transform_edt(
+        ~grid.lower_mask, sampling=(length, length), return_distances=False, return_indices=True
+    ).astype(float)
+    offsets[0] -= np.arange(grid.nrows)[:, None]
+    offsets[1] -= np.arange(grid.ncols)
+    offsets *= length
+    offsets *= offsets
+    horizontal = offsets[0] + offsets[1]
+    np.sqrt(horizontal, out=horizontal)
     if metric == "horizontal":
         values = horizontal
     elif metric == "slant":

@@ -33,6 +33,13 @@ enumerated subsets as bit words with whole-word perimeter tests: a dozen
 numpy passes per candidate cell over every subset, then a per-subset Python
 loop for connectivity, the link and the winner. ``test_solve`` requires
 ``oracle_enumerate`` to return exactly its result.
+
+``coarsen_reference`` is the coarse grid as the package built it before it
+summed blocks with strided slices: numpy's ``sum(axis=(1, 3))`` over a
+(rows, factor, cols, factor) view of the padded grid. ``distance_reference``
+is the distance field as scipy's ``distance_transform_edt`` returns it.
+``test_terrain`` requires ``aggregate`` and ``distance_field`` to match them
+byte for byte.
 """
 
 from __future__ import annotations
@@ -41,12 +48,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from phs_siting.costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from phs_siting.errors import InfeasibleProblemError
 from phs_siting.model import MipProblem, Sense, VarKind
 from phs_siting.solve import OracleResult
-from phs_siting.terrain import EIGHT_NEIGHBORS, FOUR_NEIGHBORS, candidate_sets, distance_field
+from phs_siting.terrain import (EIGHT_NEIGHBORS, FOUR_NEIGHBORS, TerrainGrid, candidate_sets,
+                                distance_field)
 
 from conftest import add_row, add_variable
 
@@ -567,3 +576,43 @@ def oracle_reference(
         n_enumerated=n_subsets,
         n_feasible=n_feasible,
     )
+
+
+def _blocks(values: np.ndarray, factor: int, fill) -> np.ndarray:
+    """``values`` padded with ``fill`` at the bottom and right to whole
+    factor x factor blocks, as a (rows, factor, cols, factor) array whose entry
+    [i, :, j, :] holds the children of super-cell (i, j)."""
+    nr, nc = values.shape
+    padded = np.pad(values, ((0, -nr % factor), (0, -nc % factor)), constant_values=fill)
+    return padded.reshape(padded.shape[0] // factor, factor, padded.shape[1] // factor, factor)
+
+
+def coarsen_reference(grid: TerrainGrid, factor: int) -> TerrainGrid:
+    nr, nc = grid.shape
+    valid = ~_blocks(grid.nodata, factor, True)
+    counts = valid.sum(axis=(1, 3))
+    sums = np.where(valid, _blocks(grid.elevations, factor, np.nan), 0.0).sum(axis=(1, 3))
+    lower_counts = _blocks(grid.lower_mask, factor, False).sum(axis=(1, 3))
+
+    new_nodata = counts == 0
+    with np.errstate(invalid="ignore"):
+        new_elev = np.where(new_nodata, np.nan, sums / np.maximum(counts, 1))
+    new_lower = (2 * lower_counts > counts) & ~new_nodata
+    return TerrainGrid(
+        new_elev,
+        grid.cell_length * factor,
+        new_lower,
+        new_nodata,
+        grid.lower_elevation,
+        grid.xllcorner,
+        grid.yllcorner - (new_elev.shape[0] * factor - nr) * grid.cell_length,
+    )
+
+
+def distance_reference(grid: TerrainGrid, metric: str) -> np.ndarray:
+    length = grid.cell_length
+    horizontal = ndimage.distance_transform_edt(~grid.lower_mask, sampling=(length, length))
+    if metric == "horizontal":
+        return horizontal
+    drop = np.abs(grid.elevations - grid.lower_elevation)
+    return np.hypot(horizontal, np.where(np.isfinite(drop), drop, 0.0))

@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import phs_siting as ps
+from phs_siting import terrain
 from phs_siting.cli import (
     _load_terrain,
     _parse_config,
@@ -273,9 +275,11 @@ def _with_costs(config_path, lines):
     "lines,expected",
     [
         ("foo = 1", ["costs.foo: unknown cost parameter"]),
-        ("em_b = -1", ["costs.em_b: must be positive"]),
-        ("em_a = 3068\nslope_hv = 0", ["costs.slope_hv: must be positive"]),
+        ("em_b = -1", ["costs.em_b: must be positive, got -1.0"]),
+        ("em_a = 3068\nslope_hv = 0", ["costs.slope_hv: must be positive, got 0.0"]),
         ("em_a = abc", ["costs.em_a: not a number ('abc')"]),
+        ("em_b = -1\nslope_hv = 0", ["costs.slope_hv: must be positive, got 0.0",
+                                     "costs.em_b: must be positive, got -1.0"]),
     ],
 )
 def test_validate_reports_bad_cost_parameters(micro_config, lines, expected):
@@ -499,6 +503,20 @@ def test_demo_batch_same_with_two_workers(tmp_path):
         with open(out / "report_solver.csv") as fh:
             solver.append([{k: v for k, v in row.items() if k != "time_s"} for row in csv.DictReader(fh)])
     assert solver[0] == solver[1]
+
+
+def test_two_workers_compute_each_distance_field_once(tmp_path, monkeypatch):
+    # the DEM and its factor-2 grid each get their one field before the cases run
+    made, compute = [], terrain._distance_field
+
+    def counted(grid, metric):
+        made.append((grid.shape, metric, threading.current_thread() is threading.main_thread()))
+        return compute(grid, metric)
+
+    monkeypatch.setattr(terrain, "_distance_field", counted)
+    demo = load_case_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
+    assert run_batch(dataclasses.replace(demo, workers=2, output_dir=tmp_path)) == 0
+    assert sorted(made) == [((8, 8), "horizontal", True), ((16, 16), "horizontal", True)]
 
 
 def test_demo_trace_marks_certified_rung(tmp_path):

@@ -128,6 +128,16 @@ def test_params_reject_nonpositive():
         CostParams(embankment_unit=0.0)
 
 
+def test_params_report_every_nonpositive_field():
+    with pytest.raises(ValueError) as info:
+        CostParams(em_b=-1.0, slope_hv=0.0, crest_width=math.nan)
+    assert str(info.value).splitlines() == [
+        "crest_width must be positive, got nan",
+        "slope_hv must be positive, got 0.0",
+        "em_b must be positive, got -1.0",
+    ]
+
+
 def test_custom_velocity_changes_lining():
     # slower lining velocity -> larger bore -> more steel
     slow = CostParams(lining_velocity=3.0).lining_coefficient()

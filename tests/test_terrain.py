@@ -14,6 +14,7 @@ import phs_siting as ps
 from phs_siting.terrain import cells_to_mask, count_components
 
 from conftest import RIVER_ELEVATION, WATER, diagonal_blob_grid, pit_grid, river_grid, two_basin_grid
+from reference_model import coarsen_reference, distance_reference
 
 # --------------------------------------------------------------------------- #
 # Loading                                                                      #
@@ -292,6 +293,53 @@ def test_aggregate_composition_shape(a, b):
     direct = ps.aggregate(grid, a * b)
     assert once.shape == direct.shape
     assert np.allclose(once.elevations, direct.elevations)
+
+
+def _random_grid(rng, nrows, ncols, cell_length=30.0):
+    """Elevations at a random scale with some -0.0 cells, a random share of
+    NODATA (0 to 97%) and a random lower body among the valid cells."""
+    scale = 10 ** rng.uniform(-2, 3)
+    elev = rng.normal(rng.uniform(-1, 1), 1, (nrows, ncols)) * scale
+    elev[rng.random((nrows, ncols)) < 0.05] = -0.0
+    nodata = rng.random((nrows, ncols)) < rng.uniform(0, 0.97)
+    elev[nodata] = np.nan
+    lower = (rng.random((nrows, ncols)) < rng.uniform(0.01, 0.6)) & ~nodata
+    return ps.TerrainGrid(elev, cell_length, lower, nodata, float(rng.normal()) * scale,
+                          float(rng.uniform(-1e5, 1e5)), float(rng.uniform(-1e5, 1e5)))
+
+
+def _same_grid_bytes(a, b):
+    for name in ("elevations", "lower_mask", "nodata"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert (a.cell_length, a.lower_elevation, a.xllcorner, a.yllcorner) == (
+        b.cell_length, b.lower_elevation, b.xllcorner, b.yllcorner)
+
+
+@pytest.mark.parametrize("factor", [*range(2, 18), 150])
+def test_aggregate_matches_block_reference(factor):
+    """The strided block sums give numpy's 4-D block sums bit for bit, on
+    ragged sides too; factor 150 takes numpy's pairwise halves, cut at 72."""
+    rng = np.random.default_rng(factor)
+    for _ in range(2 if factor > 128 else 4):
+        nrows, ncols = rng.integers(2 * factor + 1, 5 * factor + 8, size=2)
+        grid = _random_grid(rng, int(nrows), int(ncols))
+        _same_grid_bytes(ps.aggregate(grid, factor), coarsen_reference(grid, factor))
+
+
+@pytest.mark.parametrize("cell_length", [30.87, 8.5, 0.3, 1 / 3, 92.77777, 1e-3, 34.0])
+def test_distance_field_matches_scipy_edt(cell_length):
+    """scipy's own distances, by bytes, at cell lengths whose ties pick other
+    lower cells unless the feature transform is told the cell length."""
+    rng = np.random.default_rng(int(cell_length * 1000))
+    for _ in range(12):
+        nrows, ncols = rng.integers(3, 60, size=2)
+        grid = _random_grid(rng, int(nrows), int(ncols), cell_length)
+        if not grid.lower_mask.any():
+            continue
+        for metric in ("horizontal", "slant"):
+            field = ps.distance_field(grid, metric).values
+            assert field.tobytes() == distance_reference(grid, metric).tobytes(), metric
 
 
 def _rebuilt(grid):
