@@ -51,8 +51,7 @@ def _factors(raw: str) -> tuple[int, ...]:
 #: reads as; every ``[case.N]`` section takes the keys of ``case``.
 _KEYS: dict[str, dict] = {
     "dem": {"path": str, "format": str, "lower_by_elevation": float, "lower_tolerance": float,
-            "lower_mask_file": str, "lower_elevation": float, "pad_nonsquare": bool,
-            "excluded_mask_file": str},
+            "lower_mask_file": str, "lower_elevation": float, "excluded_mask_file": str},
     "project": {"power_mw": float, "efficiency": float},
     "costs": {name: float for name in CostParams.__dataclass_fields__},
     "strategy": {"ladder": _levels, "zoom_factors": _factors, "clip_margin": int,
@@ -80,7 +79,6 @@ class CaseConfig:
     dem_format: str
     lower: ByElevation | MaskFile
     lower_elevation: float | None
-    pad_nonsquare: bool
     excluded_mask_file: Path | None
     efficiency: float
     cost_params: CostParams
@@ -271,7 +269,6 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
             dem_format=dem_format,
             lower=lower,
             lower_elevation=get("dem", "lower_elevation"),
-            pad_nonsquare=get("dem", "pad_nonsquare", False),
             excluded_mask_file=excluded_path,
             efficiency=efficiency,
             cost_params=cost_params,
@@ -320,17 +317,12 @@ class CaseOutcome:
 
 
 def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
-    grid = load_grid(
-        config.dem_path,
-        config.dem_format,
-        config.lower,
-        pad_nonsquare=config.pad_nonsquare,
-        lower_elevation=config.lower_elevation,
-    )
+    grid = load_grid(config.dem_path, config.dem_format, config.lower,
+                     lower_elevation=config.lower_elevation)
     excluded = None
     if config.excluded_mask_file is not None:
         try:
-            excluded = load_mask(config.excluded_mask_file, grid)
+            excluded = load_mask(config.excluded_mask_file, grid.shape)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
     # Every grid a case solves on (the zoom's coarse grids too) and its distance

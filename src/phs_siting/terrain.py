@@ -90,8 +90,6 @@ class TerrainGrid:
     The grid is immutable, so it keeps what ``aggregate`` and
     ``distance_field`` derive from it: each coarse grid and each distance
     field is computed once per grid and lives as long as the grid.
-    ``load_grid`` notes there the shape of the file it read, which
-    ``load_mask`` reads back.
     """
 
     elevations: np.ndarray
@@ -215,6 +213,7 @@ class DistanceField:
 # ---------------------------------------------------------------------------
 
 _ESRI_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value"}
+_SIDECAR_KEYS = {"cell_length", "nodata_value", "xllcorner", "yllcorner", "lower_elevation"}
 
 
 def _parse_float(token: str, context: str) -> float:
@@ -224,22 +223,40 @@ def _parse_float(token: str, context: str) -> float:
         raise GridFormatError(f"non-numeric value {token!r} in {context}") from None
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _key(key: str, known: set[str], seen: dict, kind: str, context: str) -> str:
+    """``key`` in lower case; one outside ``known`` or already in ``seen``
+    raises GridFormatError."""
+    name = key.lower()
+    if name not in known:
+        raise GridFormatError(f"unknown {kind} key {key!r} in {context}")
+    if name in seen:
+        raise GridFormatError(f"repeated {kind} key {key!r} in {context}")
+    return name
+
+
 def _parse_esri_ascii(text: str, context: str):
     """Parse ESRI ASCII grid text into (values, header dict).
 
-    One data line per raster row; wrapped data lines are rejected so that
-    inconsistent row lengths are detectable.
+    The header ends at the first line that begins with a number (``nan`` and
+    ``inf`` read as numbers). One data line per raster row; wrapped data lines
+    are rejected so that inconsistent row lengths are detectable.
     """
     header: dict[str, float] = {}
     lines = [ln for ln in text.splitlines() if ln.strip()]
     idx = 0
     while idx < len(lines):
         parts = lines[idx].split()
-        if not parts[0][0].isalpha():
+        if _is_number(parts[0]):
             break
-        key = parts[0].lower()
-        if key not in _ESRI_KEYS:
-            raise GridFormatError(f"unknown header key {parts[0]!r} in {context}")
+        key = _key(parts[0], _ESRI_KEYS, header, "header", context)
         if len(parts) != 2:
             raise GridFormatError(f"malformed header line {lines[idx]!r} in {context}")
         header[key] = _parse_float(parts[1], context)
@@ -292,17 +309,8 @@ def _parse_keyvalue(text: str, context: str) -> dict[str, float]:
         if "=" not in ln:
             raise GridFormatError(f"expected key=value, got {ln!r} in {context}")
         key, _, value = ln.partition("=")
-        out[key.strip().lower()] = _parse_float(value.strip(), context)
+        out[_key(key.strip(), _SIDECAR_KEYS, out, "sidecar", context)] = _parse_float(value.strip(), context)
     return out
-
-
-def _pad_square(values: np.ndarray, nodata: np.ndarray):
-    side = max(values.shape)
-    padded = np.full((side, side), np.nan)
-    padded_nd = np.ones((side, side), dtype=bool)
-    padded[: values.shape[0], : values.shape[1]] = values
-    padded_nd[: values.shape[0], : values.shape[1]] = nodata
-    return padded, padded_nd
 
 
 def load_grid(
@@ -310,21 +318,21 @@ def load_grid(
     fmt: Literal["esri_ascii", "csv"] = "esri_ascii",
     lower: LowerSpec | None = None,
     *,
-    pad_nonsquare: bool = False,
     lower_elevation: float | None = None,
 ) -> TerrainGrid:
-    """Load a DEM file and mark its lower water body.
+    """Load a DEM file, of any rectangular shape, and mark its lower water body.
 
     Args:
-        path: grid file. CSV grids need a sidecar ``<path>.meta`` with at least
-            ``cell_length=<m>`` (``nodata_value``, ``xllcorner``, ``yllcorner``
-            optional).
+        path: grid file. CSV grids need a sidecar ``<path>.meta`` with
+            ``cell_length=<m>``, and optionally ``nodata_value``, ``xllcorner``,
+            ``yllcorner`` and ``lower_elevation``; any other key is refused.
         fmt: "esri_ascii" or "csv".
         lower: how to identify lower-body cells; required.
-        pad_nonsquare: pad a non-square file with NODATA instead of rejecting it.
-        lower_elevation: explicit water level of the lower body. Required
-            semantics: for ByElevation the level itself is used; for MaskFile
-            the median elevation over mask cells is used unless given here.
+        lower_elevation: water level of the lower body; it overrides the
+            level of a ByElevation spec too. A CSV sidecar's
+            ``lower_elevation`` stands in when it is None. Without either, the
+            level is a ByElevation spec's ``level``, or for a MaskFile the
+            median elevation over the mask's cells.
 
     A grid that fails a ``TerrainGrid`` check (side, cell length, finite
     values) raises GridFormatError naming the file and the check.
@@ -366,25 +374,13 @@ def load_grid(
     nodata = np.zeros(values.shape, dtype=bool) if nodata_value is None else values == nodata_value
     values = np.where(nodata, np.nan, values)
 
-    file_shape = values.shape
-    if values.shape[0] != values.shape[1]:
-        if not pad_nonsquare:
-            raise GridFormatError(
-                f"{path}: grid is {values.shape[0]}x{values.shape[1]}; "
-                "square input required (set pad_nonsquare to pad with NODATA)"
-            )
-        values, nodata = _pad_square(values, nodata)
-        yll -= (values.shape[0] - file_shape[0]) * cell_length  # rows go in at the bottom
-
     if isinstance(lower, ByElevation):
         with np.errstate(invalid="ignore"):
             lower_mask = np.abs(values - lower.level) <= lower.tolerance
         lower_mask &= ~nodata
         level = lower.level if lower_elevation is None else lower_elevation
     elif isinstance(lower, MaskFile):
-        lower_mask = _read_mask(lower.path, file_shape, values.shape)
-        if np.any(lower_mask & nodata):
-            raise GridFormatError("lower mask covers NODATA cells")
+        lower_mask = load_mask(lower.path, values.shape)
         if lower_elevation is not None:
             level = lower_elevation
         elif np.any(lower_mask):
@@ -399,47 +395,27 @@ def load_grid(
             "lower-body mask is empty; the siting model requires an existing lower reservoir"
         )
     try:
-        grid = TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
+        return TerrainGrid(values, cell_length, lower_mask, nodata, level, xll, yll)
     except ValueError as exc:
         raise GridFormatError(f"{path}: {exc}") from exc
-    grid._derived["file_shape"] = file_shape
-    return grid
 
 
-def load_mask(path: str | Path, shape: TerrainGrid | tuple[int, int]) -> np.ndarray:
-    """Read a 0/1 ESRI ASCII raster as a bool mask for a DEM; other values
-    (the file's NODATA_value too) raise GridFormatError.
-
-    ``shape`` is the DEM's shape, which the raster must have, or the
-    ``TerrainGrid`` itself. A grid that ``load_grid`` padded also takes a
-    raster of the DEM file's own shape, padded with False as
-    ``pad_nonsquare`` padded the DEM.
-    """
-    if isinstance(shape, TerrainGrid):
-        return _read_mask(path, shape._derived.get("file_shape", shape.shape), shape.shape)
-    return _read_mask(path, shape, shape)
-
-
-def _read_mask(path: str | Path, file_shape: tuple[int, int], shape: tuple[int, int]) -> np.ndarray:
-    """A 0/1 mask of ``shape``, read from a raster of that shape or of
-    ``file_shape``, the DEM file's shape before padding; the padding is False."""
+def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
+    """Read a 0/1 ESRI ASCII raster of exactly ``shape``, the DEM's, as a bool
+    mask; other values (the file's NODATA_value too) raise GridFormatError."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise GridFormatError(f"cannot read {path}: {exc}") from exc
     values, _ = _parse_esri_ascii(text, str(path))
-    if values.shape not in (tuple(file_shape), tuple(shape)):
-        raise GridFormatError(
-            f"mask shape {values.shape} does not match DEM {tuple(file_shape)} in {path}"
-        )
+    if values.shape != tuple(shape):
+        raise GridFormatError(f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}")
     odd = (values != 0) & (values != 1)
     if odd.any():
         i, j = np.argwhere(odd)[0].tolist()
         raise GridFormatError(f"mask value {values[i, j]:g} at (row, col) ({i}, {j}) is not 0 or 1 in {path}")
-    mask = np.zeros(shape, dtype=bool)
-    mask[: values.shape[0], : values.shape[1]] = values == 1
-    return mask
+    return values == 1
 
 
 def write_esri_ascii(

@@ -165,12 +165,13 @@ def test_readme_case_file_example_reads(tmp_path):
 
 # Each value is read as its key's type before any check: a boolean or a
 # lower_elevation that does not read is reported once, never raised or ignored.
+# pad_nonsquare is gone, so an old file that sets it names an unknown key.
 @pytest.mark.parametrize(
     "mutation,expected",
     [
         (("zoom = yes", "zoom = maybe"), "case.2.zoom: not a boolean ('maybe')"),
         (("lower_tolerance = 0.5", "lower_tolerance = 0.5\npad_nonsquare = perhaps"),
-         "dem.pad_nonsquare: not a boolean ('perhaps')"),
+         "dem.pad_nonsquare: unknown key"),
         (("lower_tolerance = 0.5", "lower_tolerance = 0.5\nlower_elevation = abc"),
          "dem.lower_elevation: not a number ('abc')"),
         (("lower_tolerance = 0.5", "lower_tolerance = 0.5\nlower_elevation = inf"),
@@ -223,10 +224,11 @@ def _csv_dem(config_path, meta):
         (lambda text: text.replace("cellsize 34.000000", "cellsize -34"),
          "cell_length must be positive, got -34.0"),
         (lambda text: text.replace("385 385 600", "385 385 nan", 1), "non-NODATA elevations must be finite"),
+        (lambda text: text.replace("385 385 600", "nan 385 600", 1), "non-NODATA elevations must be finite"),
         (lambda text: "ncols 2\nnrows 2\ncellsize 34\n385 600\n385 600\n", "grid side must be >= 3, got (2, 2)"),
         (None, "cell_length must be positive, got 0.0"),
     ],
-    ids=["cellsize-0", "cellsize-negative", "nan-value", "side-2", "csv-cell_length-0"],
+    ids=["cellsize-0", "cellsize-negative", "nan-value", "nan-first-value", "side-2", "csv-cell_length-0"],
 )
 def test_a_dem_failing_a_grid_check_is_reported(micro_config, tmp_path, capsys, edit, check):
     if edit is None:
@@ -261,10 +263,10 @@ def test_booleans_and_lower_elevation_are_read(micro_config):
     micro_config.write_text(micro_config.read_text()
                             .replace("zoom = no", "zoom = on")
                             .replace("lower_tolerance = 0.5",
-                                     "lower_tolerance = 0.5\npad_nonsquare = true\nlower_elevation = 385.25"))
+                                     "lower_tolerance = 0.5\nlower_elevation = 385.25"))
     config = load_case_config(micro_config)
     assert [case.zoom for case in config.cases] == [True, True]
-    assert config.pad_nonsquare is True and config.lower_elevation == 385.25
+    assert config.lower_elevation == 385.25
 
 
 def _with_costs(config_path, lines):
@@ -342,22 +344,21 @@ def test_excluded_mask_of_wrong_shape_is_reported(micro_config, tmp_path, capsys
 
 
 def test_nonsquare_dem_takes_masks_of_its_own_shape(micro_config, tmp_path):
-    # the top six rows of the micro DEM: pad_nonsquare adds two NODATA rows at
-    # the bottom, and the masks and the written rasters keep the file's top edge
+    # the top six rows of the micro DEM load as they are, 6x8, and the masks
+    # read and the rasters written have that shape and the file's top edge
     dem = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0, 0.5))
     ps.write_esri_ascii(tmp_path / "dem.asc", dem.elevations[:6], 34.0, value_format="{:.6g}")
-    micro_config.write_text(micro_config.read_text().replace(
-        "lower_tolerance = 0.5", "lower_tolerance = 0.5\npad_nonsquare = yes"))
     _exclude(micro_config, (6, 8), (0, 7))
     assert validate_config(micro_config) == []
     config = load_case_config(micro_config)
     grid, excluded = _load_terrain(config)
-    assert grid.shape == (8, 8) and grid.nodata[6:].all()
-    assert excluded.shape == (8, 8) and np.argwhere(excluded).tolist() == [[0, 7]]
+    assert grid.shape == (6, 8) and not grid.nodata.any()
+    assert excluded.shape == (6, 8) and np.argwhere(excluded).tolist() == [[0, 7]]
     assert grid.yllcorner + grid.nrows * grid.cell_length == 6 * 34.0
     assert run_batch(config) == 0
     for k in (1, 2):
         mask = ps.load_grid(tmp_path / "out" / f"case_{k}_mask.asc", "esri_ascii", ps.ByElevation(0.0, 0.25))
+        assert mask.shape == (6, 8)
         assert mask.yllcorner + mask.nrows * mask.cell_length == 6 * 34.0
 
 

@@ -523,6 +523,51 @@ def test_zoom_rejects_vanishing_lower_body():
         ps.run_zoom_in(grid, spec, config=StrategyConfig(zoom_factors=(2, 1)))
 
 
+def _padded_square(grid):
+    """``grid`` padded with NODATA rows at the bottom and columns at the right."""
+    side = max(grid.shape)
+    rows, cols = grid.shape
+    elev = np.full((side, side), np.nan)
+    nodata = np.ones((side, side), dtype=bool)
+    lower = np.zeros((side, side), dtype=bool)
+    elev[:rows, :cols] = grid.elevations
+    nodata[:rows, :cols] = grid.nodata
+    lower[:rows, :cols] = grid.lower_mask
+    return ps.TerrainGrid(elev, grid.cell_length, lower, nodata, grid.lower_elevation)
+
+
+@pytest.mark.parametrize("how", ["ladder", "zoom"])
+def test_a_nonsquare_grid_sites_as_its_nodata_padded_square(how):
+    # A rectangle is taken as it is: padding it to a square with NODATA, as
+    # the loader once did, changes no site. The ladder escalates to level 2 on
+    # the 10x13 blob; the blob's one-row river vanishes at factor 2, so the
+    # zoom runs on the blob with a second river row (11x13) and a smaller target.
+    grid, spec = diagonal_blob_grid(), diagonal_blob_spec()
+    if how == "zoom":
+        grid = river_grid(np.vstack([grid.elevations, np.full((1, 13), RIVER_ELEVATION)]))
+        spec = spec_for_volume(500_000.0)
+
+    def run(g):
+        if how == "ladder":
+            return ps.run_ladder(g, spec)
+        return ps.run_zoom_in(g, spec, config=StrategyConfig(zoom_factors=(2, 1)))
+
+    rect, square = run(grid), run(_padded_square(grid))
+    rows, cols = grid.shape
+    for name in ("perimeter_mask", "interior_mask", "reservoir_mask"):
+        mask = getattr(square, name)
+        assert np.array_equal(mask[:rows, :cols], getattr(rect, name)), name
+        assert not mask[rows:].any() and not mask[:, cols:].any(), name
+    assert rect.link_cell == square.link_cell
+    assert rect.costs.total == square.costs.total and rect.valid and square.valid
+    assert [t.objective for t in rect.trace] == [t.objective for t in square.trace]
+    assert [(t.zoom_factor, t.level) for t in rect.trace] == [(t.zoom_factor, t.level) for t in square.trace]
+    if how == "ladder":
+        assert rect.level == 2
+    else:
+        assert [t.zoom_factor for t in rect.trace] == [2, 1]
+
+
 def test_zoom_beats_or_ties_direct_under_tight_budget():
     grid, spec = midsize_grid(), midsize_spec()
     budget = 0.5

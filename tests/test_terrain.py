@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 
@@ -63,6 +64,17 @@ def test_unknown_header_key_rejected(tmp_path):
         ps.load_grid(path, "esri_ascii", ps.ByElevation(1.0))
 
 
+@pytest.mark.parametrize("repeat,key", [("cellsize 1\ncellsize 50", "cellsize"),
+                                        ("cellsize 1\nNODATA_value -1\nnodata_value -9999", "nodata_value")],
+                         ids=["cellsize", "nodata_value"])
+def test_repeated_header_key_rejected(tmp_path, repeat, key):
+    # a second value of one key does not silently win
+    path = tmp_path / "bad.asc"
+    path.write_text(f"ncols 3\nnrows 3\n{repeat}\n" + "1 1 1\n" * 3)
+    with pytest.raises(ps.GridFormatError, match=re.escape(f"repeated header key '{key}' in {path}")):
+        ps.load_grid(path, "esri_ascii", ps.ByElevation(1.0))
+
+
 def test_empty_lower_mask_rejected(tmp_path):
     path = tmp_path / "dry.asc"
     path.write_text("ncols 3\nnrows 3\ncellsize 1\n" + "700 700 700\n" * 3)
@@ -70,79 +82,58 @@ def test_empty_lower_mask_rejected(tmp_path):
         ps.load_grid(path, "esri_ascii", ps.ByElevation(385.0, 0.5))
 
 
-def test_nonsquare_rejected_or_padded(tmp_path):
-    path = tmp_path / "rect.asc"
-    path.write_text("ncols 4\nnrows 3\ncellsize 1\n" + "385 386 387 388\n" * 3)
-    with pytest.raises(ps.GridFormatError, match="square"):
-        ps.load_grid(path, "esri_ascii", ps.ByElevation(385.0, 0.5))
-    grid = ps.load_grid(path, "esri_ascii", ps.ByElevation(385.0, 0.5), pad_nonsquare=True)
-    assert grid.shape == (4, 4)
-    assert grid.nodata[3, :].all()
-
-
 @pytest.mark.parametrize("file_shape", [(4, 6), (6, 4)])
-def test_nonsquare_padding_keeps_masks_and_georeference(tmp_path, file_shape):
-    # rows are padded at the bottom and columns at the right; a mask of the
-    # file's own shape is padded alike, and the top and left edges stay put
-    rows, cols = file_shape
+def test_a_rectangular_dem_loads_as_it_is(tmp_path, file_shape):
+    # no padding: the grid has the file's shape and corners, and a lower
+    # mask of that shape marks the river column
     elev = np.full(file_shape, 600.0)
     elev[:, 0] = 385.0
     ps.write_esri_ascii(tmp_path / "dem.asc", elev, 34.0, xllcorner=1000.0, yllcorner=2000.0)
-    lower = (elev == 385.0).astype(float)
-    ps.write_esri_ascii(tmp_path / "lower.asc", lower, 34.0, value_format="{:.0f}")
-    side = max(file_shape)
-    grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "lower.asc"),
-                        pad_nonsquare=True)
-    assert grid.shape == (side, side)
-    assert grid.lower_mask[:rows, 0].all() and grid.lower_mask.sum() == rows
-    assert grid.nodata[rows:, :].all() and grid.nodata[:, cols:].all()
-    assert grid.xllcorner == 1000.0
-    assert grid.yllcorner + grid.nrows * grid.cell_length == 2000.0 + rows * 34.0
-
-    # a hand-padded mask is still taken as it is; any other shape is refused
-    padded = np.zeros((side, side))
-    padded[:rows, :cols] = lower
-    ps.write_esri_ascii(tmp_path / "padded.asc", padded, 34.0, value_format="{:.0f}")
-    again = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "padded.asc"),
-                         pad_nonsquare=True)
-    assert np.array_equal(again.lower_mask, grid.lower_mask)
-    for shape in ((cols, rows), (side - 1, side)):
-        ps.write_esri_ascii(tmp_path / "odd.asc", np.zeros(shape), 34.0, value_format="{:.0f}")
-        with pytest.raises(ps.GridFormatError,
-                           match=rf"mask shape \({shape[0]}, {shape[1]}\) does not match DEM \({rows}, {cols}\)"):
-            ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "odd.asc"),
-                         pad_nonsquare=True)
+    ps.write_esri_ascii(tmp_path / "lower.asc", (elev == 385.0).astype(float), 34.0, value_format="{:.0f}")
+    for lower in (ps.ByElevation(385.0, 0.5), ps.MaskFile(tmp_path / "lower.asc")):
+        grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", lower)
+        assert grid.shape == file_shape and not grid.nodata.any()
+        assert (grid.xllcorner, grid.yllcorner) == (1000.0, 2000.0)
+        assert np.array_equal(grid.lower_mask, elev == 385.0)
+    with pytest.raises(TypeError):
+        ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0), pad_nonsquare=True)
 
 
-def test_load_mask_pads_a_mask_for_a_padded_grid(tmp_path):
-    # a 4x6 DEM is padded to 6x6; given the grid, load_mask takes a mask of
-    # the file's own shape and pads it with False, while given a shape it
-    # still wants that shape
-    elev = np.full((4, 6), 600.0)
+@pytest.mark.parametrize("file_shape", [(4, 6), (6, 4)])
+def test_masks_must_have_the_dems_shape(tmp_path, file_shape):
+    elev = np.full(file_shape, 600.0)
     elev[:, 0] = 385.0
     ps.write_esri_ascii(tmp_path / "dem.asc", elev, 34.0)
-    grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0),
-                        pad_nonsquare=True)
-    mask = np.zeros((4, 6))
-    mask[1, 3] = mask[3, 5] = 1
+    grid = ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.ByElevation(385.0))
+    rows, cols = file_shape
+    mask = np.zeros(file_shape)
+    mask[1, 3] = mask[3, 3] = 1
     ps.write_esri_ascii(tmp_path / "mask.asc", mask, 34.0, value_format="{:.0f}")
-    read = ps.load_mask(tmp_path / "mask.asc", grid)
-    assert read.shape == (6, 6) and read.dtype == bool
-    assert np.argwhere(read).tolist() == [[1, 3], [3, 5]]
-    with pytest.raises(ps.GridFormatError, match=r"mask shape \(4, 6\) does not match DEM \(6, 6\)"):
-        ps.load_mask(tmp_path / "mask.asc", grid.shape)
-    assert np.array_equal(ps.load_mask(tmp_path / "mask.asc", (4, 6)), mask == 1)
-
-    # a hand-padded mask is taken as it is; any other shape is refused
-    ps.write_esri_ascii(tmp_path / "padded.asc", read.astype(float), 34.0, value_format="{:.0f}")
-    assert np.array_equal(ps.load_mask(tmp_path / "padded.asc", grid), read)
-    ps.write_esri_ascii(tmp_path / "odd.asc", np.zeros((6, 4)), 34.0, value_format="{:.0f}")
-    with pytest.raises(ps.GridFormatError, match=r"mask shape \(6, 4\) does not match DEM \(4, 6\)"):
-        ps.load_mask(tmp_path / "odd.asc", grid)
-
-    # the padded mask bars its cells from the candidate sets of the grid
-    cands = ps.candidate_sets(grid, 650.0, excluded=read)
+    excluded = ps.load_mask(tmp_path / "mask.asc", grid.shape)
+    assert excluded.shape == file_shape and excluded.dtype == bool
+    assert np.argwhere(excluded).tolist() == [[1, 3], [3, 3]]
+    cands = ps.candidate_sets(grid, 650.0, excluded=excluded)
     assert not cands.reservoir_ok[1, 3] and cands.reservoir_ok[1, 2]
+
+    # the transposed shape and the square that padding once made are refused
+    for shape in ((cols, rows), (max(file_shape),) * 2):
+        ps.write_esri_ascii(tmp_path / "odd.asc", np.zeros(shape), 34.0, value_format="{:.0f}")
+        refused = rf"mask shape \({shape[0]}, {shape[1]}\) does not match DEM \({rows}, {cols}\)"
+        with pytest.raises(ps.GridFormatError, match=refused):
+            ps.load_mask(tmp_path / "odd.asc", grid.shape)
+        with pytest.raises(ps.GridFormatError, match=refused):
+            ps.load_grid(tmp_path / "dem.asc", "esri_ascii", ps.MaskFile(tmp_path / "odd.asc"))
+
+
+def test_a_lower_mask_over_nodata_cells_is_refused(tmp_path):
+    dem = tmp_path / "dem.asc"
+    dem.write_text("ncols 3\nnrows 3\ncellsize 34\nNODATA_value -9999\n"
+                   "385 500 600\n385 500 600\n-9999 500 600\n")
+    mask = tmp_path / "mask.asc"
+    mask.write_text("ncols 3\nnrows 3\ncellsize 34\n1 0 0\n1 0 0\n1 0 0\n")
+    with pytest.raises(ps.GridFormatError) as info:
+        ps.load_grid(dem, "esri_ascii", ps.MaskFile(mask))
+    assert str(info.value) == f"{dem}: lower_mask overlaps NODATA cells"
 
 
 def test_csv_grid_with_sidecar(tmp_path):
@@ -152,6 +143,24 @@ def test_csv_grid_with_sidecar(tmp_path):
     grid = ps.load_grid(path, "csv", ps.ByElevation(385.0, 0.5))
     assert grid.cell_length == 34.0
     assert grid.lower_mask.sum() == 4
+
+
+@pytest.mark.parametrize(
+    "meta,message",
+    [
+        ("cell_length = 34\nnodata=-9999\n", "unknown sidecar key 'nodata'"),
+        ("cell_length = 34\ncell_length = 50\n", "repeated sidecar key 'cell_length'"),
+        ("cell_length = 34\nnodata_value = -1\nNODATA_value = -9999\n", "repeated sidecar key 'NODATA_value'"),
+    ],
+    ids=["mistyped", "repeated", "repeated-other-case"],
+)
+def test_csv_sidecar_takes_each_known_key_once(tmp_path, meta, message):
+    # a mistyped nodata_value once left -9999 cells in the grid as elevations
+    path = tmp_path / "grid.csv"
+    path.write_text("385,385,500\n385,600,600\n-9999,600,600\n")
+    (tmp_path / "grid.csv.meta").write_text(meta)
+    with pytest.raises(ps.GridFormatError, match=re.escape(f"{message} in {tmp_path / 'grid.csv.meta'}")):
+        ps.load_grid(path, "csv", ps.ByElevation(385.0, 0.5))
 
 
 def test_csv_missing_sidecar(tmp_path):
