@@ -63,6 +63,7 @@ from .terrain import (
     distance_field,
     load_grid,
     load_mask,
+    stage_terrain,
     write_esri_ascii,
 )
 
@@ -118,6 +119,7 @@ __all__ = [
     "run_ladder",
     "run_zoom_in",
     "solve",
+    "stage_terrain",
     "verify_masks",
     "verify_solution",
     "write_esri_ascii",

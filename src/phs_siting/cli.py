@@ -24,14 +24,14 @@ import numpy as np
 
 from .connectivity import Level, parse_level
 from .costing import CostParams
-from .errors import GridFormatError, NoIncumbentError, SitingError
+from .errors import GridFormatError, InfeasibleProblemError, NoIncumbentError, SitingError
 from .formats import export_problem
 from .model import ReservoirSolution, build_siting_problem
 from .sizing import DEFAULT_EFFICIENCY, SitingSpec, _input_errors
 from .solve import oracle_enumerate
 from .strategy import StrategyConfig, run_ladder, run_zoom_in
-from .terrain import (ByElevation, MaskFile, TerrainGrid, aggregate, distance_field, load_grid,
-                      load_mask, write_esri_ascii)
+from .terrain import (ByElevation, MaskFile, TerrainGrid, coarse_lower_cells, distance_field,
+                      load_grid, load_mask, write_esri_ascii)
 
 logger = logging.getLogger(__name__)
 
@@ -325,16 +325,18 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
             excluded = load_mask(config.excluded_mask_file, grid.shape)
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
-    # Every grid a case solves on (the zoom's coarse grids too) and its distance
-    # field are built here, once, before the cases run in parallel.
-    factors = config.strategy.zoom_factors if any(case.zoom for case in config.cases) else (1,)
-    for factor in factors:
-        try:
-            coarse = aggregate(grid, factor)
-        except ValueError as exc:
-            raise SitingError(f"strategy.zoom_factors: {exc}") from exc
-        if coarse.lower_mask.any():  # else the zoom case reports the vanished lower body
-            distance_field(coarse, config.strategy.distance_metric)
+    # The DEM's distance field, which every direct case reads, is built here,
+    # once, before the cases run in parallel. A zoom stage builds the terrain
+    # of its own window (``stage_terrain``); here each zoom factor is checked
+    # against the DEM's shape and its coarse lower body.
+    if not all(case.zoom for case in config.cases):
+        distance_field(grid, config.strategy.distance_metric)
+    if any(case.zoom for case in config.cases):
+        for factor in config.strategy.zoom_factors:
+            try:
+                coarse_lower_cells(grid, factor)
+            except (ValueError, InfeasibleProblemError) as exc:
+                raise SitingError(f"strategy.zoom_factors: {exc}") from exc
     return grid, excluded
 
 

@@ -32,13 +32,12 @@ from .solve import SolveLimits, SolveStatus, solve
 from .terrain import (
     DistanceField,
     TerrainGrid,
-    aggregate,
     candidate_sets,
     cells_to_mask,
     clip,
     distance_field,
+    stage_terrain,
     _block_counts,
-    _unchecked,
 )
 
 logger = logging.getLogger(__name__)
@@ -251,11 +250,14 @@ def run_zoom_in(
     """Coarse-to-fine siting: solve, clip around the incumbent, refine, repeat.
 
     The volume target stays absolute across zoom levels; storage coefficients
-    rescale with the coarse cell size. Distance fields are computed on the
-    full (aggregated) extent before clipping so the lower body never drops out
-    of a window. A coarse stage only places the next window, so it solves the
-    first ladder rung alone and the window covers its whole (pruned) reservoir,
-    fragmented or not. The final window is solved at native resolution with
+    rescale with the coarse cell size. A stage's terrain is the window of
+    the coarse grid and of its distance field (``stage_terrain``), built for
+    the window alone: the field on the window's reach box, the window grown
+    to hold every coarse lower cell within R of it, R being the least
+    distance from a coarse lower cell to the window's farthest corner. So the
+    lower body never drops out of a window's field. A coarse stage only
+    places the next window, so it solves the first ladder rung alone and the
+    window covers its whole (pruned) reservoir, fragmented or not. The final window is solved at native resolution with
     the full ladder and verified against the full-resolution grid (on the
     window grown by one cell, which gives the same verdict).
 
@@ -264,7 +266,7 @@ def run_zoom_in(
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
-    excluded_mask = cells_to_mask(excluded, grid.shape)
+    excluded_mask = None if excluded is None else cells_to_mask(excluded, grid.shape)
 
     trace: list[TraceEntry] = []
     last = (grid.nrows - 1, grid.ncols - 1)
@@ -274,19 +276,10 @@ def run_zoom_in(
     deadline = _deadline(config.time_limit_s)
     for k, factor in enumerate(config.zoom_factors):
         stage_deadline = _deadline(_share(deadline, len(config.zoom_factors) - k))
-        coarse = aggregate(grid, factor)
-        if not coarse.lower_mask.any():
-            raise InfeasibleProblemError(
-                f"the lower body vanished at aggregation factor {factor} (strict-majority "
-                "rule); use smaller zoom factors or a wider lower body"
-            )
-        coarse_dist = distance_field(coarse, config.distance_metric)
-        sub, (roff, coff) = clip(coarse, corners // factor, 0)
-        rows, cols = slice(roff, roff + sub.nrows), slice(coff, coff + sub.ncols)
-        sub_dist = _unchecked(DistanceField, values=coarse_dist.values[rows, cols],
-                              cell_length=sub.cell_length, metric=coarse_dist.metric)
+        sub, (roff, coff), sub_dist = stage_terrain(grid, factor, corners,
+                                                    config.distance_metric)
         sub_excluded = None
-        if excluded_mask.any():
+        if excluded_mask is not None:
             # A super-cell is off limits as soon as any child is.
             fine = excluded_mask[roff * factor : (roff + sub.nrows) * factor,
                                  coff * factor : (coff + sub.ncols) * factor]
@@ -326,7 +319,7 @@ def run_zoom_in(
     return _aggregate_totals(full, trace)
 
 
-def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.ndarray,
+def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.ndarray | None,
                        solution: ReservoirSolution, origin: tuple[int, int]) -> list[str]:
     """``verify_masks`` of a site whose masks cover the window at ``origin``,
     as on the full grid, but run on that window grown by one cell.
@@ -340,6 +333,8 @@ def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.nd
     r0, c0 = origin
     nr, nc = solution.reservoir_mask.shape
     sub, (sr, sc) = clip(grid, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)], 1)
-    sub_excluded = excluded_mask[sr : sr + sub.nrows, sc : sc + sub.ncols]
+    sub_excluded = None
+    if excluded_mask is not None:
+        sub_excluded = excluded_mask[sr : sr + sub.nrows, sc : sc + sub.ncols]
     cands = candidate_sets(sub, spec.water_elevation, sub_excluded)
     return verify_masks(sub, cands, spec, solution.with_origin((r0 - sr, c0 - sc), sub.shape))

@@ -87,9 +87,10 @@ class TerrainGrid:
         lower_elevation: water level of the lower body, meters.
         xllcorner/yllcorner: lower-left corner, used only for file output.
 
-    The grid is immutable, so it keeps what ``aggregate`` and
-    ``distance_field`` derive from it: each coarse grid and each distance
-    field is computed once per grid and lives as long as the grid.
+    The grid is immutable, so it keeps what ``aggregate``,
+    ``distance_field``, ``coarse_lower_cells`` and ``stage_terrain`` derive
+    from it: each coarse grid, distance field, coarse lower body and zoom
+    stage is computed once per grid and lives as long as the grid.
     """
 
     elevations: np.ndarray
@@ -462,7 +463,20 @@ def _derive(grid: TerrainGrid, key: tuple, make):
         return grid._derived.setdefault(key, make())
 
 
-def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
+def _coarse_shape(shape: tuple[int, int], factor: int) -> tuple[int, int]:
+    """The shape of a grid of ``shape`` aggregated by ``factor``; ValueError
+    for a factor that is not a positive integer or that takes a side below
+    the minimum."""
+    if int(factor) != factor or factor < 1:
+        raise ValueError(f"aggregation factor must be a positive integer, got {factor}")
+    coarse = (-(-shape[0] // int(factor)), -(-shape[1] // int(factor)))
+    if min(coarse) < _MIN_SIDE:
+        raise ValueError(f"factor {factor} collapses the grid below {_MIN_SIDE} cells per side")
+    return coarse
+
+
+def aggregate(grid: TerrainGrid, factor: int,
+              window: tuple[int, int, int, int] | None = None) -> TerrainGrid:
     """Coarsen the grid by merging factor x factor blocks into super-cells.
 
     Super-cell elevation is the mean over non-NODATA children; the lower-body
@@ -470,10 +484,16 @@ def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
     when every child is. Edges are padded with NODATA when factor does not
     divide the grid side. The coarse grid is computed once per grid and
     factor (see ``TerrainGrid``).
+
+    ``window``, coarse (r0, r1, c0, c1), asks for that window of the coarse
+    grid alone, as ``clip`` cuts it, georeference included. Block sums are
+    local to each block, so it is computed from the fine cells under the
+    window alone; it is not kept.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"aggregation factor must be a positive integer, got {factor}")
+    _coarse_shape(grid.shape, factor)
     factor = int(factor)
+    if window is not None:
+        return _coarsen(grid, factor, window) if factor > 1 else _view(grid, *window)
     if factor == 1:
         return grid
     return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor))
@@ -530,30 +550,92 @@ def _pairwise_sum(parts: list[np.ndarray]) -> np.ndarray:
     return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
 
 
-def _coarsen(grid: TerrainGrid, factor: int) -> TerrainGrid:
+def _coarsen(grid: TerrainGrid, factor: int, window=None) -> TerrainGrid:
+    """``aggregate`` for a factor above 1: the whole coarse grid, or its
+    ``window``."""
     nr, nc = grid.shape
-    nr2, nc2 = -(-nr // factor), -(-nc // factor)
-    if min(nr2, nc2) < _MIN_SIDE:
-        raise ValueError(f"factor {factor} collapses the grid below {_MIN_SIDE} cells per side")
+    nr2, nc2 = _coarse_shape(grid.shape, factor)
+    r0, r1, c0, c1 = (0, nr2, 0, nc2) if window is None else window
+    fine = np.s_[r0 * factor : r1 * factor, c0 * factor : c1 * factor]
+    nodata = grid.nodata[fine]
 
-    counts = _block_counts(~grid.nodata, factor)
-    sums = _block_sums(np.where(grid.nodata, 0.0, grid.elevations), factor)
-    lower_counts = _block_counts(grid.lower_mask, factor)
+    counts = _block_counts(~nodata, factor)
+    sums = _block_sums(np.where(nodata, 0.0, grid.elevations[fine]), factor)
+    lower_counts = _block_counts(grid.lower_mask[fine], factor)
 
     new_nodata = counts == 0
     with np.errstate(invalid="ignore"):
         new_elev = np.where(new_nodata, np.nan, sums / np.maximum(counts, 1))
     new_lower = (2 * lower_counts > counts) & ~new_nodata
 
-    return TerrainGrid(
-        new_elev,
-        grid.cell_length * factor,
-        new_lower,
-        new_nodata,
-        grid.lower_elevation,
-        grid.xllcorner,
-        grid.yllcorner - (nr2 * factor - nr) * grid.cell_length,
-    )
+    length = grid.cell_length * factor
+    xll, yll = grid.xllcorner, grid.yllcorner - (nr2 * factor - nr) * grid.cell_length
+    if window is not None:  # clip's corner on the coarse grid
+        xll, yll = xll + c0 * length, yll + (nr2 - r1) * length
+    return TerrainGrid(new_elev, length, new_lower, new_nodata, grid.lower_elevation, xll, yll)
+
+
+def coarse_lower_cells(grid: TerrainGrid, factor: int) -> np.ndarray:
+    """The (row, col) cells of the lower body of ``aggregate(grid, factor)``,
+    in row-major order, from integer block counts over the lower body's
+    bounding box alone; computed once per grid and factor.
+
+    Raises ValueError for a factor that collapses the grid and
+    InfeasibleProblemError when the lower body vanishes at ``factor``.
+    """
+    _coarse_shape(grid.shape, factor)
+    factor = int(factor)
+    return _derive(grid, ("coarse_lower_cells", factor), lambda: _coarse_lower_cells(grid, factor))
+
+
+def _coarse_lower_cells(grid: TerrainGrid, factor: int) -> np.ndarray:
+    rows = np.flatnonzero(grid.lower_mask.any(axis=1))
+    cols = np.flatnonzero(grid.lower_mask.any(axis=0))
+    cells = np.empty((0, 2), np.intp)
+    if rows.size:
+        r0, c0 = rows[0] // factor, cols[0] // factor
+        fine = np.s_[r0 * factor : (rows[-1] // factor + 1) * factor,
+                     c0 * factor : (cols[-1] // factor + 1) * factor]
+        lower_counts = _block_counts(grid.lower_mask[fine], factor)
+        cells = np.argwhere(2 * lower_counts > _block_counts(~grid.nodata[fine], factor)) + (r0, c0)
+    if not len(cells):
+        raise InfeasibleProblemError(
+            f"the lower body vanished at aggregation factor {factor} (strict-majority "
+            "rule); use smaller zoom factors or a wider lower body"
+        )
+    return cells
+
+
+def stage_terrain(grid: TerrainGrid, factor: int, corners, metric: DistanceMetric = "horizontal"
+                  ) -> tuple[TerrainGrid, tuple[int, int], DistanceField]:
+    """The terrain one zoom stage solves on: (sub, origin, dist).
+
+    ``sub`` is the window that ``clip(aggregate(grid, factor), corners //
+    factor, 0)`` cuts, ``origin`` its (row, col) in the coarse grid, and
+    ``dist`` the same window of ``distance_field`` of that coarse grid, all
+    byte for byte, but neither the coarse grid nor its field is built:
+    ``sub`` is aggregated from the fine cells under it, and ``dist`` is
+    computed on the window's reach box from ``coarse_lower_cells`` (see
+    ``distance_field``). ``corners`` are fine (row, col) cells whose box the
+    window covers. The stage is computed once per grid, factor, window and
+    metric.
+
+    Raises ValueError for a factor that collapses the grid and
+    InfeasibleProblemError when the lower body vanishes at ``factor``.
+    """
+    shape = _coarse_shape(grid.shape, factor)
+    factor = int(factor)
+    cells = _cell_array(np.asarray(corners), grid.shape) // factor
+    window = _window(shape, cells[:, 0], cells[:, 1], 0)
+    return _derive(grid, ("stage", factor, window, metric),
+                   lambda: _stage(grid, factor, window, metric))
+
+
+def _stage(grid: TerrainGrid, factor: int, window, metric: DistanceMetric):
+    lower = coarse_lower_cells(grid, factor)
+    r0, _, c0, _ = window
+    sub = aggregate(grid, factor, window)
+    return sub, (r0, c0), distance_field(sub, metric, lower - (r0, c0))
 
 
 def clip(
@@ -577,18 +659,30 @@ def clip(
         raise ValueError("cannot clip around an empty cell set")
     if margin_cells < 0:
         raise ValueError("margin_cells must be >= 0")
-    r0 = max(0, int(rows.min()) - margin_cells)
-    r1 = min(grid.nrows, int(rows.max()) + 1 + margin_cells)
-    c0 = max(0, int(cols.min()) - margin_cells)
-    c1 = min(grid.ncols, int(cols.max()) + 1 + margin_cells)
-    # Grow degenerate windows until they satisfy the minimum-side invariant.
-    while r1 - r0 < _MIN_SIDE and (r0 > 0 or r1 < grid.nrows):
-        r0, r1 = max(0, r0 - 1), min(grid.nrows, r1 + 1)
-    while c1 - c0 < _MIN_SIDE and (c0 > 0 or c1 < grid.ncols):
-        c0, c1 = max(0, c0 - 1), min(grid.ncols, c1 + 1)
+    r0, r1, c0, c1 = _window(grid.shape, rows, cols, margin_cells)
+    return _view(grid, r0, r1, c0, c1), (r0, c0)
 
+
+def _window(shape: tuple[int, int], rows, cols, margin: int) -> tuple[int, int, int, int]:
+    """``clip``'s window (r0, r1, c0, c1) on a grid of ``shape`` around the
+    cells of ``rows`` and ``cols``."""
+    nrows, ncols = shape
+    r0 = max(0, int(rows.min()) - margin)
+    r1 = min(nrows, int(rows.max()) + 1 + margin)
+    c0 = max(0, int(cols.min()) - margin)
+    c1 = min(ncols, int(cols.max()) + 1 + margin)
+    # Grow degenerate windows until they satisfy the minimum-side invariant.
+    while r1 - r0 < _MIN_SIDE and (r0 > 0 or r1 < nrows):
+        r0, r1 = max(0, r0 - 1), min(nrows, r1 + 1)
+    while c1 - c0 < _MIN_SIDE and (c0 > 0 or c1 < ncols):
+        c0, c1 = max(0, c0 - 1), min(ncols, c1 + 1)
+    return r0, r1, c0, c1
+
+
+def _view(grid: TerrainGrid, r0: int, r1: int, c0: int, c1: int) -> TerrainGrid:
+    """The window rows r0:r1, columns c0:c1 of ``grid``, as ``clip`` cuts it."""
     # a window of a valid grid, at least 3 cells a side, is valid
-    sub = _unchecked(
+    return _unchecked(
         TerrainGrid,
         elevations=grid.elevations[r0:r1, c0:c1],
         cell_length=grid.cell_length,
@@ -599,7 +693,6 @@ def clip(
         yllcorner=grid.yllcorner + (grid.nrows - r1) * grid.cell_length,
         _derived={},
     )
-    return sub, (r0, c0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,29 +739,65 @@ def candidate_sets(
     return CandidateSets(interior, perimeter, interior | perimeter)
 
 
-def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal") -> DistanceField:
+def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal",
+                   lower_cells=None) -> DistanceField:
     """Exact center-to-center distance from every cell to the nearest lower cell.
 
     "horizontal" measures in the grid plane; "slant" adds the vertical offset
     between the cell elevation and the lower water level (exact, since the
     vertical component is shared by all lower cells). The field is computed
     once per grid and metric (see ``TerrainGrid``).
+
+    ``lower_cells``, (row, col) cells in the grid's frame that may lie
+    outside it, give the lower body instead of the grid's own mask: the grid
+    is then a window of a larger grid, and the field is that grid's field
+    over the window, byte for byte. It is computed on the window's reach box
+    alone and not kept. Let R be the least, over lower cells p, of p's
+    distance to the window's farthest corner: every window cell lies within
+    R of that p, so its nearest lower cells lie within R of the window, and
+    the box is the window grown to hold every lower cell that near. Among
+    the nearest lower cells of a cell, scipy's feature transform takes the
+    one of least column, then of least row (in exact arithmetic;
+    ``test_terrain`` checks the bytes at non-dyadic cell lengths too); the
+    cells left out of the box are farther, so it takes the same cell.
     """
-    return _derive(grid, ("distance_field", metric), lambda: _distance_field(grid, metric))
+    if lower_cells is None:
+        return _derive(grid, ("distance_field", metric), lambda: _distance_field(grid, metric))
+    return _distance_field(grid, metric, np.asarray(lower_cells))
 
 
-def _distance_field(grid: TerrainGrid, metric: DistanceMetric) -> DistanceField:
-    if not np.any(grid.lower_mask):
+def _reach_box(cells: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, tuple[int, int]]:
+    """The lower mask of ``cells`` on the reach box of the window (0, 0) to
+    ``shape`` (see ``distance_field``), and the window's (row, col) in it."""
+    if not len(cells):
+        return np.zeros(shape, dtype=bool), (0, 0)
+    rows, cols = cells.T
+    nr, nc = shape
+    far = np.maximum(rows, nr - 1 - rows) ** 2 + np.maximum(cols, nc - 1 - cols) ** 2
+    gap = (rows - rows.clip(0, nr - 1)) ** 2 + (cols - cols.clip(0, nc - 1)) ** 2
+    near = gap <= far.min()  # within R of the window
+    r0, r1 = min(rows[near].min(), 0), max(rows[near].max() + 1, nr)
+    c0, c1 = min(cols[near].min(), 0), max(cols[near].max() + 1, nc)
+    inside = (rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1)
+    lower = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    lower[rows[inside] - r0, cols[inside] - c0] = True
+    return lower, (-int(r0), -int(c0))
+
+
+def _distance_field(grid: TerrainGrid, metric: DistanceMetric, lower_cells=None) -> DistanceField:
+    lower, (r0, c0) = ((grid.lower_mask, (0, 0)) if lower_cells is None
+                       else _reach_box(lower_cells, grid.shape))
+    if not lower.any():
         raise InfeasibleProblemError("distance field needs a non-empty lower-body mask")
     # scipy's distance transform in fewer passes: its feature transform (the
     # same sampling, so that ties pick the same lower cell), then its formula
     # in place: the offsets to the nearest lower cell, scaled, squared, summed
     length = grid.cell_length
-    offsets = ndimage.distance_transform_edt(
-        ~grid.lower_mask, sampling=(length, length), return_distances=False, return_indices=True
-    ).astype(float)
-    offsets[0] -= np.arange(grid.nrows)[:, None]
-    offsets[1] -= np.arange(grid.ncols)
+    nearest = ndimage.distance_transform_edt(
+        ~lower, sampling=(length, length), return_distances=False, return_indices=True)
+    offsets = nearest[:, r0 : r0 + grid.nrows, c0 : c0 + grid.ncols].astype(float)
+    offsets[0] -= np.arange(r0, r0 + grid.nrows)[:, None]
+    offsets[1] -= np.arange(c0, c0 + grid.ncols)
     offsets *= length
     offsets *= offsets
     horizontal = offsets[0] + offsets[1]

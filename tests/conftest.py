@@ -200,14 +200,18 @@ def midsize_spec() -> ps.SitingSpec:
     return ps.SitingSpec.from_engineering(60.0, HEAD, 3.0, RIVER_ELEVATION, ETA)
 
 
-def bowl_window(**kwargs):
-    """A native-resolution window around the main bowl of a 256x256 DEM."""
+def bowl_dem():
+    """(grid, spec): a 256x256 DEM, a river band and a slope with one deep bowl."""
     yy, xx = np.mgrid[0:256, 0:256].astype(float)
     elev = 450.0 + 2.5 * xx + np.random.default_rng(11).uniform(0, 2, (256, 256))
     elev -= 195.0 * np.exp(-((yy - 128) ** 2 + (xx - 48) ** 2) / (2 * 6.5**2))
     elev[:, :8] = RIVER_ELEVATION
-    grid = river_grid(elev)
-    spec = ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+    return river_grid(elev), ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+
+
+def bowl_window(**kwargs):
+    """A native-resolution window around the main bowl of ``bowl_dem``."""
+    grid, spec = bowl_dem()
     window = np.zeros(grid.shape, dtype=bool)
     window[110:147, 30:67] = True
     sub, (r0, c0) = ps.clip(grid, window, 0)

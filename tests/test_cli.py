@@ -506,18 +506,47 @@ def test_demo_batch_same_with_two_workers(tmp_path):
     assert solver[0] == solver[1]
 
 
-def test_two_workers_compute_each_distance_field_once(tmp_path, monkeypatch):
-    # the DEM and its factor-2 grid each get their one field before the cases run
-    made, compute = [], terrain._distance_field
+def test_the_cli_builds_only_the_direct_cases_field_before_the_run(tmp_path, monkeypatch):
+    # the DEM's own field, which the direct case reads, is built once on the
+    # main thread; the zoom case's stages build only their windows' fields
+    # (from the coarse lower cells), and no coarse grid of the whole DEM is kept
+    fields, coarse, compute, coarsen = [], [], terrain._distance_field, terrain._coarsen
 
-    def counted(grid, metric):
-        made.append((grid.shape, metric, threading.current_thread() is threading.main_thread()))
-        return compute(grid, metric)
+    def counted(grid, metric, lower_cells=None):
+        on_main = threading.current_thread() is threading.main_thread()
+        fields.append((grid.shape, lower_cells is None, on_main))
+        return compute(grid, metric, lower_cells)
+
+    def counted_coarsen(grid, factor, window=None):
+        coarse.append(window)
+        return coarsen(grid, factor, window)
 
     monkeypatch.setattr(terrain, "_distance_field", counted)
+    monkeypatch.setattr(terrain, "_coarsen", counted_coarsen)
     demo = load_case_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
     assert run_batch(dataclasses.replace(demo, workers=2, output_dir=tmp_path)) == 0
-    assert sorted(made) == [((8, 8), "horizontal", True), ((16, 16), "horizontal", True)]
+    assert [f for f in fields if f[1]] == [((16, 16), True, True)]
+    assert [f[1:] for f in fields if not f[1]] == [(False, False)] * 2  # the zoom's two stages
+    assert coarse == [(0, 8, 0, 8)]  # the factor-2 stage's window, the whole coarse extent
+
+
+def test_validate_reports_a_lower_body_that_vanishes_at_a_zoom_factor(tmp_path, capsys):
+    # the demo river is two cells wide: a 4x4 block on it is half river, no strict majority
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    text = ((configs / "demo.ini").read_text()
+            .replace("path = demo_dem.asc", f"path = {configs / 'demo_dem.asc'}")
+            .replace("zoom_factors = 2, 1", "zoom_factors = 4, 2, 1")
+            .replace("directory = ../out/demo", "directory = out"))
+    config_path = tmp_path / "demo.ini"
+    config_path.write_text(text)
+    expected = ("strategy.zoom_factors: the lower body vanished at aggregation factor 4 "
+                "(strict-majority rule); use smaller zoom factors or a wider lower body")
+    assert validate_config(config_path) == [expected]
+    assert main(["run", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+    config_path.write_text(text.replace("zoom = yes", "zoom = no"))
+    assert validate_config(config_path) == []
 
 
 def test_demo_trace_marks_certified_rung(tmp_path):

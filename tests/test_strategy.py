@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting import Level, StrategyConfig
+from phs_siting import Level, StrategyConfig, strategy, terrain
 from phs_siting.model import certify_level_zero
 from reference_model import all_ones_optimum
 
@@ -17,6 +17,7 @@ from conftest import (
     RIVER_ELEVATION,
     FailingHighs,
     bowl_basin_dem,
+    bowl_dem,
     diagonal_blob_grid,
     diagonal_blob_spec,
     micro_case,
@@ -421,6 +422,23 @@ def test_zoom_equals_direct_on_micro_instance():
     assert zoomed.trace[-1].zoom_factor == 1
 
 
+def test_zoom_exclusions_reach_every_stage(monkeypatch):
+    grid, spec = _zoomable_pit_grid(), spec_for_volume(100_000.0)
+    config = StrategyConfig(zoom_factors=(2, 1))
+    masks = []
+    with monkeypatch.context() as patch:  # no exclusions: no full-grid exclusion mask
+        patch.setattr(strategy, "cells_to_mask", lambda cells, shape: masks.append(shape))
+        plain = ps.run_zoom_in(grid, spec, config=config)
+    assert masks == []
+    for excluded in (np.zeros(grid.shape, dtype=bool), [(0, 11)]):
+        same = ps.run_zoom_in(grid, spec, config=config, excluded=excluded)
+        assert np.array_equal(same.interior_mask, plain.interior_mask)
+        assert same.costs == plain.costs
+    # one excluded pit cell takes its whole factor-2 super-cell off limits
+    with pytest.raises(ps.NoIncumbentError, match=r"factor 2\) produced no incumbent"):
+        ps.run_zoom_in(grid, spec, config=config, excluded=[(6, 7)])
+
+
 def test_zoom_masks_live_in_full_frame():
     grid = _zoomable_pit_grid()
     spec = spec_for_volume(100_000.0)
@@ -511,6 +529,26 @@ def test_zoom_aborts_when_coarse_level_infeasible():
     spec = spec_for_volume(57_800.0 * 1.2)
     with pytest.raises((ps.NoIncumbentError, ps.InfeasibleProblemError)):
         ps.run_zoom_in(grid, spec, config=StrategyConfig(zoom_factors=(2, 1)))
+
+
+def test_a_first_zoom_builds_no_field_of_the_whole_dem(monkeypatch):
+    """Each stage hands the EDT its window's reach box alone: all four stages
+    of a first zoom on the 256x256 bowl DEM feed it fewer cells than the
+    DEM holds, and the outputs are those of the whole-grid fields."""
+    grid, _ = bowl_dem()
+    spec = ps.SitingSpec.from_engineering(100.0, 80.0, 3.0, RIVER_ELEVATION, 0.667)  # the bowl alone
+    inputs, edt = [], terrain.ndimage.distance_transform_edt
+
+    def counted(mask, *args, **kwargs):
+        inputs.append(mask.size)
+        return edt(mask, *args, **kwargs)
+
+    monkeypatch.setattr(terrain.ndimage, "distance_transform_edt", counted)
+    zoomed = ps.run_zoom_in(grid, spec)
+    assert zoomed.valid and len(inputs) == 4 and sum(inputs) < grid.nrows * grid.ncols
+    assert ("aggregate", 2) not in grid._derived and ("distance_field", "horizontal") not in grid._derived
+    link = zoomed.link_cell
+    assert zoomed.distance_m == ps.distance_field(grid).values[link]
 
 
 def test_zoom_rejects_vanishing_lower_body():

@@ -8,7 +8,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phs_siting as ps
@@ -351,6 +351,85 @@ def test_distance_field_matches_scipy_edt(cell_length):
             assert field.tobytes() == distance_reference(grid, metric).tobytes(), metric
 
 
+@st.composite
+def _stage_cases(draw):
+    """(grid, factor, corners, metric): a random DEM with NODATA, sides that
+    the factor need not divide, one of four lower-body layouts drawn on the
+    coarse grid (several bodies, a tie-rich lattice, single cells, a band) or
+    none, plus scattered fine lower cells, a non-dyadic cell length, and a window
+    whose corners may sit on the grid's edges."""
+    factor = draw(st.integers(1, 5))
+    shape = tuple(draw(st.integers(2 * factor + 1, 9 * factor + 6)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = np.zeros((-(-shape[0] // factor), -(-shape[1] // factor)), dtype=bool)
+    layout = draw(st.sampled_from(["bodies", "lattice", "cells", "band", "scattered"]))
+    if layout == "bodies":
+        for _ in range(int(rng.integers(1, 4))):
+            (r, c), (h, w) = rng.integers(0, coarse.shape), rng.integers(1, 4, size=2)
+            coarse[r : r + h, c : c + w] = True
+    elif layout == "lattice":  # equidistant lower cells: ties everywhere
+        (a, b), (p, q) = rng.integers(0, 3, size=2), rng.integers(1, 5, size=2)
+        coarse[a::p, b::q] = True
+    elif layout == "cells":
+        coarse[tuple(rng.integers(0, coarse.shape, size=(int(rng.integers(1, 4)), 2)).T)] = True
+    elif layout == "band":
+        coarse[:, : int(rng.integers(1, 3))] = True
+    lower = np.kron(coarse, np.ones((factor, factor), dtype=bool))[: shape[0], : shape[1]]
+    lower |= rng.random(shape) < 0.03
+    nodata = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+    lower &= ~nodata
+    elev = rng.normal(500.0, 60.0, shape)
+    elev[nodata] = np.nan
+    grid = ps.TerrainGrid(elev, draw(st.sampled_from([34.0, 30.87, 1 / 3, 8.5, 272.0, 0.1, 12.345678])),
+                          lower, nodata, 480.0, float(rng.uniform(-1e5, 1e5)),
+                          float(rng.uniform(-1e5, 1e5)))
+    corners = np.sort([[draw(st.integers(0, n - 1)) for n in shape] for _ in range(2)], axis=0)
+    for k in range(4):  # each side of the window may sit on the grid's edge
+        if draw(st.booleans()):
+            corners[k // 2, k % 2] = (0, 0, *shape)[k] - k // 2
+    return grid, factor, corners, draw(st.sampled_from(["horizontal", "slant"]))
+
+
+def _tie_on_the_reach_radius():
+    """A lower cell exactly R from the window ties, at its corner (5, 0),
+    with the cell that sets R: offsets (-5, 0) and (3, 4), whose distances
+    differ in the last bit at a cell length of 1/3. The box must hold both."""
+    lower = np.zeros((9, 5), dtype=bool)
+    lower[0, 0] = lower[8, 4] = True
+    grid = ps.TerrainGrid(np.full((9, 5), 500.0), 1 / 3, lower, np.zeros((9, 5), dtype=bool), 480.0)
+    return grid, 1, np.array([(5, 0), (7, 2)]), "horizontal"
+
+
+@given(_stage_cases())
+@example(_tie_on_the_reach_radius())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_stage_terrain_is_a_window_of_the_coarse_grid_and_its_field(case):
+    """Byte for byte what clip and scipy's EDT give on the whole coarse grid."""
+    grid, factor, corners, metric = case
+    coarse = coarsen_reference(grid, factor) if factor > 1 else grid
+    if not coarse.lower_mask.any():
+        with pytest.raises(ps.InfeasibleProblemError, match="vanished at aggregation factor"):
+            ps.stage_terrain(grid, factor, corners, metric)
+        return
+    sub, origin, dist = ps.stage_terrain(grid, factor, corners, metric)
+    want, (r0, c0) = ps.clip(coarse, corners // factor, 0)
+    _same_grid_bytes(sub, want)
+    assert origin == (r0, c0)
+    field = distance_reference(coarse, metric)[r0 : r0 + want.nrows, c0 : c0 + want.ncols]
+    assert dist.values.tobytes() == np.ascontiguousarray(field).tobytes()
+    assert (dist.cell_length, dist.metric) == (want.cell_length, metric)
+
+
+def test_a_stage_is_kept_per_factor_window_and_metric():
+    grid = _ridge_grid()
+    stage = ps.stage_terrain(grid, 2, [(0, 0), (11, 11)])
+    # corners in the same coarse cells cut the same window
+    assert ps.stage_terrain(grid, 2, np.array([(1, 1), (10, 10)])) is stage
+    assert ps.stage_terrain(grid, 2, [(0, 0), (11, 11)], "slant") is not stage
+    assert ps.stage_terrain(grid, 2, [(4, 4), (11, 11)]) is not stage
+    assert ("aggregate", 2) not in grid._derived  # no coarse grid of the whole DEM is kept
+
+
 def _rebuilt(grid):
     """The same grid built anew, with nothing derived from it kept yet."""
     return ps.TerrainGrid(grid.elevations, grid.cell_length, grid.lower_mask, grid.nodata,
@@ -427,7 +506,8 @@ def test_threads_sharing_a_grid_get_one_entry_per_key():
     def work():
         try:
             coarse = ps.aggregate(grid, 2)
-            results.append((coarse, ps.distance_field(grid), ps.distance_field(coarse)))
+            results.append((coarse, ps.distance_field(grid), ps.distance_field(coarse),
+                             ps.stage_terrain(grid, 2, [(4, 4), (11, 11)])))
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -443,7 +523,7 @@ def test_threads_sharing_a_grid_get_one_entry_per_key():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
     assert len(results) == len(threads)
-    for k in range(3):  # a race may compute an entry twice, but every caller gets one object
+    for k in range(4):  # a race may compute an entry twice, but every caller gets one object
         assert len({id(r[k]) for r in results}) == 1
 
 
