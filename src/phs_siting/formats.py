@@ -39,13 +39,16 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsStatus, HighsVarType, ObjSense, _Highs
 
 from .errors import GridFormatError
 from .model import MipProblem, Sense, VarKind
-from .solve import _pass_model
+from .solve import _highs, _pass_model
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import _Highs
 
 # ---------------------------------------------------------------------------
 # Staging
@@ -63,7 +66,7 @@ def _file_highs() -> _Highs:
     """This thread's HiGHS object for file calls; a forked child makes its own."""
     pid = os.getpid()
     if getattr(_LOCAL, "pid", None) != pid:
-        highs = _Highs()
+        highs = _highs()._Highs()
         highs.setOptionValue("output_flag", False)
         _LOCAL.highs, _LOCAL.pid = highs, pid
     return _LOCAL.highs
@@ -120,7 +123,12 @@ def write_lp(problem: MipProblem) -> str:
 
 def _write_model(problem: MipProblem, var_names: list[str], row_names: list[str],
                  suffix: str) -> str:
-    """HiGHS's ``writeModel`` text of ``problem`` under these names; RuntimeError if refused."""
+    """HiGHS's ``writeModel`` text of ``problem`` under these names; RuntimeError if refused.
+
+    HiGHS writes a model without rows with a warning that its row names are
+    blank, and that warning is accepted there alone.
+    """
+    status = _highs().HighsStatus
     highs = _file_highs()
     loaded = _pass_model(highs, problem)
     # a second load sets the offset and all the names in one call: cheaper than
@@ -129,8 +137,9 @@ def _write_model(problem: MipProblem, var_names: list[str], row_names: list[str]
     lp.offset_ = problem.objective_constant
     lp.col_names_ = var_names
     lp.row_names_ = row_names
+    written = {status.kOk, status.kWarning} if problem.num_constraints == 0 else {status.kOk}
     with _staged(suffix) as path:
-        if (loaded, highs.passModel(lp), highs.writeModel(path)) != (HighsStatus.kOk,) * 3:
+        if (loaded, highs.passModel(lp)) != (status.kOk,) * 2 or highs.writeModel(path) not in written:
             raise RuntimeError(f"HiGHS cannot write model {problem.name!r}")
         return Path(path).read_text()
 
@@ -186,25 +195,22 @@ def read_problem_file(path: str | Path) -> MipProblem:
     return _read_model(str(path), path.stem)
 
 
-_INTEGER = int(HighsVarType.kInteger)
-_SEMI_CONTINUOUS = int(HighsVarType.kSemiContinuous)
-_SEMI_INTEGER = int(HighsVarType.kSemiInteger)
-
-
 def _read_model(path: str, name: str) -> MipProblem:
     """The problem HiGHS reads from ``path``, rebuilt as a ``MipProblem`` called ``name``."""
+    core = _highs()
     highs = _file_highs()
     status = highs.readModel(path)
-    if status == HighsStatus.kError:
+    if status == core.HighsStatus.kError:
         raise GridFormatError(f"HiGHS cannot read model {name!r}")
     highs.ensureRowwise()
     lp = highs.getLp()
-    if lp.sense_ != ObjSense.kMinimize:
+    if lp.sense_ != core.ObjSense.kMinimize:
         raise GridFormatError(f"model {name!r} maximizes; only minimization is supported")
     col_names = lp.col_names_
     # integrality_ is empty when every column is continuous
     var_types = np.fromiter(map(int, lp.integrality_), np.int8)
-    semi = (var_types == _SEMI_CONTINUOUS) | (var_types == _SEMI_INTEGER)
+    var_type = core.HighsVarType
+    semi = (var_types == int(var_type.kSemiContinuous)) | (var_types == int(var_type.kSemiInteger))
     if semi.any():
         raise GridFormatError(f"variable {col_names[semi.argmax()]!r} is semi-continuous")
 
@@ -228,13 +234,13 @@ def _read_model(path: str, name: str) -> MipProblem:
 
     problem = MipProblem(name)
     col_lower, col_upper = np.array(lp.col_lower_), np.array(lp.col_upper_)
-    integer = var_types == _INTEGER if var_types.size else np.zeros(lp.num_col_, dtype=bool)
+    integer = var_types == int(var_type.kInteger) if var_types.size else np.zeros(lp.num_col_, dtype=bool)
     binary = integer & (col_lower == 0.0) & (col_upper == 1.0)
     kinds = np.where(binary, int(VarKind.BINARY),
                      np.where(integer, int(VarKind.INTEGER), int(VarKind.CONTINUOUS)))
     # HiGHS reads lb > ub with a warning; add_variables raises first, naming the variable
     problem.add_variables(col_names, kinds, col_lower, col_upper)
-    if status != HighsStatus.kOk:
+    if status != core.HighsStatus.kOk:
         raise GridFormatError(f"HiGHS reads model {name!r} only with a warning, "
                               "such as an entry on an undeclared row or a repeated column")
     a = lp.a_matrix_  # row-wise, columns ascending in each row: no sort is left to do

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .costing import (
     CostBreakdown,
@@ -185,10 +184,11 @@ def _codes(values, n: int, enum: type[IntEnum]) -> np.ndarray:
 
 def _canonical_csr(n_rows: int, n_cols: int, rows: np.ndarray, cols: np.ndarray,
                    vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of the COO triplets, as ``sparse.csr_array((vals,
-    (rows, cols)))`` builds it: entries sorted by (row, column), each repeated
-    pair summed left to right in the order given, explicit zeros kept.
-    Entries that arrive in that order already are not sorted."""
+    """(indptr, indices, data) of the COO triplets, as SciPy's
+    ``csr_array((vals, (rows, cols)))`` builds it: entries sorted by (row,
+    column), each repeated pair summed left to right in the order given,
+    explicit zeros kept. Entries that arrive in that order already are not
+    sorted."""
     key = rows * n_cols + cols
     if key.size > 1 and not (key[1:] > key[:-1]).all():
         order = np.argsort(key, kind="stable")
@@ -392,16 +392,6 @@ class MipProblem:
     def nnz(self) -> int:
         """Stored entries of the constraint matrix, explicit zeros included."""
         return len(self._data)
-
-    @property
-    def matrix(self) -> sparse.csr_array:
-        """A SciPy view of ``csr``; it shares the arrays, so mutating it mutates the problem."""
-        if "matrix" not in self._views:
-            indptr, indices, data = self.csr
-            self._views["matrix"] = sparse.csr_array(
-                (data, indices, indptr), shape=(self.num_constraints, self.num_variables)
-            )
-        return self._views["matrix"]
 
     def violations(self, vec: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
         """Name-free feasibility test of the point ``vec``.

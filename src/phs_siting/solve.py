@@ -8,24 +8,40 @@ and dual bound come back through ``getModelStatus``, ``getSolution`` and
 cost per solve that these binary models do not repay. HiGHS offers no lazy
 constraints here, so anti-fragmentation constraints are delivered eagerly and
 escalated by re-solving (see the strategy module).
+
+The binding is imported by ``_highs``, the one way this module and ``formats``
+reach HiGHS, on the first solve or model-file call of a process. Importing it
+imports all of ``scipy.optimize``, and with it ``scipy.linalg`` and
+``scipy.sparse``; a run whose every stage is certified never needs it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from types import ModuleType
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize._highspy import _core
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
 from .model import INTEGRALITY_TOL, MipProblem, Sense, _FOUR, _at, _column_vector, _id_raster
 from .sizing import SitingSpec
 from .terrain import TerrainGrid, candidate_sets, distance_field
+
+if TYPE_CHECKING:
+    from scipy.optimize._highspy._core import HighsInfo, HighsStatus, _Highs
+
+
+def _highs() -> ModuleType:
+    """SciPy's HiGHS binding, imported on the first call of the process."""
+    from scipy.optimize._highspy import _core
+
+    return _core
 
 
 class SolveStatus(Enum):
@@ -35,31 +51,35 @@ class SolveStatus(Enum):
     ERROR = "error"
 
 
-#: Every HiGHS model status, classified. A stop on a limit keeps its
-#: incumbent; "unbounded" cannot happen on a bounded binary model, so it is an
-#: error like the load and solve failures, never a reason to escalate.
-_STATUS = {
-    HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-    HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-    HighsModelStatus.kTimeLimit: SolveStatus.TIME_LIMIT,
-    HighsModelStatus.kIterationLimit: SolveStatus.TIME_LIMIT,
-    HighsModelStatus.kSolutionLimit: SolveStatus.TIME_LIMIT,
-    HighsModelStatus.kObjectiveBound: SolveStatus.TIME_LIMIT,
-    HighsModelStatus.kObjectiveTarget: SolveStatus.TIME_LIMIT,
-    HighsModelStatus.kUnbounded: SolveStatus.ERROR,
-    HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.ERROR,
-    HighsModelStatus.kNotset: SolveStatus.ERROR,
-    HighsModelStatus.kModelEmpty: SolveStatus.ERROR,
-    HighsModelStatus.kLoadError: SolveStatus.ERROR,
-    HighsModelStatus.kModelError: SolveStatus.ERROR,
-    HighsModelStatus.kPresolveError: SolveStatus.ERROR,
-    HighsModelStatus.kSolveError: SolveStatus.ERROR,
-    HighsModelStatus.kPostsolveError: SolveStatus.ERROR,
-    HighsModelStatus.kUnknown: SolveStatus.ERROR,
-    HighsModelStatus.kInterrupt: SolveStatus.ERROR,
-    HighsModelStatus.kHighsInterrupt: SolveStatus.ERROR,
-    HighsModelStatus.kMemoryLimit: SolveStatus.ERROR,
-}
+@functools.cache
+def _status_table() -> dict:
+    """Every HiGHS model status, classified. A stop on a limit keeps its
+    incumbent; "unbounded" cannot happen on a bounded binary model, so it is
+    an error like the load and solve failures, never a reason to escalate."""
+    status = _highs().HighsModelStatus
+    return {
+        status.kOptimal: SolveStatus.OPTIMAL,
+        status.kInfeasible: SolveStatus.INFEASIBLE,
+        status.kTimeLimit: SolveStatus.TIME_LIMIT,
+        status.kIterationLimit: SolveStatus.TIME_LIMIT,
+        status.kSolutionLimit: SolveStatus.TIME_LIMIT,
+        status.kObjectiveBound: SolveStatus.TIME_LIMIT,
+        status.kObjectiveTarget: SolveStatus.TIME_LIMIT,
+        status.kUnbounded: SolveStatus.ERROR,
+        status.kUnboundedOrInfeasible: SolveStatus.ERROR,
+        status.kNotset: SolveStatus.ERROR,
+        status.kModelEmpty: SolveStatus.ERROR,
+        status.kLoadError: SolveStatus.ERROR,
+        status.kModelError: SolveStatus.ERROR,
+        status.kPresolveError: SolveStatus.ERROR,
+        status.kSolveError: SolveStatus.ERROR,
+        status.kPostsolveError: SolveStatus.ERROR,
+        status.kUnknown: SolveStatus.ERROR,
+        status.kInterrupt: SolveStatus.ERROR,
+        status.kHighsInterrupt: SolveStatus.ERROR,
+        status.kMemoryLimit: SolveStatus.ERROR,
+    }
+
 
 #: HiGHS options set on every solve. ``threads`` stays at the HiGHS default:
 #: the scheduler is process-wide, and asking for fewer threads than an earlier
@@ -135,12 +155,13 @@ def _configured(limits: SolveLimits) -> _Highs:
     Raises RuntimeError naming any option HiGHS rejects, such as one that an
     older HiGHS does not know.
     """
-    highs = _Highs()
+    core = _highs()
+    highs = core._Highs()
     options = {**_OPTIONS, "mip_rel_gap": limits.gap_target}
     if limits.time_limit_s is not None:
         options["time_limit"] = max(limits.time_limit_s, 1e-3)
     for name, value in options.items():
-        if highs.setOptionValue(name, value) == HighsStatus.kError:
+        if highs.setOptionValue(name, value) == core.HighsStatus.kError:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     return highs
 
@@ -151,9 +172,10 @@ def _pass_model(highs: _Highs, problem: MipProblem) -> HighsStatus:
     This loads the model for a solve and for the ``formats`` writers, which
     add the offset and names. A solve keeps offset 0 (see ``SolveLimits``).
     """
+    core = _highs()
     return highs.passModel(
         problem.num_variables, problem.num_constraints, problem.nnz,
-        _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
+        core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
         problem.cost_vector(), problem.lb, problem.ub, *problem.row_bounds(),
         *problem.csr, problem.integer_mask.astype(np.int32),
     )
@@ -165,7 +187,7 @@ class EngineRun:
 
     solve_status: SolveStatus
     message: str
-    info: _core.HighsInfo
+    info: HighsInfo
 
     @property
     def status(self) -> int:
@@ -187,12 +209,12 @@ def milp(highs: _Highs) -> EngineRun:
     limit) and ``.mip_node_count`` from the result. It can go once the
     library records its own spans.
     """
-    ran = highs.run() != HighsStatus.kError
+    ran = highs.run() != _highs().HighsStatus.kError
     model_status = highs.getModelStatus()
     message = highs.modelStatusToString(model_status)
     if not ran:
         return EngineRun(SolveStatus.ERROR, f"HiGHS run() failed ({message})", highs.getInfo())
-    return EngineRun(_STATUS[model_status], message, highs.getInfo())
+    return EngineRun(_status_table()[model_status], message, highs.getInfo())
 
 
 class HighsBackend:
@@ -203,16 +225,17 @@ class HighsBackend:
     """
 
     def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
+        core = _highs()  # the first call imports the binding, before the clock starts
         start = time.perf_counter()
         highs = _configured(limits or SolveLimits())
-        if _pass_model(highs, problem) == HighsStatus.kError:
+        if _pass_model(highs, problem) == core.HighsStatus.kError:
             run = EngineRun(SolveStatus.ERROR, "HiGHS could not load the model", highs.getInfo())
         else:
             run = milp(highs)
         info, constant = run.info, problem.objective_constant
         x = objective = bound = None
         if run.solve_status is not SolveStatus.ERROR:
-            if info.primal_solution_status == _core.kSolutionStatusFeasible:
+            if info.primal_solution_status == core.kSolutionStatusFeasible:
                 x = np.asarray(highs.getSolution().col_value)
                 objective = float(info.objective_function_value) + constant
             if math.isfinite(info.mip_dual_bound):

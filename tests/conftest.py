@@ -9,8 +9,11 @@ and diagonally interlocked basins that only diagonal planes catch).
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
@@ -38,6 +41,12 @@ def add_row(prob: ps.MipProblem, name: str, coeffs, sense: Sense, rhs: float) ->
 def cell_ids(sv, family: str) -> dict[tuple[int, int], int]:
     """Cell -> variable id of one family (``z``, ``y`` or ``l``) of a siting problem."""
     return dict(zip(map(tuple, sv.cells[family].tolist()), sv.ids(family).tolist()))
+
+
+def scipy_matrix(prob: ps.MipProblem) -> sparse.csr_array:
+    """A SciPy view of ``prob.csr``; it shares the arrays, so mutating it mutates the problem."""
+    indptr, indices, data = prob.csr
+    return sparse.csr_array((data, indices, indptr), shape=(prob.num_constraints, prob.num_variables))
 
 
 def named_vector(prob: ps.MipProblem, values) -> np.ndarray:
@@ -246,6 +255,12 @@ def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
         wall_time_s=res.wall_time_s,
     )
     return sp, res, sol
+
+
+def binding_with(**names) -> types.SimpleNamespace:
+    """SciPy's HiGHS binding with ``names`` replaced: what a test patches a
+    module's ``_highs`` accessor to return."""
+    return types.SimpleNamespace(**{**vars(core), **names})
 
 
 class FailingHighs(core._Highs):

@@ -28,6 +28,7 @@ from conftest import (
     pit_grid,
     pit_spec,
     river_grid,
+    scipy_matrix,
     solve_at_level,
     spec_for_volume,
     two_basin_grid,
@@ -60,7 +61,7 @@ def _accepted_sites(problem) -> list[set]:
         vec[:, vid] = bit[("z", cell)] - bit.get(("y", cell), 0.0) if family == "x" else bit[(family, cell)]
     shape = [r for r, name in enumerate(problem.row_names())
              if name.startswith(("cover_", "role_", "contact_", "inter_"))]
-    activity = (problem.matrix[shape] @ vec.T).T
+    activity = (scipy_matrix(problem)[shape] @ vec.T).T
     lo, hi = (bound[shape] for bound in problem.row_bounds())
     ok = (vec.min(axis=1) >= 0) & np.all((activity >= lo - 1e-9) & (activity <= hi + 1e-9), axis=1)
     return [{key for key, b in zip(keys, row) if b} for row in bits[ok]]
@@ -404,7 +405,7 @@ def test_canonical_csr_is_scipys():
         indptr, indices, data = prob.csr
         assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
         assert data.tobytes() == want.data.tobytes()
-        assert prob.nnz == want.nnz == prob.matrix.nnz
+        assert prob.nnz == want.nnz == scipy_matrix(prob).nnz
         x = rng.uniform(-5.0, 5.0, n_cols)
         assert prob.violations(x, 0.0)[2].tobytes() == (want @ x).tobytes()
 
@@ -422,7 +423,7 @@ def test_violations_activity_is_the_matvec_bit_for_bit(level):
     for grid, spec in (micro_case(seed) for seed in _micro_seeds(10)):
         mip = ps.build_siting_problem(grid, spec, level=level).mip
         for x in (rng.random(mip.num_variables), rng.integers(0, 2, mip.num_variables) * 1.0):
-            assert mip.violations(x, 0.0)[2].tobytes() == (mip.matrix @ x).tobytes()
+            assert mip.violations(x, 0.0)[2].tobytes() == (scipy_matrix(mip) @ x).tobytes()
 
 
 def test_kinds_and_senses_are_their_codes():
@@ -568,7 +569,7 @@ def test_array_build_matches_per_row_reference(case):
     assert list(built.rows) == ref_rows  # names, order, coefficients, senses, rhs
     assert list(built.objective.items()) == list(ref.objective.items())
     assert built.objective_constant == ref.objective_constant
-    for a, b in ((built.matrix, ref.matrix), (built.cost_vector(), ref.cost_vector()),
+    for a, b in ((scipy_matrix(built), scipy_matrix(ref)), (built.cost_vector(), ref.cost_vector()),
                  (built.lb, ref.lb), (built.ub, ref.ub), (built.kinds, ref.kinds),
                  (built.senses, ref.senses), (built.rhs, ref.rhs)):
         if not isinstance(a, np.ndarray):

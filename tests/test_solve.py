@@ -23,6 +23,7 @@ from conftest import (
     FailingHighs,
     add_row,
     add_variable,
+    binding_with,
     bowl_window,
     diagonal_blob_grid,
     diagonal_blob_spec,
@@ -34,6 +35,7 @@ from conftest import (
     pit_grid,
     pit_spec,
     river_grid,
+    scipy_matrix,
     solve_at_level,
     spec_for_volume,
     two_basin_grid,
@@ -117,7 +119,7 @@ solve_mod = importlib.import_module("phs_siting.solve")
 
 
 def test_status_table_covers_every_highs_model_status():
-    table = solve_mod._STATUS
+    table = solve_mod._status_table()
     assert set(table) == set(core.HighsModelStatus.__members__.values())
     statuses = {name: table[member] for name, member in core.HighsModelStatus.__members__.items()}
     for name in ("kTimeLimit", "kIterationLimit", "kSolutionLimit"):
@@ -148,7 +150,7 @@ def test_limit_stop_keeps_its_incumbent(monkeypatch):
 
 
 def test_failed_run_is_an_error_without_incumbent(monkeypatch):
-    monkeypatch.setattr(solve_mod, "_Highs", FailingHighs)
+    monkeypatch.setattr(solve_mod, "_highs", lambda: binding_with(_Highs=FailingHighs))
     sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
     res = ps.solve(sp.mip, "highs")
     assert res.status is ps.SolveStatus.ERROR
@@ -162,7 +164,7 @@ class _RejectingHighs(core._Highs):
 
 
 def test_rejected_model_is_an_error(monkeypatch):
-    monkeypatch.setattr(solve_mod, "_Highs", _RejectingHighs)
+    monkeypatch.setattr(solve_mod, "_highs", lambda: binding_with(_Highs=_RejectingHighs))
     sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=0)
     res = ps.solve(sp.mip, "highs")
     assert res.status is ps.SolveStatus.ERROR and not res.has_incumbent
@@ -197,8 +199,8 @@ def test_loaded_model_matches_problem_arrays(case):
         assert np.array_equal(np.asarray(got), want)
     a = lp.a_matrix_
     fmt = sparse.csc_array if a.format_ == core.MatrixFormat.kColwise else sparse.csr_array
-    loaded = sparse.csr_array(fmt((a.value_, a.index_, a.start_), shape=mip.matrix.shape))
-    want = mip.matrix
+    want = scipy_matrix(mip)
+    loaded = sparse.csr_array(fmt((a.value_, a.index_, a.start_), shape=want.shape))
     assert np.array_equal(loaded.indptr, want.indptr)
     assert np.array_equal(loaded.indices, want.indices)
     assert np.array_equal(loaded.data, want.data)
@@ -316,10 +318,10 @@ def test_structural_compare_leaves_both_problems_unchanged():
     sp = ps.build_siting_problem(pit_grid(), pit_spec(), level=3)
     back = ps.read_lp(ps.write_lp(sp.mip))
     assert back.variable_names() != sp.mip.variable_names()
-    snapshot = [(m.data.copy(), m.indices.copy()) for m in (sp.mip.matrix, back.matrix)]
+    snapshot = [(m.data.copy(), m.indices.copy()) for m in map(scipy_matrix, (sp.mip, back))]
     for _ in range(2):
         assert ps.problems_structurally_equal(sp.mip, back) == []
-    for m, (data, indices) in zip((sp.mip.matrix, back.matrix), snapshot):
+    for m, (data, indices) in zip(map(scipy_matrix, (sp.mip, back)), snapshot):
         assert np.array_equal(m.data, data) and np.array_equal(m.indices, indices)
 
 
@@ -654,6 +656,31 @@ def test_round_trip_reads_kinds(fmt):
     assert ps.problems_structurally_equal(continuous, back) == []
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_round_trip_of_a_problem_without_rows(fmt):
+    # HiGHS writes it with a warning that its row names are blank
+    prob = MipProblem("no-rows")
+    b = add_variable(prob, "b")
+    c = add_variable(prob, "c", VarKind.CONTINUOUS, lb=-2.0, ub=5.0)
+    prob.set_objective({b: 1.5, c: -0.5}, constant=7.25)
+    write, read = _TEXT_FORMATS[fmt]
+    back = read(write(prob))
+    assert (back.num_variables, back.num_constraints) == (2, 0)
+    assert ps.problems_structurally_equal(prob, back) == []
+
+
+def test_a_write_warning_is_refused_on_a_problem_with_rows(monkeypatch):
+    class WarnsOnWrite(core._Highs):
+        def writeModel(self, path):
+            super().writeModel(path)
+            return core.HighsStatus.kWarning
+
+    monkeypatch.setattr(formats, "_highs", lambda: binding_with(_Highs=WarnsOnWrite))
+    monkeypatch.setattr(formats, "_LOCAL", threading.local())  # no HiGHS object made yet
+    with pytest.raises(RuntimeError, match="HiGHS cannot write model"):
+        ps.write_lp(_kinds_problem([(VarKind.BINARY, 0.0, 1.0)]))
+
+
 def test_staged_files_are_removed(monkeypatch):
     prob = _kinds_problem([(VarKind.BINARY, 0.0, 1.0), (VarKind.INTEGER, 0.0, 17.0)])
     for write, read in _TEXT_FORMATS.values():
@@ -669,7 +696,7 @@ def test_staged_files_are_removed(monkeypatch):
             written.append(path)
             return core.HighsStatus.kError
 
-    monkeypatch.setattr(formats, "_Highs", WritesThenFails)
+    monkeypatch.setattr(formats, "_highs", lambda: binding_with(_Highs=WritesThenFails))
     monkeypatch.setattr(formats, "_LOCAL", threading.local())  # no HiGHS object made yet
     with pytest.raises(RuntimeError, match="HiGHS cannot write model"):
         ps.write_lp(prob)

@@ -16,6 +16,7 @@ from conftest import (
     CELL,
     RIVER_ELEVATION,
     FailingHighs,
+    binding_with,
     bowl_basin_dem,
     bowl_dem,
     diagonal_blob_grid,
@@ -26,6 +27,7 @@ from conftest import (
     pit_grid,
     pit_spec,
     river_grid,
+    scipy_matrix,
     spec_for_volume,
     two_basin_grid,
     two_basin_spec,
@@ -120,7 +122,8 @@ def test_ladder_infeasible_capacity_fails_fast():
 def test_ladder_stops_on_solver_error(monkeypatch):
     import phs_siting.strategy as strategy
 
-    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_Highs", FailingHighs)
+    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_highs",
+                        lambda: binding_with(_Highs=FailingHighs))
     builds = []
     original = strategy.build_siting_problem
 
@@ -276,7 +279,8 @@ class _NoHighs:
 def test_certified_pit_runs_no_highs(monkeypatch):
     import phs_siting.strategy as strategy
 
-    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_Highs", _NoHighs)
+    monkeypatch.setattr(importlib.import_module("phs_siting.solve"), "_highs",
+                        lambda: binding_with(_Highs=_NoHighs))
     monkeypatch.setattr(strategy, "build_siting_problem", _no_build)
     sol = ps.run_ladder(pit_grid(), pit_spec())
     assert sol.level == 0 and sol.valid and sol.connected
@@ -656,7 +660,7 @@ def test_zoom_trace_reports_windows_and_sizes(monkeypatch):
                             sub.cell_length)
     sp = ps.build_siting_problem(sub, spec, dist=dist, level=native.level)
     assert (native.n_variables, native.n_constraints, native.n_nonzeros) == (
-        sp.mip.num_variables, sp.mip.num_constraints, sp.mip.matrix.nnz)
+        sp.mip.num_variables, sp.mip.num_constraints, scipy_matrix(sp.mip).nnz)
 
     # without the pond every stage is certified: no model is built, and the
     # entries report no model, with the same windows and the same site
@@ -694,7 +698,7 @@ def test_trace_nonzeros_are_each_models_matrix_nnz(monkeypatch, make):
                                   config=StrategyConfig(zoom_factors=(2, 1)))
     assert [t.path for t in solution.trace] == ["highs"] * len(built)
     for entry, sp in zip(solution.trace, built):
-        assert entry.n_nonzeros == sp.mip.nnz == sp.mip.matrix.nnz
+        assert entry.n_nonzeros == sp.mip.nnz == scipy_matrix(sp.mip).nnz
         assert entry.n_nonzeros == sum(len(row.coeffs) for row in sp.mip.rows)
 
 
