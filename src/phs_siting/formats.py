@@ -188,10 +188,11 @@ def read_problem_file(path: str | Path) -> MipProblem:
     GridFormatError on what the writers never produce: a file HiGHS refuses
     or reads only with a warning, a maximization, a ranged or free row, a
     semi-continuous column, or a repeated row name. A variable with lb > ub
-    raises ValueError, naming it.
+    raises ValueError, naming it. A path that cannot be opened as a file (a
+    missing file, a directory) raises its OSError, not a format error.
     """
     path = Path(path)
-    path.stat()  # a missing file is an OSError, not a format error
+    path.open("rb").close()
     return _read_model(str(path), path.stem)
 
 

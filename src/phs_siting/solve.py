@@ -9,10 +9,11 @@ cost per solve that these binary models do not repay. HiGHS offers no lazy
 constraints here, so anti-fragmentation constraints are delivered eagerly and
 escalated by re-solving (see the strategy module).
 
-The binding is imported by ``_highs``, the one way this module and ``formats``
-reach HiGHS, on the first solve or model-file call of a process. Importing it
-imports all of ``scipy.optimize``, and with it ``scipy.linalg`` and
-``scipy.sparse``; a run whose every stage is certified never needs it.
+The binding is loaded by ``_highs``, the one way this module and ``formats``
+reach HiGHS, on the first solve or model-file call of a process; a run whose
+every stage is certified never needs it. It is loaded alone, without running
+``scipy.optimize``'s ``__init__`` (see ``_compiled``): 5-13 ms on a 2-vCPU
+x86-64 VM, and no ``scipy.optimize``, ``scipy.linalg`` or ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._compiled import load
 from .costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from .errors import InfeasibleProblemError
 from .model import INTEGRALITY_TOL, MipProblem, Sense, _FOUR, _at, _column_vector, _id_raster
@@ -38,10 +40,8 @@ if TYPE_CHECKING:
 
 
 def _highs() -> ModuleType:
-    """SciPy's HiGHS binding, imported on the first call of the process."""
-    from scipy.optimize._highspy import _core
-
-    return _core
+    """SciPy's HiGHS binding, loaded on the first call of the process."""
+    return load("scipy.optimize._highspy._core")
 
 
 class SolveStatus(Enum):
@@ -225,7 +225,7 @@ class HighsBackend:
     """
 
     def solve(self, problem: MipProblem, limits: SolveLimits | None = None) -> SolveResult:
-        core = _highs()  # the first call imports the binding, before the clock starts
+        core = _highs()  # the first call loads the binding, before the clock starts
         start = time.perf_counter()
         highs = _configured(limits or SolveLimits())
         if _pass_model(highs, problem) == core.HighsStatus.kError:

@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-from scipy import ndimage
 
+from ._compiled import load
 from .errors import GridFormatError, InfeasibleProblemError
 
 Adjacency = Literal["four", "eight"]
@@ -789,12 +789,11 @@ def _distance_field(grid: TerrainGrid, metric: DistanceMetric, lower_cells=None)
                        else _reach_box(lower_cells, grid.shape))
     if not lower.any():
         raise InfeasibleProblemError("distance field needs a non-empty lower-body mask")
-    # scipy's distance transform in fewer passes: its feature transform (the
-    # same sampling, so that ties pick the same lower cell), then its formula
-    # in place: the offsets to the nearest lower cell, scaled, squared, summed
+    # scipy's distance transform in fewer passes: its feature transform, then
+    # its formula in place: the offsets to the nearest lower cell, scaled,
+    # squared, summed
     length = grid.cell_length
-    nearest = ndimage.distance_transform_edt(
-        ~lower, sampling=(length, length), return_distances=False, return_indices=True)
+    nearest = _feature_transform(lower, length)
     offsets = nearest[:, r0 : r0 + grid.nrows, c0 : c0 + grid.ncols].astype(float)
     offsets[0] -= np.arange(r0, r0 + grid.nrows)[:, None]
     offsets[1] -= np.arange(c0, c0 + grid.ncols)
@@ -813,15 +812,36 @@ def _distance_field(grid: TerrainGrid, metric: DistanceMetric, lower_cells=None)
     return DistanceField(values, grid.cell_length, metric)
 
 
+def _feature_transform(lower: np.ndarray, length: float) -> np.ndarray:
+    """The (row, col) of every cell's nearest ``lower`` cell, as int32 planes.
+
+    scipy's ``distance_transform_edt(~lower, sampling=(length, length),
+    return_indices=True)`` feature transform, called on its compiled kernel
+    with the int8 input, float64 sampling and int32 output that it builds:
+    the same sampling, so that ties pick the same lower cell.
+    """
+    nearest = np.zeros((2, *lower.shape), dtype=np.int32)
+    load("scipy.ndimage._nd_image").euclidean_feature_transform(
+        (~lower).view(np.int8), np.array([length, length], dtype=np.float64), nearest)
+    return nearest
+
+
 def _label(mask, adjacency: Adjacency) -> tuple[np.ndarray, int]:
-    """``ndimage.label`` of a boolean mask under 4- or 8-adjacency."""
+    """``ndimage.label`` of a 2-D boolean mask under 4- or 8-adjacency, called
+    on scipy's compiled labeller with the int32 output that it builds."""
     if adjacency == "four":
         structure = _CROSS
     elif adjacency == "eight":
         structure = np.ones((3, 3), dtype=bool)
     else:
         raise ValueError(f"unknown adjacency {adjacency!r}")
-    return ndimage.label(np.asarray(mask, dtype=bool), structure=structure)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"a mask has two dimensions, got shape {mask.shape}")
+    labels = np.empty(mask.shape, dtype=np.int32)
+    if not mask.size:  # the labeller refuses an empty array
+        return labels, 0
+    return labels, load("scipy.ndimage._ni_label")._label(mask, structure, labels)
 
 
 def count_components(mask, adjacency: Adjacency = "four") -> int:

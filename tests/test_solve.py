@@ -300,6 +300,14 @@ def test_unwritable_export_path():
         ps.export_problem(sp.mip, "lp", "/nonexistent-dir/model.lp")
 
 
+@pytest.mark.parametrize("name", ["missing.mps", "directory.mps"])
+def test_reading_a_path_that_is_no_file_is_an_os_error(tmp_path, name):
+    (tmp_path / "directory.mps").mkdir()
+    error = IsADirectoryError if name == "directory.mps" else FileNotFoundError
+    with pytest.raises(error):
+        ps.read_problem_file(tmp_path / name)
+
+
 def test_integer_bounds_survive_round_trip(tmp_path):
     prob = MipProblem("ints")
     u = add_variable(prob, "u_0_0", VarKind.INTEGER, lb=0.0, ub=17.0)

@@ -541,13 +541,13 @@ def test_a_first_zoom_builds_no_field_of_the_whole_dem(monkeypatch):
     DEM holds, and the outputs are those of the whole-grid fields."""
     grid, _ = bowl_dem()
     spec = ps.SitingSpec.from_engineering(100.0, 80.0, 3.0, RIVER_ELEVATION, 0.667)  # the bowl alone
-    inputs, edt = [], terrain.ndimage.distance_transform_edt
+    inputs, edt = [], terrain._feature_transform
 
     def counted(mask, *args, **kwargs):
         inputs.append(mask.size)
         return edt(mask, *args, **kwargs)
 
-    monkeypatch.setattr(terrain.ndimage, "distance_transform_edt", counted)
+    monkeypatch.setattr(terrain, "_feature_transform", counted)
     zoomed = ps.run_zoom_in(grid, spec)
     assert zoomed.valid and len(inputs) == 4 and sum(inputs) < grid.nrows * grid.ncols
     assert ("aggregate", 2) not in grid._derived and ("distance_field", "horizontal") not in grid._derived

@@ -12,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phs_siting as ps
+from phs_siting import terrain
+from phs_siting.model import diag_corrected_length
 from phs_siting.terrain import cells_to_mask, count_components
 
 from conftest import RIVER_ELEVATION, WATER, diagonal_blob_grid, pit_grid, river_grid, two_basin_grid
@@ -780,6 +782,39 @@ def test_distance_requires_lower_body():
 
 def test_components_empty_mask():
     assert ps.connected_components(np.zeros((4, 4), bool)) == []
+
+
+@pytest.mark.parametrize("adjacency", ["four", "eight"])
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_a_mask_with_an_empty_side_has_no_components(shape, adjacency):
+    mask = np.zeros(shape, dtype=bool)
+    assert ps.connected_components(mask, adjacency) == []
+    assert count_components(mask, adjacency) == 0
+    assert diag_corrected_length(mask, 34.0) == 0.0
+
+
+def test_a_mask_has_two_dimensions():
+    with pytest.raises(ValueError, match="two dimensions"):
+        count_components(np.ones(4, dtype=bool))
+
+
+def test_the_compiled_kernels_give_the_public_wrappers_bytes():
+    """``_feature_transform`` and ``_label`` call scipy's compiled kernels
+    directly, as ``distance_transform_edt`` and ``ndimage.label`` do."""
+    from scipy import ndimage
+
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        lower = rng.random(tuple(rng.integers(1, 40, 2))) < rng.choice([0.01, 0.1, 0.5])
+        lower.flat[rng.integers(lower.size)] = True
+        for length in (34.0, 30.7, 1 / 3):
+            want = ndimage.distance_transform_edt(
+                ~lower, sampling=(length, length), return_distances=False, return_indices=True)
+            got = terrain._feature_transform(lower, length)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for adjacency, structure in (("four", terrain._CROSS), ("eight", np.ones((3, 3), bool))):
+            (got, count), (want, want_count) = terrain._label(lower, adjacency), ndimage.label(lower, structure)
+            assert count == want_count and got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_components_corner_touch_adjacency():
