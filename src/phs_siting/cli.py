@@ -17,7 +17,7 @@ import logging
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -316,13 +316,12 @@ class CaseOutcome:
     trace_lines: list[str] = field(default_factory=list)
 
 
-def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
+def _load_terrain(config: CaseConfig) -> TerrainGrid:
     grid = load_grid(config.dem_path, config.dem_format, config.lower,
                      lower_elevation=config.lower_elevation)
-    excluded = None
     if config.excluded_mask_file is not None:
         try:
-            excluded = load_mask(config.excluded_mask_file, grid.shape)
+            grid = replace(grid, excluded=load_mask(config.excluded_mask_file, grid.shape))
         except GridFormatError as exc:
             raise GridFormatError(f"dem.excluded_mask_file: {exc}") from exc
     # The DEM's distance field, which every direct case reads, is built here,
@@ -337,7 +336,7 @@ def _load_terrain(config: CaseConfig) -> tuple[TerrainGrid, np.ndarray | None]:
                 coarse_lower_cells(grid, factor)
             except (ValueError, InfeasibleProblemError) as exc:
                 raise SitingError(f"strategy.zoom_factors: {exc}") from exc
-    return grid, excluded
+    return grid
 
 
 def _case_spec(config: CaseConfig, grid: TerrainGrid, case: CaseSpec) -> SitingSpec:
@@ -346,7 +345,7 @@ def _case_spec(config: CaseConfig, grid: TerrainGrid, case: CaseSpec) -> SitingS
     )
 
 
-def _run_case(config: CaseConfig, grid: TerrainGrid, excluded, case: CaseSpec) -> CaseOutcome:
+def _run_case(config: CaseConfig, grid: TerrainGrid, case: CaseSpec) -> CaseOutcome:
     spec = _case_spec(config, grid, case)
     logger.info(
         "case %d: head %.0f m, %.0f MW, %.0f h -> volume target %.3f hm3 (%s)",
@@ -355,9 +354,9 @@ def _run_case(config: CaseConfig, grid: TerrainGrid, excluded, case: CaseSpec) -
     )
     try:
         if case.zoom:
-            solution = run_zoom_in(grid, spec, config.cost_params, config.strategy, excluded=excluded)
+            solution = run_zoom_in(grid, spec, config.cost_params, config.strategy)
         else:
-            solution = run_ladder(grid, spec, config.cost_params, config.strategy, excluded=excluded)
+            solution = run_ladder(grid, spec, config.cost_params, config.strategy)
     except (SitingError, NoIncumbentError) as exc:
         trace = getattr(exc, "trace", [])
         return CaseOutcome(case, None, error=str(exc), trace_lines=[_trace_line(t) for t in trace])
@@ -408,11 +407,11 @@ def run_batch(config: CaseConfig) -> int:
     A case that fails to produce a solution is reported with "-" entries, not
     a nonzero exit; only configuration and I/O errors are fatal.
     """
-    grid, excluded = _load_terrain(config)
+    grid = _load_terrain(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(lambda c: _run_case(config, grid, excluded, c), config.cases))
+        outcomes = list(pool.map(lambda c: _run_case(config, grid, c), config.cases))
 
     physical_rows, cost_rows, solver_rows = [], [], []
     for outcome in outcomes:
@@ -528,11 +527,11 @@ def _find_case(config: CaseConfig, index: int) -> CaseSpec:
 def _cmd_export(args) -> int:
     config = load_case_config(args.config)
     case = _find_case(config, args.case)
-    grid, excluded = _load_terrain(config)
+    grid = _load_terrain(config)
     spec = _case_spec(config, grid, case)
     sp = build_siting_problem(
         grid, spec, config.cost_params,
-        level=int(parse_level(args.level)), excluded=excluded,
+        level=int(parse_level(args.level)),
         perimeter_min_neighbors=config.strategy.perimeter_min_neighbors,
     )
     suffix = "lp" if args.format == "lp" else "mps"
@@ -547,12 +546,10 @@ def _cmd_export(args) -> int:
 def _cmd_oracle(args) -> int:
     config = load_case_config(args.config)
     case = _find_case(config, args.case)
-    grid, excluded = _load_terrain(config)
+    grid = _load_terrain(config)
     spec = _case_spec(config, grid, case)
     try:
-        result = oracle_enumerate(
-            grid, spec, config.cost_params, excluded=excluded, max_cells=args.max_cells
-        )
+        result = oracle_enumerate(grid, spec, config.cost_params, max_cells=args.max_cells)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

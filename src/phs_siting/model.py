@@ -645,7 +645,6 @@ def build_siting_problem(
     cands: CandidateSets | None = None,
     dist: DistanceField | None = None,
     level: int = 0,
-    excluded=None,
     perimeter_min_neighbors: int = 1,
 ) -> SitingProblem:
     """Assemble the siting MIP at a given connectivity-defense level.
@@ -704,7 +703,7 @@ def build_siting_problem(
 
     params = cost_params or CostParams()
     if cands is None:
-        cands = _terrain.candidate_sets(grid, spec.water_elevation, excluded)
+        cands = _terrain.candidate_sets(grid, spec.water_elevation)
     if dist is None:
         dist = _terrain.distance_field(grid)
     if perimeter_min_neighbors not in (1, 3):

@@ -318,7 +318,6 @@ def oracle_enumerate(
     spec: SitingSpec,
     cost_params: CostParams | None = None,
     *,
-    excluded=None,
     max_cells: int = 18,
     require_connected: bool = True,
 ) -> OracleResult:
@@ -347,7 +346,7 @@ def oracle_enumerate(
     its ties and both counts are those of a plain per-subset loop.
     """
     params = cost_params or CostParams()
-    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    cands = candidate_sets(grid, spec.water_elevation)
     dist = distance_field(grid)
 
     cells = np.argwhere(cands.reservoir_ok)

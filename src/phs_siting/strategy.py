@@ -33,11 +33,9 @@ from .terrain import (
     DistanceField,
     TerrainGrid,
     candidate_sets,
-    cells_to_mask,
     clip,
     distance_field,
     stage_terrain,
-    _block_counts,
 )
 
 logger = logging.getLogger(__name__)
@@ -149,7 +147,6 @@ def run_ladder(
     config: StrategyConfig | None = None,
     *,
     dist: DistanceField | None = None,
-    excluded=None,
 ) -> ReservoirSolution:
     """Escalate connectivity defenses until flood fill sees one reservoir.
 
@@ -163,14 +160,13 @@ def run_ladder(
     deadline = _deadline(config.time_limit_s)
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
-    return _run_stage(grid, spec, cost_params or CostParams(), config, config.ladder, deadline,
-                      dist, excluded)
+    return _run_stage(grid, spec, cost_params or CostParams(), config, config.ladder, deadline, dist)
 
 
-def _run_stage(grid, spec, params, config, levels, deadline, dist, excluded) -> ReservoirSolution:
+def _run_stage(grid, spec, params, config, levels, deadline, dist) -> ReservoirSolution:
     """The rungs ``levels`` in turn, each with an even share of the time left
     before ``deadline``, until one yields a connected incumbent."""
-    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    cands = candidate_sets(grid, spec.water_elevation)
     trace: list[TraceEntry] = []
     best_fragmented: ReservoirSolution | None = None
 
@@ -244,8 +240,6 @@ def run_zoom_in(
     spec: SitingSpec,
     cost_params: CostParams | None = None,
     config: StrategyConfig | None = None,
-    *,
-    excluded=None,
 ) -> ReservoirSolution:
     """Coarse-to-fine siting: solve, clip around the incumbent, refine, repeat.
 
@@ -266,7 +260,6 @@ def run_zoom_in(
     """
     config = config or StrategyConfig()
     params = cost_params or CostParams()
-    excluded_mask = None if excluded is None else cells_to_mask(excluded, grid.shape)
 
     trace: list[TraceEntry] = []
     last = (grid.nrows - 1, grid.ncols - 1)
@@ -278,18 +271,10 @@ def run_zoom_in(
         stage_deadline = _deadline(_share(deadline, len(config.zoom_factors) - k))
         sub, (roff, coff), sub_dist = stage_terrain(grid, factor, corners,
                                                     config.distance_metric)
-        sub_excluded = None
-        if excluded_mask is not None:
-            # A super-cell is off limits as soon as any child is.
-            fine = excluded_mask[roff * factor : (roff + sub.nrows) * factor,
-                                 coff * factor : (coff + sub.ncols) * factor]
-            sub_excluded = _block_counts(fine, factor) > 0
-
         stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
         levels = config.ladder if factor == 1 else config.ladder[:1]
         try:
-            solution = _run_stage(sub, spec, params, config, levels, stage_deadline,
-                                  sub_dist, sub_excluded)
+            solution = _run_stage(sub, spec, params, config, levels, stage_deadline, sub_dist)
             stage_trace, failure = solution.trace, None
         except (InfeasibleProblemError, NoIncumbentError) as exc:
             # a NoIncumbentError carries the stage's trace; an
@@ -311,7 +296,7 @@ def run_zoom_in(
 
     assert solution is not None
     # The last zoom factor is 1, so (roff, coff) places the native window.
-    violations = _window_violations(grid, spec, excluded_mask, solution, (roff, coff))
+    violations = _window_violations(grid, spec, solution, (roff, coff))
     full = solution.with_origin((roff, coff), grid.shape)
     if violations:
         logger.warning("zoom-in final solution fails full-resolution checks: %s", violations)
@@ -319,8 +304,8 @@ def run_zoom_in(
     return _aggregate_totals(full, trace)
 
 
-def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.ndarray | None,
-                       solution: ReservoirSolution, origin: tuple[int, int]) -> list[str]:
+def _window_violations(grid: TerrainGrid, spec: SitingSpec, solution: ReservoirSolution,
+                       origin: tuple[int, int]) -> list[str]:
     """``verify_masks`` of a site whose masks cover the window at ``origin``,
     as on the full grid, but run on that window grown by one cell.
 
@@ -333,8 +318,5 @@ def _window_violations(grid: TerrainGrid, spec: SitingSpec, excluded_mask: np.nd
     r0, c0 = origin
     nr, nc = solution.reservoir_mask.shape
     sub, (sr, sc) = clip(grid, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)], 1)
-    sub_excluded = None
-    if excluded_mask is not None:
-        sub_excluded = excluded_mask[sr : sr + sub.nrows, sc : sc + sub.ncols]
-    cands = candidate_sets(sub, spec.water_elevation, sub_excluded)
+    cands = candidate_sets(sub, spec.water_elevation)
     return verify_masks(sub, cands, spec, solution.with_origin((r0 - sr, c0 - sc), sub.shape))

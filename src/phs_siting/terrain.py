@@ -86,6 +86,9 @@ class TerrainGrid:
         nodata: True where the DEM has no data.
         lower_elevation: water level of the lower body, meters.
         xllcorner/yllcorner: lower-left corner, used only for file output.
+        excluded: True where no reservoir role may be placed (legal or
+            environmental exclusions); given as None, a mask or (i, j) cells
+            (see ``cells_to_mask``), it is kept as a bool mask.
 
     The grid is immutable, so it keeps what ``aggregate``,
     ``distance_field``, ``coarse_lower_cells`` and ``stage_terrain`` derive
@@ -100,6 +103,7 @@ class TerrainGrid:
     lower_elevation: float
     xllcorner: float = 0.0
     yllcorner: float = 0.0
+    excluded: np.ndarray | None = None
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -110,6 +114,11 @@ class TerrainGrid:
             raise ValueError(f"grid side must be >= {_MIN_SIDE}, got {elev.shape}")
         if not self.cell_length > 0:
             raise ValueError(f"cell_length must be positive, got {self.cell_length}")
+        length = float(self.cell_length)
+        if not 0 < length * length < math.inf:
+            raise ValueError(f"cell_length {self.cell_length} gives no finite positive cell area")
+        if not (math.isfinite(self.xllcorner) and math.isfinite(self.yllcorner)):
+            raise ValueError(f"xllcorner/yllcorner must be finite, got {self.xllcorner}, {self.yllcorner}")
         lower = np.asarray(self.lower_mask, dtype=bool)
         nodata = np.asarray(self.nodata, dtype=bool)
         if lower.shape != elev.shape or nodata.shape != elev.shape:
@@ -123,6 +132,7 @@ class TerrainGrid:
         object.__setattr__(self, "elevations", _readonly(elev))
         object.__setattr__(self, "lower_mask", _readonly(lower))
         object.__setattr__(self, "nodata", _readonly(nodata))
+        object.__setattr__(self, "excluded", _readonly(cells_to_mask(self.excluded, elev.shape)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -265,9 +275,9 @@ def _parse_esri_ascii(text: str, context: str):
     for required in ("ncols", "nrows", "cellsize"):
         if required not in header:
             raise GridFormatError(f"missing header key {required!r} in {context}")
-    ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if ncols != header["ncols"] or nrows != header["nrows"]:
+    if not (header["ncols"].is_integer() and header["nrows"].is_integer()):  # nan and inf too
         raise GridFormatError(f"non-integer ncols/nrows in {context}")
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
     data_lines = lines[idx:]
     if len(data_lines) != nrows:
         raise GridFormatError(f"expected {nrows} data rows, found {len(data_lines)} in {context}")
@@ -475,28 +485,20 @@ def _coarse_shape(shape: tuple[int, int], factor: int) -> tuple[int, int]:
     return coarse
 
 
-def aggregate(grid: TerrainGrid, factor: int,
-              window: tuple[int, int, int, int] | None = None) -> TerrainGrid:
+def aggregate(grid: TerrainGrid, factor: int) -> TerrainGrid:
     """Coarsen the grid by merging factor x factor blocks into super-cells.
 
     Super-cell elevation is the mean over non-NODATA children; the lower-body
     flag needs a strict majority of valid children; a super-cell is NODATA only
-    when every child is. Edges are padded with NODATA when factor does not
-    divide the grid side. The coarse grid is computed once per grid and
-    factor (see ``TerrainGrid``).
-
-    ``window``, coarse (r0, r1, c0, c1), asks for that window of the coarse
-    grid alone, as ``clip`` cuts it, georeference included. Block sums are
-    local to each block, so it is computed from the fine cells under the
-    window alone; it is not kept.
+    when every child is, and excluded as soon as any child is. Edges are
+    padded with NODATA when factor does not divide the grid side. The coarse
+    grid is computed once per grid and factor (see ``TerrainGrid``).
     """
-    _coarse_shape(grid.shape, factor)
+    nr2, nc2 = _coarse_shape(grid.shape, factor)
     factor = int(factor)
-    if window is not None:
-        return _coarsen(grid, factor, window) if factor > 1 else _view(grid, *window)
     if factor == 1:
         return grid
-    return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor))
+    return _derive(grid, ("aggregate", factor), lambda: _coarsen(grid, factor, (0, nr2, 0, nc2)))
 
 
 def _block_counts(mask: np.ndarray, factor: int) -> np.ndarray:
@@ -550,12 +552,14 @@ def _pairwise_sum(parts: list[np.ndarray]) -> np.ndarray:
     return _pairwise_sum(parts[:half]) + _pairwise_sum(parts[half:])
 
 
-def _coarsen(grid: TerrainGrid, factor: int, window=None) -> TerrainGrid:
-    """``aggregate`` for a factor above 1: the whole coarse grid, or its
-    ``window``."""
-    nr, nc = grid.shape
-    nr2, nc2 = _coarse_shape(grid.shape, factor)
-    r0, r1, c0, c1 = (0, nr2, 0, nc2) if window is None else window
+def _coarsen(grid: TerrainGrid, factor: int, window) -> TerrainGrid:
+    """The ``window``, coarse (r0, r1, c0, c1), of ``aggregate(grid,
+    factor)`` for a factor above 1, as ``clip`` cuts it, georeference
+    included. Block sums are local to each block, so it is computed from the
+    fine cells under the window alone."""
+    nr = grid.nrows
+    nr2, _ = _coarse_shape(grid.shape, factor)
+    r0, r1, c0, c1 = window
     fine = np.s_[r0 * factor : r1 * factor, c0 * factor : c1 * factor]
     nodata = grid.nodata[fine]
 
@@ -567,12 +571,13 @@ def _coarsen(grid: TerrainGrid, factor: int, window=None) -> TerrainGrid:
     with np.errstate(invalid="ignore"):
         new_elev = np.where(new_nodata, np.nan, sums / np.maximum(counts, 1))
     new_lower = (2 * lower_counts > counts) & ~new_nodata
+    new_excluded = _block_counts(grid.excluded[fine], factor) > 0
 
     length = grid.cell_length * factor
-    xll, yll = grid.xllcorner, grid.yllcorner - (nr2 * factor - nr) * grid.cell_length
-    if window is not None:  # clip's corner on the coarse grid
-        xll, yll = xll + c0 * length, yll + (nr2 - r1) * length
-    return TerrainGrid(new_elev, length, new_lower, new_nodata, grid.lower_elevation, xll, yll)
+    xll = grid.xllcorner + c0 * length
+    yll = grid.yllcorner - (nr2 * factor - nr) * grid.cell_length + (nr2 - r1) * length
+    return TerrainGrid(new_elev, length, new_lower, new_nodata, grid.lower_elevation, xll, yll,
+                       new_excluded)
 
 
 def coarse_lower_cells(grid: TerrainGrid, factor: int) -> np.ndarray:
@@ -616,7 +621,7 @@ def stage_terrain(grid: TerrainGrid, factor: int, corners, metric: DistanceMetri
     byte for byte, but neither the coarse grid nor its field is built:
     ``sub`` is aggregated from the fine cells under it, and ``dist`` is
     computed on the window's reach box from ``coarse_lower_cells`` (see
-    ``distance_field``). ``corners`` are fine (row, col) cells whose box the
+    ``_distance_field``). ``corners`` are fine (row, col) cells whose box the
     window covers. The stage is computed once per grid, factor, window and
     metric.
 
@@ -634,8 +639,8 @@ def stage_terrain(grid: TerrainGrid, factor: int, corners, metric: DistanceMetri
 def _stage(grid: TerrainGrid, factor: int, window, metric: DistanceMetric):
     lower = coarse_lower_cells(grid, factor)
     r0, _, c0, _ = window
-    sub = aggregate(grid, factor, window)
-    return sub, (r0, c0), distance_field(sub, metric, lower - (r0, c0))
+    sub = _coarsen(grid, factor, window) if factor > 1 else _view(grid, *window)
+    return sub, (r0, c0), _distance_field(sub, metric, lower - (r0, c0))
 
 
 def clip(
@@ -691,6 +696,7 @@ def _view(grid: TerrainGrid, r0: int, r1: int, c0: int, c1: int) -> TerrainGrid:
         lower_elevation=grid.lower_elevation,
         xllcorner=grid.xllcorner + c0 * grid.cell_length,
         yllcorner=grid.yllcorner + (grid.nrows - r1) * grid.cell_length,
+        excluded=grid.excluded[r0:r1, c0:c1],
         _derived={},
     )
 
@@ -714,21 +720,19 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
     return up | down | left | right
 
 
-def candidate_sets(
-    grid: TerrainGrid, water_elevation: float, excluded=None
-) -> CandidateSets:
+def candidate_sets(grid: TerrainGrid, water_elevation: float) -> CandidateSets:
     """Compute role eligibility for a target water level.
 
     Interior candidates sit below the water level; perimeter candidates touch
     at least one interior candidate through the 4-neighborhood. Lower-body,
-    NODATA and explicitly excluded cells are removed from every set.
+    NODATA and excluded cells (``TerrainGrid.excluded``) are removed from
+    every set.
     """
     if not water_elevation > grid.lower_elevation:
         raise ValueError(
             f"water_elevation {water_elevation} must exceed lower body level {grid.lower_elevation}"
         )
-    excluded_mask = cells_to_mask(excluded, grid.shape)
-    blocked = grid.lower_mask | grid.nodata | excluded_mask
+    blocked = grid.lower_mask | grid.nodata | grid.excluded
     with np.errstate(invalid="ignore"):
         interior = (grid.elevations < water_elevation) & ~blocked
     if not np.any(interior):
@@ -739,36 +743,20 @@ def candidate_sets(
     return CandidateSets(interior, perimeter, interior | perimeter)
 
 
-def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal",
-                   lower_cells=None) -> DistanceField:
+def distance_field(grid: TerrainGrid, metric: DistanceMetric = "horizontal") -> DistanceField:
     """Exact center-to-center distance from every cell to the nearest lower cell.
 
     "horizontal" measures in the grid plane; "slant" adds the vertical offset
     between the cell elevation and the lower water level (exact, since the
     vertical component is shared by all lower cells). The field is computed
     once per grid and metric (see ``TerrainGrid``).
-
-    ``lower_cells``, (row, col) cells in the grid's frame that may lie
-    outside it, give the lower body instead of the grid's own mask: the grid
-    is then a window of a larger grid, and the field is that grid's field
-    over the window, byte for byte. It is computed on the window's reach box
-    alone and not kept. Let R be the least, over lower cells p, of p's
-    distance to the window's farthest corner: every window cell lies within
-    R of that p, so its nearest lower cells lie within R of the window, and
-    the box is the window grown to hold every lower cell that near. Among
-    the nearest lower cells of a cell, scipy's feature transform takes the
-    one of least column, then of least row (in exact arithmetic;
-    ``test_terrain`` checks the bytes at non-dyadic cell lengths too); the
-    cells left out of the box are farther, so it takes the same cell.
     """
-    if lower_cells is None:
-        return _derive(grid, ("distance_field", metric), lambda: _distance_field(grid, metric))
-    return _distance_field(grid, metric, np.asarray(lower_cells))
+    return _derive(grid, ("distance_field", metric), lambda: _distance_field(grid, metric))
 
 
 def _reach_box(cells: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, tuple[int, int]]:
     """The lower mask of ``cells`` on the reach box of the window (0, 0) to
-    ``shape`` (see ``distance_field``), and the window's (row, col) in it."""
+    ``shape`` (see ``_distance_field``), and the window's (row, col) in it."""
     if not len(cells):
         return np.zeros(shape, dtype=bool), (0, 0)
     rows, cols = cells.T
@@ -785,6 +773,19 @@ def _reach_box(cells: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, t
 
 
 def _distance_field(grid: TerrainGrid, metric: DistanceMetric, lower_cells=None) -> DistanceField:
+    """``distance_field``, not kept. ``lower_cells``, (row, col) cells in the
+    grid's frame that may lie outside it, give the lower body instead of the
+    grid's own mask: the grid is then a window of a larger grid, and the
+    field is that grid's field over the window, byte for byte, computed on
+    the window's reach box alone. Let R be the least, over lower cells p, of
+    p's distance to the window's farthest corner: every window cell lies
+    within R of that p, so its nearest lower cells lie within R of the
+    window, and the box is the window grown to hold every lower cell that
+    near. Among the nearest lower cells of a cell, scipy's feature transform
+    takes the one of least column, then of least row (in exact arithmetic;
+    ``test_terrain`` checks the bytes at non-dyadic cell lengths too); the
+    cells left out of the box are farther, so it takes the same cell.
+    """
     lower, (r0, c0) = ((grid.lower_mask, (0, 0)) if lower_cells is None
                        else _reach_box(lower_cells, grid.shape))
     if not lower.any():

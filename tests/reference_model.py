@@ -351,11 +351,11 @@ def add_tour_constraints(prob, sv, cands, rank_kind=VarKind.CONTINUOUS) -> None:
 
 
 def _build(grid, spec, xyz, cost_params=None, *, cands=None, dist=None, level=0,
-           excluded=None, perimeter_min_neighbors=1,
+           perimeter_min_neighbors=1,
            rank_kind=VarKind.CONTINUOUS, full_bands=False) -> MipProblem:
     params = cost_params or CostParams()
     if cands is None:
-        cands = candidate_sets(grid, spec.water_elevation, excluded)
+        cands = candidate_sets(grid, spec.water_elevation)
     if dist is None:
         dist = distance_field(grid)
     prob = MipProblem()
@@ -434,7 +434,6 @@ def oracle_reference(
     spec,
     cost_params=None,
     *,
-    excluded=None,
     max_cells: int = 18,
     require_connected: bool = True,
 ) -> OracleResult:
@@ -442,7 +441,7 @@ def oracle_reference(
     same ``OracleResult``, the first subset in index order whose cost beats
     the running best by 1e-12 wins."""
     params = cost_params or CostParams()
-    cands = candidate_sets(grid, spec.water_elevation, excluded)
+    cands = candidate_sets(grid, spec.water_elevation)
     dist = distance_field(grid)
 
     cells = cands.reservoir_cells()
@@ -593,6 +592,7 @@ def coarsen_reference(grid: TerrainGrid, factor: int) -> TerrainGrid:
     counts = valid.sum(axis=(1, 3))
     sums = np.where(valid, _blocks(grid.elevations, factor, np.nan), 0.0).sum(axis=(1, 3))
     lower_counts = _blocks(grid.lower_mask, factor, False).sum(axis=(1, 3))
+    excluded = _blocks(grid.excluded, factor, False).any(axis=(1, 3))
 
     new_nodata = counts == 0
     with np.errstate(invalid="ignore"):
@@ -606,6 +606,7 @@ def coarsen_reference(grid: TerrainGrid, factor: int) -> TerrainGrid:
         grid.lower_elevation,
         grid.xllcorner,
         grid.yllcorner - (new_elev.shape[0] * factor - nr) * grid.cell_length,
+        excluded,
     )
 
 

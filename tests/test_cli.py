@@ -242,6 +242,19 @@ def test_a_dem_failing_a_grid_check_is_reported(micro_config, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", ["ncols nan", "nrows inf", "ncols 1e400"],
+                         ids=["ncols-nan", "nrows-inf", "ncols-1e400"])
+def test_a_header_count_that_is_not_a_finite_integer_is_reported(micro_config, tmp_path, capsys, count):
+    # each once ended validate with a traceback
+    dem = tmp_path / "dem.asc"
+    dem.write_text(dem.read_text().replace(f"{count.split()[0]} 8", count))
+    expected = f"non-integer ncols/nrows in {dem}"
+    assert main(["validate", str(micro_config)]) == 1
+    assert capsys.readouterr().out == f"{expected}\n"
+    assert main(["run", str(micro_config)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_a_csv_dem_reads(micro_config):
     _csv_dem(micro_config, "cell_length=34\n")
     assert validate_config(micro_config) == []
@@ -328,8 +341,8 @@ def _exclude(config_path, shape, cell):
 def test_excluded_mask_bars_its_cells(micro_config):
     _exclude(micro_config, (8, 8), (3, 4))
     assert validate_config(micro_config) == []
-    _, excluded = _load_terrain(load_case_config(micro_config))
-    assert excluded.shape == (8, 8) and np.argwhere(excluded).tolist() == [[3, 4]]
+    grid = _load_terrain(load_case_config(micro_config))
+    assert grid.excluded.shape == (8, 8) and np.argwhere(grid.excluded).tolist() == [[3, 4]]
 
 
 def test_excluded_mask_of_wrong_shape_is_reported(micro_config, tmp_path, capsys):
@@ -351,9 +364,9 @@ def test_nonsquare_dem_takes_masks_of_its_own_shape(micro_config, tmp_path):
     _exclude(micro_config, (6, 8), (0, 7))
     assert validate_config(micro_config) == []
     config = load_case_config(micro_config)
-    grid, excluded = _load_terrain(config)
+    grid = _load_terrain(config)
     assert grid.shape == (6, 8) and not grid.nodata.any()
-    assert excluded.shape == (6, 8) and np.argwhere(excluded).tolist() == [[0, 7]]
+    assert grid.excluded.shape == (6, 8) and np.argwhere(grid.excluded).tolist() == [[0, 7]]
     assert grid.yllcorner + grid.nrows * grid.cell_length == 6 * 34.0
     assert run_batch(config) == 0
     for k in (1, 2):
@@ -517,7 +530,7 @@ def test_the_cli_builds_only_the_direct_cases_field_before_the_run(tmp_path, mon
         fields.append((grid.shape, lower_cells is None, on_main))
         return compute(grid, metric, lower_cells)
 
-    def counted_coarsen(grid, factor, window=None):
+    def counted_coarsen(grid, factor, window):
         coarse.append(window)
         return coarsen(grid, factor, window)
 

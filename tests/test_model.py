@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -542,10 +543,10 @@ _REFERENCE_CASES = {
     "midsize-pmn1-l1": lambda: (midsize_grid(), midsize_spec(), {"level": 1}),
     "midsize-l3": lambda: (midsize_grid(), midsize_spec(), {"level": 3}),
     "midsize-pmn3": lambda: (midsize_grid(), midsize_spec(), {"perimeter_min_neighbors": 3}),
-    "two_basin-excluded-l1": lambda: (two_basin_grid(), two_basin_spec(),
-                                      {"level": 1, "excluded": [(1, 2), (2, 5)]}),
-    "midsize-excluded": lambda: (midsize_grid(), midsize_spec(),
-                                 {"excluded": [(46, 16), (45, 16)]}),
+    "two_basin-excluded-l1": lambda: (replace(two_basin_grid(), excluded=[(1, 2), (2, 5)]),
+                                      two_basin_spec(), {"level": 1}),
+    "midsize-excluded": lambda: (replace(midsize_grid(), excluded=[(46, 16), (45, 16)]),
+                                 midsize_spec(), {}),
     "bowl-window": bowl_window,
     "bowl-window-l1": lambda: bowl_window(level=1),
     "bowl-window-l2": lambda: bowl_window(level=2),

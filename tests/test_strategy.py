@@ -182,10 +182,10 @@ def _all_ones_point(sp, link=None) -> np.ndarray:
     return x
 
 
-def _certify(grid, spec, *, excluded=None, dist=None, perimeter_min_neighbors=1):
+def _certify(grid, spec, *, dist=None, perimeter_min_neighbors=1):
     """``certify_level_zero`` with the arguments ``run_ladder`` gives it."""
     return certify_level_zero(grid, spec, ps.CostParams(),
-                              cands=ps.candidate_sets(grid, spec.water_elevation, excluded),
+                              cands=ps.candidate_sets(grid, spec.water_elevation),
                               dist=dist or ps.distance_field(grid),
                               perimeter_min_neighbors=perimeter_min_neighbors)
 
@@ -343,14 +343,14 @@ def test_interior_cell_without_four_candidates_goes_to_highs(where):
     else:
         elev[2, 3] = elev[2, 4] = 500.0
         excluded = [(2, 5)]
-    grid, spec = river_grid(elev), pit_spec()
-    assert _certify(grid, spec, excluded=excluded) is None
-    sp = ps.build_siting_problem(grid, spec, level=0, excluded=excluded)
+    grid, spec = dataclasses.replace(river_grid(elev), excluded=excluded), pit_spec()
+    assert _certify(grid, spec) is None
+    sp = ps.build_siting_problem(grid, spec, level=0)
     assert all_ones_optimum(sp) is None
     issues = ps.verify_solution(sp.mip, _all_ones_point(sp))
     assert issues == [{"grid_edge": "row inter_0_3_up: 1.0 > 0.0",
                        "blocked_cell": "row inter_2_4_right: 1.0 > 0.0"}[where]]
-    sol = ps.run_ladder(grid, spec, excluded=excluded)
+    sol = ps.run_ladder(grid, spec)
     assert sol.valid and sol.costs.embankment > 0
     [entry] = sol.trace
     assert (entry.path, entry.status) == ("highs", "optimal")
@@ -371,19 +371,18 @@ def test_costed_unpaired_z_cannot_arise():
         nodata = rng.random(elev.shape) < 0.1
         nodata[:, 0] = False
         elev[nodata] = np.nan
-        grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION)
-        cases.append((grid, spec_for_volume(10_000.0), rng.random(elev.shape) < 0.1))
+        grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION,
+                              excluded=rng.random(elev.shape) < 0.1)
+        cases.append((grid, spec_for_volume(10_000.0)))
     checked = 0
-    for grid, spec, *excluded in cases:
-        excluded = excluded[0] if excluded else None
-        cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+    for grid, spec in cases:
+        cands = ps.candidate_sets(grid, spec.water_elevation)
         ground = np.where(cands.perimeter_ok, grid.elevations, spec.water_elevation)
         embankment = ps.embankment_cell_cost(grid.cell_length, spec.water_elevation, ground)[0]
         assert not (cands.perimeter_ok & (embankment != 0) & ~cands.interior_ok).any()
         for m in (1, 3):
             try:
-                sp = ps.build_siting_problem(grid, spec, level=0, excluded=excluded,
-                                             perimeter_min_neighbors=m)
+                sp = ps.build_siting_problem(grid, spec, level=0, perimeter_min_neighbors=m)
             except ps.InfeasibleProblemError:
                 continue
             cost, sv = sp.mip.cost_vector(), sp.variables
@@ -429,18 +428,19 @@ def test_zoom_equals_direct_on_micro_instance():
 def test_zoom_exclusions_reach_every_stage(monkeypatch):
     grid, spec = _zoomable_pit_grid(), spec_for_volume(100_000.0)
     config = StrategyConfig(zoom_factors=(2, 1))
+    plain = ps.run_zoom_in(grid, spec, config=config)
     masks = []
-    with monkeypatch.context() as patch:  # no exclusions: no full-grid exclusion mask
-        patch.setattr(strategy, "cells_to_mask", lambda cells, shape: masks.append(shape))
-        plain = ps.run_zoom_in(grid, spec, config=config)
-    assert masks == []
+    with monkeypatch.context() as patch:  # a repeated zoom builds no exclusion mask
+        patch.setattr(terrain, "cells_to_mask", lambda cells, shape: masks.append(shape))
+        again = ps.run_zoom_in(grid, spec, config=config)
+    assert masks == [] and again.costs == plain.costs
     for excluded in (np.zeros(grid.shape, dtype=bool), [(0, 11)]):
-        same = ps.run_zoom_in(grid, spec, config=config, excluded=excluded)
+        same = ps.run_zoom_in(dataclasses.replace(grid, excluded=excluded), spec, config=config)
         assert np.array_equal(same.interior_mask, plain.interior_mask)
         assert same.costs == plain.costs
     # one excluded pit cell takes its whole factor-2 super-cell off limits
     with pytest.raises(ps.NoIncumbentError, match=r"factor 2\) produced no incumbent"):
-        ps.run_zoom_in(grid, spec, config=config, excluded=[(6, 7)])
+        ps.run_zoom_in(dataclasses.replace(grid, excluded=[(6, 7)]), spec, config=config)
 
 
 def test_zoom_masks_live_in_full_frame():
@@ -475,10 +475,10 @@ def test_window_check_equals_full_grid_check():
     nodata = rng.random(elev.shape) < 0.05
     nodata[:, 0] = False
     elev[nodata] = np.nan
-    grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION)
-    excluded = rng.random(grid.shape) < 0.05
+    grid = ps.TerrainGrid(elev, CELL, elev == RIVER_ELEVATION, nodata, RIVER_ELEVATION,
+                          excluded=rng.random(elev.shape) < 0.05)
     spec = spec_for_volume(20_000.0)
-    cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+    cands = ps.candidate_sets(grid, spec.water_elevation)
     base = ps.run_ladder(pit_grid(), pit_spec())
     seen = {"clean": 0, "faulty": 0, "grid_edge": 0, "window_edge": 0}
     for _ in range(400):
@@ -504,7 +504,7 @@ def test_window_check_equals_full_grid_check():
         site = dataclasses.replace(base, perimeter_mask=x, interior_mask=y, reservoir_mask=z,
                                    link_cell=link)
         full = ps.verify_masks(grid, cands, spec, site.with_origin((r0, c0), grid.shape))
-        assert strategy._window_violations(grid, spec, excluded, site, (r0, c0)) == full
+        assert strategy._window_violations(grid, spec, site, (r0, c0)) == full
         seen["faulty" if full else "clean"] += 1
         seen["grid_edge"] += r0 == 0 or c0 == 0 or r0 + nr == grid.nrows or c0 + nc == grid.ncols
         seen["window_edge"] += bool(z[[0, -1], :].any() or z[:, [0, -1]].any())
@@ -850,11 +850,10 @@ def test_zoom_keeps_excluded_cells_dry_at_every_stage(monkeypatch):
     assert _coarse_stage_floods(cell, free.trace, stages) == [True]
 
     stages.clear()
-    excluded = np.zeros(grid.shape, dtype=bool)
-    excluded[cell] = True
-    site = ps.run_zoom_in(grid, spec, config=config, excluded=excluded)
+    grid = dataclasses.replace(grid, excluded=[cell])
+    site = ps.run_zoom_in(grid, spec, config=config)
     assert site.valid and site.connected
-    cands = ps.candidate_sets(grid, spec.water_elevation, excluded)
+    cands = ps.candidate_sets(grid, spec.water_elevation)
     assert ps.verify_masks(grid, cands, spec, site) == []
-    assert not (site.reservoir_mask & excluded).any()
+    assert not (site.reservoir_mask & grid.excluded).any()
     assert _coarse_stage_floods(cell, site.trace, stages) == [False]

@@ -66,6 +66,50 @@ def test_unknown_header_key_rejected(tmp_path):
         ps.load_grid(path, "esri_ascii", ps.ByElevation(1.0))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+def test_a_count_that_is_not_a_finite_integer_is_refused(tmp_path, token):
+    # nan once raised a bare ValueError, inf and 1e400 an OverflowError
+    path = tmp_path / "bad.asc"
+    for key in ("ncols", "nrows"):
+        path.write_text(UNIFORM_ASC.replace(f"{key} 3", f"{key} {token}"))
+        refused = re.escape(f"non-integer ncols/nrows in {path}")
+        with pytest.raises(ps.GridFormatError, match=refused):
+            ps.load_grid(path, "esri_ascii", ps.ByElevation(385.0))
+        with pytest.raises(ps.GridFormatError, match=refused):
+            ps.load_mask(path, (3, 3))
+
+
+@pytest.mark.parametrize("reader", ["esri_ascii", "csv"])
+@pytest.mark.parametrize(
+    "key,value,check",
+    [
+        ("cellsize", "inf", "cell_length inf gives no finite positive cell area"),
+        ("cellsize", "1e308", "cell_length 1e+308 gives no finite positive cell area"),
+        ("cellsize", "1e200", "cell_length 1e+200 gives no finite positive cell area"),
+        ("cellsize", "1e-320", "cell_length 1e-320 gives no finite positive cell area"),
+        ("xllcorner", "inf", "xllcorner/yllcorner must be finite, got inf, 0.0"),
+        ("yllcorner", "nan", "xllcorner/yllcorner must be finite, got 0.0, nan"),
+        ("yllcorner", "-inf", "xllcorner/yllcorner must be finite, got 0.0, -inf"),
+    ],
+    ids=["cellsize-inf", "cellsize-1e308", "cellsize-1e200", "cellsize-1e-320",
+         "xllcorner-inf", "yllcorner-nan", "yllcorner-minus-inf"],
+)
+def test_a_cell_size_or_corner_that_makes_no_grid_is_refused(tmp_path, reader, key, value, check):
+    # each once loaded: an infinite, overflowing or zero cell area, or a
+    # corner written back into every mask header
+    if reader == "esri_ascii":
+        path = tmp_path / "dem.asc"
+        path.write_text(re.sub(rf"(?m)^{key} .*$", f"{key} {value}", UNIFORM_ASC))
+    else:
+        path = tmp_path / "dem.csv"
+        path.write_text("385,385,385\n385,385,385\n385,385,385\n")
+        meta = {"cell_length": "34", "xllcorner": "0", "yllcorner": "0"}
+        meta["cell_length" if key == "cellsize" else key] = value
+        (tmp_path / "dem.csv.meta").write_text("".join(f"{k} = {v}\n" for k, v in meta.items()))
+    with pytest.raises(ps.GridFormatError, match=re.escape(f"{path}: {check}")):
+        ps.load_grid(path, reader, ps.ByElevation(385.0))
+
+
 @pytest.mark.parametrize("repeat,key", [("cellsize 1\ncellsize 50", "cellsize"),
                                         ("cellsize 1\nNODATA_value -1\nnodata_value -9999", "nodata_value")],
                          ids=["cellsize", "nodata_value"])
@@ -114,7 +158,7 @@ def test_masks_must_have_the_dems_shape(tmp_path, file_shape):
     excluded = ps.load_mask(tmp_path / "mask.asc", grid.shape)
     assert excluded.shape == file_shape and excluded.dtype == bool
     assert np.argwhere(excluded).tolist() == [[1, 3], [3, 3]]
-    cands = ps.candidate_sets(grid, 650.0, excluded=excluded)
+    cands = ps.candidate_sets(dataclasses.replace(grid, excluded=excluded), 650.0)
     assert not cands.reservoir_ok[1, 3] and cands.reservoir_ok[1, 2]
 
     # the transposed shape and the square that padding once made are refused
@@ -320,7 +364,7 @@ def _random_grid(rng, nrows, ncols, cell_length=30.0):
 
 
 def _same_grid_bytes(a, b):
-    for name in ("elevations", "lower_mask", "nodata"):
+    for name in ("elevations", "lower_mask", "nodata", "excluded"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
     assert (a.cell_length, a.lower_elevation, a.xllcorner, a.yllcorner) == (
@@ -355,11 +399,12 @@ def test_distance_field_matches_scipy_edt(cell_length):
 
 @st.composite
 def _stage_cases(draw):
-    """(grid, factor, corners, metric): a random DEM with NODATA, sides that
-    the factor need not divide, one of four lower-body layouts drawn on the
-    coarse grid (several bodies, a tie-rich lattice, single cells, a band) or
-    none, plus scattered fine lower cells, a non-dyadic cell length, and a window
-    whose corners may sit on the grid's edges."""
+    """(grid, factor, corners, metric): a random DEM with NODATA and excluded
+    cells, sides that the factor need not divide, one of four lower-body
+    layouts drawn on the coarse grid (several bodies, a tie-rich lattice,
+    single cells, a band) or none, plus scattered fine lower cells, a
+    non-dyadic cell length, and a window whose corners may sit on the grid's
+    edges."""
     factor = draw(st.integers(1, 5))
     shape = tuple(draw(st.integers(2 * factor + 1, 9 * factor + 6)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -382,9 +427,10 @@ def _stage_cases(draw):
     lower &= ~nodata
     elev = rng.normal(500.0, 60.0, shape)
     elev[nodata] = np.nan
+    excluded = rng.random(shape) < draw(st.sampled_from([0.0, 0.02, 0.2]))
     grid = ps.TerrainGrid(elev, draw(st.sampled_from([34.0, 30.87, 1 / 3, 8.5, 272.0, 0.1, 12.345678])),
                           lower, nodata, 480.0, float(rng.uniform(-1e5, 1e5)),
-                          float(rng.uniform(-1e5, 1e5)))
+                          float(rng.uniform(-1e5, 1e5)), excluded)
     corners = np.sort([[draw(st.integers(0, n - 1)) for n in shape] for _ in range(2)], axis=0)
     for k in range(4):  # each side of the window may sit on the grid's edge
         if draw(st.booleans()):
@@ -406,7 +452,8 @@ def _tie_on_the_reach_radius():
 @example(_tie_on_the_reach_radius())
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_stage_terrain_is_a_window_of_the_coarse_grid_and_its_field(case):
-    """Byte for byte what clip and scipy's EDT give on the whole coarse grid."""
+    """Byte for byte what clip and scipy's EDT give on the whole coarse grid;
+    a super-cell is excluded when any of its children is."""
     grid, factor, corners, metric = case
     coarse = coarsen_reference(grid, factor) if factor > 1 else grid
     if not coarse.lower_mask.any():
@@ -435,7 +482,7 @@ def test_a_stage_is_kept_per_factor_window_and_metric():
 def _rebuilt(grid):
     """The same grid built anew, with nothing derived from it kept yet."""
     return ps.TerrainGrid(grid.elevations, grid.cell_length, grid.lower_mask, grid.nodata,
-                          grid.lower_elevation, grid.xllcorner, grid.yllcorner)
+                          grid.lower_elevation, grid.xllcorner, grid.yllcorner, grid.excluded)
 
 
 def _ridge_grid():
@@ -474,6 +521,44 @@ def test_grid_keeps_coarse_grids_and_distance_fields():
     assert dataclasses.replace(grid, lower_elevation=390.0)._derived == {}
 
 
+def test_a_grid_with_other_exclusions_starts_with_nothing_kept():
+    grid = _ridge_grid()
+    stage = ps.stage_terrain(grid, 2, [(4, 4), (11, 11)])
+    coarse, field = ps.aggregate(grid, 2), ps.distance_field(grid)
+    barred = dataclasses.replace(grid, excluded=[(6, 6)])
+    assert barred._derived == {}
+    assert ps.aggregate(barred, 2) is not coarse and ps.distance_field(barred) is not field
+    assert np.argwhere(ps.aggregate(barred, 2).excluded).tolist() == [[3, 3]]
+    assert np.argwhere(ps.stage_terrain(barred, 2, [(4, 4), (11, 11)])[0].excluded).tolist() == [[1, 1]]
+    assert not coarse.excluded.any() and not stage[0].excluded.any()
+
+
+def test_cells_and_a_mask_build_the_same_grid():
+    grid = _ridge_grid()
+    assert grid.excluded.shape == grid.shape and not grid.excluded.any()
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[[1, 7], [2, 9]] = True
+    by_cells = dataclasses.replace(grid, excluded=[(1, 2), (7, 9)])
+    by_mask = dataclasses.replace(grid, excluded=mask)
+    for barred in (by_cells, by_mask):
+        assert barred.excluded.dtype == bool and not barred.excluded.flags.writeable
+        assert barred.excluded.tobytes() == mask.tobytes()
+    mask[0, 0] = True  # the grid keeps its own copy
+    assert not by_mask.excluded[0, 0]
+
+
+def test_aggregate_and_clip_carry_the_excluded_window():
+    grid = dataclasses.replace(_ridge_grid(), excluded=[(5, 5), (0, 11), (11, 3)])
+    for factor, want in ((2, [[0, 5], [2, 2], [5, 1]]), (5, [[0, 2], [1, 1], [2, 0]])):
+        coarse = ps.aggregate(grid, factor)  # factor 5 leaves ragged blocks
+        assert np.argwhere(coarse.excluded).tolist() == want
+        _same_grid_bytes(coarse, coarsen_reference(grid, factor))
+    sub, (r0, c0) = ps.clip(grid, [(4, 4), (6, 6)], 1)
+    assert np.argwhere(sub.excluded).tolist() == [[5 - r0, 5 - c0]]
+    sub, (r0, c0) = ps.clip(grid, [(0, 10)], 0)  # widened to 3x3 at the corner
+    assert np.argwhere(sub.excluded).tolist() == [[0 - r0, 11 - c0]]
+
+
 def test_clip_window_keeps_its_own_entries():
     grid = _ridge_grid()
     full = ps.distance_field(grid)
@@ -492,7 +577,7 @@ def test_clip_window_is_a_read_only_view_of_the_checked_grid():
     grid = _ridge_grid()
     sub, (r0, c0) = ps.clip(grid, [(4, 2), (8, 6)], 1)
     checked = _rebuilt(sub)  # the same window, checked and copied
-    for name in ("elevations", "lower_mask", "nodata"):
+    for name in ("elevations", "lower_mask", "nodata", "excluded"):
         view, whole = getattr(sub, name), getattr(grid, name)
         assert np.shares_memory(view, whole) and not view.flags.writeable
         assert np.array_equal(view, whole[r0 : r0 + sub.nrows, c0 : c0 + sub.ncols])
@@ -651,18 +736,18 @@ def test_candidates_single_pit():
 def test_candidates_excluded_pit_rejected():
     grid = pit_grid()
     with pytest.raises(ps.InfeasibleProblemError):
-        ps.candidate_sets(grid, WATER, excluded=[(2, 3)])
+        ps.candidate_sets(dataclasses.replace(grid, excluded=[(2, 3)]), WATER)
 
 
 def test_cells_outside_the_grid_are_rejected():
     # a negative index once wrapped round: (-1, 3) barred cell (4, 3)
     grid = pit_grid()
     with pytest.raises(ValueError, match=r"cell \(-1, 3\) is outside the 5x6 grid"):
-        ps.candidate_sets(grid, WATER, excluded=[(-1, 3)])
+        dataclasses.replace(grid, excluded=[(-1, 3)])
     with pytest.raises(ValueError, match=r"cell \(0, -2\) is outside the 5x6 grid"):
         ps.clip(grid, [(0, -2)], 0)
     with pytest.raises(ValueError, match=r"cell \(5, 0\) is outside"):
-        ps.candidate_sets(grid, WATER, excluded=[(1, 3), (5, 0)])
+        dataclasses.replace(grid, excluded=[(1, 3), (5, 0)])
 
 
 def test_candidates_reject_wrongly_shaped_exclusion_mask():
@@ -671,7 +756,7 @@ def test_candidates_reject_wrongly_shaped_exclusion_mask():
     wrong = np.zeros((4, 6), bool)
     wrong[3, 5] = True
     with pytest.raises(ValueError, match="does not match the grid"):
-        ps.candidate_sets(grid, WATER, excluded=wrong)
+        dataclasses.replace(grid, excluded=wrong)
 
 
 def test_candidates_exclude_lower_and_nodata():
@@ -691,7 +776,7 @@ def test_candidates_exclude_lower_and_nodata():
 def test_candidates_monotone_in_exclusions():
     grid = two_basin_grid()
     base = ps.candidate_sets(grid, WATER)
-    bigger = ps.candidate_sets(grid, WATER, excluded=[(1, 3)])
+    bigger = ps.candidate_sets(dataclasses.replace(grid, excluded=[(1, 3)]), WATER)
     assert not (bigger.interior_ok & ~base.interior_ok).any()
     assert not (bigger.perimeter_ok & ~base.perimeter_ok).any()
     assert not (bigger.reservoir_ok & ~base.reservoir_ok).any()
