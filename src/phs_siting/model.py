@@ -46,7 +46,7 @@ from .terrain import (
     TerrainGrid,
     _dilate4,
     _four_sides,
-    connected_components,
+    _label,
     count_components,
 )
 
@@ -587,50 +587,51 @@ class SitingProblem:
     level: int
 
 
-def _cell_volumes(grid: TerrainGrid, spec: SitingSpec, y_cells: np.ndarray) -> np.ndarray:
-    """Storage of each interior candidate, the ``volume`` row's coefficients.
+def _cell_volumes(grid: TerrainGrid, spec: SitingSpec, interior: np.ndarray) -> np.ndarray:
+    """Storage of each cell of the ``interior`` mask in row-major order, the
+    ``volume`` row's coefficients.
 
     Raises InfeasibleProblemError when all of them together, summed left to
     right as the row's activity is, fall short of the volume target.
     """
-    volume = (spec.water_elevation - grid.elevations[y_cells[:, 0], y_cells[:, 1]]) * grid.cell_area
+    volume = (spec.water_elevation - grid.elevations[interior]) * grid.cell_area
     capacity = _running_sum(volume)
     if capacity < spec.vol_min:
         raise InfeasibleProblemError(
-            f"total storable capacity {capacity:.3e} m^3 over {len(y_cells)} interior "
+            f"total storable capacity {capacity:.3e} m^3 over {len(volume)} interior "
             f"candidates is below the volume target {spec.vol_min:.3e} m^3"
         )
     return volume
 
 
-def _conveyance(spec: SitingSpec, params: CostParams, dist: DistanceField,
-                cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Conveyance dollars of a link on each of ``cells`` of a grid of ``shape``."""
-    if dist.values.shape != shape:
+def _conveyance(spec: SitingSpec, params: CostParams, dist: DistanceField, cells: np.ndarray) -> np.ndarray:
+    """Conveyance dollars of a link on each cell of the mask ``cells``, in row-major order."""
+    if dist.values.shape != cells.shape:
         raise ValueError("distance field shape does not match the grid")
-    excavation, lining = conveyance_cost(spec.flow, dist.values[cells[:, 0], cells[:, 1]], params)
+    excavation, lining = conveyance_cost(spec.flow, dist.values[cells], params)
     return excavation + lining
 
 
-def _fix_columns(cands: CandidateSets, p_cells: np.ndarray, conveyance: np.ndarray, fixing: bool):
+def _fix_columns(cands: CandidateSets, conveyance: np.ndarray, fixing: bool):
     """The column fixing of ``build_siting_problem``, the one copy of its rule.
 
     Returns ``on``, the raster of D (empty unless ``fixing``); ``on_p``, its
-    value per perimeter candidate (the rows of ``p_cells``); ``keep_l``, per
+    value per perimeter candidate in row-major order (``conveyance`` holds one
+    value per perimeter candidate in that order too); ``keep_l``, per
     perimeter candidate whether its ``l`` may be 1: c* and the cells cheaper
-    than c*, or every cell when D is empty; and the index of c* in ``p_cells``,
-    or None. A perimeter candidate that is not an interior candidate stands at
-    or above the water level, so it costs no embankment: D is the set of such
-    cells with a 4-neighbor in the set.
+    than c*, or every cell when D is empty; and the index of c* among the
+    perimeter candidates, or None. A perimeter candidate that is not an
+    interior candidate stands at or above the water level, so it costs no
+    embankment: D is the set of such cells with a 4-neighbor in the set.
     """
     if fixing:
         on = cands.perimeter_ok & ~cands.interior_ok
         on &= _dilate4(on)
     else:
         on = np.zeros(cands.shape, dtype=bool)
-    on_p = on[p_cells[:, 0], p_cells[:, 1]]
+    on_p = on[cands.perimeter_ok]
     if not on_p.any():
-        return on, on_p, np.ones(len(p_cells), dtype=bool), None
+        return on, on_p, np.ones(len(on_p), dtype=bool), None
     best = int(np.flatnonzero(on_p)[conveyance[on_p].argmin()])
     keep_l = conveyance < conveyance[best]
     keep_l[best] = True
@@ -711,14 +712,13 @@ def build_siting_problem(
 
     water = spec.water_elevation
     y_cells, p_cells = np.argwhere(cands.interior_ok), np.argwhere(cands.perimeter_ok)
-    volume = _cell_volumes(grid, spec, y_cells)
+    volume = _cell_volumes(grid, spec, cands.interior_ok)
     if not len(p_cells):
         raise InfeasibleProblemError("no perimeter candidates; cannot place a conveyance link")
     embankment = embankment_cell_cost(grid.cell_length, water,
                                       grid.elevations[p_cells[:, 0], p_cells[:, 1]], params)[0]
-    conveyance = _conveyance(spec, params, dist, p_cells, grid.shape)
-    on, on_p, keep_l, best = _fix_columns(cands, p_cells, conveyance,
-                                          level <= 2 and perimeter_min_neighbors == 1)
+    conveyance = _conveyance(spec, params, dist, cands.perimeter_ok)
+    on, on_p, keep_l, best = _fix_columns(cands, conveyance, level <= 2 and perimeter_min_neighbors == 1)
     fixed_l = p_cells[:0]
     if best is not None and keep_l.sum() == 1:
         keep_l[best], fixed_l = False, p_cells[best : best + 1]
@@ -842,11 +842,32 @@ def certify_level_zero(
     - ``linkx`` (l <= z - y): the link cell is not an interior candidate.
 
     So the site is accepted exactly when the level-0 model's all-ones point
-    is feasible, and no model is built. The solution reports status
-    ``optimal``, the bound as its objective, gap 0, no model size, and the
-    seconds the checks took as its wall time.
+    is feasible, and no model is built. ``certify_site`` runs the checks and
+    the prune of spare components; ``read_out`` reads the site out. The
+    solution reports status ``optimal``, the bound as its objective, gap 0,
+    no model size, and the seconds the checks and the prune took as its wall
+    time.
     """
     start = time.perf_counter()
+    site = certify_site(grid, spec, params, cands=cands, dist=dist,
+                        perimeter_min_neighbors=perimeter_min_neighbors)
+    if site is None:
+        return None
+    return read_out(grid, spec, params, dist, site, wall_time_s=time.perf_counter() - start,
+                    n_variables=0, n_constraints=0)
+
+
+def certify_site(
+    grid: TerrainGrid,
+    spec: SitingSpec,
+    params: CostParams,
+    *,
+    cands: CandidateSets,
+    dist: DistanceField,
+    perimeter_min_neighbors: int = 1,
+) -> Site | None:
+    """The pruned site that ``certify_level_zero`` reads out, or None where it
+    returns None: its checks, in its order, on the candidate masks."""
     interior, reservoir = cands.interior_ok, cands.reservoir_ok
     up, down, left, right = _four_sides(reservoir)
     if (interior & ~(up & down & left & right)).any():
@@ -855,25 +876,44 @@ def certify_level_zero(
         count = up.astype(np.int8) + down + left + right
         if (cands.perimeter_ok & ~interior & (count < 3)).any():
             return None
-    _cell_volumes(grid, spec, np.argwhere(interior))
-    p_cells = np.argwhere(cands.perimeter_ok)
-    conveyance = _conveyance(spec, params, dist, p_cells, grid.shape)
-    keep_l = _fix_columns(cands, p_cells, conveyance, perimeter_min_neighbors == 1)[2]
+    _cell_volumes(grid, spec, interior)
+    conveyance = _conveyance(spec, params, dist, cands.perimeter_ok)
+    keep_l = _fix_columns(cands, conveyance, perimeter_min_neighbors == 1)[2]
     kept = np.flatnonzero(keep_l)
     k = int(kept[conveyance[kept].argmin()])
-    link = (int(p_cells[k, 0]), int(p_cells[k, 1]))
+    link = divmod(int(np.flatnonzero(cands.perimeter_ok)[k]), cands.shape[1])
     if interior[link]:
         return None
     objective = float(equipment_cost(spec.head_m, spec.power_mw, params)) + float(conveyance[k])
-    return _site_solution(grid, spec, params, dist, interior.copy(), reservoir.copy(), link,
-                          status="optimal", objective_value=objective, gap=0.0,
-                          wall_time_s=time.perf_counter() - start, level=0,
-                          n_variables=0, n_constraints=0)
+    return _pruned_site(grid, spec, interior.copy(), reservoir.copy(), link,
+                        status="optimal", objective_value=objective, gap=0.0, level=0)
 
 
 # ---------------------------------------------------------------------------
 # Solution extraction
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Site:
+    """An incumbent before its physical readout: the masks once the spare
+    reservoir components are dropped (``_drop_spare_components``), the link,
+    the number of components kept, and the verdict of the rung that found
+    it. ``read_out`` turns it into a ``ReservoirSolution``."""
+
+    perimeter_mask: np.ndarray
+    interior_mask: np.ndarray
+    reservoir_mask: np.ndarray
+    link_cell: Cell
+    n_components: int
+    status: str
+    objective_value: float | None  # None: the readout reports the total cost
+    gap: float | None
+    level: int
+
+    @property
+    def connected(self) -> bool:
+        return self.n_components == 1
 
 
 @dataclass
@@ -971,37 +1011,84 @@ def diag_corrected_length(emb_mask: np.ndarray, cell_length: float) -> float:
 def _drop_spare_components(
     masks: tuple[np.ndarray, np.ndarray, np.ndarray],
     link: Cell,
-    cell_storage: np.ndarray,
-    vol_min: float,
-) -> list[np.ndarray]:
+    grid: TerrainGrid,
+    spec: SitingSpec,
+) -> int:
     """Clear the reservoir components that neither the link nor the volume needs.
 
     Keeps the 4-connected component of the reservoir mask that holds the link,
-    then adds the others in descending order of stored volume until storage
-    reaches ``vol_min`` (within ``VOLUME_RTOL``). Every remaining component is
-    cleared from the (perimeter, interior, reservoir) masks in place. Dropped
-    components touch no kept cell, so the shape rules still hold, and
-    embankment cost is never negative, so the cost cannot rise. Returns the
-    kept components in ``connected_components`` order.
+    then adds the others in descending order of stored volume (the larger
+    component first on equal storage, then the one whose first cell comes
+    first in row-major order) until storage reaches ``spec.vol_min`` (within
+    ``VOLUME_RTOL``). Every remaining component is cleared from the
+    (perimeter, interior, reservoir) masks in place. Dropped components touch
+    no kept cell, so the shape rules still hold, and embankment cost is never
+    negative, so the cost cannot rise. Returns the number of components kept.
+
+    The reservoir is labelled once, and a single component is kept as it is.
+    A component stores the depth below the water level times the cell area
+    on each of its interior cells, summed in row-major order.
     """
-    components = connected_components(masks[2], "four")
-    if len(components) < 2:
-        return components
-    holds_link = [bool(np.any((c[:, 0] == link[0]) & (c[:, 1] == link[1]))) for c in components]
-    stored = [float(cell_storage[c[:, 0], c[:, 1]].sum()) for c in components]
-    order = sorted(range(len(components)), key=lambda k: (not holds_link[k], -stored[k]))
+    labels, count = _label(masks[2], "four")
+    if count < 2:
+        return count
+    cell_storage = np.where(masks[1], spec.water_elevation - grid.elevations, 0.0) * grid.cell_area
+    link_label = int(labels[link])
+    stored, rank = {}, []
+    for k in range(1, count + 1):
+        cells = labels == k
+        stored[k] = float(cell_storage[cells].sum())
+        rank.append((k != link_label, -stored[k], -int(np.count_nonzero(cells)), int(cells.argmax()), k))
     kept: list[int] = []
     total = 0.0
-    for k in order:
-        if not holds_link[k] and total >= vol_min * (1 - VOLUME_RTOL):
+    for away_from_link, *_, k in sorted(rank):
+        if away_from_link and total >= spec.vol_min * (1 - VOLUME_RTOL):
             break
         kept.append(k)
         total += stored[k]
-    for k, comp in enumerate(components):
-        if k not in kept:
-            for mask in masks:
-                mask[comp[:, 0], comp[:, 1]] = False
-    return [components[k] for k in sorted(kept)]
+    if len(kept) < count:
+        dropped = np.ones(count + 1, dtype=bool)
+        dropped[[0, *kept]] = False
+        drop = dropped[labels]
+        for mask in masks:
+            mask[drop] = False
+    return len(kept)
+
+
+def _pruned_site(grid: TerrainGrid, spec: SitingSpec, y_mask: np.ndarray, z_mask: np.ndarray,
+                 link: Cell, **verdict) -> Site:
+    """The site with interior ``y_mask``, reservoir ``z_mask`` and ``link``,
+    once its spare components are dropped from the masks in place;
+    ``verdict`` gives the remaining ``Site`` fields."""
+    x_mask = z_mask & ~y_mask
+    n_components = _drop_spare_components((x_mask, y_mask, z_mask), link, grid, spec)
+    return Site(x_mask, y_mask, z_mask, link, n_components, **verdict)
+
+
+def extract_site(
+    sp: SitingProblem,
+    x: np.ndarray,
+    *,
+    status: str = "optimal",
+    objective_value: float | None = None,
+    gap: float | None = None,
+) -> Site:
+    """The pruned site of a solution vector, the one ``extract_solution`` reads out."""
+    vec = _column_vector(sp.mip, x)
+    fixed = sp.variables.fixed
+    y_mask, z_mask = (np.zeros(sp.grid.shape, dtype=bool) for _ in range(2))
+    for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec)),
+                     (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec), fixed["z"]]))):
+        mask[on[:, 0], on[:, 1]] = True
+    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec).tolist()
+                  + fixed["l"].tolist()]
+
+    if not np.any(y_mask):
+        raise InfeasibleProblemError("incumbent floods no interior cell; volume target cannot hold")
+    if len(link_cells) != 1:
+        raise IntegralityError(f"expected exactly one link cell, found {len(link_cells)}")
+    return _pruned_site(sp.grid, sp.spec, y_mask, z_mask, link_cells[0], status=status,
+                        objective_value=objective_value, gap=gap, level=sp.level)
 
 
 def extract_solution(
@@ -1018,55 +1105,33 @@ def extract_solution(
     ``x`` holds one value per column of ``sp.mip``, in column order; any other
     length raises ValueError. The cells the builder fixed on join the masks
     and the link. A binary within ``INTEGRALITY_TOL`` of 0 or 1 reads as that
-    value; any other raises IntegralityError. The masks then go to
-    ``_site_solution``.
+    value; any other raises IntegralityError. The site's spare components are
+    dropped (``extract_site``), and ``read_out`` reads it out.
     """
-    vec = _column_vector(sp.mip, x)
-    fixed = sp.variables.fixed
-    y_mask, z_mask = (np.zeros(sp.grid.shape, dtype=bool) for _ in range(2))
-    for mask, on in ((y_mask, _round_binaries(sp.variables, "y", vec)),
-                     (z_mask, np.concatenate([_round_binaries(sp.variables, "z", vec), fixed["z"]]))):
-        mask[on[:, 0], on[:, 1]] = True
-    link_cells = [tuple(cell) for cell in _round_binaries(sp.variables, "l", vec).tolist()
-                  + fixed["l"].tolist()]
-
-    if not np.any(y_mask):
-        raise InfeasibleProblemError("incumbent floods no interior cell; volume target cannot hold")
-    if len(link_cells) != 1:
-        raise IntegralityError(f"expected exactly one link cell, found {len(link_cells)}")
-    return _site_solution(sp.grid, sp.spec, sp.cost_params, sp.dist, y_mask, z_mask, link_cells[0],
-                          status=status, objective_value=objective_value, gap=gap,
-                          wall_time_s=wall_time_s, level=sp.level,
-                          n_variables=sp.mip.num_variables, n_constraints=sp.mip.num_constraints)
+    site = extract_site(sp, x, status=status, objective_value=objective_value, gap=gap)
+    return read_out(sp.grid, sp.spec, sp.cost_params, sp.dist, site, wall_time_s=wall_time_s,
+                    n_variables=sp.mip.num_variables, n_constraints=sp.mip.num_constraints)
 
 
-def _site_solution(
+def read_out(
     grid: TerrainGrid,
     spec: SitingSpec,
     params: CostParams,
     dist: DistanceField,
-    y_mask: np.ndarray,
-    z_mask: np.ndarray,
-    link: Cell,
-    *,
-    objective_value: float | None,
+    site: Site,
     **report,
 ) -> ReservoirSolution:
-    """The site with interior ``y_mask``, reservoir ``z_mask`` and ``link``.
+    """The physical reading of ``site`` on ``grid``.
 
-    Reservoir components the site does not need are dropped first, from the
-    masks in place (see ``_drop_spare_components``); the connectivity
-    verdict, storage, area, embankment and costs are then all rebuilt from
-    the kept masks and the terrain, never read back from a solver objective.
-    ``report`` gives the remaining ``ReservoirSolution`` fields.
+    The connectivity verdict, storage, area, embankment and costs are all
+    rebuilt from the site's masks and the terrain, never read back from a
+    solver objective. ``report`` gives the remaining ``ReservoirSolution``
+    fields: ``wall_time_s``, ``n_variables``, ``n_constraints`` and, for a
+    strategy run, ``trace``.
     """
-    x_mask = z_mask & ~y_mask
+    x_mask, y_mask = site.perimeter_mask, site.interior_mask
     water = spec.water_elevation
-    depth = np.where(y_mask, water - grid.elevations, 0.0)
-    components = _drop_spare_components(
-        (x_mask, y_mask, z_mask), link, depth * grid.cell_area, spec.vol_min
-    )
-    storage = float(np.where(y_mask, depth, 0.0).sum()) * grid.cell_area
+    storage = float(np.where(y_mask, water - grid.elevations, 0.0).sum()) * grid.cell_area
     area_ha = float(np.count_nonzero(y_mask)) * grid.cell_area / 1e4
 
     with np.errstate(invalid="ignore"):
@@ -1074,6 +1139,7 @@ def _site_solution(
     emb_cost, emb_volume = (_running_sum(v) for v in embankment_cell_cost(
         grid.cell_length, water, grid.elevations[emb_mask], params))
 
+    link = site.link_cell
     excavation, lining = conveyance_cost(spec.flow, float(dist.values[link]), params)
     costs = CostBreakdown(
         embankment=emb_cost,
@@ -1085,7 +1151,7 @@ def _site_solution(
     return ReservoirSolution(
         perimeter_mask=x_mask,
         interior_mask=y_mask,
-        reservoir_mask=z_mask,
+        reservoir_mask=site.reservoir_mask,
         link_cell=link,
         storage_m3=storage,
         area_ha=area_ha,
@@ -1094,10 +1160,13 @@ def _site_solution(
         embankment_volume_m3=emb_volume,
         distance_m=float(dist.values[link]),
         costs=costs,
-        objective_value=costs.total if objective_value is None else objective_value,
-        connected=len(components) == 1,
-        n_components=len(components),
-        valid=len(components) == 1,
+        objective_value=costs.total if site.objective_value is None else site.objective_value,
+        gap=site.gap,
+        status=site.status,
+        level=site.level,
+        connected=site.connected,
+        n_components=site.n_components,
+        valid=site.connected,
         **report,
     )
 

@@ -20,11 +20,17 @@ import numpy as np
 from .connectivity import Level, parse_level
 from .costing import CostParams
 from .errors import InfeasibleProblemError, NoIncumbentError
+# The benchmark's tracer (perfbench/tracing.py) wraps build_siting_problem,
+# extract_solution and verify_masks on this module; rungs extract sites
+# without their readout, so extract_solution stays here for the tracer alone.
 from .model import (
     ReservoirSolution,
+    Site,
     build_siting_problem,
-    certify_level_zero,
-    extract_solution,
+    certify_site,
+    extract_site,
+    extract_solution,  # noqa: F401
+    read_out,
     verify_masks,
 )
 from .sizing import SitingSpec
@@ -91,7 +97,8 @@ class TraceEntry:
 
     The model fields (``n_variables``, ``n_constraints``, ``n_nonzeros``,
     ``nodes``, ``build_s``) describe the model handed to HiGHS; a rung that
-    ``certify_level_zero`` settles builds none, and they read 0.
+    the level-0 certificate (``certify_site``) settles builds none, and they
+    read 0.
     """
 
     stage: str  # "ladder" or "zoom"
@@ -115,10 +122,15 @@ class TraceEntry:
     path: str = "highs"  # "certified": proved optimal from the candidate rasters, no model built
 
 
-def _aggregate_totals(solution: ReservoirSolution, trace: Sequence[TraceEntry]) -> ReservoirSolution:
-    """Report the largest problem solved and the summed wall time."""
-    return replace(
-        solution,
+#: The trace tag of a direct case's rungs: stage, zoom factor, window.
+_LADDER = ("ladder", 1, None)
+
+
+def _solution(grid, spec, params, dist, site: Site, trace: Sequence[TraceEntry]) -> ReservoirSolution:
+    """The readout of a run's site, with the run's trace, the largest
+    problem it solved and its summed wall time."""
+    return read_out(
+        grid, spec, params, dist, site,
         wall_time_s=sum(t.wall_time_s for t in trace),
         n_variables=max(t.n_variables for t in trace),
         n_constraints=max(t.n_constraints for t in trace),
@@ -157,24 +169,31 @@ def run_ladder(
     the time left before the case's deadline (``StrategyConfig.time_limit_s``).
     """
     config = config or StrategyConfig()
+    params = cost_params or CostParams()
     deadline = _deadline(config.time_limit_s)
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
-    return _run_stage(grid, spec, cost_params or CostParams(), config, config.ladder, deadline, dist)
+    site, trace = _run_stage(grid, spec, params, config, config.ladder, deadline, dist, _LADDER)
+    return _solution(grid, spec, params, dist, site, trace)
 
 
-def _run_stage(grid, spec, params, config, levels, deadline, dist) -> ReservoirSolution:
+def _run_stage(grid, spec, params, config, levels, deadline, dist, tag) -> tuple[Site, list[TraceEntry]]:
     """The rungs ``levels`` in turn, each with an even share of the time left
-    before ``deadline``, until one yields a connected incumbent."""
+    before ``deadline``, until one yields a connected incumbent.
+
+    Returns that site, or else the cheapest fragmented one, with the rungs'
+    trace entries, each tagged with ``tag`` (stage, zoom factor, window).
+    When no rung yields an incumbent, NoIncumbentError carries the entries.
+    """
     cands = candidate_sets(grid, spec.water_elevation)
     trace: list[TraceEntry] = []
-    best_fragmented: ReservoirSolution | None = None
+    best_fragmented: Site | None = None
 
     for k, level in enumerate(levels):
         limit = _share(deadline, len(levels) - k)
-        solution, entry = _rung(grid, spec, params, config, cands, dist, level, limit)
+        site, entry = _rung(grid, spec, params, config, cands, dist, tag, level, limit)
         trace.append(entry)
-        if solution is None:
+        if site is None:
             logger.info("level %s: no incumbent (%s)", level.name, entry.status)
             if entry.status in (SolveStatus.INFEASIBLE.value, SolveStatus.ERROR.value):
                 # Higher levels only add constraints, so escalation cannot
@@ -183,56 +202,54 @@ def _run_stage(grid, spec, params, config, levels, deadline, dist) -> ReservoirS
             continue
         logger.info(
             "level %s: %s (%s), objective %.6g, %d component(s)",
-            level.name, entry.status, entry.path, entry.objective, solution.n_components,
+            level.name, entry.status, entry.path, entry.objective, site.n_components,
         )
-        if solution.connected:
-            return _aggregate_totals(solution, trace)
-        if best_fragmented is None or (
-            solution.objective_value is not None
-            and solution.objective_value < best_fragmented.objective_value
-        ):
-            best_fragmented = solution
+        if site.connected:
+            return site, trace
+        if best_fragmented is None or site.objective_value < best_fragmented.objective_value:
+            best_fragmented = site
 
     if best_fragmented is not None:
-        return _aggregate_totals(best_fragmented, trace)
+        return best_fragmented, trace
     raise NoIncumbentError("every ladder level ended without an incumbent", trace)
 
 
-def _rung(grid, spec, params, config, cands, dist, level, limit):
-    """One ladder rung: (its solution or None, its trace entry, whose stage
-    and zoom factor ``run_zoom_in`` sets for a zoom stage).
+def _rung(grid, spec, params, config, cands, dist, tag, level, limit):
+    """One ladder rung: (its pruned site or None, its trace entry, tagged
+    with ``tag``: stage, zoom factor, window).
 
-    Level 0 is first given to ``certify_level_zero``; a rung it does not
-    settle is built and solved with HiGHS.
+    Level 0 is first given to the level-0 certificate (``certify_site``); a
+    rung it does not settle is built and solved with HiGHS.
     """
+    stage, factor, window = tag
     if level == Level.NONE:
-        site = certify_level_zero(grid, spec, params, cands=cands, dist=dist,
-                                  perimeter_min_neighbors=config.perimeter_min_neighbors)
+        start = time.perf_counter()
+        site = certify_site(grid, spec, params, cands=cands, dist=dist,
+                            perimeter_min_neighbors=config.perimeter_min_neighbors)
         if site is not None:
             return site, TraceEntry(
-                "ladder", 1, 0, site.status, site.objective_value, site.gap,
-                site.connected, site.n_components, 0, 0, site.wall_time_s, time_limit_s=limit,
-                bound=site.objective_value, path="certified",
+                stage, factor, 0, site.status, site.objective_value, site.gap, site.connected,
+                site.n_components, 0, 0, time.perf_counter() - start, window=window,
+                time_limit_s=limit, bound=site.objective_value, path="certified",
             )
     start = time.perf_counter()
     sp = build_siting_problem(grid, spec, params, cands=cands, dist=dist, level=int(level),
                               perimeter_min_neighbors=config.perimeter_min_neighbors)
     build_s = time.perf_counter() - start
     result = solve(sp.mip, limits=SolveLimits(time_limit_s=limit, gap_target=config.gap_target))
-    solution = None
+    site = None
     if result.has_incumbent:
-        solution = extract_solution(sp, result.x, status=result.status.value,
-                                    objective_value=result.objective, gap=result.gap,
-                                    wall_time_s=result.wall_time_s)
+        site = extract_site(sp, result.x, status=result.status.value,
+                            objective_value=result.objective, gap=result.gap)
     entry = TraceEntry(
-        "ladder", 1, int(level), result.status.value, result.objective, result.gap,
-        None if solution is None else solution.connected,
-        None if solution is None else solution.n_components,
-        sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s,
-        note=result.message if solution is None else "", time_limit_s=limit,
+        stage, factor, int(level), result.status.value, result.objective, result.gap,
+        None if site is None else site.connected,
+        None if site is None else site.n_components,
+        sp.mip.num_variables, sp.mip.num_constraints, result.wall_time_s, window=window,
+        note=result.message if site is None else "", time_limit_s=limit,
         n_nonzeros=sp.mip.nnz, nodes=result.nodes, bound=result.bound, build_s=build_s,
     )
-    return solution, entry
+    return site, entry
 
 
 def run_zoom_in(
@@ -250,10 +267,12 @@ def run_zoom_in(
     to hold every coarse lower cell within R of it, R being the least
     distance from a coarse lower cell to the window's farthest corner. So the
     lower body never drops out of a window's field. A coarse stage only
-    places the next window, so it solves the first ladder rung alone and the
-    window covers its whole (pruned) reservoir, fragmented or not. The final window is solved at native resolution with
-    the full ladder and verified against the full-resolution grid (on the
-    window grown by one cell, which gives the same verdict).
+    places the next window, so it solves the first ladder rung alone, the
+    window covers its whole (pruned) reservoir, fragmented or not, and its
+    site is not read out. The final window is solved at native resolution
+    with the full ladder, verified against the full-resolution grid (on the
+    window grown by one cell, which gives the same verdict), and its site is
+    the one the run reads out.
 
     Each stage gets an even share of the time left before the case's
     deadline, and splits it among its rungs (``StrategyConfig.time_limit_s``).
@@ -263,60 +282,65 @@ def run_zoom_in(
 
     trace: list[TraceEntry] = []
     last = (grid.nrows - 1, grid.ncols - 1)
-    corners = np.array([(0, 0), last])  # the window's first and last fine cell
-    solution: ReservoirSolution | None = None
+    corners = ((0, 0), last)  # the window's first and last fine cell
 
     deadline = _deadline(config.time_limit_s)
     for k, factor in enumerate(config.zoom_factors):
         stage_deadline = _deadline(_share(deadline, len(config.zoom_factors) - k))
         sub, (roff, coff), sub_dist = stage_terrain(grid, factor, corners,
                                                     config.distance_metric)
-        stage_window = (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor)
+        tag = ("zoom", factor, (roff * factor, coff * factor, sub.nrows * factor, sub.ncols * factor))
         levels = config.ladder if factor == 1 else config.ladder[:1]
         try:
-            solution = _run_stage(sub, spec, params, config, levels, stage_deadline, sub_dist)
-            stage_trace, failure = solution.trace, None
+            site, stage_trace = _run_stage(sub, spec, params, config, levels, stage_deadline,
+                                           sub_dist, tag)
         except (InfeasibleProblemError, NoIncumbentError) as exc:
             # a NoIncumbentError carries the stage's trace; an
             # InfeasibleProblemError is raised before its first entry
-            stage_trace, failure = getattr(exc, "trace", ()), exc
-        trace.extend(replace(t, stage="zoom", zoom_factor=factor, window=stage_window)
-                     for t in stage_trace)
-        if failure is not None:
+            trace.extend(getattr(exc, "trace", ()))
             raise NoIncumbentError(
-                f"zoom level (factor {factor}) produced no incumbent: {failure}", trace
-            ) from failure
+                f"zoom level (factor {factor}) produced no incumbent: {exc}", trace
+            ) from exc
+        trace.extend(stage_trace)
 
         # The next window covers every cell of the incumbent's reservoir; the
-        # extraction prune has already cleared the components it does not need.
-        cells = (np.argwhere(solution.reservoir_mask) + (roff, coff)) * factor
+        # prune has already cleared the components it does not need.
+        rows = np.flatnonzero(site.reservoir_mask.any(axis=1))
+        cols = np.flatnonzero(site.reservoir_mask.any(axis=0))
         margin = config.clip_margin if config.clip_margin is not None else default_clip_margin(factor)
-        corners = np.array([np.maximum(cells.min(axis=0) - margin, 0),
-                            np.minimum(cells.max(axis=0) + factor - 1 + margin, last)])
+        corners = ((max((roff + int(rows[0])) * factor - margin, 0),
+                    max((coff + int(cols[0])) * factor - margin, 0)),
+                   (min((roff + int(rows[-1]) + 1) * factor - 1 + margin, last[0]),
+                    min((coff + int(cols[-1]) + 1) * factor - 1 + margin, last[1])))
 
-    assert solution is not None
-    # The last zoom factor is 1, so (roff, coff) places the native window.
-    violations = _window_violations(grid, spec, solution, (roff, coff))
-    full = solution.with_origin((roff, coff), grid.shape)
+    # The last zoom factor is 1, so (roff, coff) places the native window and
+    # the last tag holds that window in fine cells.
+    full = _solution(sub, spec, params, sub_dist, site, trace).with_origin((roff, coff), grid.shape)
+    violations = _window_violations(grid, spec, full, tag[2])
     if violations:
         logger.warning("zoom-in final solution fails full-resolution checks: %s", violations)
         full = replace(full, valid=False)
-    return _aggregate_totals(full, trace)
+    return full
 
 
 def _window_violations(grid: TerrainGrid, spec: SitingSpec, solution: ReservoirSolution,
-                       origin: tuple[int, int]) -> list[str]:
-    """``verify_masks`` of a site whose masks cover the window at ``origin``,
-    as on the full grid, but run on that window grown by one cell.
+                       window: tuple[int, int, int, int]) -> list[str]:
+    """``verify_masks`` of ``solution`` on the full grid, run on ``window``
+    (first row, first column, rows, columns) grown by one cell.
 
-    The masks are zero outside the window. Every rule of ``verify_masks``
-    reads a cell and its 4-neighbors, which the grown window holds (or the
-    grid edge, where both grids end), so the candidate sets agree on the
-    window; and the storage is summed over the interior cells alone, in the
-    same order. So the violations are the same.
+    The masks are zero outside the window; the check reads them sliced to
+    the grown window. Every rule of ``verify_masks`` reads a cell and its
+    4-neighbors, which the grown window holds (or the grid edge, where both
+    grids end), so the candidate sets agree on the window; and the storage
+    is summed over the interior cells alone, in the same order. So the
+    violations are the same.
     """
-    r0, c0 = origin
-    nr, nc = solution.reservoir_mask.shape
+    r0, c0, nr, nc = window
     sub, (sr, sc) = clip(grid, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)], 1)
     cands = candidate_sets(sub, spec.water_elevation)
-    return verify_masks(sub, cands, spec, solution.with_origin((r0 - sr, c0 - sc), sub.shape))
+    rows, cols = slice(sr, sr + sub.nrows), slice(sc, sc + sub.ncols)
+    i, j = solution.link_cell
+    grown = Site(solution.perimeter_mask[rows, cols], solution.interior_mask[rows, cols],
+                 solution.reservoir_mask[rows, cols], (i - sr, j - sc), solution.n_components,
+                 solution.status, solution.objective_value, solution.gap, solution.level)
+    return verify_masks(sub, cands, spec, grown)

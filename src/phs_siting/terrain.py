@@ -47,22 +47,43 @@ def _unchecked(cls, **fields):
 
 
 def cells_to_mask(cells, shape: tuple[int, int]) -> np.ndarray:
-    """Normalize a cell collection (bool mask or iterable of (i, j)) to a bool mask.
+    """Normalize a cell collection (None, a mask, or (i, j) cells) to a bool mask.
 
-    A bool array is taken as a mask and must have the grid's shape; a cell
-    outside the grid (a negative index too) raises ValueError.
+    An array of the grid's shape is a mask: bool, or numbers that are all 0
+    or 1, as a mask raster reads; any other value raises ValueError naming
+    it. A bool array of another shape raises ValueError. Any other array
+    holds (i, j) cells, one per row, shape (k, 2); a grid is at least 3
+    cells a side, so no mask is read as cells. A cell outside the grid (a
+    negative index too) raises ValueError.
     """
     if cells is None:
         return np.zeros(shape, dtype=bool)
     arr = np.asarray(cells)
+    if arr.shape == tuple(shape):
+        if arr.dtype == bool:
+            return arr.copy()
+        odd = _off_zero_one(arr)
+        if odd is not None:
+            i, j = odd
+            raise ValueError(f"mask value {arr[i, j]:g} at cell ({i}, {j}) is not 0 or 1")
+        return arr == 1
     if arr.dtype == bool:
-        if arr.shape != tuple(shape):
-            raise ValueError(f"mask shape {arr.shape} does not match the grid {tuple(shape)}")
-        return arr.copy()
-    cells = _cell_array(arr, shape)
+        raise ValueError(f"mask shape {arr.shape} does not match the grid {tuple(shape)}")
     mask = np.zeros(shape, dtype=bool)
+    if arr.size == 0:
+        return mask
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"cells must be (i, j) pairs of shape (k, 2), or a mask of the grid's "
+                         f"shape {tuple(shape)}; got an array of shape {arr.shape}")
+    cells = _cell_array(arr, shape)
     mask[cells[:, 0], cells[:, 1]] = True
     return mask
+
+
+def _off_zero_one(values: np.ndarray) -> tuple[int, int] | None:
+    """The first cell, in row-major order, whose value is not 0 or 1; None if every value is."""
+    odd = (values != 0) & (values != 1)
+    return tuple(np.argwhere(odd)[0].tolist()) if odd.any() else None
 
 
 def _cell_array(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -70,9 +91,12 @@ def _cell_array(cells: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     cells = cells.reshape(-1, 2).astype(int)
     outside = ((cells < 0) | (cells >= shape)).any(axis=1)
     if outside.any():
-        i, j = cells[outside.argmax()].tolist()
-        raise ValueError(f"cell ({i}, {j}) is outside the {shape[0]}x{shape[1]} grid")
+        raise _outside(*cells[outside.argmax()].tolist(), shape)
     return cells
+
+
+def _outside(i: int, j: int, shape: tuple[int, int]) -> ValueError:
+    return ValueError(f"cell ({i}, {j}) is outside the {shape[0]}x{shape[1]} grid")
 
 
 @dataclass(frozen=True)
@@ -422,9 +446,9 @@ def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
     values, _ = _parse_esri_ascii(text, str(path))
     if values.shape != tuple(shape):
         raise GridFormatError(f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}")
-    odd = (values != 0) & (values != 1)
-    if odd.any():
-        i, j = np.argwhere(odd)[0].tolist()
+    odd = _off_zero_one(values)
+    if odd is not None:
+        i, j = odd
         raise GridFormatError(f"mask value {values[i, j]:g} at (row, col) ({i}, {j}) is not 0 or 1 in {path}")
     return values == 1
 
@@ -630,8 +654,14 @@ def stage_terrain(grid: TerrainGrid, factor: int, corners, metric: DistanceMetri
     """
     shape = _coarse_shape(grid.shape, factor)
     factor = int(factor)
-    cells = _cell_array(np.asarray(corners), grid.shape) // factor
-    window = _window(shape, cells[:, 0], cells[:, 1], 0)
+    rows, cols = [], []
+    for i, j in corners:  # a few cells: Python ints, no arrays
+        i, j = int(i), int(j)
+        if not (0 <= i < grid.nrows and 0 <= j < grid.ncols):
+            raise _outside(i, j, grid.shape)
+        rows.append(i // factor)
+        cols.append(j // factor)
+    window = _window(shape, (min(rows), max(rows)), (min(cols), max(cols)), 0)
     return _derive(grid, ("stage", factor, window, metric),
                    lambda: _stage(grid, factor, window, metric))
 
@@ -651,11 +681,13 @@ def clip(
     Returns the sub-grid and the (row, col) offset of its top-left corner in
     the parent grid. The window is truncated at the grid boundary and widened
     to the minimum legal grid side if needed. Its arrays are read-only views
-    of the parent's, and it is not checked again. ``cells`` is a bool mask or
-    (i, j) cells; the box of cells is their row and column extremes.
+    of the parent's, and it is not checked again. ``cells`` is a mask or
+    (i, j) cells, read as ``cells_to_mask`` reads a mask: a bool array, or an
+    array of the grid's shape; the box of cells is their row and column
+    extremes.
     """
     arr = np.asarray([] if cells is None else cells)
-    if arr.dtype == bool:
+    if arr.dtype == bool or arr.shape == grid.shape:
         mask = cells_to_mask(arr, grid.shape)
         rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
     else:
@@ -664,18 +696,20 @@ def clip(
         raise ValueError("cannot clip around an empty cell set")
     if margin_cells < 0:
         raise ValueError("margin_cells must be >= 0")
-    r0, r1, c0, c1 = _window(grid.shape, rows, cols, margin_cells)
+    r0, r1, c0, c1 = _window(grid.shape, (int(rows.min()), int(rows.max())),
+                             (int(cols.min()), int(cols.max())), margin_cells)
     return _view(grid, r0, r1, c0, c1), (r0, c0)
 
 
-def _window(shape: tuple[int, int], rows, cols, margin: int) -> tuple[int, int, int, int]:
+def _window(shape: tuple[int, int], rows: tuple[int, int], cols: tuple[int, int],
+            margin: int) -> tuple[int, int, int, int]:
     """``clip``'s window (r0, r1, c0, c1) on a grid of ``shape`` around the
-    cells of ``rows`` and ``cols``."""
+    cells whose least and greatest row are ``rows`` and column ``cols``."""
     nrows, ncols = shape
-    r0 = max(0, int(rows.min()) - margin)
-    r1 = min(nrows, int(rows.max()) + 1 + margin)
-    c0 = max(0, int(cols.min()) - margin)
-    c1 = min(ncols, int(cols.max()) + 1 + margin)
+    r0 = max(0, rows[0] - margin)
+    r1 = min(nrows, rows[1] + 1 + margin)
+    c0 = max(0, cols[0] - margin)
+    c1 = min(ncols, cols[1] + 1 + margin)
     # Grow degenerate windows until they satisfy the minimum-side invariant.
     while r1 - r0 < _MIN_SIDE and (r0 > 0 or r1 < nrows):
         r0, r1 = max(0, r0 - 1), min(nrows, r1 + 1)

@@ -240,6 +240,19 @@ def bowl_basin_dem():
     return river_grid(elev), ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
 
 
+def three_bowl_basin_dem():
+    """(grid, spec): ``bowl_basin_dem`` with two smaller bowls far from the
+    river. At zoom factor 8 the three bowls are three basins of the certified
+    site; the main bowl holds the link and the volume, so the other two are
+    spare and the prune drops them."""
+    yy, xx = np.mgrid[0:128, 0:128].astype(float)
+    elev = 600.0 + 0.4 * xx + np.random.default_rng(11).uniform(0, 2, (128, 128))
+    for (r, c), depth in (((64, 48), 195.0), ((24, 100), 150.0), ((104, 100), 150.0)):
+        elev -= depth * np.exp(-((yy - r) ** 2 + (xx - c) ** 2) / (2 * 6.5**2))
+    elev[:, :8] = RIVER_ELEVATION
+    return river_grid(elev), ps.SitingSpec.from_engineering(500.0, 175.0, 3.0, RIVER_ELEVATION, 0.667)
+
+
 def solve_at_level(grid, spec, level, time_limit=None, **kwargs):
     """Build at one defense level, solve with HiGHS, extract the solution."""
     sp = ps.build_siting_problem(grid, spec, level=level, **kwargs)

@@ -40,6 +40,13 @@ summed blocks with strided slices: numpy's ``sum(axis=(1, 3))`` over a
 is the distance field as scipy's ``distance_transform_edt`` returns it.
 ``test_terrain`` requires ``aggregate`` and ``distance_field`` to match them
 byte for byte.
+
+``drop_spare_components_reference`` is the prune of spare reservoir
+components as the package ran it before it labelled the reservoir once: a
+list of components from ``connected_components``, one stable sort of them by
+(holds the link, stored volume), and per dropped component a clear of its
+cells. ``test_model`` requires ``_drop_spare_components`` to leave the same
+masks and to keep as many components.
 """
 
 from __future__ import annotations
@@ -52,10 +59,10 @@ from scipy import ndimage
 
 from phs_siting.costing import CostParams, conveyance_cost, embankment_cell_cost, equipment_cost
 from phs_siting.errors import InfeasibleProblemError
-from phs_siting.model import MipProblem, Sense, VarKind
+from phs_siting.model import VOLUME_RTOL, MipProblem, Sense, VarKind
 from phs_siting.solve import OracleResult
 from phs_siting.terrain import (EIGHT_NEIGHBORS, FOUR_NEIGHBORS, TerrainGrid, candidate_sets,
-                                distance_field)
+                                connected_components, distance_field)
 
 from conftest import add_row, add_variable
 
@@ -617,3 +624,27 @@ def distance_reference(grid: TerrainGrid, metric: str) -> np.ndarray:
         return horizontal
     drop = np.abs(grid.elevations - grid.lower_elevation)
     return np.hypot(horizontal, np.where(np.isfinite(drop), drop, 0.0))
+
+
+def drop_spare_components_reference(masks, link, cell_storage, vol_min) -> list[np.ndarray]:
+    """Clear the reservoir components of ``masks`` (perimeter, interior,
+    reservoir) that neither ``link`` nor ``vol_min`` needs, in place; returns
+    the kept components."""
+    components = connected_components(masks[2], "four")
+    if len(components) < 2:
+        return components
+    holds_link = [bool(np.any((c[:, 0] == link[0]) & (c[:, 1] == link[1]))) for c in components]
+    stored = [float(cell_storage[c[:, 0], c[:, 1]].sum()) for c in components]
+    order = sorted(range(len(components)), key=lambda k: (not holds_link[k], -stored[k]))
+    kept: list[int] = []
+    total = 0.0
+    for k in order:
+        if not holds_link[k] and total >= vol_min * (1 - VOLUME_RTOL):
+            break
+        kept.append(k)
+        total += stored[k]
+    for k, comp in enumerate(components):
+        if k not in kept:
+            for mask in masks:
+                mask[comp[:, 0], comp[:, 1]] = False
+    return [components[k] for k in sorted(kept)]

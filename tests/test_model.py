@@ -2,18 +2,21 @@
 
 import itertools
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig
-from phs_siting.model import CellNames, Sense, VarKind, diag_corrected_length
+from phs_siting.model import CellNames, Sense, VarKind, _drop_spare_components, diag_corrected_length
 from phs_siting.solve import _configured, _pass_model
-from phs_siting.terrain import FOUR_NEIGHBORS
+from phs_siting.terrain import FOUR_NEIGHBORS, connected_components
 
 from conftest import (
     RIVER_ELEVATION,
@@ -35,7 +38,12 @@ from conftest import (
     two_basin_grid,
     two_basin_spec,
 )
-from reference_model import build_reference, build_reference_integer_ranks, build_reference_xyz
+from reference_model import (
+    build_reference,
+    build_reference_integer_ranks,
+    build_reference_xyz,
+    drop_spare_components_reference,
+)
 
 
 def _block_pit_grid():
@@ -327,6 +335,96 @@ def test_extract_keeps_dry_link_component():
     assert sol.link_cell == (8, 3)
     assert sol.perimeter_mask[8, 3] and sol.perimeter_mask[8, 4]
     assert sol.storage_m3 == pytest.approx(50.0 * CELL_M3)
+
+
+def _blocks_case(shape, blocks, link, vol_min):
+    """(depth, y, z, link, vol_min): each block (rows, cols, depth) an
+    interior basin of that depth, with the cells around it as its perimeter."""
+    depth, y = np.zeros(shape), np.zeros(shape, dtype=bool)
+    for rows, cols, d in blocks:
+        depth[rows, cols], y[rows, cols] = d, True
+    z = y.copy()
+    z[1:] |= y[:-1]
+    z[:-1] |= y[1:]
+    z[:, 1:] |= y[:, :-1]
+    z[:, :-1] |= y[:, 1:]
+    return depth, y, z, link, vol_min
+
+
+# Cells of 2 m, so a cell 1 m deep stores 4 m^3. Three spare basins store
+# 8 m^3 each: one cell 2 m deep first in row-major order, then two of two
+# cells 1 m deep. The larger goes first, then the first in row-major order.
+# The link sits on the perimeter of a basin of 4 m^3, and the target needs
+# one spare basin more.
+_EQUAL_STORAGE_TIES = _blocks_case((7, 11), [(np.s_[1], np.s_[1], 2.0), (np.s_[1], np.s_[7:9], 1.0),
+                                             (np.s_[5], np.s_[1:3], 1.0), (np.s_[5], np.s_[8], 1.0)],
+                                   (5, 9), 10.0)
+# The link sits on the perimeter of the smallest basin (4 m^3); the volume
+# needs the 36 m^3 basin too, and the 8 m^3 one is spare.
+_SECOND_BASIN = _blocks_case((9, 11), [(np.s_[1:4], np.s_[1:4], 1.0), (np.s_[7], np.s_[1:3], 1.0),
+                                       (np.s_[7], np.s_[8], 1.0)], (7, 9), 30.0)
+
+
+@st.composite
+def _prune_cases(draw):
+    """(depth, y, z, link, vol_min): random interior cells 1 or 2 m deep (so
+    equal storages are common), a reservoir holding them and a few more
+    cells, a link anywhere or in the smallest or the largest component, and a
+    volume target from none to more than the whole reservoir stores."""
+    shape = (draw(st.integers(3, 10)), draw(st.integers(3, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = rng.choice([1.0, 2.0], size=shape)
+    y = rng.random(shape) < draw(st.sampled_from([0.15, 0.3, 0.5]))
+    z = y | (rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.3])))
+    components = connected_components(z, "four")
+    where = draw(st.sampled_from(["anywhere", "smallest", "largest"]))
+    if where == "anywhere" or not components:
+        link = tuple(int(v) for v in rng.integers(0, shape))
+    else:
+        cells = components[-1 if where == "smallest" else 0]
+        link = tuple(cells[rng.integers(len(cells))].tolist())
+    stored = float((depth * y).sum()) * 4.0
+    return depth, y, z, link, draw(st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.5])) * stored
+
+
+def _prune_both(depth, y, z, link, vol_min):
+    """The masks and count that ``_drop_spare_components`` leaves, and the
+    masks and kept components that the reference leaves."""
+    grid = ps.TerrainGrid(WATER - depth, 2.0, np.zeros(depth.shape, bool), np.zeros(depth.shape, bool),
+                          RIVER_ELEVATION)
+    spec = types.SimpleNamespace(water_elevation=WATER, vol_min=vol_min)  # all the prune reads
+    masks = (z & ~y, y.copy(), z.copy())
+    count = _drop_spare_components(masks, link, grid, spec)
+    reference = (z & ~y, y.copy(), z.copy())
+    cell_storage = np.where(y, WATER - grid.elevations, 0.0) * grid.cell_area
+    kept = drop_spare_components_reference(reference, link, cell_storage, vol_min)
+    return masks, count, reference, kept
+
+
+@given(_prune_cases())
+@example(_EQUAL_STORAGE_TIES)
+@example(_SECOND_BASIN)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_prune_keeps_what_the_list_based_prune_kept(case):
+    """One labelling and per-label sums drop exactly the components that the
+    list of components and its stable sort dropped."""
+    masks, count, reference, kept = _prune_both(*case)
+    assert count == len(kept)
+    for got, want in zip(masks, reference):
+        assert np.array_equal(got, want)
+
+
+def test_prune_breaks_storage_ties_and_keeps_a_needed_second_basin():
+    masks, count, _, _ = _prune_both(*_EQUAL_STORAGE_TIES)
+    interior = masks[1]
+    assert count == 2 and interior.sum() == 3 and interior[1, 7:9].all() and interior[5, 8]
+
+    _, _, z, link, _ = _SECOND_BASIN
+    sizes = [len(c) for c in connected_components(z, "four")]
+    assert sizes == [21, 8, 5] and z[link]  # the link's basin is the smallest
+    masks, count, _, _ = _prune_both(*_SECOND_BASIN)
+    interior = masks[1]
+    assert count == 2 and interior[1:4, 1:4].all() and interior[7, 8] and not interior[7, 1:3].any()
 
 
 def test_extract_rejects_a_value_for_a_column_fixed_out():

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import phs_siting as ps
-from phs_siting import Level, StrategyConfig, strategy, terrain
+from phs_siting import Level, StrategyConfig, model, strategy, terrain
 from phs_siting.model import certify_level_zero
+from phs_siting.terrain import count_components
 from reference_model import all_ones_optimum
 
 from conftest import (
@@ -29,6 +30,7 @@ from conftest import (
     river_grid,
     scipy_matrix,
     spec_for_volume,
+    three_bowl_basin_dem,
     two_basin_grid,
     two_basin_spec,
 )
@@ -210,14 +212,14 @@ def _level0_instances(monkeypatch):
     import phs_siting.strategy as strategy
 
     stages = []
-    original = strategy.certify_level_zero
+    original = strategy.certify_site
 
     def recording(grid, spec, params, **kwargs):
         stages.append((f"bowl-stage{len(stages)}", grid, spec, kwargs))
         return original(grid, spec, params, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(strategy, "certify_level_zero", recording)
+        patch.setattr(strategy, "certify_site", recording)
         ps.run_zoom_in(*bowl_basin_dem(), config=StrategyConfig(zoom_factors=(8, 4, 2, 1)))
     assert len(stages) == 4
     yield from stages
@@ -503,8 +505,9 @@ def test_window_check_equals_full_grid_check():
         link = tuple(int(v) for v in sites[rng.integers(0, len(sites))])
         site = dataclasses.replace(base, perimeter_mask=x, interior_mask=y, reservoir_mask=z,
                                    link_cell=link)
-        full = ps.verify_masks(grid, cands, spec, site.with_origin((r0, c0), grid.shape))
-        assert strategy._window_violations(grid, spec, site, (r0, c0)) == full
+        site = site.with_origin((r0, c0), grid.shape)
+        full = ps.verify_masks(grid, cands, spec, site)
+        assert strategy._window_violations(grid, spec, site, (r0, c0, nr, nc)) == full
         seen["faulty" if full else "clean"] += 1
         seen["grid_edge"] += r0 == 0 or c0 == 0 or r0 + nr == grid.nrows or c0 + nc == grid.ncols
         seen["window_edge"] += bool(z[[0, -1], :].any() or z[:, [0, -1]].any())
@@ -773,9 +776,9 @@ def test_zoom_coarse_stage_solves_first_rung_only(monkeypatch):
     original = strategy._run_stage
 
     def recording(*args):
-        sol = original(*args)
-        stages.append((round(args[0].cell_length / grid.cell_length), sol))
-        return sol
+        site, trace = original(*args)
+        stages.append((round(args[0].cell_length / grid.cell_length), site))
+        return site, trace
 
     monkeypatch.setattr(strategy, "_run_stage", recording)
     zoomed = ps.run_zoom_in(grid, spec, config=config)
@@ -839,9 +842,9 @@ def test_zoom_keeps_excluded_cells_dry_at_every_stage(monkeypatch):
     original = strategy._run_stage
 
     def recording(*args):
-        sol = original(*args)
-        stages.append((round(args[0].cell_length / grid.cell_length), sol))
-        return sol
+        site, trace = original(*args)
+        stages.append((round(args[0].cell_length / grid.cell_length), site))
+        return site, trace
 
     monkeypatch.setattr(strategy, "_run_stage", recording)
     cell = (1, 4)
@@ -857,3 +860,63 @@ def test_zoom_keeps_excluded_cells_dry_at_every_stage(monkeypatch):
     assert ps.verify_masks(grid, cands, spec, site) == []
     assert not (site.reservoir_mask & grid.excluded).any()
     assert _coarse_stage_floods(cell, site.trace, stages) == [False]
+
+
+def test_a_run_reads_out_one_site(monkeypatch):
+    """Rungs and zoom stages hand on pruned sites; the physical readout runs
+    once per call, on the site the call returns."""
+    sites = []
+    original = model.read_out
+
+    def counting(grid, spec, params, dist, site, **report):
+        sites.append(site)
+        return original(grid, spec, params, dist, site, **report)
+
+    monkeypatch.setattr(model, "read_out", counting)
+    monkeypatch.setattr(strategy, "read_out", counting)
+    zoomed = ps.run_zoom_in(*three_bowl_basin_dem(), config=StrategyConfig(zoom_factors=(8, 4, 2, 1)))
+    assert [t.zoom_factor for t in zoomed.trace] == [8, 4, 2, 1] and len(sites) == 1
+
+    sites.clear()
+    ladder = ps.run_ladder(two_basin_grid(), two_basin_spec())
+    assert ladder.trace[0].level == 0 and ladder.trace[0].connected is False
+    assert len(ladder.trace) >= 2 and ladder.connected and len(sites) == 1
+
+
+@pytest.mark.parametrize("make", [bowl_basin_dem, three_bowl_basin_dem])
+def test_each_zoom_entry_is_the_certificate_on_its_stage(make):
+    """Each certified zoom stage reports what ``certify_level_zero`` reads
+    out on that stage's terrain; a coarse stage's spare basins are dropped
+    before its site places the next window; and the run returns the native
+    stage's site."""
+    grid, spec = make()
+    zoomed = ps.run_zoom_in(grid, spec, config=StrategyConfig(zoom_factors=(8, 4, 2, 1)))
+    basins = []
+    for k, entry in enumerate(zoomed.trace):
+        r0, c0, nr, nc = entry.window
+        factor = entry.zoom_factor
+        sub, (roff, coff), dist = ps.stage_terrain(grid, factor, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)])
+        assert (roff * factor, coff * factor) == (r0, c0)
+        cands = ps.candidate_sets(sub, spec.water_elevation)
+        site = certify_level_zero(sub, spec, ps.CostParams(), cands=cands, dist=dist)
+        assert (entry.path, entry.level, entry.status, entry.gap) == ("certified", 0, "optimal", 0.0)
+        assert entry.objective == entry.bound == site.objective_value
+        assert (entry.connected, entry.n_components) == (site.connected, site.n_components)
+        basins.append(count_components(cands.reservoir_ok))
+        if k + 1 < len(zoomed.trace):  # the next window holds this site's reservoir
+            wr, wc, wn, wm = zoomed.trace[k + 1].window
+            rows, cols = (np.argwhere(site.reservoir_mask) + (roff, coff)).T * factor
+            assert wr <= rows.min() and rows.max() + factor <= wr + wn
+            assert wc <= cols.min() and cols.max() + factor <= wc + wm
+    native = site.with_origin((roff, coff), grid.shape)
+    for name in ("perimeter_mask", "interior_mask", "reservoir_mask"):
+        assert np.array_equal(getattr(zoomed, name), getattr(native, name)), name
+    assert (zoomed.link_cell, zoomed.costs, zoomed.storage_m3) == (native.link_cell, native.costs, native.storage_m3)
+    assert zoomed.valid and zoomed.connected
+    if make is three_bowl_basin_dem:
+        # three basins at factor 8, one kept: the next window leaves out the
+        # two spare bowls, centered at fine cells (24, 100) and (104, 100)
+        assert basins[0] == 3 and zoomed.trace[0].n_components == 1
+        wr, wc, wn, wm = zoomed.trace[1].window
+        for r, c in ((24, 100), (104, 100)):
+            assert not (wr <= r < wr + wn and wc <= c < wc + wm)

@@ -690,6 +690,19 @@ def test_clip_takes_the_box_of_cells_as_of_their_mask(margin):
                 (want.cell_length, want.lower_elevation, want.xllcorner, want.yllcorner)
 
 
+def test_clip_reads_a_number_mask_of_the_grids_shape_as_a_mask():
+    # read as (i, j) pairs, as it once was, this mask clipped the window at (0, 0)
+    grid = pit_grid()
+    mask = np.zeros(grid.shape)
+    mask[2, 3] = 1.0
+    sub, origin = ps.clip(grid, mask, 0)
+    want, want_origin = ps.clip(grid, mask == 1, 0)
+    assert origin == want_origin == (1, 2) and sub.shape == want.shape
+    mask[0, 0] = 3.0
+    with pytest.raises(ValueError, match=r"mask value 3 at cell \(0, 0\) is not 0 or 1"):
+        ps.clip(grid, mask, 0)
+
+
 def test_clip_checks_cells_and_margin():
     grid = pit_grid()
     with pytest.raises(ValueError, match="empty"):
@@ -757,6 +770,42 @@ def test_candidates_reject_wrongly_shaped_exclusion_mask():
     wrong[3, 5] = True
     with pytest.raises(ValueError, match="does not match the grid"):
         dataclasses.replace(grid, excluded=wrong)
+
+
+def _four_by_four(excluded) -> ps.TerrainGrid:
+    elev = np.full((4, 4), 600.0)
+    elev[:, 0] = RIVER_ELEVATION
+    return ps.TerrainGrid(elev, 34.0, elev == RIVER_ELEVATION, np.zeros((4, 4), bool),
+                          RIVER_ELEVATION, excluded=excluded)
+
+
+@pytest.mark.parametrize("dtype", [float, int, np.uint8])
+def test_a_number_mask_of_the_grids_shape_bars_its_own_cells(dtype):
+    # read as (i, j) pairs, as it once was, this mask barred (0, 0) and (0, 1)
+    # and left (2, 3) open; np.loadtxt of a mask raster gives such floats
+    mask = np.zeros((4, 4), dtype)
+    mask[2, 3] = 1
+    grid = _four_by_four(mask)
+    assert grid.excluded.dtype == bool
+    assert np.argwhere(grid.excluded).tolist() == [[2, 3]]
+    assert np.array_equal(grid.excluded, _four_by_four([(2, 3)]).excluded)
+
+
+@pytest.mark.parametrize("value, shown", [(2.0, "2"), (0.5, "0.5"), (-1, "-1"), (math.nan, "nan")])
+def test_a_mask_value_other_than_0_or_1_is_refused(value, shown):
+    mask = np.zeros((4, 4))
+    mask[2, 3] = 1.0
+    mask[3, 1] = value
+    with pytest.raises(ValueError, match=rf"^mask value {shown} at cell \(3, 1\) is not 0 or 1$"):
+        _four_by_four(mask)
+
+
+@pytest.mark.parametrize("cells", [[2, 3], [(1, 2, 3)], np.zeros((2, 2, 2), int), np.zeros((3, 4))],
+                         ids=["one-flat-pair", "a-triple", "three-axes", "another-shape"])
+def test_cells_must_be_pairs_of_shape_k_by_2(cells):
+    with pytest.raises(ValueError, match=r"cells must be \(i, j\) pairs of shape \(k, 2\)"):
+        _four_by_four(cells)
+    assert not _four_by_four([]).excluded.any()  # no cells at all bar nothing
 
 
 def test_candidates_exclude_lower_and_nodata():
