@@ -14,7 +14,7 @@ them. Extraction and ``verify_masks`` use the fixed tolerances
 the grid or outside a candidate set are treated as constant zero, which makes
 the shape rules well defined at grid edges. Below the tour rung the builder
 leaves out the columns that a dominance argument fixes, with the rows they
-satisfy (see ``build_siting_problem``). At level 0, ``certify_level_zero``
+satisfy (see ``build_siting_problem``). At level 0, ``certify_site``
 proves the site of every candidate optimal from the candidate rasters alone,
 when it is, and then no model is built.
 """
@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import IntEnum
+from typing import Self
 
 import numpy as np
 
@@ -793,7 +793,7 @@ def build_siting_problem(
     return SitingProblem(prob, sv, grid, cands, spec, params, dist, int(level))
 
 
-def certify_level_zero(
+def certify_site(
     grid: TerrainGrid,
     spec: SitingSpec,
     params: CostParams,
@@ -801,9 +801,9 @@ def certify_level_zero(
     cands: CandidateSets,
     dist: DistanceField,
     perimeter_min_neighbors: int = 1,
-) -> ReservoirSolution | None:
-    """The optimal site of the level-0 model, when the candidate rasters prove
-    one without building it; else None.
+) -> Site | None:
+    """The optimal site of the level-0 model, pruned, when the candidate
+    rasters prove one without building it; else None.
 
     The site is "all candidates": the reservoir is every reservoir candidate,
     the interior every interior candidate, and the link sits where
@@ -842,32 +842,10 @@ def certify_level_zero(
     - ``linkx`` (l <= z - y): the link cell is not an interior candidate.
 
     So the site is accepted exactly when the level-0 model's all-ones point
-    is feasible, and no model is built. ``certify_site`` runs the checks and
-    the prune of spare components; ``read_out`` reads the site out. The
-    solution reports status ``optimal``, the bound as its objective, gap 0,
-    no model size, and the seconds the checks and the prune took as its wall
-    time.
+    is feasible, and no model is built. The accepted site's spare components
+    are dropped (``_drop_spare_components``); it reports status ``optimal``,
+    the bound as its objective and gap 0, and ``read_out`` reads it out.
     """
-    start = time.perf_counter()
-    site = certify_site(grid, spec, params, cands=cands, dist=dist,
-                        perimeter_min_neighbors=perimeter_min_neighbors)
-    if site is None:
-        return None
-    return read_out(grid, spec, params, dist, site, wall_time_s=time.perf_counter() - start,
-                    n_variables=0, n_constraints=0)
-
-
-def certify_site(
-    grid: TerrainGrid,
-    spec: SitingSpec,
-    params: CostParams,
-    *,
-    cands: CandidateSets,
-    dist: DistanceField,
-    perimeter_min_neighbors: int = 1,
-) -> Site | None:
-    """The pruned site that ``certify_level_zero`` reads out, or None where it
-    returns None: its checks, in its order, on the candidate masks."""
     interior, reservoir = cands.interior_ok, cands.reservoir_ok
     up, down, left, right = _four_sides(reservoir)
     if (interior & ~(up & down & left & right)).any():
@@ -915,36 +893,9 @@ class Site:
     def connected(self) -> bool:
         return self.n_components == 1
 
-
-@dataclass
-class ReservoirSolution:
-    """Physical reading of an incumbent, recomputed from the cell masks."""
-
-    perimeter_mask: np.ndarray
-    interior_mask: np.ndarray
-    reservoir_mask: np.ndarray
-    link_cell: Cell
-    storage_m3: float
-    area_ha: float
-    embankment_length_m: float
-    embankment_length_diag_m: float
-    embankment_volume_m3: float
-    distance_m: float
-    costs: CostBreakdown
-    objective_value: float
-    gap: float | None
-    wall_time_s: float
-    status: str
-    level: int
-    n_variables: int
-    n_constraints: int
-    connected: bool
-    n_components: int
-    valid: bool = True
-    trace: tuple = ()
-
-    def with_origin(self, origin: Cell, full_shape: tuple[int, int]) -> "ReservoirSolution":
-        """Re-embed the masks of a clipped window into the full grid frame."""
+    def with_origin(self, origin: Cell, full_shape: tuple[int, int]) -> Self:
+        """A copy with the masks of a clipped window re-embedded in the full
+        grid frame, ``origin`` being the window's first cell there."""
         r0, c0 = origin
         out = []
         for mask in (self.perimeter_mask, self.interior_mask, self.reservoir_mask):
@@ -958,6 +909,25 @@ class ReservoirSolution:
             reservoir_mask=out[2],
             link_cell=(self.link_cell[0] + r0, self.link_cell[1] + c0),
         )
+
+
+@dataclass
+class ReservoirSolution(Site):
+    """Physical reading of a site, recomputed from its masks, with the run
+    that found it."""
+
+    storage_m3: float
+    area_ha: float
+    embankment_length_m: float
+    embankment_length_diag_m: float
+    embankment_volume_m3: float
+    distance_m: float
+    costs: CostBreakdown
+    wall_time_s: float
+    n_variables: int
+    n_constraints: int
+    valid: bool = True
+    trace: tuple = ()
 
 
 def _column_vector(problem: MipProblem, x) -> np.ndarray:
@@ -1148,11 +1118,11 @@ def read_out(
         equipment=equipment_cost(spec.head_m, spec.power_mw, params),
     )
 
+    verdict = {f.name: getattr(site, f.name) for f in fields(Site)}
+    if site.objective_value is None:
+        verdict["objective_value"] = costs.total
     return ReservoirSolution(
-        perimeter_mask=x_mask,
-        interior_mask=y_mask,
-        reservoir_mask=site.reservoir_mask,
-        link_cell=link,
+        **verdict,
         storage_m3=storage,
         area_ha=area_ha,
         embankment_length_m=float(np.count_nonzero(emb_mask)) * grid.cell_length,
@@ -1160,12 +1130,6 @@ def read_out(
         embankment_volume_m3=emb_volume,
         distance_m=float(dist.values[link]),
         costs=costs,
-        objective_value=costs.total if site.objective_value is None else site.objective_value,
-        gap=site.gap,
-        status=site.status,
-        level=site.level,
-        connected=site.connected,
-        n_components=site.n_components,
         valid=site.connected,
         **report,
     )

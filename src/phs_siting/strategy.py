@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -126,16 +126,30 @@ class TraceEntry:
 _LADDER = ("ladder", 1, None)
 
 
-def _solution(grid, spec, params, dist, site: Site, trace: Sequence[TraceEntry]) -> ReservoirSolution:
-    """The readout of a run's site, with the run's trace, the largest
-    problem it solved and its summed wall time."""
-    return read_out(
-        grid, spec, params, dist, site,
+def _solution(grid, spec, params, sub, origin, dist, site: Site,
+              trace: Sequence[TraceEntry]) -> ReservoirSolution:
+    """The run's ``site``, found on ``sub``, the window of ``grid`` at
+    ``origin`` (``grid`` itself for a direct run): checked on ``grid``, read
+    out on ``sub`` with the run's trace, the largest problem it solved and
+    its summed wall time, and placed in ``grid``'s frame.
+
+    The check is ``verify_masks`` on the window grown by one cell
+    (``_window_violations``); a site that fails it is flagged invalid.
+    """
+    violations = _window_violations(grid, spec, site, origin, sub.shape)
+    solution = read_out(
+        sub, spec, params, dist, site,
         wall_time_s=sum(t.wall_time_s for t in trace),
         n_variables=max(t.n_variables for t in trace),
         n_constraints=max(t.n_constraints for t in trace),
         trace=tuple(trace),
     )
+    if violations:
+        logger.warning("final site fails the full-resolution checks: %s", violations)
+        solution.valid = False
+    if sub is not grid:
+        solution = solution.with_origin(origin, grid.shape)
+    return solution
 
 
 def _share(deadline: float | None, n_left: int) -> float | None:
@@ -164,8 +178,9 @@ def run_ladder(
 
     Returns the first connected incumbent, annotated with the level that
     produced it. When every ladder level still fragments, the best fragmented
-    incumbent comes back flagged invalid; when no level yields an incumbent at
-    all, NoIncumbentError carries the trace. Each rung gets an even share of
+    incumbent comes back flagged invalid, as does a site that fails
+    ``verify_masks``; when no level yields an incumbent at all,
+    NoIncumbentError carries the trace. Each rung gets an even share of
     the time left before the case's deadline (``StrategyConfig.time_limit_s``).
     """
     config = config or StrategyConfig()
@@ -174,7 +189,7 @@ def run_ladder(
     if dist is None:
         dist = distance_field(grid, config.distance_metric)
     site, trace = _run_stage(grid, spec, params, config, config.ladder, deadline, dist, _LADDER)
-    return _solution(grid, spec, params, dist, site, trace)
+    return _solution(grid, spec, params, grid, (0, 0), dist, site, trace)
 
 
 def _run_stage(grid, spec, params, config, levels, deadline, dist, tag) -> tuple[Site, list[TraceEntry]]:
@@ -313,34 +328,23 @@ def run_zoom_in(
                    (min((roff + int(rows[-1]) + 1) * factor - 1 + margin, last[0]),
                     min((coff + int(cols[-1]) + 1) * factor - 1 + margin, last[1])))
 
-    # The last zoom factor is 1, so (roff, coff) places the native window and
-    # the last tag holds that window in fine cells.
-    full = _solution(sub, spec, params, sub_dist, site, trace).with_origin((roff, coff), grid.shape)
-    violations = _window_violations(grid, spec, full, tag[2])
-    if violations:
-        logger.warning("zoom-in final solution fails full-resolution checks: %s", violations)
-        full = replace(full, valid=False)
-    return full
+    # The last zoom factor is 1, so (roff, coff) places the native window.
+    return _solution(grid, spec, params, sub, (roff, coff), sub_dist, site, trace)
 
 
-def _window_violations(grid: TerrainGrid, spec: SitingSpec, solution: ReservoirSolution,
-                       window: tuple[int, int, int, int]) -> list[str]:
-    """``verify_masks`` of ``solution`` on the full grid, run on ``window``
-    (first row, first column, rows, columns) grown by one cell.
+def _window_violations(grid: TerrainGrid, spec: SitingSpec, site: Site,
+                       origin: tuple[int, int], shape: tuple[int, int]) -> list[str]:
+    """``verify_masks`` on ``grid`` of ``site``, whose masks cover the window
+    of ``shape`` at ``origin``, run on that window grown by one cell.
 
-    The masks are zero outside the window; the check reads them sliced to
-    the grown window. Every rule of ``verify_masks`` reads a cell and its
+    The site is placed in the grown window; its masks are zero outside the
+    window. Every rule of ``verify_masks`` reads a cell and its
     4-neighbors, which the grown window holds (or the grid edge, where both
     grids end), so the candidate sets agree on the window; and the storage
     is summed over the interior cells alone, in the same order. So the
     violations are the same.
     """
-    r0, c0, nr, nc = window
+    (r0, c0), (nr, nc) = origin, shape
     sub, (sr, sc) = clip(grid, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)], 1)
     cands = candidate_sets(sub, spec.water_elevation)
-    rows, cols = slice(sr, sr + sub.nrows), slice(sc, sc + sub.ncols)
-    i, j = solution.link_cell
-    grown = Site(solution.perimeter_mask[rows, cols], solution.interior_mask[rows, cols],
-                 solution.reservoir_mask[rows, cols], (i - sr, j - sc), solution.n_components,
-                 solution.status, solution.objective_value, solution.gap, solution.level)
-    return verify_masks(sub, cands, spec, grown)
+    return verify_masks(sub, cands, spec, site.with_origin((r0 - sr, c0 - sc), sub.shape))

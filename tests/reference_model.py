@@ -402,7 +402,7 @@ def build_reference_integer_ranks(grid, spec, **kwargs) -> MipProblem:
 
 def all_ones_optimum(sp) -> tuple[np.ndarray, float] | None:
     """The model-level level-0 certificate the package used before it decided
-    the same question from the candidate rasters (``certify_level_zero``).
+    the same question from the candidate rasters (``certify_site``).
 
     Given a built level-0 model, it sets every ``z`` and ``y`` column to 1
     and, if ``l`` columns are left, the kept ``l`` of lowest cost (the first

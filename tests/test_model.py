@@ -3,7 +3,7 @@
 import itertools
 import math
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.optimize._highspy import _core as core
 
 import phs_siting as ps
-from phs_siting import Level, StrategyConfig
+from phs_siting import Level, StrategyConfig, model
 from phs_siting.model import CellNames, Sense, VarKind, _drop_spare_components, diag_corrected_length
 from phs_siting.solve import _configured, _pass_model
 from phs_siting.terrain import FOUR_NEIGHBORS, connected_components
@@ -610,6 +610,29 @@ def test_with_origin_embeds_masks():
     assert moved.perimeter_mask.shape == (10, 10)
     assert moved.interior_mask[2 + 3, 3 + 2]
     assert moved.link_cell == (sol.link_cell[0] + 3, sol.link_cell[1] + 2)
+
+
+def test_read_out_carries_every_site_field():
+    """A solution is its site read out: ``ReservoirSolution`` adds only the
+    readout and run fields to ``Site``, the site's fields pass through, and
+    an objective of None reads as the total cost."""
+    assert issubclass(ps.ReservoirSolution, model.Site)
+    site_fields = {f.name for f in fields(model.Site)}
+    assert not site_fields & set(vars(ps.ReservoirSolution)["__annotations__"])
+    assert "connected" not in {f.name for f in fields(ps.ReservoirSolution)}
+    grid, spec = two_basin_grid(), two_basin_spec()
+    sp = ps.build_siting_problem(grid, spec, level=0)
+    res = ps.solve(sp.mip, "highs")
+    for objective in (None, 123.5):
+        site = model.extract_site(sp, res.x, status="time_limit", objective_value=objective, gap=0.25)
+        site.n_components = 2
+        sol = model.read_out(grid, spec, sp.cost_params, sp.dist, site, wall_time_s=1.0,
+                             n_variables=7, n_constraints=5)
+        for name in site_fields - {"objective_value"}:
+            assert getattr(sol, name) is getattr(site, name), name
+        assert sol.objective_value == (sol.costs.total if objective is None else objective)
+        assert (sol.connected, sol.valid) == (False, False)
+        assert (sol.wall_time_s, sol.n_variables, sol.n_constraints) == (1.0, 7, 5)
 
 
 def test_perimeter_min_neighbors_three_restricts():

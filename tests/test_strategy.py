@@ -9,7 +9,6 @@ import pytest
 
 import phs_siting as ps
 from phs_siting import Level, StrategyConfig, model, strategy, terrain
-from phs_siting.model import certify_level_zero
 from phs_siting.terrain import count_components
 from reference_model import all_ones_optimum
 
@@ -184,12 +183,23 @@ def _all_ones_point(sp, link=None) -> np.ndarray:
     return x
 
 
-def _certify(grid, spec, *, dist=None, perimeter_min_neighbors=1):
-    """``certify_level_zero`` with the arguments ``run_ladder`` gives it."""
-    return certify_level_zero(grid, spec, ps.CostParams(),
-                              cands=ps.candidate_sets(grid, spec.water_elevation),
-                              dist=dist or ps.distance_field(grid),
+def _certified(grid, spec, params, *, cands, dist, perimeter_min_neighbors=1):
+    """The readout of the level-0 certificate's site (``certify_site``), with
+    no model size, or None where the certificate does not fire."""
+    site = model.certify_site(grid, spec, params, cands=cands, dist=dist,
                               perimeter_min_neighbors=perimeter_min_neighbors)
+    if site is None:
+        return None
+    return model.read_out(grid, spec, params, dist, site, wall_time_s=0.0,
+                          n_variables=0, n_constraints=0)
+
+
+def _certify(grid, spec, *, dist=None, perimeter_min_neighbors=1):
+    """``_certified`` with the arguments ``run_ladder`` gives the certificate."""
+    return _certified(grid, spec, ps.CostParams(),
+                      cands=ps.candidate_sets(grid, spec.water_elevation),
+                      dist=dist or ps.distance_field(grid),
+                      perimeter_min_neighbors=perimeter_min_neighbors)
 
 
 def _no_build(*args, **kwargs):
@@ -242,7 +252,7 @@ def test_certified_level_zero_agrees_with_highs(monkeypatch):
     for name, grid, spec, kwargs in _level0_instances(monkeypatch):
         sp = ps.build_siting_problem(grid, spec, level=0, **kwargs)
         reference = all_ones_optimum(sp)
-        site = certify_level_zero(grid, spec, ps.CostParams(), **kwargs)
+        site = _certified(grid, spec, ps.CostParams(), **kwargs)
         assert (site is None) == (reference is None), name
         if site is None:
             continue
@@ -465,6 +475,19 @@ def test_zoom_flags_a_site_that_fails_the_full_grid_check(monkeypatch, caplog):
     assert "stub violation" in caplog.text
 
 
+def test_both_runs_flag_a_site_that_fails_the_check(monkeypatch, caplog):
+    """A direct run and a zoom run end in the same checked readout: a site
+    that fails ``verify_masks`` comes back invalid, still connected."""
+    monkeypatch.setattr(strategy, "verify_masks", lambda *args: ["stub violation"])
+    with caplog.at_level("WARNING", logger="phs_siting.strategy"):
+        direct = ps.run_ladder(pit_grid(), pit_spec())
+        zoomed = ps.run_zoom_in(_zoomable_pit_grid(), spec_for_volume(100_000.0),
+                                config=StrategyConfig(zoom_factors=(2, 1)))
+    for sol in (direct, zoomed):
+        assert sol.connected and not sol.valid
+    assert caplog.text.count("stub violation") == 2
+
+
 def test_window_check_equals_full_grid_check():
     """``run_zoom_in`` checks the final site on its window grown by one cell;
     on random sites and mutated ones, in windows inside the grid and at its
@@ -505,9 +528,8 @@ def test_window_check_equals_full_grid_check():
         link = tuple(int(v) for v in sites[rng.integers(0, len(sites))])
         site = dataclasses.replace(base, perimeter_mask=x, interior_mask=y, reservoir_mask=z,
                                    link_cell=link)
-        site = site.with_origin((r0, c0), grid.shape)
-        full = ps.verify_masks(grid, cands, spec, site)
-        assert strategy._window_violations(grid, spec, site, (r0, c0, nr, nc)) == full
+        full = ps.verify_masks(grid, cands, spec, site.with_origin((r0, c0), grid.shape))
+        assert strategy._window_violations(grid, spec, site, (r0, c0), (nr, nc)) == full
         seen["faulty" if full else "clean"] += 1
         seen["grid_edge"] += r0 == 0 or c0 == 0 or r0 + nr == grid.nrows or c0 + nc == grid.ncols
         seen["window_edge"] += bool(z[[0, -1], :].any() or z[:, [0, -1]].any())
@@ -885,7 +907,7 @@ def test_a_run_reads_out_one_site(monkeypatch):
 
 @pytest.mark.parametrize("make", [bowl_basin_dem, three_bowl_basin_dem])
 def test_each_zoom_entry_is_the_certificate_on_its_stage(make):
-    """Each certified zoom stage reports what ``certify_level_zero`` reads
+    """Each certified zoom stage reports what the level-0 certificate reads
     out on that stage's terrain; a coarse stage's spare basins are dropped
     before its site places the next window; and the run returns the native
     stage's site."""
@@ -898,7 +920,7 @@ def test_each_zoom_entry_is_the_certificate_on_its_stage(make):
         sub, (roff, coff), dist = ps.stage_terrain(grid, factor, [(r0, c0), (r0 + nr - 1, c0 + nc - 1)])
         assert (roff * factor, coff * factor) == (r0, c0)
         cands = ps.candidate_sets(sub, spec.water_elevation)
-        site = certify_level_zero(sub, spec, ps.CostParams(), cands=cands, dist=dist)
+        site = _certified(sub, spec, ps.CostParams(), cands=cands, dist=dist)
         assert (entry.path, entry.level, entry.status, entry.gap) == ("certified", 0, "optimal", 0.0)
         assert entry.objective == entry.bound == site.objective_value
         assert (entry.connected, entry.n_components) == (site.connected, site.n_components)
