@@ -142,9 +142,9 @@ def _parse_config(path: str | Path) -> tuple[CaseConfig | None, list[str]]:
     diags: list[str] = []
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return None, [f"config: cannot read {path}: {exc}"]
     except configparser.Error as exc:
         return None, [f"config: parse error: {exc}"]

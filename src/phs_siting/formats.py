@@ -187,12 +187,16 @@ def read_problem_file(path: str | Path) -> MipProblem:
     HiGHS reads the file and picks the grammar from the extension. Raises
     GridFormatError on what the writers never produce: a file HiGHS refuses
     or reads only with a warning, a maximization, a ranged or free row, a
-    semi-continuous column, or a repeated row name. A variable with lb > ub
-    raises ValueError, naming it. A path that cannot be opened as a file (a
-    missing file, a directory) raises its OSError, not a format error.
+    semi-continuous column, a repeated row name, or bytes that are not UTF-8
+    text. A variable with lb > ub raises ValueError, naming it. A path that
+    cannot be opened as a file (a missing file, a directory) raises its
+    OSError, not a format error.
     """
     path = Path(path)
-    path.open("rb").close()
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFormatError(f"model file {path} is not UTF-8 text: {exc}") from exc
     return _read_model(str(path), path.stem)
 
 

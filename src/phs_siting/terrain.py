@@ -251,6 +251,15 @@ _ESRI_KEYS = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_va
 _SIDECAR_KEYS = {"cell_length", "nodata_value", "xllcorner", "yllcorner", "lower_elevation"}
 
 
+def _file_text(path: Path, what: str = "") -> str:
+    """The text of ``path``; a file that cannot be read or is not UTF-8 text
+    raises GridFormatError naming it, with ``what`` it is."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridFormatError(f"cannot read {what}{path}: {exc}") from exc
+
+
 def _parse_float(token: str, context: str) -> float:
     try:
         return float(token)
@@ -375,10 +384,7 @@ def load_grid(
     path = Path(path)
     if lower is None:
         raise ValueError("a lower-body specification is required")
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise GridFormatError(f"cannot read {path}: {exc}") from exc
+    text = _file_text(path)
 
     xll = yll = 0.0
     nodata_value = None
@@ -391,10 +397,7 @@ def load_grid(
     elif fmt == "csv":
         values = _parse_csv_grid(text, str(path))
         meta_path = Path(str(path) + ".meta")
-        try:
-            meta = _parse_keyvalue(meta_path.read_text(), str(meta_path))
-        except OSError as exc:
-            raise GridFormatError(f"missing sidecar metadata {meta_path}: {exc}") from exc
+        meta = _parse_keyvalue(_file_text(meta_path, "sidecar metadata "), str(meta_path))
         if "cell_length" not in meta:
             raise GridFormatError(f"sidecar {meta_path} lacks cell_length")
         cell_length = meta["cell_length"]
@@ -439,11 +442,7 @@ def load_mask(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
     """Read a 0/1 ESRI ASCII raster of exactly ``shape``, the DEM's, as a bool
     mask; other values (the file's NODATA_value too) raise GridFormatError."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise GridFormatError(f"cannot read {path}: {exc}") from exc
-    values, _ = _parse_esri_ascii(text, str(path))
+    values, _ = _parse_esri_ascii(_file_text(path), str(path))
     if values.shape != tuple(shape):
         raise GridFormatError(f"mask shape {values.shape} does not match DEM {tuple(shape)} in {path}")
     odd = _off_zero_one(values)

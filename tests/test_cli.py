@@ -255,6 +255,20 @@ def test_a_header_count_that_is_not_a_finite_integer_is_reported(micro_config, t
     assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize("file", ["cases.ini", "dem.asc"])
+def test_a_file_that_is_not_utf8_is_reported(micro_config, tmp_path, capsys, file):
+    # a 0xff byte in the case file or the DEM once ended validate with a traceback
+    path = tmp_path / file
+    path.write_bytes(path.read_bytes().replace(b"\n", b" \xff\n", 7))
+    assert main(["validate", str(micro_config)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(("config: " if file == "cases.ini" else "") + f"cannot read {path}: ")
+    assert main(["run", str(micro_config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot read {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_csv_dem_reads(micro_config):
     _csv_dem(micro_config, "cell_length=34\n")
     assert validate_config(micro_config) == []

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -596,6 +597,22 @@ def test_mps_reader_rejects_duplicate_row():
         ps.read_mps(_MPS_DUPLICATE_ROW)
 
 
+@pytest.mark.parametrize("where", ["comment", "column_name"])
+def test_a_model_file_that_is_not_utf8_is_a_format_error(tmp_path, where):
+    # HiGHS drops the row names of this file, and the reader reads them from
+    # the file itself: a 0xff byte there, or in a name HiGHS hands back, once
+    # raised a bare UnicodeDecodeError
+    text = _MPS_DUPLICATE_ROW.encode()
+    if where == "comment":
+        text = b"* \xff\n" + text
+    else:
+        text = text.replace(b"   b  ", b"   b\xff  ")
+    path = tmp_path / "model.mps"
+    path.write_bytes(text)
+    with pytest.raises(ps.GridFormatError, match=re.escape(f"model file {path} is not UTF-8 text")):
+        ps.read_problem_file(path)
+
+
 def test_lp_reader_rejects_duplicate_constraint_label():
     with pytest.raises(ps.GridFormatError, match="duplicate row name 'r'"):
         ps.read_lp(_LP_DUPLICATE_LABEL)
@@ -761,6 +778,7 @@ def test_file_calls_reuse_one_highs_per_thread():
 
 _EXIT_SCRIPT = """
 import os
+import re
 import phs_siting as ps
 from phs_siting import formats
 from conftest import pit_grid, pit_spec

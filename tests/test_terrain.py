@@ -4,7 +4,9 @@ import dataclasses
 import math
 import re
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +121,109 @@ def test_repeated_header_key_rejected(tmp_path, repeat, key):
     path.write_text(f"ncols 3\nnrows 3\n{repeat}\n" + "1 1 1\n" * 3)
     with pytest.raises(ps.GridFormatError, match=re.escape(f"repeated header key '{key}' in {path}")):
         ps.load_grid(path, "esri_ascii", ps.ByElevation(1.0))
+
+
+@pytest.mark.parametrize("reader", ["esri_ascii", "csv", "csv_sidecar"])
+def test_a_dem_that_is_not_utf8_is_a_format_error(tmp_path, reader):
+    # a 0xff byte once raised a bare UnicodeDecodeError
+    if reader == "esri_ascii":
+        path = bad = tmp_path / "dem.asc"
+        bad.write_bytes(UNIFORM_ASC.encode().replace(b"385 385 385\n", b"385 \xff 385\n", 1))
+    else:
+        path = tmp_path / "dem.csv"
+        path.write_bytes(b"385,385,385\n385,\xff,385\n385,385,385\n")
+        (tmp_path / "dem.csv.meta").write_text("cell_length = 34\n")
+        if reader == "csv_sidecar":
+            path.write_text("385,385,385\n" * 3)
+            bad = tmp_path / "dem.csv.meta"
+            bad.write_bytes(b"cell_length = 34 # \xff\n")
+        else:
+            bad = path
+    what = "sidecar metadata " if reader == "csv_sidecar" else ""
+    with pytest.raises(ps.GridFormatError, match=re.escape(f"cannot read {what}{bad}: ")):
+        ps.load_grid(path, reader.removesuffix("_sidecar"), ps.ByElevation(385.0))
+
+
+def test_a_mask_that_is_not_utf8_is_a_format_error(tmp_path):
+    # a 0xff byte once raised a bare UnicodeDecodeError
+    dem, mask = tmp_path / "dem.asc", tmp_path / "mask.asc"
+    dem.write_text(UNIFORM_ASC)
+    mask.write_bytes(b"ncols 3\nnrows 3\ncellsize 34\n1 0 0\n1 \xff 0\n1 0 0\n")
+    refused = re.escape(f"cannot read {mask}: ")
+    with pytest.raises(ps.GridFormatError, match=refused):
+        ps.load_mask(mask, (3, 3))
+    with pytest.raises(ps.GridFormatError, match=refused):
+        ps.load_grid(dem, "esri_ascii", ps.MaskFile(mask))
+
+
+_FUZZ_DEM = """\
+ncols 5
+nrows 4
+xllcorner 100.0
+yllcorner 200.0
+cellsize 34.0
+NODATA_value -9999
+385 500 520 540 560
+385 470 480 530 560
+385 490 500 -9999 560
+385 560 560 560 560
+"""
+_FUZZ_MASK = """\
+ncols 5
+nrows 4
+cellsize 34.0
+1 0 0 0 0
+1 0 0 0 0
+1 0 0 0 0
+1 0 0 0 0
+"""
+_FUZZ_TOKENS = ("nan", "inf", "1e400", "1e-320", "-0", "abc", "", "\xff")
+
+
+@st.composite
+def _mutated_esri(draw, text):
+    """``text`` with one to three mutations: a token replaced, a header line
+    repeated or dropped, or a data row cut short."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        header = [k for k, ln in enumerate(lines) if ln.split() and ln.split()[0].isalpha()]
+        rows = [k for k, ln in enumerate(lines) if k not in header and ln.split()]
+        kind = draw(st.sampled_from(["token", "repeat", "drop", "cut"]))
+        if kind == "token" and lines:
+            k = draw(st.integers(0, len(lines) - 1))
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_FUZZ_TOKENS))
+            lines[k] = " ".join(tokens)
+        elif kind in ("repeat", "drop") and header:
+            k = draw(st.sampled_from(header))
+            lines[k:k + 1] = [lines[k]] * (2 if kind == "repeat" else 0)
+        elif kind == "cut" and rows:
+            k = draw(st.sampled_from(rows))
+            tokens = lines[k].split()
+            lines[k] = " ".join(tokens[:draw(st.integers(0, len(tokens) - 1))])
+    return ("\n".join(lines) + "\n").encode("latin-1")
+
+
+@given(st.one_of(st.tuples(_mutated_esri(_FUZZ_DEM), st.just(_FUZZ_MASK.encode())),
+                 st.tuples(st.just(_FUZZ_DEM.encode()), _mutated_esri(_FUZZ_MASK)),
+                 st.tuples(_mutated_esri(_FUZZ_DEM), _mutated_esri(_FUZZ_MASK))))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_a_mutated_esri_file_loads_a_sound_grid_or_is_refused(files):
+    """A DEM or mask file with odd tokens, repeated or missing header lines
+    or short rows either loads as a grid with a finite positive cell area,
+    finite corners and a finite lower level, or raises a SitingError."""
+    with tempfile.TemporaryDirectory() as folder:
+        dem, mask = Path(folder) / "dem.asc", Path(folder) / "mask.asc"
+        dem.write_bytes(files[0])
+        mask.write_bytes(files[1])
+        for lower in (ps.ByElevation(385.0, 0.5), ps.MaskFile(mask)):
+            try:
+                grid = ps.load_grid(dem, "esri_ascii", lower)
+            except ps.SitingError:
+                continue
+            assert math.isfinite(grid.cell_area) and grid.cell_area > 0
+            assert math.isfinite(grid.xllcorner) and math.isfinite(grid.yllcorner)
+            assert math.isfinite(grid.lower_elevation)
 
 
 def test_empty_lower_mask_rejected(tmp_path):
