@@ -778,7 +778,6 @@ def test_file_calls_reuse_one_highs_per_thread():
 
 _EXIT_SCRIPT = """
 import os
-import re
 import phs_siting as ps
 from phs_siting import formats
 from conftest import pit_grid, pit_spec

@@ -475,17 +475,14 @@ def test_zoom_flags_a_site_that_fails_the_full_grid_check(monkeypatch, caplog):
     assert "stub violation" in caplog.text
 
 
-def test_both_runs_flag_a_site_that_fails_the_check(monkeypatch, caplog):
-    """A direct run and a zoom run end in the same checked readout: a site
-    that fails ``verify_masks`` comes back invalid, still connected."""
+def test_a_direct_run_flags_a_site_that_fails_the_check(monkeypatch, caplog):
+    """A direct run ends in the zoom run's checked readout: a site that
+    fails ``verify_masks`` comes back invalid, still connected."""
     monkeypatch.setattr(strategy, "verify_masks", lambda *args: ["stub violation"])
     with caplog.at_level("WARNING", logger="phs_siting.strategy"):
         direct = ps.run_ladder(pit_grid(), pit_spec())
-        zoomed = ps.run_zoom_in(_zoomable_pit_grid(), spec_for_volume(100_000.0),
-                                config=StrategyConfig(zoom_factors=(2, 1)))
-    for sol in (direct, zoomed):
-        assert sol.connected and not sol.valid
-    assert caplog.text.count("stub violation") == 2
+    assert direct.connected and not direct.valid
+    assert "stub violation" in caplog.text
 
 
 def test_window_check_equals_full_grid_check():

@@ -131,14 +131,10 @@ def test_a_dem_that_is_not_utf8_is_a_format_error(tmp_path, reader):
         bad.write_bytes(UNIFORM_ASC.encode().replace(b"385 385 385\n", b"385 \xff 385\n", 1))
     else:
         path = tmp_path / "dem.csv"
-        path.write_bytes(b"385,385,385\n385,\xff,385\n385,385,385\n")
+        path.write_text("385,385,385\n" * 3)
         (tmp_path / "dem.csv.meta").write_text("cell_length = 34\n")
-        if reader == "csv_sidecar":
-            path.write_text("385,385,385\n" * 3)
-            bad = tmp_path / "dem.csv.meta"
-            bad.write_bytes(b"cell_length = 34 # \xff\n")
-        else:
-            bad = path
+        bad = tmp_path / ("dem.csv.meta" if reader == "csv_sidecar" else "dem.csv")
+        bad.write_bytes(bad.read_bytes().replace(b"\n", b" \xff\n", 1))
     what = "sidecar metadata " if reader == "csv_sidecar" else ""
     with pytest.raises(ps.GridFormatError, match=re.escape(f"cannot read {what}{bad}: ")):
         ps.load_grid(path, reader.removesuffix("_sidecar"), ps.ByElevation(385.0))
